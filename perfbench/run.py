@@ -336,8 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="tiny inputs, for the benchmark's own tests")
     parser.add_argument("--spans-dir", default=str(HERE / "out"),
-                        help="where a traced run writes its spans "
-                             "('' to skip)")
+                        help="where a traced run writes its spans")
     args = parser.parse_args(argv)
 
     if not (ROOT / "src" / "repro" / "__init__.py").is_file():
