@@ -1,7 +1,7 @@
 """Drive the chaos + bakeoff scenarios under the sanitizer.
 
 ``repro analyze`` (and the CI ``analyze`` job) call :func:`run_analysis`,
-which executes, per seed and per batching mode:
+which executes, per seed:
 
 * **chaos** — the chaos harness's end-to-end run (seeded random fault
   plan, linear-solver pipeline pinned across both sites) with an
@@ -25,7 +25,7 @@ marked, and are counted separately — the CI gate requires zero
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Any
 
@@ -63,7 +63,6 @@ class AnalyzeConfig:
 
     seeds: tuple[int, ...] = (101, 202, 303)
     scenarios: tuple[str, ...] = SCENARIOS
-    batching_modes: tuple[bool, ...] = (True, False)
     chaos_tasks: int = 60
     chaos_horizon_s: float = 60.0
     max_sim_time_s: float = 600.0
@@ -107,12 +106,12 @@ def _pin_across_sites(graph: Any, sites: list[str]) -> None:
         graph.node(nid).properties.preferred_site = sites[i % len(sites)]
 
 
-def _run_chaos_scenario(seed: int, batching: bool,
+def _run_chaos_scenario(seed: int,
                         cfg: AnalyzeConfig) -> tuple[HBRecorder, dict]:
     from repro.faults import FaultPlan
     from repro.workloads import linear_solver_graph, quiet_testbed
 
-    vdce = quiet_testbed(seed=seed, batching=batching)
+    vdce = quiet_testbed(seed=seed)
     vdce.start()
     # Standbys on every site + server crashes in the plan: WAL shipping,
     # replica application and rank-staggered promotion all run under the
@@ -138,7 +137,7 @@ def _run_chaos_scenario(seed: int, batching: bool,
     return session.recorder, meta
 
 
-def _run_bakeoff_scenario(seed: int, batching: bool,
+def _run_bakeoff_scenario(seed: int,
                           cfg: AnalyzeConfig) -> tuple[HBRecorder, dict]:
     from repro.bakeoff import BakeoffConfig, run_bakeoff
     from repro.bakeoff.runner import DEFAULT_WORKLOADS
@@ -150,7 +149,7 @@ def _run_bakeoff_scenario(seed: int, batching: bool,
     # (a) every default workload through the full simulated pipeline
     for workload in sorted(DEFAULT_WORKLOADS):
         builder = DEFAULT_WORKLOADS[workload]
-        vdce = quiet_testbed(seed=seed, batching=batching)
+        vdce = quiet_testbed(seed=seed)
         vdce.start()
         session = AnalysisSession(vdce.env, sites=vdce.world.sites,
                                   stack_depth=cfg.stack_depth)
@@ -214,8 +213,8 @@ def apply_suppressions(races: list[Race],
 
 
 def run_analysis(cfg: AnalyzeConfig) -> dict[str, Any]:
-    """Execute every (scenario, seed, batching) combination and fold the
-    results into the canonical report dict."""
+    """Execute every (scenario, seed) combination and fold the results
+    into the canonical report dict."""
     runs: list[dict[str, Any]] = []
     all_races: dict[tuple[str, ...], Race] = {}
     direct: dict[tuple[str, str], int] = {}
@@ -229,30 +228,28 @@ def run_analysis(cfg: AnalyzeConfig) -> dict[str, Any]:
         runner = (_run_chaos_scenario if scenario == "chaos"
                   else _run_bakeoff_scenario)
         for seed in cfg.seeds:
-            for batching in cfg.batching_modes:
-                recorder, meta = runner(seed, batching, cfg)
-                apply_suppressions(recorder.races, cfg.suppressions)
-                sites.update(recorder.sites)
-                for race in recorder.races:
-                    all_races.setdefault(race.key, race)
-                for key, n in recorder.direct_matrix.items():
-                    direct[key] = direct.get(key, 0) + n
-                for key, n in recorder.network_matrix.items():
-                    network[key] = network.get(key, 0) + n
-                for cell, stats in sorted(recorder.cell_stats.items()):
-                    name = f"{cell[0]}/{cell[1]}"
-                    agg = cells.setdefault(
-                        name, {"reads": 0, "writes": 0, "accessors": []})
-                    agg["reads"] += stats.reads
-                    agg["writes"] += stats.writes
-                    agg["accessors"] = sorted(
-                        set(agg["accessors"]) | stats.accessors)
-                runs.append({
-                    "scenario": scenario, "seed": seed,
-                    "batching": batching, "meta": meta,
-                    "races": len(recorder.races),
-                    "unsuppressed": len(recorder.unsuppressed_races()),
-                })
+            recorder, meta = runner(seed, cfg)
+            apply_suppressions(recorder.races, cfg.suppressions)
+            sites.update(recorder.sites)
+            for race in recorder.races:
+                all_races.setdefault(race.key, race)
+            for key, n in recorder.direct_matrix.items():
+                direct[key] = direct.get(key, 0) + n
+            for key, n in recorder.network_matrix.items():
+                network[key] = network.get(key, 0) + n
+            for cell, stats in sorted(recorder.cell_stats.items()):
+                name = f"{cell[0]}/{cell[1]}"
+                agg = cells.setdefault(
+                    name, {"reads": 0, "writes": 0, "accessors": []})
+                agg["reads"] += stats.reads
+                agg["writes"] += stats.writes
+                agg["accessors"] = sorted(
+                    set(agg["accessors"]) | stats.accessors)
+            runs.append({
+                "scenario": scenario, "seed": seed, "meta": meta,
+                "races": len(recorder.races),
+                "unsuppressed": len(recorder.unsuppressed_races()),
+            })
     races = sorted(all_races.values(), key=lambda r: r.key)
     unsuppressed = [r for r in races if not r.suppressed]
     violations = sorted(
@@ -263,7 +260,6 @@ def run_analysis(cfg: AnalyzeConfig) -> dict[str, Any]:
         "config": {
             "seeds": list(cfg.seeds),
             "scenarios": list(cfg.scenarios),
-            "batching_modes": list(cfg.batching_modes),
             "chaos_tasks": cfg.chaos_tasks,
             "suppressions": [
                 {"cell": s.cell, "context": s.context, "reason": s.reason}
@@ -305,8 +301,7 @@ def render_report(report: dict[str, Any]) -> str:
     lines.append("=" * 35)
     cfg = report["config"]
     lines.append(f"scenarios: {', '.join(cfg['scenarios'])}   "
-                 f"seeds: {', '.join(map(str, cfg['seeds']))}   "
-                 f"batching: {cfg['batching_modes']}")
+                 f"seeds: {', '.join(map(str, cfg['seeds']))}")
     lines.append("")
     lines.append(f"races: {report['race_count']} "
                  f"({report['unsuppressed_races']} unsuppressed, "

@@ -321,13 +321,10 @@ def cmd_analyze(args) -> int:
     from repro.analysis import AnalyzeConfig, render_report, run_analysis
     from repro.analysis.runner import SCENARIOS, report_json
     scenarios = SCENARIOS if args.scenario == "all" else (args.scenario,)
-    batching = ((True,) if args.batching == "on"
-                else (False,) if args.batching == "off"
-                else (True, False))
     config = AnalyzeConfig(
         seeds=tuple(int(s) for s in args.seeds.split(",")),
-        scenarios=scenarios, batching_modes=batching,
-        chaos_tasks=args.tasks, max_sim_time_s=args.max_time)
+        scenarios=scenarios, chaos_tasks=args.tasks,
+        max_sim_time_s=args.max_time)
     report = run_analysis(config)
     print(render_report(report), end="")
     if args.json:
@@ -552,9 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma list of seeds")
     analyze.add_argument("--scenario", default="all",
                          choices=("chaos", "bakeoff", "all"))
-    analyze.add_argument("--batching", default="both",
-                         choices=("on", "off", "both"),
-                         help="network same-tick batching mode(s) to run")
     analyze.add_argument("--tasks", type=int, default=60,
                          help="chaos solver problem size")
     analyze.add_argument("--max-time", type=float, default=600.0,

@@ -72,13 +72,8 @@ class VDCE:
                  reschedule_policy: ReschedulePolicy | None = None,
                  weight_jitter: float = 0.10,
                  obs: Observability | None = None,
-                 batching: bool = True,
                  coalesce_updates: bool = True) -> None:
         self.world = VDCEnvironment(seed=seed, trace=trace)
-        #: coalesce same-tick message fan-outs into batched delivery
-        #: events; traces are byte-identical either way (chaos CI pins
-        #: this), ``False`` keeps the one-process-per-message path.
-        self.world.network.batching = batching
         #: observability handle threaded through every daemon; inert
         #: (the shared OBS_OFF singleton) unless one is supplied.
         self.obs = obs if obs is not None else OBS_OFF

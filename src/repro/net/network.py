@@ -87,22 +87,15 @@ class Network:
 
     __slots__ = ("env", "topology", "tracer", "per_message_overhead_s",
                  "stats", "_mailboxes", "is_up", "fault_hook", "obs",
-                 "batching",
                  "_m_messages", "_m_bytes", "_m_dropped", "_m_delay")
 
     def __init__(self, env: Environment, topology: Topology,
                  tracer: Tracer | None = None,
-                 per_message_overhead_s: float = 1e-4,
-                 batching: bool = True) -> None:
+                 per_message_overhead_s: float = 1e-4) -> None:
         self.env = env
         self.topology = topology
         self.tracer = tracer or Tracer(enabled=False)
         self.per_message_overhead_s = per_message_overhead_s
-        #: coalesce same-tick fan-outs (:meth:`send_batch`) into vector
-        #: heap entries; ``False`` degrades every batch to a loop of
-        #: :meth:`send` — byte-identical traces either way (the chaos CI
-        #: jobs assert exactly that), just slower.
-        self.batching = batching
         self.stats = TrafficStats()
         self._mailboxes: dict[str, Store] = {}
         #: predicate deciding whether the *host* owning an address is up;
@@ -170,109 +163,22 @@ class Network:
              size_bytes: float = 256.0) -> Message:
         """Send a message; it arrives after the modelled delay.
 
-        Returns the sent :class:`Message`.  Raises :class:`ChannelError`
-        when the destination endpoint was never registered (a programming
-        error, unlike a *down* host which is a simulated fault and drops
+        A one-destination :meth:`send_batch`, so every message takes the
+        same route: one heap entry, no delivery process.  Returns the
+        sent :class:`Message`.  Raises :class:`ChannelError` when the
+        destination endpoint was never registered (a programming error,
+        unlike a *down* host which is a simulated fault and drops
         silently).
         """
-        env = self.env
-        now = env.now
-        stats = self.stats
-        tracer = self.tracer
-        obs = self.obs
-        msg = Message(src=src, dst=dst, kind=kind, payload=payload,
-                      size_bytes=size_bytes, send_time=now)
-        box = self.mailbox(dst)
-        dst_site, dst_host = split_address(dst)
-        src_site, src_host = split_address(src)
-        hb = hooks.HB
-        if hb is not None:
-            hb.on_send(dst_site)
-        # inlined TrafficStats.account: sends dominate, and the method
-        # call plus Message re-reads are measurable at message rate
-        stats.messages += 1
-        stats.bytes += size_bytes
-        stats.by_kind[kind] += 1
-        stats.bytes_by_kind[kind] += size_bytes
-        if tracer.enabled:
-            tracer.record(now, f"net:{kind}", src, dst=dst, bytes=size_bytes)
-        if obs.enabled:
-            self._m_messages.inc(kind=kind)
-            self._m_bytes.inc(size_bytes, kind=kind)
-        if not (self.is_up(dst_host) and self.is_up(src_host)):
-            stats.dropped += 1
-            if tracer.enabled:
-                tracer.record(now, "net:dropped", src, dst=dst, kind=kind)
-            if obs.enabled:
-                self._m_dropped.inc(reason="host-down")
-            return msg
-        if (src_host != dst_host
-                and not self.topology.reachable(src_site, dst_site)):
-            # No surviving WAN route: the partition eats the message
-            # before any injected per-message fault gets a say (no RNG
-            # draws for undeliverable traffic keeps drops deterministic).
-            stats.dropped += 1
-            stats.partition_drops += 1
-            if tracer.enabled:
-                tracer.record(now, "net:partition-drop", src, dst=dst,
-                              kind=kind)
-            if obs.enabled:
-                self._m_dropped.inc(reason="partitioned")
-            return msg
-        action = self.fault_hook(msg) if self.fault_hook is not None else None
-        if action is not None and action.drop:
-            stats.dropped += 1
-            stats.injected_drops += 1
-            if tracer.enabled:
-                tracer.record(now, "net:injected-drop", src, dst=dst,
-                              kind=kind)
-            if obs.enabled:
-                self._m_dropped.inc(reason="injected")
-            return msg
-        if src_host == dst_host:
-            wire = 1e-5 + size_bytes / 1e9  # loopback
-        else:
-            wire = self.topology.transfer_time(src_site, dst_site, size_bytes)
-        delay = wire + self.per_message_overhead_s
-        copies = 1
-        if action is not None:
-            delay = delay * action.delay_multiplier + action.extra_delay_s
-            copies += action.duplicates
-            stats.injected_duplicates += action.duplicates
-        if obs.enabled:
-            self._m_delay.observe(delay, kind=kind)
-            # Message-delivery spans only for sends on behalf of a task
-            # (the Data Manager brackets those with current_parent):
-            # control-plane chatter is counted above but not spanned, so
-            # the causal tree stays one application's tree.
-            if obs.current_parent is not None:
-                obs.spans.complete(
-                    kind, "message-delivery", src, now, now + delay,
-                    parent_id=obs.current_parent, dst=dst,
-                    bytes=size_bytes)
-
-        def deliver(env, box=box, msg=msg, delay=delay):
-            yield env.timeout(delay)
-            # A host that went down mid-flight loses the message too.
-            if self.is_up(dst_host):
-                box.put(msg)
-            else:
-                self.stats.dropped += 1
-                if self.obs.enabled:
-                    self._m_dropped.inc(reason="mid-flight")
-
-        for _ in range(copies):
-            env.process(deliver(env), name=f"deliver:{kind}")
-        return msg
+        return self.send_batch(src, (dst,), kind, payload, size_bytes)[0]
 
     def _deliver_entries(self, entries) -> None:
-        """Arrival callback for one batched delivery run.
+        """Arrival callback for one delivery run.
 
         *entries* is the ``(mailbox, message, dst_host)`` list one
-        :meth:`send_batch` heap entry accumulated; per-message semantics
-        (the mid-flight down check and its drop accounting) match the
-        unbatched ``deliver`` process exactly, in list order — which is
-        send order, the same order per-message heap entries would pop.
+        :meth:`send_batch` heap entry accumulated, in send order.  A
+        host that went down mid-flight loses its messages (each copy
+        counts as one drop).
         """
         is_up = self.is_up
         for box, msg, dst_host in entries:
@@ -289,32 +195,25 @@ class Network:
                    sizes: Sequence[float] | None = None) -> list[Message]:
         """Send to several destinations in one coalesced operation.
 
-        Semantically a loop of :meth:`send` — same per-message stats,
-        tracer records, obs metrics/spans, and fault-hook consultations
-        (in *dsts* order, so injector RNG draws are unchanged) — but
-        consecutive messages sharing a modelled delay ride **one** heap
-        entry and one arrival callback instead of a delivery process
-        each.  Fan-outs inside a site (echo rounds, start signals to
-        co-located controllers, WAL shipping to LAN standbys) therefore
-        cost O(runs) kernel work rather than O(messages).
+        Every message, single sends included, is routed here, one at a
+        time in *dsts* order: stats, tracer record, obs metrics and
+        span, the happens-before hook, then the host-down, partition and
+        fault-hook checks (so injector RNG draws follow send order), and
+        finally the modelled delay and any injected duplicates.
+        Consecutive messages sharing a delay ride **one** heap entry
+        (:meth:`Environment.call_later`) and one arrival callback, so a
+        fan-out inside a site (echo rounds, start signals to co-located
+        controllers, WAL shipping to LAN standbys) costs O(runs) kernel
+        work rather than O(messages).
 
         *payloads* / *sizes*, when given, are per-destination overrides
         aligned with *dsts* (the allocation push sends a different
-        portion to every host).  With ``self.batching`` false the call
-        degrades to the plain loop, which the chaos byte-identity CI
-        probes compare against.
+        portion to every host).
         """
         if payloads is not None and len(payloads) != len(dsts):
             raise ConfigurationError("payloads must align with dsts")
         if sizes is not None and len(sizes) != len(dsts):
             raise ConfigurationError("sizes must align with dsts")
-        if not self.batching:
-            return [
-                self.send(src, dsts[i], kind,
-                          payload if payloads is None else payloads[i],
-                          size_bytes if sizes is None else sizes[i])
-                for i in range(len(dsts))
-            ]
         env = self.env
         now = env._now
         stats = self.stats
@@ -323,14 +222,10 @@ class Network:
         fault_hook = self.fault_hook
         is_up = self.is_up
         mailboxes = self._mailboxes
-        transfer_time = self.topology.transfer_time
-        reachable = self.topology.reachable
-        overhead = self.per_message_overhead_s
+        topology = self.topology
         src_site, src_host = split_address(src)
         src_up = is_up(src_host)
         hb = hooks.HB
-        by_kind = stats.by_kind
-        bytes_by_kind = stats.bytes_by_kind
         messages: list[Message] = []
         # the open run: consecutive messages with the same delay share it
         run_entries: list | None = None
@@ -348,10 +243,12 @@ class Network:
             dst_site, dst_host = split_address(dst)
             if hb is not None:
                 hb.on_send(dst_site)
+            # inlined TrafficStats.account: sends dominate, and the
+            # method call is measurable at message rate
             stats.messages += 1
             stats.bytes += nbytes
-            by_kind[kind] += 1
-            bytes_by_kind[kind] += nbytes
+            stats.by_kind[kind] += 1
+            stats.bytes_by_kind[kind] += nbytes
             if tracer.enabled:
                 tracer.record(now, f"net:{kind}", src, dst=dst,
                               bytes=nbytes)
@@ -367,7 +264,11 @@ class Network:
                     self._m_dropped.inc(reason="host-down")
                 continue
             if (src_host != dst_host
-                    and not reachable(src_site, dst_site)):
+                    and not topology.reachable(src_site, dst_site)):
+                # No surviving WAN route: the partition eats the message
+                # before any injected per-message fault gets a say (no
+                # RNG draws for undeliverable traffic keeps drops
+                # deterministic).
                 stats.dropped += 1
                 stats.partition_drops += 1
                 if tracer.enabled:
@@ -389,8 +290,8 @@ class Network:
             if src_host == dst_host:
                 wire = 1e-5 + nbytes / 1e9  # loopback
             else:
-                wire = transfer_time(src_site, dst_site, nbytes)
-            delay = wire + overhead
+                wire = topology.transfer_time(src_site, dst_site, nbytes)
+            delay = wire + self.per_message_overhead_s
             copies = 1
             if action is not None:
                 delay = delay * action.delay_multiplier + action.extra_delay_s
@@ -398,6 +299,11 @@ class Network:
                 stats.injected_duplicates += action.duplicates
             if obs.enabled:
                 self._m_delay.observe(delay, kind=kind)
+                # Message-delivery spans only for sends on behalf of a
+                # task (the Data Manager brackets those with
+                # current_parent): control-plane chatter is counted above
+                # but not spanned, so the causal tree stays one
+                # application's tree.
                 if obs.current_parent is not None:
                     obs.spans.complete(
                         kind, "message-delivery", src, now, now + delay,

@@ -79,7 +79,6 @@ def run_chaos(seed: int, n: int = 200, horizon_s: float = 60.0,
               failover_standbys: dict[str, list[str]] | None = None,
               plan: FaultPlan | None = None,
               min_sim_time_s: float = 0.0,
-              batching: bool = True,
               membership: bool = False,
               **plan_kwargs) -> ChaosOutcome:
     """One seeded chaos run of the linear-solver pipeline.
@@ -95,15 +94,12 @@ def run_chaos(seed: int, n: int = 200, horizon_s: float = 60.0,
     *min_sim_time_s* keeps the simulation running past application
     completion (failovers fire for planned faults landing afterwards —
     the control plane heals whether or not work is in flight).
-    *batching* flips the network's same-tick fan-out coalescing; the
-    batching-identity CI assertions run the same seed both ways and
-    require byte-identical fault logs and traces.
     *membership* enables the federation heartbeat daemons, so link
     faults quarantine sites, degraded-mode scheduling re-queues their
     in-flight tasks, and the outcome carries the membership ``ledger``.
     """
     observability = Observability() if obs else None
-    vdce = quiet_testbed(seed=seed, obs=observability, batching=batching)
+    vdce = quiet_testbed(seed=seed, obs=observability)
     vdce.start()
     if membership:
         vdce.enable_membership()

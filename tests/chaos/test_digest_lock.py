@@ -1,0 +1,140 @@
+"""Chaos suite: committed SHA-256 digests lock the observable record.
+
+Three fixed seeds drive three chaos scenarios with observability on:
+
+* ``chaos`` — :func:`run_chaos` under its seeded random fault plan;
+* ``failover`` — the mid-execution server crash with live standbys;
+* ``partition`` — the membership-enabled run under seeded link flaps.
+
+For each run the fault-injector log, the Chrome trace and (partition
+runs only) the membership ledger are hashed and compared against the
+digests below.  A kernel or network refactor that claims to be
+behaviour-preserving must leave every digest unchanged; a change that
+moves one is a behaviour change and has to say so when it re-records
+the table.
+
+The seeds are fixed here rather than taken from the ``CHAOS_SEEDS``
+fixture: the digests only mean something for the seeds they were
+recorded on.  ``python -m tests.chaos.test_digest_lock`` prints the
+current table in the literal form used below.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from tests.chaos.harness import ChaosOutcome, assert_invariants, run_chaos
+from tests.chaos.test_partition import run_partition_chaos
+from tests.chaos.test_server_failover import SERVER_CRASH_PLAN, STANDBYS
+
+LOCK_SEEDS = (101, 202, 303)
+
+
+def _run(scenario: str, seed: int) -> ChaosOutcome:
+    if scenario == "chaos":
+        return run_chaos(seed, obs=True)
+    if scenario == "failover":
+        return run_chaos(seed, obs=True, failover_standbys=STANDBYS,
+                         plan=SERVER_CRASH_PLAN)
+    return run_partition_chaos(seed, obs=True)
+
+
+def record_digests(scenario: str, seed: int) -> dict[str, str]:
+    """SHA-256 of each recorded artifact of one (scenario, seed) run."""
+    outcome = _run(scenario, seed)
+    assert_invariants(outcome)
+    artifacts = {"fault_log": outcome.fault_log,
+                 "chrome_trace": outcome.chrome_trace}
+    if scenario == "partition":
+        artifacts["ledger"] = outcome.ledger
+    return {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in artifacts.items()}
+
+
+#: (scenario, seed) -> artifact -> SHA-256 of its exported bytes
+DIGESTS: dict[tuple[str, int], dict[str, str]] = {
+    ('chaos', 101): {
+        'fault_log':
+            '8defcfc0a1122bb281698882aa4a44953a099a0b11bb0fa0107dffb3f4efe173',
+        'chrome_trace':
+            'a39a49ea61b1248309f1f827ec16c2fb0496cd77baadbad24ba5f414c6bdeb5b',
+    },
+    ('chaos', 202): {
+        'fault_log':
+            'c4f2eba2560e1de91a276bea3c163aeeef2725d0dd74a68200b2172d286de810',
+        'chrome_trace':
+            'b299123448d8940fe4026a0efa2d27a13c8a77bf4f80d4a460ab22c2943658b0',
+    },
+    ('chaos', 303): {
+        'fault_log':
+            'b51589c8e8d54cf5b22112b4d161dc68e5e1e0de1c5701d98c3a486a0c4cb53b',
+        'chrome_trace':
+            '508039544245ee4e62568ad0f1957a1b3876817182fc2083763ff05269402c2d',
+    },
+    ('failover', 101): {
+        'fault_log':
+            '2cf5d36fa3af58f15c6a0154fedf0fb62e5424802979a8a74fc880ce5eda14e2',
+        'chrome_trace':
+            'f048749a2d8b81ce96b6815f41fc3a6d8c63a46dec64110936268d010f4216de',
+    },
+    ('failover', 202): {
+        'fault_log':
+            '2cf5d36fa3af58f15c6a0154fedf0fb62e5424802979a8a74fc880ce5eda14e2',
+        'chrome_trace':
+            '941ae5286bf40c36a5d658821ef02b31e0348dcc7a3708b18cb020483f0e81b0',
+    },
+    ('failover', 303): {
+        'fault_log':
+            '2cf5d36fa3af58f15c6a0154fedf0fb62e5424802979a8a74fc880ce5eda14e2',
+        'chrome_trace':
+            'c7d725a9de54e64f8697657845abb3034fdd5a42427b156f5a271d073107aa53',
+    },
+    ('partition', 101): {
+        'fault_log':
+            '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',
+        'chrome_trace':
+            'b386c42ad7429cbdc28f4dc6f66c82f150ff6df8843cc4d9cda8a55ae991ca50',
+        'ledger':
+            '249ee0f217cedeafac3c26563d8afdc78a895f26d6df34f15fe7a9719d1ae1cb',
+    },
+    ('partition', 202): {
+        'fault_log':
+            '5c5fd458864a9598f8d30b74e0c71e730da5c11a92d6bec80deb7121c196bf38',
+        'chrome_trace':
+            'e5488f507b938e96130e08a7e64362dd6fb4081bcbd960666ce99c13752cc32f',
+        'ledger':
+            '0523b312abe4282e4ef6d4b1d4a2b4f53b208d455e1397397f1fc4ef779f142f',
+    },
+    ('partition', 303): {
+        'fault_log':
+            '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',
+        'chrome_trace':
+            'd6f08056139ad7ebafbba5b40ff8f20835ff4b82fab017697cf188e5b065ebbd',
+        'ledger':
+            '249ee0f217cedeafac3c26563d8afdc78a895f26d6df34f15fe7a9719d1ae1cb',
+    },
+}
+
+
+class TestDigestLock:
+    @pytest.mark.parametrize("scenario,seed", sorted(DIGESTS), ids=str)
+    def test_artifacts_match_committed_digests(self, scenario, seed):
+        assert record_digests(scenario, seed) == DIGESTS[(scenario, seed)], \
+            f"{scenario} seed {seed}: observable record changed"
+
+
+def main() -> None:
+    """Print the digest table for :data:`LOCK_SEEDS` as a dict literal."""
+    for scenario in ("chaos", "failover", "partition"):
+        for seed in LOCK_SEEDS:
+            print(f"    ({scenario!r}, {seed}): {{")
+            for name, digest in record_digests(scenario, seed).items():
+                print(f"        {name!r}:")
+                print(f"            {digest!r},")
+            print("    },")
+
+
+if __name__ == "__main__":
+    main()

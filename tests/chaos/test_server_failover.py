@@ -156,20 +156,3 @@ class TestFailoverDeterminism:
         if out:
             (out / f"failover-trace-seed{chaos_seed}.json").write_text(
                 first.chrome_trace)
-
-    def test_batching_off_byte_identical(self, chaos_seed):
-        """WAL shipping, heartbeats, and the re-push all ride
-        ``send_batch`` now; degrading every batch to plain sends must
-        leave the failover machinery's traces byte-for-byte unchanged."""
-        batched = run_chaos(chaos_seed, obs=True,
-                            failover_standbys=STANDBYS,
-                            plan=SERVER_CRASH_PLAN)
-        unbatched = run_chaos(chaos_seed, obs=True,
-                              failover_standbys=STANDBYS,
-                              plan=SERVER_CRASH_PLAN, batching=False)
-        assert batched.fault_log == unbatched.fault_log
-        assert batched.chrome_trace == unbatched.chrome_trace
-        assert batched.failovers == unbatched.failovers
-        assert batched.tasks_executed == unbatched.tasks_executed
-        assert batched.status == unbatched.status
-        assert batched.makespan == unbatched.makespan

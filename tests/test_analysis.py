@@ -280,7 +280,7 @@ class TestRunAnalysis:
             assert expected in cells, f"untracked shared state {expected}"
 
     def test_every_run_reaches_a_terminal_state(self, report):
-        assert len(report["runs"]) == 4  # 2 scenarios x 1 seed x 2 modes
+        assert len(report["runs"]) == 2  # 2 scenarios x 1 seed
         for run in report["runs"]:
             meta = run["meta"]
             if run["scenario"] == "chaos":
@@ -347,7 +347,7 @@ class TestAnalyzeCli:
     def test_analyze_bakeoff_smoke(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         rc = main(["analyze", "--seeds", "101", "--scenario", "bakeoff",
-                   "--batching", "on", "--json", str(out_path)])
+                   "--json", str(out_path)])
         assert rc == 0
         assert "SHARDABLE" in capsys.readouterr().out
         doc = json.loads(out_path.read_text())

@@ -1,14 +1,13 @@
 """Batched event delivery: the kernel primitive and the network fan-out.
 
-PR 7 turned same-tick ``Network.send`` fan-outs into vectorized batch
-events: :meth:`Environment.call_later` puts one ``_Callback`` heap entry
-behind a whole delivery run, :meth:`Store.put_nowait` skips the
-pending-put event on unbounded mailboxes, and :meth:`Network.send_batch`
-coalesces consecutive same-delay messages onto one entry.  The contract
-is *semantic equivalence*: a batch must be indistinguishable — message
-contents, arrival order, stats, fault-hook consultations, simulated
-clock — from the loop of plain ``send`` calls it replaces (which
-``batching=False`` still performs, and the chaos CI compares against).
+:meth:`Environment.call_later` puts one ``_Callback`` heap entry behind
+a whole delivery run, :meth:`Store.put_nowait` skips the pending-put
+event on unbounded mailboxes, and :meth:`Network.send_batch` coalesces
+consecutive same-delay messages onto one entry.  ``Network.send`` is a
+one-destination ``send_batch``, so the contract is *semantic
+equivalence*: a batch must be indistinguishable — message contents,
+arrival order, stats, fault-hook consultations, simulated clock — from
+the loop of ``send`` calls it replaces.
 """
 
 from __future__ import annotations
@@ -112,13 +111,13 @@ class TestPutNowait:
 # the network fan-out
 # ---------------------------------------------------------------------------
 
-def make_net(batching: bool) -> tuple[Environment, Network]:
+def make_net() -> tuple[Environment, Network]:
     env = Environment()
     topo = Topology()
     topo.add_site("s1")
     topo.add_site("s2")
     topo.connect("s1", "s2", ATM_OC3)
-    return env, Network(env, topo, batching=batching)
+    return env, Network(env, topo)
 
 
 def drain(box) -> list:
@@ -131,24 +130,41 @@ def drain(box) -> list:
                     msg.size_bytes))
 
 
-def run_fanout(batching: bool, hook=None):
-    """One mixed intra-/cross-site fan-out; returns observables."""
-    env, net = make_net(batching)
+def run_fanout(as_batch: bool, hook=None):
+    """One mixed intra-/cross-site fan-out, sent as one ``send_batch``
+    or as a loop of ``send``; returns the observables."""
+    env, net = make_net()
     net.register("s1/h0/src")
-    dsts = [f"s1/h{i}/svc" for i in range(1, 4)] \
-        + [f"s2/h{i}/svc" for i in range(1, 3)]
-    boxes = {dst: net.register(dst) for dst in dsts}
+    # cross-site first: the slower WAN copies arrive last
+    dsts = [f"s2/h{i}/svc" for i in range(1, 3)] \
+        + [f"s1/h{i}/svc" for i in range(1, 4)]
+    arrivals: list = []
+
+    def listen(env, box):
+        while True:
+            msg = yield box.get()
+            arrivals.append((env.now, msg.src, msg.dst, msg.kind,
+                             msg.payload, msg.size_bytes))
+
+    for dst in dsts:
+        env.process(listen(env, net.register(dst)))
+    env.run()  # park every listener on its mailbox
     if hook is not None:
         net.fault_hook = hook
     payloads = [f"portion-{i}" for i in range(len(dsts))]
-    sizes = [128.0 * (i + 1) for i in range(len(dsts))]
-    msgs = net.send_batch("s1/h0/src", dsts, "alloc",
-                          payloads=payloads, sizes=sizes)
+    # equal sizes per site pair share a delay: two multi-message runs
+    sizes = [128.0, 128.0, 64.0, 64.0, 512.0]
+    if as_batch:
+        msgs = net.send_batch("s1/h0/src", dsts, "alloc",
+                              payloads=payloads, sizes=sizes)
+    else:
+        msgs = [net.send("s1/h0/src", dst, "alloc", pl, size)
+                for dst, pl, size in zip(dsts, payloads, sizes)]
     env.run()
     return {
         "sent": [(m.src, m.dst, m.kind, m.payload, m.size_bytes)
                  for m in msgs],
-        "delivered": {dst: drain(box) for dst, box in boxes.items()},
+        "arrivals": arrivals,
         "clock": env.now,
         "stats": (net.stats.messages, net.stats.bytes, net.stats.dropped,
                   net.stats.injected_drops, net.stats.injected_duplicates,
@@ -158,7 +174,11 @@ def run_fanout(batching: bool, hook=None):
 
 class TestBatchEquivalence:
     def test_batch_matches_unbatched_loop_exactly(self):
-        assert run_fanout(batching=True) == run_fanout(batching=False)
+        batched = run_fanout(as_batch=True)
+        assert batched == run_fanout(as_batch=False)
+        # the fixture mixes delays, so arrival order is not send order
+        assert [a[2] for a in batched["arrivals"]] \
+            != [s[1] for s in batched["sent"]]
 
     def test_fault_hook_order_drops_and_duplicates_match(self):
         def make_hook(calls):
@@ -172,17 +192,18 @@ class TestBatchEquivalence:
             return hook
 
         batched_calls: list[str] = []
-        unbatched_calls: list[str] = []
-        batched = run_fanout(batching=True, hook=make_hook(batched_calls))
-        unbatched = run_fanout(batching=False,
-                               hook=make_hook(unbatched_calls))
-        assert batched_calls == unbatched_calls  # injector RNG order
-        assert batched == unbatched
-        assert batched["delivered"]["s1/h2/svc"] == []      # dropped
-        assert len(batched["delivered"]["s2/h1/svc"]) == 2  # duplicated
+        loop_calls: list[str] = []
+        batched = run_fanout(as_batch=True, hook=make_hook(batched_calls))
+        loop = run_fanout(as_batch=False, hook=make_hook(loop_calls))
+        assert batched_calls == loop_calls  # injector RNG order
+        assert batched == loop
+        arrived = [a[2] for a in batched["arrivals"]]
+        assert "s1/h2/svc" not in arrived           # dropped
+        assert arrived.count("s2/h1/svc") == 2      # duplicated
+        assert arrived[-2:] == ["s2/h1/svc"] * 2    # +0.5 s, last
 
     def test_multicast_rides_send_batch(self):
-        env, net = make_net(batching=True)
+        env, net = make_net()
         net.register("s1/h0/src")
         boxes = [net.register(f"s1/h{i}/svc") for i in range(1, 4)]
         net.multicast("s1/h0/src", (f"s1/h{i}/svc" for i in range(1, 4)),
@@ -195,7 +216,7 @@ class TestBatchEquivalence:
 
 class TestBatchSemantics:
     def test_same_delay_run_shares_one_heap_entry(self):
-        env, net = make_net(batching=True)
+        env, net = make_net()
         net.register("s1/h0/src")
         dsts = [f"s1/h{i}/svc" for i in range(1, 101)]
         for dst in dsts:
@@ -209,7 +230,7 @@ class TestBatchSemantics:
         assert net.stats.dropped == 0
 
     def test_down_destination_dropped_at_send(self):
-        env, net = make_net(batching=True)
+        env, net = make_net()
         net.register("s1/h0/src")
         boxes = {f"s1/h{i}/svc": net.register(f"s1/h{i}/svc")
                  for i in (1, 2)}
@@ -221,7 +242,7 @@ class TestBatchSemantics:
         assert len(drain(boxes["s1/h2/svc"])) == 1
 
     def test_mid_flight_down_drops_on_arrival(self):
-        env, net = make_net(batching=True)
+        env, net = make_net()
         net.register("s1/h0/src")
         box = net.register("s1/h1/svc")
         net.send_batch("s1/h0/src", ["s1/h1/svc"], "ping")
@@ -231,7 +252,7 @@ class TestBatchSemantics:
         assert drain(box) == []
 
     def test_misaligned_overrides_rejected(self):
-        env, net = make_net(batching=True)
+        env, net = make_net()
         net.register("s1/h0/src")
         net.register("s1/h1/svc")
         with pytest.raises(ConfigurationError):
@@ -242,7 +263,7 @@ class TestBatchSemantics:
                            sizes=[1.0, 2.0])
 
     def test_unregistered_destination_raises(self):
-        env, net = make_net(batching=True)
+        env, net = make_net()
         net.register("s1/h0/src")
         with pytest.raises(ChannelError):
             net.send_batch("s1/h0/src", ["s1/ghost/svc"], "x")

@@ -124,6 +124,51 @@ class TestFailureDrops:
         assert box.try_get() is None
 
 
+class TestSingleDeliveryPath:
+    """``send`` rides one ``call_later`` heap entry, never a process."""
+
+    def test_send_is_one_heap_entry_and_no_process(self, monkeypatch):
+        env, net = make_net()
+        box = net.register("s2/h1")
+        spawned = []
+        monkeypatch.setattr(Environment, "process",
+                            lambda self, gen, name=None: spawned.append(name))
+        net.send("s1/h1", "s2/h1", "ping", payload=7, size_bytes=64)
+        assert spawned == []
+        [(when, _prio, _seq, _entry)] = env._queue
+        assert when == net.delay_for("s1/h1", "s2/h1", 64)
+        env.run()
+        assert box.try_get().payload == 7
+        assert env.now == when
+
+    def test_duplicates_arrive_in_order_from_one_entry(self):
+        env, net = make_net()
+        box = net.register("s2/h1")
+        net.fault_hook = lambda msg: (FaultAction(duplicates=2)
+                                      if msg.payload == "a" else None)
+        first = net.send("s1/h1", "s2/h1", "ping", payload="a")
+        assert len(env._queue) == 1  # original + 2 copies, one entry
+        net.send("s1/h1", "s2/h1", "ping", payload="b")
+        env.run()
+        got = []
+        while (m := box.try_get()) is not None:
+            got.append(m)
+        assert [m.payload for m in got] == ["a", "a", "a", "b"]
+        assert all(m is first for m in got[:3])
+        assert net.stats.injected_duplicates == 2
+
+    def test_mid_flight_crash_drops_every_copy(self):
+        env, net = make_net()
+        box = net.register("s2/h1")
+        net.fault_hook = lambda msg: FaultAction(duplicates=2)
+        net.send("s1/h1", "s2/h1", "ping")
+        net.is_up = lambda host: host != "s2/h1"  # dies mid-flight
+        env.run()
+        assert box.try_get() is None
+        assert net.stats.messages == 1
+        assert net.stats.dropped == 3  # the original and both copies
+
+
 class TestDelayForEdgeCases:
     def test_zero_byte_payload_still_costs_latency(self):
         env, net = make_net()

@@ -2,8 +2,9 @@
 
 The Group Manager may batch the monitor samples arriving in one tick
 into a single ``{"samples": [...]}`` repository-update message
-(``coalesce_updates``).  The contract mirrors the network-batching one:
-the Site Manager applies coalesced samples per-sample in arrival order,
+(``coalesce_updates``).  The contract mirrors the network fan-out one
+(a ``send_batch`` equals the loop of sends it replaces): the Site
+Manager applies coalesced samples per-sample in arrival order,
 so every observable repository and WAL byte is identical with the knob
 on or off — only the message count changes.
 """
