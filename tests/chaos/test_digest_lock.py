@@ -8,10 +8,23 @@ Three fixed seeds drive three chaos scenarios with observability on:
 
 For each run the fault-injector log, the Chrome trace and (partition
 runs only) the membership ledger are hashed and compared against the
-digests below.  A kernel or network refactor that claims to be
-behaviour-preserving must leave every digest unchanged; a change that
-moves one is a behaviour change and has to say so when it re-records
-the table.
+digests below.  Three more scenarios lock the outputs the scheduling
+and monitoring layers feed:
+
+* ``analyze`` — the canonical happens-before report of
+  ``run_analysis(AnalyzeConfig(seeds=(seed,)))`` (chaos + bake-off
+  scenarios under the sanitizer), seeds 101/202/303;
+* ``bakeoff`` — the bake-off JSON of the ``site``, ``heft`` and
+  ``optimal`` schedulers on ``forkjoin-small`` (the seed is the
+  :class:`BakeoffConfig` seed), which pins every host-selection answer;
+* ``monitor`` — the dynamic repository records and the replication WAL
+  of the monitored NYNET testbed with failover on (the seed is the
+  testbed seed), which pins the Group Manager → Site Manager relay.
+
+A kernel, network, scheduling or control-plane refactor that claims to
+be behaviour-preserving must leave every digest unchanged; a change
+that moves one is a behaviour change and has to say so when it
+re-records the table.
 
 The seeds are fixed here rather than taken from the ``CHAOS_SEEDS``
 fixture: the digests only mean something for the seeds they were
@@ -22,14 +35,33 @@ current table in the literal form used below.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
+from repro.analysis.runner import AnalyzeConfig, report_json, run_analysis
+from repro.bakeoff import BakeoffConfig, run_bakeoff
 from tests.chaos.harness import ChaosOutcome, assert_invariants, run_chaos
 from tests.chaos.test_partition import run_partition_chaos
 from tests.chaos.test_server_failover import SERVER_CRASH_PLAN, STANDBYS
+from tests.test_update_coalescing import (
+    dynamic_probe,
+    run_monitored,
+    wal_probe,
+)
 
 LOCK_SEEDS = (101, 202, 303)
+
+#: every locked (scenario, seed) row, in table order
+LOCK_ROWS = tuple(
+    [(scenario, seed)
+     for scenario in ("chaos", "failover", "partition", "analyze")
+     for seed in LOCK_SEEDS]
+    + [("bakeoff", 0), ("monitor", 5)])
+
+#: the bake-off row's contestants: both HostSelector-driven schedulers
+#: plus the branch-and-bound reference they are scored against
+BAKEOFF_SCHEDULERS = ("site", "heft", "optimal")
 
 
 def _run(scenario: str, seed: int) -> ChaosOutcome:
@@ -41,16 +73,32 @@ def _run(scenario: str, seed: int) -> ChaosOutcome:
     return run_partition_chaos(seed, obs=True)
 
 
-def record_digests(scenario: str, seed: int) -> dict[str, str]:
-    """SHA-256 of each recorded artifact of one (scenario, seed) run."""
+def _artifacts(scenario: str, seed: int) -> dict[str, str]:
+    """The exported text of each recorded artifact of one run."""
+    if scenario == "analyze":
+        report = run_analysis(AnalyzeConfig(seeds=(seed,)))
+        return {"report": report_json(report)}
+    if scenario == "bakeoff":
+        config = BakeoffConfig(schedulers=BAKEOFF_SCHEDULERS,
+                               workloads=("forkjoin-small",), seed=seed)
+        return {"result": run_bakeoff(config).to_json()}
+    if scenario == "monitor":
+        vdce = run_monitored(True, failover=True)
+        probes = {"dynamic": dynamic_probe(vdce), "wal": wal_probe(vdce)}
+        return {"probes": json.dumps(probes, sort_keys=True)}
     outcome = _run(scenario, seed)
     assert_invariants(outcome)
     artifacts = {"fault_log": outcome.fault_log,
                  "chrome_trace": outcome.chrome_trace}
     if scenario == "partition":
         artifacts["ledger"] = outcome.ledger
+    return artifacts
+
+
+def record_digests(scenario: str, seed: int) -> dict[str, str]:
+    """SHA-256 of each recorded artifact of one (scenario, seed) run."""
     return {name: hashlib.sha256(text.encode()).hexdigest()
-            for name, text in artifacts.items()}
+            for name, text in _artifacts(scenario, seed).items()}
 
 
 #: (scenario, seed) -> artifact -> SHA-256 of its exported bytes
@@ -115,6 +163,26 @@ DIGESTS: dict[tuple[str, int], dict[str, str]] = {
         'ledger':
             '249ee0f217cedeafac3c26563d8afdc78a895f26d6df34f15fe7a9719d1ae1cb',
     },
+    ('analyze', 101): {
+        'report':
+            'd10d6dd805a1721915eceb2b866cf5b4b26651a155a3ca20269b115a6237b100',
+    },
+    ('analyze', 202): {
+        'report':
+            '32462efdf35e9d0c1685c16ff711bbdc583035b8c9afc91d7dd0e2ad615e67de',
+    },
+    ('analyze', 303): {
+        'report':
+            'eca685ac8ed132e5d634cf7321ad1c844574a24248b9c185afdb629e63a6173a',
+    },
+    ('bakeoff', 0): {
+        'result':
+            '9337416b835495836ca6b30ad2e2dbe3485b38a566248db9ef86cf3d61594421',
+    },
+    ('monitor', 5): {
+        'probes':
+            '797186ef7ee8df2d4d042a6b0d8cfdfdac2a0a3ed8f9aca92d5a6014892e3faa',
+    },
 }
 
 
@@ -126,14 +194,13 @@ class TestDigestLock:
 
 
 def main() -> None:
-    """Print the digest table for :data:`LOCK_SEEDS` as a dict literal."""
-    for scenario in ("chaos", "failover", "partition"):
-        for seed in LOCK_SEEDS:
-            print(f"    ({scenario!r}, {seed}): {{")
-            for name, digest in record_digests(scenario, seed).items():
-                print(f"        {name!r}:")
-                print(f"            {digest!r},")
-            print("    },")
+    """Print the digest table for :data:`LOCK_ROWS` as a dict literal."""
+    for scenario, seed in LOCK_ROWS:
+        print(f"    ({scenario!r}, {seed}): {{")
+        for name, digest in record_digests(scenario, seed).items():
+            print(f"        {name!r}:")
+            print(f"            {digest!r},")
+        print("    },")
 
 
 if __name__ == "__main__":
