@@ -201,16 +201,8 @@ def run_bakeoff(config: BakeoffConfig,
                 registry: LibraryRegistry | None = None,
                 workload_builders: Mapping[str, WorkloadBuilder]
                 | None = None,
-                obs: Observability | None = None,
-                incremental: bool = True) -> BakeoffResult:
-    """Run every requested scheduler over every requested workload.
-
-    *incremental* toggles delta-aware host selection in every scheduler
-    context; results are identical either way (the CI bakeoff job pins
-    the JSON bytes), only the hot-path cost differs.  It is deliberately
-    not a :class:`BakeoffConfig` field so flipping it cannot perturb the
-    serialized baseline.
-    """
+                obs: Observability | None = None) -> BakeoffResult:
+    """Run every requested scheduler over every requested workload."""
     registry = registry or standard_registry()
     builders = dict(workload_builders or DEFAULT_WORKLOADS)
     obs = obs if obs is not None else OBS_OFF
@@ -246,8 +238,7 @@ def run_bakeoff(config: BakeoffConfig,
                 repositories=fed.repositories, topology=fed.topology,
                 local_site=local_site,
                 k_remote_sites=config.k_remote_sites,
-                rng=rng.spawn(f"bakeoff:{name}:{workload}"), obs=obs,
-                incremental=incremental)
+                rng=rng.spawn(f"bakeoff:{name}:{workload}"), obs=obs)
             span_id = None
             if obs.enabled:
                 span_id = obs.spans.begin(

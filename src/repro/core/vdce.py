@@ -71,8 +71,7 @@ class VDCE:
                  filter_policy: str = "ci",
                  reschedule_policy: ReschedulePolicy | None = None,
                  weight_jitter: float = 0.10,
-                 obs: Observability | None = None,
-                 coalesce_updates: bool = True) -> None:
+                 obs: Observability | None = None) -> None:
         self.world = VDCEnvironment(seed=seed, trace=trace)
         #: observability handle threaded through every daemon; inert
         #: (the shared OBS_OFF singleton) unless one is supplied.
@@ -87,10 +86,6 @@ class VDCE:
         self.echo_timeout_s = echo_timeout_s
         self.filter_policy = filter_policy
         self.reschedule_policy = reschedule_policy or ReschedulePolicy()
-        #: Group Managers coalesce same-tick forwarded monitor samples
-        #: into one batched WORKLOAD_UPDATE per round; repository and
-        #: WAL *content* is identical either way (per-sample apply)
-        self.coalesce_updates = coalesce_updates
         self.failures = FailureInjector(self.world.env, self.world.tracer)
         self.fault_injector: FaultInjector | None = None
         #: failover brain, created lazily by :meth:`enable_failover`
@@ -188,7 +183,6 @@ class VDCE:
             self.repositories[site_name] = repo
             sm = self._bring_up_site(site_name, site, repo)
             self._start_site_daemons(site_name, site, sm)
-        self._rewire_inboxes()
         self._started = True
 
     def _build_site_repository(self, site_name: str, site,
@@ -225,22 +219,10 @@ class VDCE:
                          self.topology, tracer=self.tracer,
                          obs=self.obs)
         sm.on_reschedule_request = self._handle_reschedule_request
-        self.site_managers[site_name] = sm
         # host-down hook: reroute lost tasks of active executions
-        original = sm._on_host_down
-
-        def wrapped(msg, _original=original):
-            _original(msg)
-            self._handle_host_down(msg.payload["host"])
-
-        sm._on_host_down = wrapped  # type: ignore[method-assign]
+        sm.on_host_down = self._handle_host_down
+        self.site_managers[site_name] = sm
         return sm
-
-    def _rewire_inboxes(self) -> None:
-        """Rebuild site-manager dispatch tables after hook installation."""
-        # _inbox_loop reads handlers at dispatch time via dict lookup on
-        # bound methods, so replacing the bound attribute is sufficient;
-        # nothing to do — kept for interface clarity.
 
     def _start_site_daemons(self, site_name: str, site, sm: SiteManager
                             ) -> None:
@@ -253,8 +235,7 @@ class VDCE:
                 echo_period_s=self.echo_period_s,
                 echo_timeout_s=self.echo_timeout_s,
                 change_filter=ChangeFilter(policy=self.filter_policy),
-                tracer=self.tracer, obs=self.obs,
-                coalesce_updates=self.coalesce_updates)
+                tracer=self.tracer, obs=self.obs)
             sm.register_group_manager(gm)
             self.group_managers[(site_name, group)] = gm
             for member in members:
@@ -492,7 +473,6 @@ class VDCE:
                 self.env, self.network, self.topology,
                 tracer=self.tracer, obs=self.obs)
             self.recovery.on_promoted = self._on_server_promoted
-            self.recovery.on_host_down = self._handle_host_down
         self.recovery.enable_site(
             self.world.site(site), self.site_managers[site],
             standby_hosts, self.monitors,

@@ -64,8 +64,7 @@ class GroupManager:
                  miss_limit: int = 2,
                  change_filter: ChangeFilter | None = None,
                  tracer: Tracer | None = None,
-                 obs: Observability | None = None,
-                 coalesce_updates: bool = True) -> None:
+                 obs: Observability | None = None) -> None:
         if echo_period_s <= 0 or echo_timeout_s <= 0:
             raise ConfigurationError("echo period/timeout must be positive")
         if miss_limit < 1:
@@ -84,10 +83,9 @@ class GroupManager:
         self.tracer = tracer or Tracer(enabled=False)
         self.obs = obs if obs is not None else OBS_OFF
         self.stats = GroupManagerStats()
-        #: coalesce same-tick forwarded monitor samples into one batched
-        #: WORKLOAD_UPDATE (the Site Manager applies and WALs per sample
-        #: in order, so repository/WAL content is identical either way)
-        self.coalesce_updates = coalesce_updates
+        #: same-tick forwarded monitor samples, shipped as one batched
+        #: WORKLOAD_UPDATE (the Site Manager applies and WALs per sample,
+        #: in order)
         self._pending_updates: list[dict] = []
         self._flush_scheduled = False
         self.address = f"{site}/{leader_host}/{self.SERVICE}"
@@ -132,20 +130,15 @@ class GroupManager:
                     outcome="forwarded" if forwarded else "suppressed")
         if forwarded:
             self.stats.updates_forwarded += 1
-            if self.coalesce_updates:
-                self._pending_updates.append(sample)
-                if not self._flush_scheduled:
-                    self._flush_scheduled = True
-                    # the group's monitors share one period, so their
-                    # reports land on the same tick; one flush entry
-                    # coalesces the whole round.  Safe same-tick use:
-                    # NORMAL-priority callback, append order preserved.
-                    # reprolint: disable=DET003 -- same-tick coalescing flush, arrival-ordered
-                    self.env.call_later(0.0, self._flush_updates)
-            else:
-                self.network.send(self.address, self.site_manager_addr,
-                                  WORKLOAD_UPDATE, payload=sample,
-                                  size_bytes=64)
+            self._pending_updates.append(sample)
+            if not self._flush_scheduled:
+                self._flush_scheduled = True
+                # the group's monitors share one period, so their
+                # reports land on the same tick; one flush entry
+                # coalesces the whole round.  Safe same-tick use:
+                # NORMAL-priority callback, append order preserved.
+                # reprolint: disable=DET003 -- same-tick coalescing flush, arrival-ordered
+                self.env.call_later(0.0, self._flush_updates)
             self.tracer.record(self.env.now, "gm:forward", self.address,
                                host=host, load=sample["cpu_load"])
         else:

@@ -111,6 +111,10 @@ class SiteManager:
         #: hook invoked with the reschedule-request payload (installed by
         #: the VDCE facade, which owns cross-module rescheduling)
         self.on_reschedule_request: Callable[[dict], None] | None = None
+        #: hook invoked with the host address after a host-down
+        #: notification is applied (installed by the facade, which
+        #: reroutes the lost tasks of active executions)
+        self.on_host_down: Callable[[str], None] | None = None
         #: degraded-mode site predicate (installed by the facade when
         #: federation membership is enabled): quarantined sites are
         #: excluded from every scheduling round this manager runs
@@ -120,6 +124,17 @@ class SiteManager:
         #: every mutating operation logs through :meth:`_log` first
         self.replication: Any = None
         self.updates_applied = 0
+        self._handlers: dict[str, Callable[[Any], None]] = {
+            WORKLOAD_UPDATE: self._on_workload_update,
+            HOST_DOWN: self._on_host_down,
+            HOST_UP: self._on_host_up,
+            AFG_MULTICAST: self._on_afg_multicast,
+            HOST_SELECTION_REPLY: self._on_selection_reply,
+            CHANNEL_ACK: self._on_channel_ack,
+            RESCHEDULE_REQUEST: self._on_reschedule_request,
+            TASK_COMPLETED: self._on_task_completed,
+            ALLOCATION_PUSH: self._on_allocation_push,
+        }
         self._inbox_proc = env.process(self._inbox_loop(),
                                        name=f"sm:{self.address}")
 
@@ -130,19 +145,10 @@ class SiteManager:
 
     # -- inbox ------------------------------------------------------------
     def _inbox_loop(self):
+        handlers = self._handlers
         while True:
             msg = yield self.mailbox.get()
-            handler = {
-                WORKLOAD_UPDATE: self._on_workload_update,
-                HOST_DOWN: self._on_host_down,
-                HOST_UP: self._on_host_up,
-                AFG_MULTICAST: self._on_afg_multicast,
-                HOST_SELECTION_REPLY: self._on_selection_reply,
-                CHANNEL_ACK: self._on_channel_ack,
-                RESCHEDULE_REQUEST: self._on_reschedule_request,
-                TASK_COMPLETED: self._on_task_completed,
-                ALLOCATION_PUSH: self._on_allocation_push,
-            }.get(msg.kind)
+            handler = handlers.get(msg.kind)
             if handler is not None:
                 handler(msg)
 
@@ -160,14 +166,10 @@ class SiteManager:
 
     # -- repository updates -----------------------------------------------
     def _on_workload_update(self, msg) -> None:
-        # A coalescing Group Manager ships {"samples": [...]}; the
-        # uncoalesced path ships one bare sample.  Both apply (and WAL)
-        # per sample, in arrival order, so replication and repository
-        # bytes are identical with coalescing on or off.
-        payload = msg.payload
-        samples = (payload["samples"] if isinstance(payload, dict)
-                   and "samples" in payload else [payload])
-        for sample in samples:
+        # A Group Manager ships one tick's forwarded samples as
+        # {"samples": [...]}; each is applied (and WAL-logged) in
+        # arrival order.
+        for sample in msg.payload["samples"]:
             self._log("workload-update", dict(sample))
             self.repository.resource_performance.update_dynamic(
                 sample["host"], cpu_load=sample["cpu_load"],
@@ -208,6 +210,8 @@ class SiteManager:
             self.tracer.record(self.env.now, "sm:ack-waived", self.address,
                                execution=state.execution_id, host=host)
             self._maybe_start(state)
+        if self.on_host_down is not None:
+            self.on_host_down(host)
 
     def waive_site_acks(self, site_name: str) -> None:
         """Waive pending channel acks from every host at an unreachable site.

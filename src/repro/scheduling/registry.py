@@ -85,11 +85,6 @@ class SchedulerContext:
     k_remote_sites: int = 2
     rng: RngRegistry = field(default_factory=lambda: RngRegistry(0))
     obs: Observability = field(default_factory=lambda: OBS_OFF)
-    #: delta-aware host selection: selectors keep persistent candidate
-    #: score views cursored on each repository's change journal instead
-    #: of re-walking every (task, host) pair per round.  ``False`` forces
-    #: the full re-walk — the differential-testing oracle.
-    incremental: bool = True
     #: multi-tenant DRF pre-filter (``repro.traffic.drf.TenantShareFilter``):
     #: when set, dispatch layers consult it before scheduling a tenant's
     #: job.  ``None`` means single-tenant operation — the default, and

@@ -303,8 +303,7 @@ class FederatedSiteScheduler:
         self.repositories = ctx.repositories
         self._selectors = {
             site: HostSelector(repo, predictor=PerformancePredictor(
-                repo.task_performance, **(predictor_kwargs or {})),
-                incremental=ctx.incremental)
+                repo.task_performance, **(predictor_kwargs or {})))
             for site, repo in sorted(ctx.repositories.items())
         }
         k = ctx.k_remote_sites if k_remote_sites is None else k_remote_sites

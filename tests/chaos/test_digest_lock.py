@@ -83,7 +83,7 @@ def _artifacts(scenario: str, seed: int) -> dict[str, str]:
                                workloads=("forkjoin-small",), seed=seed)
         return {"result": run_bakeoff(config).to_json()}
     if scenario == "monitor":
-        vdce = run_monitored(True, failover=True)
+        vdce = run_monitored(failover=True)
         probes = {"dynamic": dynamic_probe(vdce), "wal": wal_probe(vdce)}
         return {"probes": json.dumps(probes, sort_keys=True)}
     outcome = _run(scenario, seed)

@@ -58,16 +58,6 @@ class TestDeterminism:
         b = run_bakeoff(small_config(seed=1), registry=registry).to_json()
         assert a != b
 
-    def test_incremental_off_byte_identical_json(self, registry):
-        """PR 7's regression probe: delta-aware host selection must be
-        invisible in the serialized result — same schedulers, same
-        workloads, same bytes — with only the hot-path cost differing."""
-        config = small_config(schedulers=("site", "heft", "optimal"))
-        on = run_bakeoff(config, registry=registry).to_json()
-        off = run_bakeoff(config, registry=registry,
-                          incremental=False).to_json()
-        assert on == off
-
     def test_dropping_a_scheduler_leaves_others_untouched(self, registry):
         """Per-(scheduler, workload) rng spawning: removing a contestant
         never perturbs another's draws — the random rows survive."""

@@ -1,15 +1,15 @@
-"""Differential tests: incremental host selection equals the full re-walk.
+"""Differential tests: delta-aware host selection equals the full re-walk.
 
-The incremental selector (PR 7) keeps per-task-class score views and
-consumes the repository's :class:`DeltaTracker` journal between rounds;
-the ``incremental=False`` path re-walks every candidate from scratch
-and is retained verbatim as the oracle.  These tests drive both
-selectors through randomized-but-seeded repository mutation sequences
-— monitoring updates, up/down flips, weight refinements, constraint
-edits, host removal and re-registration — and demand *identical*
-answers: the same choices, the same (estimate, address) tie-breaks, the
-same ranked alternatives, the same infeasibility verdicts, and exactly
-equal predicted floats (both paths share the predictor arithmetic).
+:class:`HostSelector` keeps per-task-class score views and consumes the
+repository's :class:`DeltaTracker` journal between rounds.  The oracle
+is :mod:`tests.reference_selection`, which re-walks every candidate
+from scratch on each call.  These tests drive both through
+randomized-but-seeded repository mutation sequences — monitoring
+updates, up/down flips, weight refinements, constraint edits, host
+removal and re-registration — and demand *identical* answers: the same
+choices, the same (estimate, address) tie-breaks, the same ranked
+alternatives, the same infeasibility verdicts, and exactly equal
+predicted floats (both price hosts with the same Predict arithmetic).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.util.rng import RngRegistry
 from repro.workloads import random_layered_graph
 
 from .conftest import build_federation
+from .reference_selection import reference_ranked, reference_select
 
 SITE = "syracuse"
 
@@ -95,9 +96,9 @@ def apply_op(repo, rng, removed_specs, task_names, round_no):
                           time=t)
 
 
-def assert_same_selection(incremental, oracle, graph):
-    inc = incremental.select(graph)
-    full = oracle.select(graph)
+def assert_same_selection(selector, graph):
+    inc = selector.select(graph)
+    full = reference_select(selector.repository, graph)
     assert inc.choices == full.choices
     assert inc.ranked == full.ranked
     assert inc.infeasible == full.infeasible
@@ -110,24 +111,22 @@ class TestDifferentialOracle:
                                seed=seed)
         repo = fed.repositories[SITE]
         graph = make_graph(registry, seed)
-        incremental = HostSelector(repo)
-        oracle = HostSelector(repo, incremental=False)
+        selector = HostSelector(repo)
         rng = RngRegistry(seed).stream("mutations")
         removed_specs: list[HostSpec] = []
         tasks = sorted({graph.node(n).task_name for n in graph.nodes})
-        assert_same_selection(incremental, oracle, graph)
+        assert_same_selection(selector, graph)
         for round_no in range(40):
             for _ in range(int(rng.integers(1, 4))):
                 apply_op(repo, rng, removed_specs, tasks, round_no)
-            assert_same_selection(incremental, oracle, graph)
+            assert_same_selection(selector, graph)
 
     def test_journal_compaction_forces_rebuild_and_matches(self, registry):
         fed = build_federation(registry=registry, hosts_per_site=4)
         repo = fed.repositories[SITE]
         graph = make_graph(registry, 1)
-        incremental = HostSelector(repo)
-        oracle = HostSelector(repo, incremental=False)
-        assert_same_selection(incremental, oracle, graph)
+        selector = HostSelector(repo)
+        assert_same_selection(selector, graph)
         # shrink the journal bound so the burst below compacts it past
         # every cursor the selector holds
         repo.delta.max_journal = 4
@@ -138,7 +137,7 @@ class TestDifferentialOracle:
                 hosts[i % len(hosts)], cpu_load=0.3 * (i % 5),
                 available_memory_mb=64.0, time=float(i + 1))
         assert repo.delta.events_since(0) is None  # cursor unrecoverable
-        assert_same_selection(incremental, oracle, graph)
+        assert_same_selection(selector, graph)
 
     def test_compaction_racing_consumer_mid_rebuild(self, registry):
         """Mutations landing mid-rebuild must not be marked consumed.
@@ -154,9 +153,8 @@ class TestDifferentialOracle:
         fed = build_federation(registry=registry, hosts_per_site=4)
         repo = fed.repositories[SITE]
         graph = make_graph(registry, 1)
-        incremental = HostSelector(repo)
-        oracle = HostSelector(repo, incremental=False)
-        assert_same_selection(incremental, oracle, graph)  # views built
+        selector = HostSelector(repo)
+        assert_same_selection(selector, graph)  # views built
         repo.delta.max_journal = 4
         rp = repo.resource_performance
         hosts = sorted(r.address for r in rp.all_records())
@@ -172,7 +170,7 @@ class TestDifferentialOracle:
         # completes its walk, then every other host dies before the
         # cursor is re-stamped (a single-candidate view — e.g. the
         # machine-type-pinned class — could never expose the staleness)
-        real_rebuild = incremental._rebuild_view
+        real_rebuild = selector._rebuild_view
         fired = []
 
         def racing_rebuild(view, node, processors):
@@ -182,36 +180,37 @@ class TestDifferentialOracle:
                 for addr in hosts[1:]:
                     rp.mark_down(addr, time=99.0)
 
-        incremental._rebuild_view = racing_rebuild
-        incremental.select(graph)  # rebuild happens; the race fires
-        incremental._rebuild_view = real_rebuild
+        selector._rebuild_view = racing_rebuild
+        selector.select(graph)  # rebuild happens; the race fires
+        selector._rebuild_view = real_rebuild
         assert fired
         # next round: the racing mark_downs must reach every view — a
         # consumer that stamped the post-walk generation would still
         # propose the dead hosts here
-        assert_same_selection(incremental, oracle, graph)
+        assert_same_selection(selector, graph)
+
+    def test_infeasibility_parity_when_constraints_vanish(self, registry):
         fed = build_federation(registry=registry, hosts_per_site=3)
         repo = fed.repositories[SITE]
         b = GraphBuilder(registry, name="one")
         b.task("lu-decomposition", "lu", input_size=50)
         node = b.graph.node("lu")
-        incremental = HostSelector(repo)
-        oracle = HostSelector(repo, incremental=False)
-        assert incremental.select_for_task(node) \
-            == oracle.select_for_task(node)
+        selector = HostSelector(repo)
+        assert selector.select_for_task(node) \
+            == reference_ranked(repo, node, 1)[0]
         constraints = repo.task_constraints
         for addr in sorted(constraints.hosts_with("lu-decomposition")):
             constraints.unregister_executable("lu-decomposition", addr)
         with pytest.raises(NoFeasibleHostError):
-            incremental.select_for_task(node)
+            selector.select_for_task(node)
         with pytest.raises(NoFeasibleHostError):
-            oracle.select_for_task(node)
+            reference_ranked(repo, node, 1)
         # executables come back: both paths recover the same answer
         for rec in repo.resource_performance.all_records():
             constraints.register_executable("lu-decomposition", rec.address,
                                             "/usr/vdce/bin/lu")
-        assert incremental.select_for_task(node) \
-            == oracle.select_for_task(node)
+        assert selector.select_for_task(node) \
+            == reference_ranked(repo, node, 1)[0]
 
     def test_host_removal_then_reregistration_matches(self, registry):
         fed = build_federation(registry=registry, hosts_per_site=4)
@@ -219,18 +218,17 @@ class TestDifferentialOracle:
         b = GraphBuilder(registry, name="one")
         b.task("lu-decomposition", "lu", input_size=50)
         node = b.graph.node("lu")
-        incremental = HostSelector(repo)
-        oracle = HostSelector(repo, incremental=False)
-        winner = incremental.select_for_task(node).hosts[0]
+        selector = HostSelector(repo)
+        winner = selector.select_for_task(node).hosts[0]
         spec = spec_of(repo.resource_performance.get(winner))
         repo.resource_performance.unregister_host(winner)
-        after = incremental.select_for_task(node)
+        after = selector.select_for_task(node)
         assert after.hosts[0] != winner
-        assert after == oracle.select_for_task(node)
+        assert after == reference_ranked(repo, node, 1)[0]
         repo.resource_performance.register_host(SITE, spec)
-        back = incremental.select_for_task(node)
+        back = selector.select_for_task(node)
         assert back.hosts[0] == winner
-        assert back == oracle.select_for_task(node)
+        assert back == reference_ranked(repo, node, 1)[0]
 
 
 class TestRankedCacheCoherence:
@@ -261,7 +259,6 @@ class TestRankedCacheCoherence:
         b.task("lu-decomposition", "lu", input_size=50)
         node = b.graph.node("lu")
         selector = HostSelector(repo)
-        oracle = HostSelector(repo, incremental=False)
         first = selector.select_ranked(node, max_alternatives=2)
         # bury the current winner under load: it must drop out
         for _ in range(5):
@@ -270,4 +267,4 @@ class TestRankedCacheCoherence:
                 available_memory_mb=8.0, time=1.0)
         second = selector.select_ranked(node, max_alternatives=2)
         assert second[0].hosts != first[0].hosts
-        assert second == oracle.select_ranked(node, max_alternatives=2)
+        assert second == reference_ranked(repo, node, 2)

@@ -181,17 +181,22 @@ def _perturb_one_host(vdce, r: int) -> None:
 
 
 def bench_scheduler_full_resched(scale: int) -> int:
-    """Rescheduling rounds with the full re-walk oracle: every
-    (task, host) pair re-scored from scratch each round, plus the walk's
-    per-round validation/levels/report bookkeeping — the pre-incremental
-    cost model (one monitoring update lands between rounds)."""
+    """Rescheduling rounds that re-score every (task, host) pair: fresh
+    ``HostSelector`` objects each round, so every score view is rebuilt
+    from the repository (the path a view takes after journal
+    compaction), plus the walk's per-round validation/levels/report
+    bookkeeping.  One predictor per site is kept across rounds, as a
+    long-lived selector would keep it; one monitoring update lands
+    between rounds."""
     vdce, graph, state = _resched_fixture("full")
-    selectors = {site: HostSelector(repo, incremental=False)
-                 for site, repo in vdce.repositories.items()}
+    predictors = {site: PerformancePredictor(repo.task_performance)
+                  for site, repo in vdce.repositories.items()}
     rounds = 25 * scale
     for _ in range(rounds):
         state["round"] += 1
         _perturb_one_host(vdce, state["round"])
+        selectors = {site: HostSelector(repo, predictor=predictors[site])
+                     for site, repo in vdce.repositories.items()}
         scheduler = SiteScheduler("syracuse", vdce.topology,
                                   k_remote_sites=1)
         table, _report = scheduler.schedule_with_selectors(graph, selectors)
