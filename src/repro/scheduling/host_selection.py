@@ -123,9 +123,9 @@ class HostSelector:
     def _hb_note(self, node: TaskNode) -> None:
         """Report this selection round to the attached sanitizer: reads
         of the site's repository DBs, plus a write to this selector's
-        view cell — the cursor, score and ranked caches
-        all mutate, so a selector shared across unordered same-tick
-        contexts is a real hazard."""
+        view cell — the cursor, score and ranked caches all mutate, so a
+        selector shared across unordered same-tick contexts is a real
+        hazard."""
         hb = hooks.HB
         site = self.repository.site
         hb.read(site, "resource_performance", node.task_name)
