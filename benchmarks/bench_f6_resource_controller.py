@@ -13,6 +13,7 @@ Quantifies the figure's four monitoring interactions:
 
 import numpy as np
 
+from repro.faults import FaultPlan, HostCrash
 from repro.net import WORKLOAD_UPDATE
 from repro.workloads import nynet_testbed
 
@@ -84,9 +85,9 @@ def test_failure_detection_latency_vs_echo_period(benchmark):
                                  with_loads=False, trace=True,
                                  echo_period_s=period)
             vdce.start()
-            victim = vdce.world.host("syracuse/h1")
             crash_at = 7.0 + seed
-            vdce.failures.crash_at(victim, when=crash_at)
+            vdce.apply_fault_plan(
+                FaultPlan((HostCrash("syracuse/h1", at=crash_at),)))
             vdce.run(until=crash_at + period * 4 + 5)
             downs = list(vdce.tracer.query(category="gm:host-down"))
             assert downs, f"failure undetected at period {period}"

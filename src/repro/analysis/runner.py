@@ -125,7 +125,7 @@ def _run_chaos_scenario(seed: int,
         plan = FaultPlan.random(
             vdce.world.rng.stream("chaos-plan"), _crash_candidates(vdce),
             sites=sorted(vdce.world.sites), horizon_s=cfg.chaos_horizon_s,
-            include_servers=True)
+            n_server_crashes=1)
         vdce.apply_fault_plan(plan)
         graph = linear_solver_graph(vdce.registry, n=cfg.chaos_tasks)
         sites = sorted(vdce.world.sites)

@@ -40,7 +40,6 @@ from repro.obs import OBS_OFF, Observability
 from repro.prediction.calibration import calibrate_weights
 from repro.recovery import RecoveryCoordinator
 from repro.repository.site_repository import SiteRepository
-from repro.resources.failures import FailureInjector
 from repro.resources.groundtruth import ExecutionModel
 from repro.resources.host import Host, HostSpec
 from repro.resources.loads import OnOffLoad, RandomWalkLoad
@@ -86,7 +85,6 @@ class VDCE:
         self.echo_timeout_s = echo_timeout_s
         self.filter_policy = filter_policy
         self.reschedule_policy = reschedule_policy or ReschedulePolicy()
-        self.failures = FailureInjector(self.world.env, self.world.tracer)
         self.fault_injector: FaultInjector | None = None
         #: failover brain, created lazily by :meth:`enable_failover`
         self.recovery: RecoveryCoordinator | None = None

@@ -15,6 +15,7 @@ from typing import Any
 import numpy as np
 
 from repro.experiments.measures import format_table, realized_makespan
+from repro.faults import FaultPlan, HostCrash
 from repro.prediction.predict import PerformancePredictor
 from repro.scheduling.baselines import (
     MinLoadScheduler,
@@ -201,9 +202,9 @@ def failure_detection_sweep(periods=(2.0, 5.0, 10.0),
                                  with_loads=False, trace=True,
                                  echo_period_s=period)
             vdce.start()
-            victim = vdce.world.host("syracuse/h1")
             crash_at = 7.0 + seed
-            vdce.failures.crash_at(victim, when=crash_at)
+            vdce.apply_fault_plan(
+                FaultPlan((HostCrash("syracuse/h1", at=crash_at),)))
             vdce.run(until=crash_at + period * 4 + 5)
             downs = list(vdce.tracer.query(category="gm:host-down"))
             if downs:

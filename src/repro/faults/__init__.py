@@ -11,11 +11,9 @@ from repro.faults.plan import (
     SPEC_TYPES,
     FaultPlan,
     HostCrash,
-    LinkDegradation,
     LinkDegrade,
     LinkDown,
     LinkFlap,
-    LinkPartition,
     MessageFaults,
     ServerCrash,
     SiteOutage,
@@ -27,8 +25,6 @@ __all__ = [
     "HostCrash",
     "ServerCrash",
     "SiteOutage",
-    "LinkPartition",
-    "LinkDegradation",
     "LinkDown",
     "LinkFlap",
     "LinkDegrade",

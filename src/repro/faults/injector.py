@@ -1,12 +1,13 @@
 """Deterministic fault injection over the simulated network and hosts.
 
 The :class:`FaultInjector` executes a :class:`~repro.faults.plan.FaultPlan`
-against a live environment: host crashes and site outages are scheduled
-as simulated processes that flip ``host.up`` (exactly like the legacy
-:class:`~repro.resources.failures.FailureInjector`, so the Group Manager
-echo pipeline detects them), while windowed network faults install a hook
-into :meth:`repro.net.network.Network.send` that can drop, duplicate or
-delay individual messages.
+against a live environment: host, site and server crashes are scheduled
+as simulated processes that flip ``up`` flags (so the Group Manager echo
+pipeline detects them), link faults as processes that rewrite
+:class:`~repro.net.topology.Topology` link state, while windowed
+per-message faults install a hook into
+:meth:`repro.net.network.Network.send` that can drop, duplicate or delay
+individual messages.
 
 Every injected fault is recorded twice: as a ``fault:*`` record in the
 shared :class:`~repro.simcore.trace.Tracer` (for post-mortem analysis via
@@ -27,17 +28,15 @@ import numpy as np
 from repro.faults.plan import (
     FaultPlan,
     HostCrash,
-    LinkDegradation,
     LinkDegrade,
     LinkDown,
     LinkFlap,
-    LinkPartition,
     MessageFaults,
     ServerCrash,
     SiteOutage,
 )
 from repro.net.message import Message
-from repro.net.network import FaultAction, Network, split_address
+from repro.net.network import FaultAction, Network
 from repro.resources.host import Host
 from repro.simcore.engine import Environment
 from repro.simcore.trace import Tracer
@@ -67,23 +66,19 @@ class FaultInjector:
         self.plans: list[FaultPlan] = []
         #: canonical log of every fault actually injected (see log_json)
         self.events: list[dict[str, Any]] = []
-        self._windows: list[Any] = []
+        self._windows: list[MessageFaults] = []
         self._hook_installed = False
 
     # -- installation -----------------------------------------------------
     def install(self, plan: FaultPlan) -> "FaultInjector":
         """Schedule a plan's faults; may be called any number of times.
 
-        Timed host/site faults must lie in the simulated future; windowed
-        network faults are evaluated against the clock, so windows that
-        already started simply apply for their remainder.
+        Timed host, site, server and link faults must lie in the
+        simulated future; message-fault windows are evaluated against the
+        clock, so windows that already started simply apply for their
+        remainder.
         """
-        for spec in plan.host_faults():
-            if spec.at < self.env.now:
-                raise ConfigurationError(
-                    f"cannot schedule {spec.kind} in the past "
-                    f"({spec.at} < {self.env.now})")
-        for spec in plan.link_faults():
+        for spec in plan.host_faults() + plan.link_faults():
             if spec.at < self.env.now:
                 raise ConfigurationError(
                     f"cannot schedule {spec.kind} in the past "
@@ -102,7 +97,7 @@ class FaultInjector:
                 self._schedule_link_flap(spec)
             elif isinstance(spec, LinkDegrade):
                 self._schedule_link_degrade(spec)
-            else:
+            else:  # MessageFaults
                 self._windows.append(spec)
         if self._windows and not self._hook_installed:
             self.network.fault_hook = self._on_message
@@ -290,52 +285,26 @@ class FaultInjector:
     def _on_message(self, msg: Message) -> FaultAction | None:
         """Per-message fault verdict; draws RNG in deterministic order."""
         now = self.env.now
-        src_site, _ = split_address(msg.src)
-        dst_site, _ = split_address(msg.dst)
         extra_delay = 0.0
-        multiplier = 1.0
         duplicates = 0
         touched = False
         for spec in self._windows:
-            if not spec.active(now):
+            if not spec.active(now) or not spec.matches(msg):
                 continue
-            if isinstance(spec, LinkPartition):
-                if spec.severs(src_site, dst_site):
-                    self._record("partition-drop", kind=msg.kind,
-                                 src=msg.src, dst=msg.dst,
-                                 link="~".join(sorted((spec.site_a,
-                                                       spec.site_b))))
-                    return FaultAction(drop=True)
-            elif isinstance(spec, LinkDegradation):
-                if not spec.severs(src_site, dst_site):
-                    continue
-                if spec.drop_prob and self.rng.random() < spec.drop_prob:
-                    self._record("msg-drop", kind=msg.kind, src=msg.src,
-                                 dst=msg.dst, cause="degradation")
-                    return FaultAction(drop=True)
-                multiplier *= spec.delay_factor
+            if spec.drop_prob and self.rng.random() < spec.drop_prob:
+                self._record("msg-drop", kind=msg.kind, src=msg.src,
+                             dst=msg.dst, cause="message-faults")
+                return FaultAction(drop=True)
+            if spec.dup_prob and self.rng.random() < spec.dup_prob:
+                duplicates += 1
+                touched = True
+                self._record("msg-dup", kind=msg.kind, src=msg.src,
+                             dst=msg.dst)
+            if spec.delay_prob and self.rng.random() < spec.delay_prob:
+                extra_delay += spec.delay_s
                 touched = True
                 self._record("msg-delay", kind=msg.kind, src=msg.src,
-                             dst=msg.dst, factor=spec.delay_factor)
-            else:  # MessageFaults
-                if not spec.matches(msg):
-                    continue
-                if spec.drop_prob and self.rng.random() < spec.drop_prob:
-                    self._record("msg-drop", kind=msg.kind, src=msg.src,
-                                 dst=msg.dst, cause="message-faults")
-                    return FaultAction(drop=True)
-                if spec.dup_prob and self.rng.random() < spec.dup_prob:
-                    duplicates += 1
-                    touched = True
-                    self._record("msg-dup", kind=msg.kind, src=msg.src,
-                                 dst=msg.dst)
-                if spec.delay_prob and self.rng.random() < spec.delay_prob:
-                    extra_delay += spec.delay_s
-                    touched = True
-                    self._record("msg-delay", kind=msg.kind, src=msg.src,
-                                 dst=msg.dst, delay_s=spec.delay_s)
+                             dst=msg.dst, delay_s=spec.delay_s)
         if not touched:
             return None
-        return FaultAction(extra_delay_s=extra_delay,
-                           delay_multiplier=multiplier,
-                           duplicates=duplicates)
+        return FaultAction(extra_delay_s=extra_delay, duplicates=duplicates)

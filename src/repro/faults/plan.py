@@ -4,10 +4,10 @@ The paper's Application Scheduler and Resource Controller exist for a
 wide-area federation where machines crash and links degrade mid-run
 (section 2.3.1: tasks are rescheduled on "machine failure or load
 change").  A :class:`FaultPlan` makes those failures first-class: it is a
-declarative, serialisable schedule of faults — host crashes, whole-site
-outages, link partitions/degradations and probabilistic per-message
-faults — that a :class:`~repro.faults.injector.FaultInjector` executes on
-the simulated clock.
+declarative, serialisable schedule of faults — host, site and server
+crashes, WAN link faults and probabilistic per-message faults — that a
+:class:`~repro.faults.injector.FaultInjector` executes on the simulated
+clock.
 
 Determinism contract: a plan is either written out explicitly or
 generated by :meth:`FaultPlan.random` from a seeded generator, and the
@@ -19,6 +19,7 @@ exact fault sequence, byte for byte (see ``docs/faults.md``).
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
@@ -100,71 +101,15 @@ class ServerCrash:
 
 
 @dataclass(frozen=True)
-class LinkPartition:
-    """Sever the WAN link between two sites for a time window: every
-    message whose endpoints sit on opposite sides is dropped."""
-
-    kind: ClassVar[str] = "link-partition"
-
-    site_a: str
-    site_b: str
-    at: float
-    duration: float
-
-    def validate(self) -> None:
-        _require(self.site_a != self.site_b,
-                 "partition endpoints must be two different sites")
-        _require(self.at >= 0, f"fault time must be >= 0, got {self.at}")
-        _require(self.duration > 0, "partition duration must be positive")
-
-    def active(self, now: float) -> bool:
-        return self.at <= now < self.at + self.duration
-
-    def severs(self, src_site: str, dst_site: str) -> bool:
-        return {src_site, dst_site} == {self.site_a, self.site_b}
-
-
-@dataclass(frozen=True)
-class LinkDegradation:
-    """Degrade the WAN link between two sites for a window: messages are
-    delayed by *delay_factor* and dropped with *drop_prob*."""
-
-    kind: ClassVar[str] = "link-degradation"
-
-    site_a: str
-    site_b: str
-    at: float
-    duration: float
-    delay_factor: float = 5.0
-    drop_prob: float = 0.0
-
-    def validate(self) -> None:
-        _require(self.site_a != self.site_b,
-                 "degradation endpoints must be two different sites")
-        _require(self.at >= 0, f"fault time must be >= 0, got {self.at}")
-        _require(self.duration > 0, "degradation duration must be positive")
-        _require(self.delay_factor >= 1.0,
-                 f"delay_factor must be >= 1, got {self.delay_factor}")
-        _check_prob(self.drop_prob, "drop_prob")
-
-    def active(self, now: float) -> bool:
-        return self.at <= now < self.at + self.duration
-
-    def severs(self, src_site: str, dst_site: str) -> bool:
-        return {src_site, dst_site} == {self.site_a, self.site_b}
-
-
-@dataclass(frozen=True)
 class LinkDown:
     """Take the physical WAN link between two sites down at *at*;
     optionally restore it *restore_after* seconds later.
 
-    Unlike :class:`LinkPartition` (which drops messages between the two
-    named sites at the hook), this mutates the **topology**: while the
-    link is down, traffic reroutes over surviving links — and when no
-    route survives, the sites are genuinely partitioned (the network
-    drops with reason ``partitioned``).  Partitions therefore *emerge*
-    from link state rather than being scripted per site pair."""
+    This mutates the **topology**: while the link is down, traffic
+    reroutes over surviving links — and when no route survives, the
+    sites are genuinely partitioned (the network drops with reason
+    ``partitioned``).  Partitions therefore *emerge* from link state
+    rather than being scripted per site pair."""
 
     kind: ClassVar[str] = "link-down"
 
@@ -212,10 +157,8 @@ class LinkDegrade:
     link's bandwidth is multiplied by *bandwidth_factor* and its latency
     by *latency_factor*; the original spec is restored after *duration*.
 
-    This is the topology-level counterpart of
-    :class:`LinkDegradation` — transfer *costs* change (scheduling,
-    transfer times, neighbour ordering all see it), not just message
-    delays at the hook."""
+    Transfer *costs* change: scheduling, transfer times and neighbour
+    ordering all see the degraded link."""
 
     kind: ClassVar[str] = "link-degrade"
 
@@ -286,9 +229,8 @@ class MessageFaults:
 #: every concrete fault spec type, keyed by its serialisation tag
 SPEC_TYPES: dict[str, type] = {
     cls.kind: cls
-    for cls in (HostCrash, SiteOutage, ServerCrash, LinkPartition,
-                LinkDegradation, LinkDown, LinkFlap, LinkDegrade,
-                MessageFaults)
+    for cls in (HostCrash, SiteOutage, ServerCrash, LinkDown, LinkFlap,
+                LinkDegrade, MessageFaults)
 }
 
 
@@ -320,10 +262,8 @@ class FaultPlan:
                      if isinstance(e, (HostCrash, SiteOutage, ServerCrash)))
 
     def window_faults(self) -> tuple:
-        """The windowed network faults (partition/degradation/message)."""
-        return tuple(e for e in self.events
-                     if isinstance(e, (LinkPartition, LinkDegradation,
-                                       MessageFaults)))
+        """The windowed per-message faults."""
+        return tuple(e for e in self.events if isinstance(e, MessageFaults))
 
     def link_faults(self) -> tuple:
         """The timed topology-level link faults (down/flap/degrade)."""
@@ -353,18 +293,34 @@ class FaultPlan:
 
     @classmethod
     def from_dicts(cls, docs: list[dict[str, Any]]) -> "FaultPlan":
-        """Rebuild a plan from :meth:`to_dicts` output."""
+        """Rebuild a plan from :meth:`to_dicts` output.
+
+        A malformed entry — not a mapping, an unknown kind, missing or
+        unexpected fields, ill-typed values — raises
+        :class:`ConfigurationError` naming the entry's index and kind.
+        """
         events = []
-        for doc in docs:
-            doc = dict(doc)
-            try:
-                spec_cls = SPEC_TYPES[doc.pop("kind")]
-            except KeyError as exc:
+        for index, doc in enumerate(docs):
+            if not isinstance(doc, Mapping):
                 raise ConfigurationError(
-                    f"unknown fault kind in plan document: {exc}") from None
-            if spec_cls is MessageFaults and doc.get("kinds") is not None:
-                doc["kinds"] = tuple(doc["kinds"])
-            events.append(spec_cls(**doc))
+                    f"fault plan entry {index} must be a mapping, "
+                    f"got {type(doc).__name__}")
+            doc = dict(doc)
+            kind = doc.pop("kind", None)
+            spec_cls = SPEC_TYPES.get(kind) if isinstance(kind, str) else None
+            if spec_cls is None:
+                raise ConfigurationError(
+                    f"fault plan entry {index}: unknown fault kind {kind!r}; "
+                    f"expected one of {sorted(SPEC_TYPES)}")
+            try:
+                if spec_cls is MessageFaults and doc.get("kinds") is not None:
+                    doc["kinds"] = tuple(doc["kinds"])
+                spec = spec_cls(**doc)
+                spec.validate()
+            except (TypeError, ValueError, ConfigurationError) as exc:
+                raise ConfigurationError(
+                    f"fault plan entry {index} ({kind}): {exc}") from exc
+            events.append(spec)
         return cls(events=tuple(events))
 
     # -- seeded generation -------------------------------------------------
@@ -375,8 +331,7 @@ class FaultPlan:
                n_message_windows: int = 2, n_partitions: int = 1,
                message_kinds: tuple[str, ...] = (
                    "load-report", "echo-request", "echo-reply"),
-               include_servers: bool = False,
-               n_server_crashes: int = 1,
+               n_server_crashes: int = 0,
                n_link_flaps: int = 0,
                ) -> "FaultPlan":
         """A randomised-but-seeded plan for chaos testing.
@@ -386,18 +341,21 @@ class FaultPlan:
         loss-tolerant monitoring kinds; pass ``message_kinds=None`` to
         target every message kind (expect more timeouts).
 
+        ``n_partitions`` draws :class:`LinkDown` windows over *sites*
+        pairs; each pair must share a direct link, since installing the
+        plan checks the edge.
+
         The *hosts* pool never contains the site-server machines (they
         are addressed as ``site/server``, not ``site/host``), so by
         default random plans **never crash a VDCE server** — the control
-        plane is spared.  Set ``include_servers=True`` to also draw
-        ``n_server_crashes`` :class:`ServerCrash` faults over *sites*;
-        without the recovery subsystem enabled a server crash strands
-        that site's in-flight executions (see ``docs/faults.md``).
-        Server draws happen after all other draws, so plans generated
-        with the flag off are byte-identical to pre-flag plans; link-flap
-        draws (``n_link_flaps`` :class:`LinkFlap` faults over the *sites*
-        pairs, topology-level) come last again, preserving the same
-        byte-compatibility for every earlier flag combination.
+        plane is spared.  A positive ``n_server_crashes`` draws that many
+        :class:`ServerCrash` faults over *sites*; without the recovery
+        subsystem enabled a server crash strands that site's in-flight
+        executions (see ``docs/faults.md``).  Server draws happen after
+        all other draws, so a plan with server crashes extends the plan
+        without them; link-flap draws (``n_link_flaps``
+        :class:`LinkFlap` faults over the *sites* pairs) come last
+        again, preserving the same prefix for every earlier count.
         """
         _require(horizon_s > 0, "horizon_s must be positive")
         events: list[Any] = []
@@ -428,11 +386,11 @@ class FaultPlan:
                 pair = rng.choice(len(sites), size=2, replace=False)
                 # short partitions: retry budgets (~15 s by default) must
                 # be able to ride them out, see docs/faults.md
-                events.append(LinkPartition(
+                events.append(LinkDown(
                     site_a=sites[int(pair[0])], site_b=sites[int(pair[1])],
                     at=float(rng.uniform(0.1, 0.7) * horizon_s),
-                    duration=float(rng.uniform(5.0, 12.0))))
-        if include_servers and sites and n_server_crashes > 0:
+                    restore_after=float(rng.uniform(5.0, 12.0))))
+        if sites and n_server_crashes > 0:
             for _ in range(n_server_crashes):
                 site = sites[int(rng.integers(len(sites)))]
                 recover = (float(rng.uniform(10.0, 0.25 * horizon_s))

@@ -49,14 +49,13 @@ def split_address(addr: str) -> tuple[str, str]:
 class FaultAction:
     """Verdict a fault hook returns for one message.
 
-    ``drop`` discards the message outright; otherwise the modelled delay
-    is scaled by ``delay_multiplier`` plus ``extra_delay_s``, and
-    ``duplicates`` extra copies are delivered alongside the original.
+    ``drop`` discards the message outright; otherwise ``extra_delay_s``
+    is added to the modelled delay, and ``duplicates`` extra copies are
+    delivered alongside the original.
     """
 
     drop: bool = False
     extra_delay_s: float = 0.0
-    delay_multiplier: float = 1.0
     duplicates: int = 0
 
 
@@ -294,7 +293,7 @@ class Network:
             delay = wire + self.per_message_overhead_s
             copies = 1
             if action is not None:
-                delay = delay * action.delay_multiplier + action.extra_delay_s
+                delay += action.extra_delay_s
                 copies += action.duplicates
                 stats.injected_duplicates += action.duplicates
             if obs.enabled:

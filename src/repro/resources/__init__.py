@@ -1,6 +1,5 @@
-"""Resource model: hosts, sites, background loads, failure injection."""
+"""Resource model: hosts, sites, background loads."""
 
-from repro.resources.failures import FailureInjector
 from repro.resources.host import (
     ARCHITECTURES,
     BYTE_ORDERS,
@@ -22,7 +21,6 @@ from repro.resources.site import Site, VDCEnvironment, build_environment
 __all__ = [
     "ARCHITECTURES",
     "BYTE_ORDERS",
-    "FailureInjector",
     "Host",
     "HostSpec",
     "LoadModel",

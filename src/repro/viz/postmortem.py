@@ -24,7 +24,9 @@ _DEFAULT_CATEGORIES = (
     "sm:db-update", "sm:start-signal", "gm:host-down", "gm:host-up",
     # fault forensics: injected faults, retries, and detection events
     "fault:host-down", "fault:host-up", "fault:site-down", "fault:site-up",
-    "fault:partition-drop", "fault:msg-drop", "fault:msg-delay",
+    "fault:server-down", "fault:server-up", "fault:link-down",
+    "fault:link-up", "fault:link-degrade", "fault:link-restore",
+    "net:partition-drop", "fault:msg-drop", "fault:msg-delay",
     "fault:msg-dup", "dm:retry", "dm:setup-abandoned", "sm:ack-waived",
     "mon:crashed", "mon:recovered",
 )

@@ -92,10 +92,10 @@ class TestFailoverExactlyOnce:
         assert outcome.tasks_executed == outcome.total_tasks
 
     def test_random_server_plans_hold_invariants(self, chaos_seed):
-        # randomized plans with include_servers may also crash standbys;
+        # randomized plans with server crashes may also crash standbys;
         # the run must still reach a terminal, attributable state
         outcome = run_chaos(chaos_seed, failover_standbys=STANDBYS,
-                            include_servers=True, n_server_crashes=2)
+                            n_server_crashes=2)
         assert_invariants(outcome)
 
 
@@ -114,7 +114,7 @@ class TestUnsourceableRepush:
         an immediate entry whose inputs cannot be sourced locally.
         """
         outcome = run_chaos(13, failover_standbys=STANDBYS,
-                            include_servers=True)
+                            n_server_crashes=1)
         assert_invariants(outcome)
         assert outcome.status == "completed"
         assert outcome.failovers >= 1

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.run import ApplicationRun
 from repro.resources import HostSpec
 from repro.scheduling import HostSelector, SiteScheduler
 from repro.scheduling.makespan import evaluate_schedule

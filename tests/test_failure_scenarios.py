@@ -1,7 +1,6 @@
 """Failure-injection scenarios beyond the basic crash tests."""
 
-import pytest
-
+from repro.faults import FaultPlan, HostCrash, SiteOutage
 from repro.scheduling.rescheduling import ReschedulePolicy
 from repro.workloads import (
     linear_solver_graph,
@@ -17,6 +16,25 @@ def drive(v, process, max_time=3600.0):
     return process.triggered
 
 
+def crash(v, address, at, recover_after=None):
+    v.apply_fault_plan(FaultPlan((HostCrash(address, at, recover_after),)))
+
+
+def flapping_host_plan(address, rng, mtbf_s, mttr_s, horizon_s):
+    """Explicit crash/recover specs for a host that alternates up and
+    down: up for an ``Exponential(mtbf_s)`` draw, then down for an
+    ``Exponential(mttr_s)`` draw, from time 0 until *horizon_s*."""
+    events = []
+    t = 0.0
+    while True:
+        t += float(rng.exponential(mtbf_s))
+        if t >= horizon_s:
+            return FaultPlan(tuple(events))
+        down_s = float(rng.exponential(mttr_s))
+        events.append(HostCrash(address, at=t, recover_after=down_s))
+        t += down_s
+
+
 class TestGroupLeaderFailure:
     def test_leader_crash_silences_group_monitoring(self):
         """When the group-leader machine dies, its Group Manager goes
@@ -30,7 +48,7 @@ class TestGroupLeaderFailure:
         leader = site.group_leader("g0")
         v.run(until=20)
         sm_updates_before = v.site_managers["syracuse"].updates_applied
-        v.failures.crash_at(v.world.host(f"syracuse/{leader}"), when=v.now)
+        crash(v, f"syracuse/{leader}", at=v.now)
         v.run(until=60)
         # other groups keep updating; count keeps rising overall but
         # no g0 member's record advances after the crash
@@ -46,7 +64,7 @@ class TestGroupLeaderFailure:
         v.start()
         site = v.world.sites["syracuse"]
         leader = site.group_leader("g0")
-        v.failures.crash_at(v.world.host(f"syracuse/{leader}"), when=5.0)
+        crash(v, f"syracuse/{leader}", at=5.0)
         v.run(until=60)
         repo = v.repositories["syracuse"].resource_performance
         g1_members = [f"syracuse/{m}" for m in site.groups["g1"]]
@@ -67,13 +85,13 @@ class TestCascadingFailures:
         process, run = v.submit(g, "syracuse", k_remote_sites=1)
         while run.table is None:
             v.env.run(until=v.now + 0.5)
-        first = v.world.host(run.table.get("lu").host)
-        v.failures.crash_at(first, when=v.now + 0.05)
+        first = run.table.get("lu").host
+        crash(v, first, at=v.now + 0.05)
         # crash whichever host inherits invert-U a bit later
         v.env.run(until=v.now + 30.0)
         inv_host = v.world.host(run.table.get("invert-U").host)
-        if inv_host.up and inv_host.address != first.address:
-            v.failures.crash_at(inv_host, when=v.now + 0.05)
+        if inv_host.up and inv_host.address != first:
+            crash(v, inv_host.address, at=v.now + 0.05)
         assert drive(v, process, max_time=7200)
         assert run.status == "completed"
         assert run.reschedules >= 1
@@ -82,8 +100,7 @@ class TestCascadingFailures:
         # h1 is not the group leader: its crash is detectable (the leader
         # h0's Group Manager stays alive to notice the missing echoes)
         v = self.build(54)
-        victim = v.world.host("syracuse/h1")
-        v.failures.crash_at(victim, when=2.0)
+        crash(v, "syracuse/h1", at=2.0)
         v.run(until=40)  # detection + repository update
         assert v.repositories["syracuse"].resource_performance.get(
             "syracuse/h1").status == "down"
@@ -95,8 +112,7 @@ class TestCascadingFailures:
 
     def test_recovered_host_usable_again(self):
         v = self.build(55)
-        victim = v.world.host("syracuse/h1")
-        v.failures.crash_at(victim, when=2.0, recover_after=30.0)
+        crash(v, "syracuse/h1", at=2.0, recover_after=30.0)
         v.run(until=90)  # down, then up, both detected
         repo = v.repositories["syracuse"].resource_performance
         assert repo.get("syracuse/h1").status == "up"
@@ -110,9 +126,7 @@ class TestWholeSiteOutage:
     def test_remote_site_dark_local_still_works(self):
         v = quiet_testbed(seed=56)
         v.start()
-        for host in v.world.all_hosts():
-            if host.site == "rome":
-                v.failures.crash_at(host, when=1.0)
+        v.apply_fault_plan(FaultPlan((SiteOutage("rome", at=1.0),)))
         v.run(until=40)
         g = linear_solver_graph(v.registry, n=60)
         run = v.run_application(g, "syracuse", k_remote_sites=1,
@@ -123,9 +137,9 @@ class TestWholeSiteOutage:
     def test_flapping_host_does_not_corrupt_repository(self):
         v = nynet_testbed(seed=57, hosts_per_site=3, with_loads=False)
         v.start()
-        h = v.world.host("syracuse/h1")
-        v.failures.random_crashes(h, v.world.rng.stream("flap"),
-                                  mtbf_s=20.0, mttr_s=10.0)
+        v.apply_fault_plan(flapping_host_plan(
+            "syracuse/h1", v.world.rng.stream("flap"),
+            mtbf_s=20.0, mttr_s=10.0, horizon_s=400.0))
         v.run(until=400)
         rec = v.repositories["syracuse"].resource_performance.get(
             "syracuse/h1")
@@ -146,9 +160,9 @@ class TestWholeSiteOutage:
         v.start()
         for i, host in enumerate(v.world.all_hosts()):
             if i % 2 == 0:
-                v.failures.random_crashes(host,
-                                          v.world.rng.stream(f"f{i}"),
-                                          mtbf_s=30.0, mttr_s=15.0)
+                v.apply_fault_plan(flapping_host_plan(
+                    host.address, v.world.rng.stream(f"f{i}"),
+                    mtbf_s=30.0, mttr_s=15.0, horizon_s=1200.0))
         g = linear_solver_graph(v.registry, n=50)
         v.run_application(g, "syracuse", k_remote_sites=1,
                           max_sim_time_s=1200)

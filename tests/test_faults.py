@@ -2,6 +2,7 @@
 plus the retry/backoff machinery it drives (RetryPolicy, DataManager
 retries) and a smoke run of the fault-tolerance example."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -12,16 +13,14 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     HostCrash,
-    LinkDegradation,
     LinkDegrade,
     LinkDown,
     LinkFlap,
-    LinkPartition,
     MessageFaults,
     ServerCrash,
     SiteOutage,
 )
-from repro.net import ATM_OC3, Message, Network, Topology
+from repro.net import ATM_OC3, LinkSpec, Message, Network, Topology
 from repro.resources import Host, HostSpec
 from repro.runtime.data.data_manager import ChannelSpec, DataManager
 from repro.runtime.data.messaging import RetryPolicy
@@ -60,53 +59,47 @@ class TestSiteOutage:
             SiteOutage(site="", at=1.0).validate()
 
 
-class TestLinkPartition:
-    def test_valid(self):
-        LinkPartition(site_a="a", site_b="b", at=0.0, duration=5.0).validate()
+LINK_FAULTS = (
+    LinkDown(site_a="a", site_b="b", at=0.0, restore_after=5.0),
+    LinkFlap(site_a="a", site_b="b", at=0.0, down_s=5.0, up_s=5.0,
+             cycles=2),
+    LinkDegrade(site_a="a", site_b="b", at=0.0, duration=5.0),
+)
 
-    def test_same_site_rejected(self):
+
+def by_kind(spec):
+    return spec.kind
+
+
+class TestLinkFaultSpecs:
+    @pytest.mark.parametrize("spec", LINK_FAULTS, ids=by_kind)
+    def test_valid(self, spec):
+        spec.validate()
+
+    @pytest.mark.parametrize("spec", LINK_FAULTS, ids=by_kind)
+    def test_same_site_rejected(self, spec):
         with pytest.raises(ConfigurationError):
-            LinkPartition(site_a="a", site_b="a", at=0.0,
-                          duration=5.0).validate()
+            dataclasses.replace(spec, site_b="a").validate()
 
-    def test_zero_duration_rejected(self):
+    @pytest.mark.parametrize("spec, window", [
+        (LINK_FAULTS[0], "restore_after"),
+        (LINK_FAULTS[1], "down_s"),
+        (LINK_FAULTS[1], "up_s"),
+        (LINK_FAULTS[2], "duration"),
+    ], ids=["link-down", "link-flap-down", "link-flap-up", "link-degrade"])
+    @pytest.mark.parametrize("length", [0.0, -1.0], ids=["zero", "negative"])
+    def test_nonpositive_window_rejected(self, spec, window, length):
         with pytest.raises(ConfigurationError):
-            LinkPartition(site_a="a", site_b="b", at=0.0,
-                          duration=0.0).validate()
+            dataclasses.replace(spec, **{window: length}).validate()
 
-    def test_active_window_half_open(self):
-        p = LinkPartition(site_a="a", site_b="b", at=10.0, duration=5.0)
-        assert not p.active(9.99)
-        assert p.active(10.0)
-        assert p.active(14.99)
-        assert not p.active(15.0)
-
-    def test_severs_is_direction_agnostic(self):
-        p = LinkPartition(site_a="a", site_b="b", at=0.0, duration=1.0)
-        assert p.severs("a", "b") and p.severs("b", "a")
-        assert not p.severs("a", "c")
-        assert not p.severs("a", "a")
-
-
-class TestLinkDegradation:
-    def test_valid(self):
-        LinkDegradation(site_a="a", site_b="b", at=0.0, duration=1.0,
-                        delay_factor=3.0, drop_prob=0.1).validate()
-
-    def test_delay_factor_below_one_rejected(self):
+    @pytest.mark.parametrize("factors", [
+        dict(bandwidth_factor=0.0),
+        dict(bandwidth_factor=1.5),
+        dict(latency_factor=0.5),
+    ], ids=["bandwidth-zero", "bandwidth-above-one", "latency-below-one"])
+    def test_degrade_factors_out_of_range_rejected(self, factors):
         with pytest.raises(ConfigurationError):
-            LinkDegradation(site_a="a", site_b="b", at=0.0, duration=1.0,
-                            delay_factor=0.5).validate()
-
-    def test_bad_drop_prob_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LinkDegradation(site_a="a", site_b="b", at=0.0, duration=1.0,
-                            drop_prob=1.5).validate()
-
-    def test_active_and_severs(self):
-        d = LinkDegradation(site_a="a", site_b="b", at=1.0, duration=2.0)
-        assert d.active(2.0) and not d.active(3.0)
-        assert d.severs("b", "a")
+            dataclasses.replace(LINK_FAULTS[2], **factors).validate()
 
 
 class TestMessageFaults:
@@ -143,8 +136,6 @@ class TestSpecTypes:
     def test_registry_keys_are_kind_tags(self):
         assert SPEC_TYPES == {
             "host-crash": HostCrash, "site-outage": SiteOutage,
-            "link-partition": LinkPartition,
-            "link-degradation": LinkDegradation,
             "link-down": LinkDown, "link-flap": LinkFlap,
             "link-degrade": LinkDegrade,
             "message-faults": MessageFaults,
@@ -160,10 +151,24 @@ def sample_plan() -> FaultPlan:
     return FaultPlan(events=(
         HostCrash(host="a/h1", at=5.0, recover_after=10.0),
         SiteOutage(site="b", at=7.0),
-        LinkPartition(site_a="a", site_b="b", at=2.0, duration=3.0),
+        LinkDown(site_a="a", site_b="b", at=2.0, restore_after=3.0),
         MessageFaults(at=1.0, duration=4.0, drop_prob=0.2,
                       kinds=("ping", "pong")),
     ))
+
+
+#: plan documents ``from_dicts`` must reject with a typed error
+MALFORMED_PLAN_ENTRIES = (
+    {"kind": "meteor-strike", "at": 1.0},
+    {"kind": "link-partition", "site_a": "a", "site_b": "b", "at": 1.0,
+     "duration": 5.0},
+    # LinkDown has no ``duration`` field
+    {"kind": "link-down", "site_a": "a", "site_b": "b", "at": 1.0,
+     "duration": 5.0},
+    {"kind": "host-crash", "at": 1.0},
+    {"kind": "host-crash", "host": "a/h", "at": "5"},
+    "host-crash",
+)
 
 
 class TestFaultPlan:
@@ -171,7 +176,7 @@ class TestFaultPlan:
         plan = sample_plan()
         assert len(plan) == 4
         assert [e.kind for e in plan] == [
-            "host-crash", "site-outage", "link-partition", "message-faults"]
+            "host-crash", "site-outage", "link-down", "message-faults"]
 
     def test_events_coerced_to_tuple(self):
         plan = FaultPlan(events=[HostCrash(host="a/h", at=1.0)])
@@ -189,10 +194,10 @@ class TestFaultPlan:
         plan = sample_plan()
         assert {e.kind for e in plan.host_faults()} == \
             {"host-crash", "site-outage"}
-        assert {e.kind for e in plan.window_faults()} == \
-            {"link-partition", "message-faults"}
-        assert len(plan.host_faults()) + len(plan.window_faults()) == \
-            len(plan)
+        assert {e.kind for e in plan.window_faults()} == {"message-faults"}
+        assert {e.kind for e in plan.link_faults()} == {"link-down"}
+        assert len(plan.host_faults()) + len(plan.window_faults()) + \
+            len(plan.link_faults()) == len(plan)
 
     def test_shifted_moves_every_time(self):
         plan = sample_plan()
@@ -207,8 +212,13 @@ class TestFaultPlan:
         json.dumps(sample_plan().to_dicts())
 
     def test_from_dicts_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FaultPlan.from_dicts([{"kind": "meteor-strike", "at": 1.0}])
+        valid = {"kind": "host-crash", "host": "a/h", "at": 1.0}
+        for doc in MALFORMED_PLAN_ENTRIES:
+            with pytest.raises(ConfigurationError,
+                               match=r"fault plan entry 1\b") as info:
+                FaultPlan.from_dicts([valid, doc])
+            if isinstance(doc, dict):
+                assert doc["kind"] in str(info.value)
 
 
 class TestFaultPlanRandom:
@@ -240,7 +250,7 @@ class TestFaultPlanRandom:
         kinds = [e.kind for e in plan]
         assert kinds.count("host-crash") == 1
         assert kinds.count("message-faults") == 3
-        assert kinds.count("link-partition") == 2
+        assert kinds.count("link-down") == 2
 
     def test_crash_victims_unique_and_from_pool(self):
         hosts = ["a/h1", "a/h2", "b/h1"]
@@ -253,7 +263,7 @@ class TestFaultPlanRandom:
     def test_no_partitions_with_fewer_than_two_sites(self):
         plan = FaultPlan.random(np.random.default_rng(6), ["a/h1"],
                                 sites=["a"], n_partitions=5)
-        assert not any(isinstance(e, LinkPartition) for e in plan)
+        assert not plan.link_faults()
 
     def test_bad_horizon_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -343,45 +353,62 @@ class TestFaultInjectorMessageFaults:
         env.run(until=env.now + 5.0)
         return box
 
+    def cut(self, inj, restore_after=10.0):
+        """Take the a~b link down at t=1.0."""
+        inj.install(FaultPlan(events=(
+            LinkDown(site_a="a", site_b="b", at=1.0,
+                     restore_after=restore_after),)))
+
     def test_partition_drops_cross_site_traffic(self):
         env, net, hosts, inj = make_world()
-        inj.install(FaultPlan(events=(
-            LinkPartition(site_a="a", site_b="b", at=0.0, duration=10.0),)))
+        self.cut(inj)
+        env.run(until=2.0)
         box = self.send_and_run(env, net)
         assert box.try_get() is None
-        assert inj.counts() == {"partition-drop": 1}
-        assert net.stats.injected_drops == 1
+        # the network's routing check drops it, not the fault hook
+        assert net.stats.partition_drops == 1
+        assert net.stats.injected_drops == 0
+        assert inj.counts() == {"link-down": 1}
 
     def test_partition_spares_intra_site_traffic(self):
         env, net, hosts, inj = make_world()
-        inj.install(FaultPlan(events=(
-            LinkPartition(site_a="a", site_b="b", at=0.0, duration=10.0),)))
-        box = self.send_and_run(env, net, src="a/h1", dst="a/h1/svc")
+        self.cut(inj)
+        env.run(until=2.0)
+        box = self.send_and_run(env, net, src="a/h1", dst="a/h2")
         assert box.try_get() is not None
-        assert inj.events == []
+        assert net.stats.dropped == 0
 
     def test_window_over_means_no_fault(self):
         env, net, hosts, inj = make_world()
-        inj.install(FaultPlan(events=(
-            LinkPartition(site_a="a", site_b="b", at=0.0, duration=1.0),)))
-        env.run(until=2.0)
-        box = self.send_and_run(env, net)
-        assert box.try_get() is not None
+        self.cut(inj, restore_after=1.0)
+        env.run(until=1.5)
+        assert self.send_and_run(env, net).try_get() is None
+        assert self.send_and_run(env, net).try_get() is not None
+        assert net.stats.partition_drops == 1
+        assert [(e["t"], e["fault"], e["link"]) for e in inj.events] == [
+            (1.0, "link-down", "a~b"), (2.0, "link-up", "a~b")]
 
     def test_degradation_multiplies_delay(self):
         env, net, hosts, inj = make_world()
+        original = net.topology.link("a", "b")
         inj.install(FaultPlan(events=(
-            LinkDegradation(site_a="a", site_b="b", at=0.0, duration=10.0,
-                            delay_factor=100.0),)))
+            LinkDegrade(site_a="a", site_b="b", at=1.0, duration=10.0,
+                        bandwidth_factor=0.01, latency_factor=100.0),)))
+        env.run(until=2.0)
+        slow = LinkSpec(latency_s=original.latency_s * 100.0,
+                        bandwidth_bps=original.bandwidth_bps * 0.01)
+        delay = slow.transfer_time(1e6) + net.per_message_overhead_s
         net.register("a/h1")
         box = net.register("b/h1")
-        net.send("a/h1", "b/h1", "ping", size_bytes=0)
-        base = net.delay_for("a/h1", "b/h1", 0)
-        env.run(until=base * 50)
-        assert box.try_get() is None  # still in flight, 100x slower
-        env.run(until=base * 150)
+        net.send("a/h1", "b/h1", "ping", size_bytes=1e6)
+        env.run(until=2.0 + delay * 0.99)
+        assert box.try_get() is None  # still in flight on the slow link
+        env.run(until=2.0 + delay * 1.01)
         assert box.try_get() is not None
-        assert inj.counts() == {"msg-delay": 1}
+        env.run(until=12.0)
+        assert net.topology.link("a", "b") == original
+        assert [(e["t"], e["fault"]) for e in inj.events] == [
+            (1.0, "link-degrade"), (11.0, "link-restore")]
 
     def test_certain_drop_window_drops(self):
         env, net, hosts, inj = make_world()

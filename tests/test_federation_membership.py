@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import FaultPlan, LinkDown
-from repro.federation import Federation, MembershipConfig, MembershipDaemon
+from repro.federation import MembershipConfig, MembershipDaemon
 from repro.net.topology import T1_WAN
 from repro.resources.host import HostSpec
 from repro.util.errors import ConfigurationError

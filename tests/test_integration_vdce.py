@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro import VDCE, HostSpec, QoSRequirement, TaskProperties
-from repro.net import ATM_OC3
+from repro.faults import FaultPlan, HostCrash
 from repro.scheduling.rescheduling import ReschedulePolicy
 from repro.util.errors import ConfigurationError, QoSViolationError
 from repro.workloads import (
@@ -223,8 +223,8 @@ class TestDynamicRescheduling:
         process, run = v.submit(g, "syracuse", k_remote_sites=1)
         while run.table is None:
             v.env.run(until=v.now + 1.0)
-        lu_host = v.world.host(run.table.get("lu").host)
-        v.failures.crash_at(lu_host, when=v.now + 0.05)
+        lu_host = run.table.get("lu").host
+        v.apply_fault_plan(FaultPlan((HostCrash(lu_host, at=v.now + 0.05),)))
         deadline = v.now + 3000
         while not process.triggered and v.now < deadline:
             v.env.run(until=v.now + 5.0)
@@ -232,7 +232,7 @@ class TestDynamicRescheduling:
         assert run.status == "completed"
         assert run.reschedules >= 1
         # the replacement host is not the dead one
-        assert run.table.get("lu").host != lu_host.address
+        assert run.table.get("lu").host != lu_host
 
 
 class TestPerApplicationQoSCeiling:

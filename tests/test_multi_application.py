@@ -8,8 +8,6 @@ correct results for each) and contention effects (co-running applications
 slow each other down through genuine host sharing).
 """
 
-import pytest
-
 from repro.workloads import (
     c3i_scenario_graph,
     fourier_pipeline_graph,

@@ -223,13 +223,12 @@ class TestServerCrashSpec:
                                 sites=["s", "r"], horizon_s=60.0)
         assert all(doc["kind"] != "server-crash" for doc in plan.to_dicts())
 
-    def test_include_servers_extends_without_disturbing_other_draws(self):
+    def test_server_crashes_extend_without_disturbing_other_draws(self):
         hosts = ["s/h1", "s/h2", "r/h1"]
         base = FaultPlan.random(RngRegistry(5).stream("p"), hosts,
                                 sites=["s", "r"], horizon_s=60.0)
         extended = FaultPlan.random(RngRegistry(5).stream("p"), hosts,
                                     sites=["s", "r"], horizon_s=60.0,
-                                    include_servers=True,
                                     n_server_crashes=2)
         servers = [d for d in extended.to_dicts()
                    if d["kind"] == "server-crash"]
@@ -237,7 +236,7 @@ class TestServerCrashSpec:
                   if d["kind"] != "server-crash"]
         assert len(servers) == 2
         # the server draws happen after all other draws, so the rest of
-        # the plan is byte-identical to the flag-off plan
+        # the plan is byte-identical to the plan without server crashes
         assert others == base.to_dicts()
 
 

@@ -1,11 +1,10 @@
-"""Tests for hosts, sites, load models, and failure injection."""
+"""Tests for hosts, sites and load models."""
 
 import numpy as np
 import pytest
 
 from repro.net import ATM_OC3
 from repro.resources import (
-    FailureInjector,
     Host,
     HostSpec,
     OnOffLoad,
@@ -235,49 +234,6 @@ class TestLoadModels:
         m.stop()
         vdce.run(until=6)
         assert not m.process.is_alive
-
-
-class TestFailureInjector:
-    def test_crash_and_recover(self):
-        vdce = VDCEnvironment(seed=0)
-        vdce.add_site("s1")
-        h = vdce.add_host("s1", HostSpec(name="h1"))
-        inj = FailureInjector(vdce.env)
-        inj.crash_at(h, when=10.0, recover_after=5.0)
-        vdce.run(until=11)
-        assert not h.up
-        vdce.run(until=16)
-        assert h.up
-        assert inj.downtime("s1/h1") == pytest.approx(5.0)
-
-    def test_crash_without_recovery(self):
-        vdce = VDCEnvironment(seed=0)
-        vdce.add_site("s1")
-        h = vdce.add_host("s1", HostSpec(name="h1"))
-        inj = FailureInjector(vdce.env)
-        inj.crash_at(h, when=2.0)
-        vdce.run(until=10)
-        assert not h.up
-        assert inj.downtime("s1/h1") == pytest.approx(8.0)
-
-    def test_past_crash_rejected(self):
-        vdce = VDCEnvironment(seed=0)
-        vdce.add_site("s1")
-        h = vdce.add_host("s1", HostSpec(name="h1"))
-        vdce.run(until=5)
-        inj = FailureInjector(vdce.env)
-        with pytest.raises(ConfigurationError):
-            inj.crash_at(h, when=1.0)
-
-    def test_random_crashes_produce_downtime(self):
-        vdce = VDCEnvironment(seed=7)
-        vdce.add_site("s1")
-        h = vdce.add_host("s1", HostSpec(name="h1"))
-        inj = FailureInjector(vdce.env)
-        inj.random_crashes(h, vdce.rng.stream("fail"), mtbf_s=20, mttr_s=5)
-        vdce.run(until=500)
-        dt = inj.downtime("s1/h1")
-        assert 0 < dt < 500
 
 
 class TestTraceLoad:

@@ -3,6 +3,7 @@ the change filter, and failure detection."""
 
 import pytest
 
+from repro.faults import FaultPlan, HostCrash
 from repro.runtime.control.change_filter import ChangeFilter
 from repro.util.errors import ConfigurationError
 from repro.workloads import quiet_testbed
@@ -114,16 +115,14 @@ class TestMonitoringPipeline:
 
 class TestFailureDetection:
     def test_crash_marks_repository_down(self, vdce):
-        host = vdce.world.host("syracuse/h1")
-        vdce.failures.crash_at(host, when=10.0)
+        vdce.apply_fault_plan(FaultPlan((HostCrash("syracuse/h1", at=10.0),)))
         vdce.run(until=40)
         rec = vdce.repositories["syracuse"].resource_performance.get(
             "syracuse/h1")
         assert rec.status == "down"
 
     def test_detection_latency_bounded_by_echo_budget(self, vdce):
-        host = vdce.world.host("syracuse/h1")
-        vdce.failures.crash_at(host, when=12.0)
+        vdce.apply_fault_plan(FaultPlan((HostCrash("syracuse/h1", at=12.0),)))
         vdce.run(until=60)
         downs = [r for r in vdce.tracer.query(category="gm:host-down")]
         assert downs
@@ -133,8 +132,8 @@ class TestFailureDetection:
         assert 0 < latency <= budget
 
     def test_recovery_marks_up_again(self, vdce):
-        host = vdce.world.host("syracuse/h2")
-        vdce.failures.crash_at(host, when=10.0, recover_after=30.0)
+        vdce.apply_fault_plan(FaultPlan((
+            HostCrash("syracuse/h2", at=10.0, recover_after=30.0),)))
         vdce.run(until=100)
         rec = vdce.repositories["syracuse"].resource_performance.get(
             "syracuse/h2")

@@ -6,8 +6,6 @@ seed and the simulated clock (``Environment.call_later``), never of
 wall time.
 """
 
-import pytest
-
 from repro.obs import Observability
 from repro.repository import TenantRecord
 from repro.simcore import Environment

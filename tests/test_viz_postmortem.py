@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults import FaultPlan, LinkDown
 from repro.util.errors import RuntimeSystemError
 from repro.viz import RunArchive, WorkloadView, archive_run
 from repro.workloads import linear_solver_graph, quiet_testbed
@@ -42,6 +43,34 @@ class TestArchiveConstruction:
                                   categories=("task-finish",))
         assert arc.trace
         assert all(r["category"] == "task-finish" for r in arc.trace)
+
+
+class TestFaultRows:
+    def test_mid_run_link_down_archived(self):
+        v = quiet_testbed(seed=81)
+        v.start()
+        v.enable_membership()
+        g = linear_solver_graph(v.registry, n=150)
+        sites = sorted(v.world.sites)
+        for i, nid in enumerate(g.nodes):
+            g.node(nid).properties.preferred_site = sites[i % len(sites)]
+        v.apply_fault_plan(FaultPlan((
+            LinkDown("rome", "syracuse", at=2.0, restore_after=20.0),)))
+        run = v.run_application(g, "syracuse", k_remote_sites=1,
+                                max_sim_time_s=600)
+        assert run.status == "completed"
+        assert run.started_at < 2.0 < run.finished_at
+        v.run(until=30.0)  # past the restore
+        arc = RunArchive.from_run(run, tracer=v.tracer)
+        rows = {}
+        for row in arc.trace:
+            rows.setdefault(row["category"], []).append(row)
+        assert [(r["time"], r["detail"]) for r in rows["fault:link-down"]] \
+            == [(2.0, {"link": "rome~syracuse"})]
+        assert [(r["time"], r["detail"]) for r in rows["fault:link-up"]] \
+            == [(22.0, {"link": "rome~syracuse"})]
+        drops = rows.get("net:partition-drop", [])
+        assert drops and all(2.0 <= r["time"] < 22.0 for r in drops)
 
 
 class TestPersistence:

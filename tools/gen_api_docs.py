@@ -31,6 +31,7 @@ MODULES = [
     "repro.runtime.local",
     "repro.runtime.services",
     "repro.resources",
+    "repro.faults",
     "repro.recovery",
     "repro.federation",
     "repro.net",
