@@ -20,7 +20,8 @@ from typing import Any
 
 from repro.faults import FaultPlan
 from repro.obs import Observability
-from repro.obs.export import chrome_trace_json
+from repro.obs.export import chrome_trace_json, trace_to_jsonl
+from repro.simcore.trace import Tracer
 from repro.util.errors import VDCEError
 from repro.workloads import linear_solver_graph, quiet_testbed
 
@@ -48,6 +49,7 @@ class ChaosOutcome:
     plan: list[dict[str, Any]]          # the generated plan, serialised
     failed_processes: list[str]
     chrome_trace: str | None = None     # Chrome trace_event JSON (obs runs)
+    trace: str | None = None            # flat trace log as JSONL (obs runs)
     failovers: int = 0                  # standby promotions that fired
     tasks_executed: int = 0             # runs-to-completion over all hosts
     ledger: str | None = None           # federation ledger (membership runs)
@@ -86,7 +88,8 @@ def run_chaos(seed: int, n: int = 200, horizon_s: float = 60.0,
     With ``obs=True`` the run carries a live :class:`Observability`
     handle and the outcome's ``chrome_trace`` holds the exported Chrome
     ``trace_event`` JSON — the artifact CI uploads, and the probe the
-    determinism test compares byte-for-byte across same-seed runs.
+    determinism test compares byte-for-byte across same-seed runs —
+    while ``trace`` holds the flat trace log as JSONL.
 
     *failover_standbys* (site name -> standby host names) enables the
     self-healing control plane before faults install, so plans may crash
@@ -153,12 +156,22 @@ def run_chaos(seed: int, n: int = 200, horizon_s: float = 60.0,
         chrome_trace=(chrome_trace_json(observability.spans.spans,
                                         clock_end=vdce.now)
                       if observability is not None else None),
+        trace=(trace_to_jsonl(_without_span_mirror(vdce.tracer))
+               if observability is not None else None),
         failovers=vdce.recovery.failovers if vdce.recovery else 0,
         tasks_executed=sum(ac.stats.tasks_executed
                            for ac in vdce.app_controllers.values()),
         ledger=(vdce.federation.ledger_json()
                 if vdce.federation is not None else None),
     )
+
+
+def _without_span_mirror(tracer: Tracer) -> Tracer:
+    """The flat trace minus the ``span:*`` records mirrored from spans."""
+    flat = Tracer()
+    flat.records = [rec for rec in tracer.records
+                    if not rec.category.startswith("span:")]
+    return flat
 
 
 def assert_invariants(outcome: ChaosOutcome) -> None:

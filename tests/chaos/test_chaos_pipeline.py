@@ -55,7 +55,9 @@ class TestChaosDeterminism:
                 first.chrome_trace)
 
     def test_unobserved_run_exports_nothing(self, chaos_seed):
-        assert run_chaos(chaos_seed).chrome_trace is None
+        outcome = run_chaos(chaos_seed)
+        assert outcome.chrome_trace is None
+        assert outcome.trace is None
 
     def test_different_seeds_produce_different_plans(self):
         # plans differ already at generation time; no need to run the sim

@@ -6,10 +6,10 @@ Three fixed seeds drive three chaos scenarios with observability on:
 * ``failover`` — the mid-execution server crash with live standbys;
 * ``partition`` — the membership-enabled run under seeded link flaps.
 
-For each run the fault-injector log, the Chrome trace and (partition
-runs only) the membership ledger are hashed and compared against the
-digests below.  Three more scenarios lock the outputs the scheduling
-and monitoring layers feed:
+For each run the fault-injector log, the Chrome trace, the flat trace
+log and (partition runs only) the membership ledger are hashed and
+compared against the digests below.  Three more scenarios lock the
+outputs the scheduling and monitoring layers feed:
 
 * ``analyze`` — the canonical happens-before report of
   ``run_analysis(AnalyzeConfig(seeds=(seed,)))`` (chaos + bake-off
@@ -89,7 +89,8 @@ def _artifacts(scenario: str, seed: int) -> dict[str, str]:
     outcome = _run(scenario, seed)
     assert_invariants(outcome)
     artifacts = {"fault_log": outcome.fault_log,
-                 "chrome_trace": outcome.chrome_trace}
+                 "chrome_trace": outcome.chrome_trace,
+                 "trace": outcome.trace}
     if scenario == "partition":
         artifacts["ledger"] = outcome.ledger
     return artifacts
@@ -108,42 +109,56 @@ DIGESTS: dict[tuple[str, int], dict[str, str]] = {
             '8defcfc0a1122bb281698882aa4a44953a099a0b11bb0fa0107dffb3f4efe173',
         'chrome_trace':
             'a39a49ea61b1248309f1f827ec16c2fb0496cd77baadbad24ba5f414c6bdeb5b',
+        'trace':
+            '8199b0b62a1d8f54c96c7d3e6a7bd2e2fa9e24f6a29ca5882308f8a52cff3e20',
     },
     ('chaos', 202): {
         'fault_log':
             'c4f2eba2560e1de91a276bea3c163aeeef2725d0dd74a68200b2172d286de810',
         'chrome_trace':
             'b299123448d8940fe4026a0efa2d27a13c8a77bf4f80d4a460ab22c2943658b0',
+        'trace':
+            'ef910fcefbc0b413311f397ef0f231296212c6fbef44619ff4ef261ec0256c3e',
     },
     ('chaos', 303): {
         'fault_log':
             'b51589c8e8d54cf5b22112b4d161dc68e5e1e0de1c5701d98c3a486a0c4cb53b',
         'chrome_trace':
             '508039544245ee4e62568ad0f1957a1b3876817182fc2083763ff05269402c2d',
+        'trace':
+            '1f093333031f5785504cee5e4a583246e25b47af550a1f76e7984638046a69f2',
     },
     ('failover', 101): {
         'fault_log':
             '2cf5d36fa3af58f15c6a0154fedf0fb62e5424802979a8a74fc880ce5eda14e2',
         'chrome_trace':
             'f048749a2d8b81ce96b6815f41fc3a6d8c63a46dec64110936268d010f4216de',
+        'trace':
+            '28d985309935add0705df650e9e61bbbe583311bea84bbbf09e03c7f2f5a4d09',
     },
     ('failover', 202): {
         'fault_log':
             '2cf5d36fa3af58f15c6a0154fedf0fb62e5424802979a8a74fc880ce5eda14e2',
         'chrome_trace':
             '941ae5286bf40c36a5d658821ef02b31e0348dcc7a3708b18cb020483f0e81b0',
+        'trace':
+            'a0e0c1ed9ff364d66d1471ee790db919699a5cd22c066b53d1609daba97f1f6f',
     },
     ('failover', 303): {
         'fault_log':
             '2cf5d36fa3af58f15c6a0154fedf0fb62e5424802979a8a74fc880ce5eda14e2',
         'chrome_trace':
             'c7d725a9de54e64f8697657845abb3034fdd5a42427b156f5a271d073107aa53',
+        'trace':
+            '1b025e5ae652875695f74eb4a3b481634e6136946cd76f5336e952db9ddbde32',
     },
     ('partition', 101): {
         'fault_log':
             '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',
         'chrome_trace':
             'b386c42ad7429cbdc28f4dc6f66c82f150ff6df8843cc4d9cda8a55ae991ca50',
+        'trace':
+            'd763fa61565d06ee11dbf8364eeaf9dd9aa6f0b1d62b1384c8a07491ff84779d',
         'ledger':
             '249ee0f217cedeafac3c26563d8afdc78a895f26d6df34f15fe7a9719d1ae1cb',
     },
@@ -152,6 +167,8 @@ DIGESTS: dict[tuple[str, int], dict[str, str]] = {
             '5c5fd458864a9598f8d30b74e0c71e730da5c11a92d6bec80deb7121c196bf38',
         'chrome_trace':
             'e5488f507b938e96130e08a7e64362dd6fb4081bcbd960666ce99c13752cc32f',
+        'trace':
+            '9409a5cd502663c20cb6cefe30004771026d07ff7a815acb39bca908527255fe',
         'ledger':
             '0523b312abe4282e4ef6d4b1d4a2b4f53b208d455e1397397f1fc4ef779f142f',
     },
@@ -160,6 +177,8 @@ DIGESTS: dict[tuple[str, int], dict[str, str]] = {
             '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',
         'chrome_trace':
             'd6f08056139ad7ebafbba5b40ff8f20835ff4b82fab017697cf188e5b065ebbd',
+        'trace':
+            'ecf7c8baaccf3d95480ae249203fe9616d16bffd4f6c7bec4ca4c9c685aad5fa',
         'ledger':
             '249ee0f217cedeafac3c26563d8afdc78a895f26d6df34f15fe7a9719d1ae1cb',
     },
