@@ -56,7 +56,7 @@ def test_prediction_term_ablation(benchmark):
     for family, make in GRAPHS.items():
         for seed in (1, 2, 3):
             vdce = nynet_testbed(seed=seed, hosts_per_site=4,
-                                 with_loads=True, trace=False)
+                                 with_loads=True)
             vdce.start()
             vdce.warm_up(40.0)
             graph = make(vdce.registry)
@@ -91,7 +91,7 @@ def test_load_term_matters_under_imbalance(benchmark):
     can tell them apart."""
     from _common import realized_makespan
     from repro import VDCE, ATM_OC3, HostSpec
-    vdce = VDCE(seed=9, trace=False)
+    vdce = VDCE(seed=9)
     vdce.add_site("syracuse")
     vdce.add_site("rome")
     vdce.connect_sites("syracuse", "rome", ATM_OC3)

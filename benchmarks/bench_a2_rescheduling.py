@@ -25,7 +25,6 @@ from _common import print_table
 def run_with_spike(threshold: float, seed: int = 23, n: int = 200,
                    spike_load: float = 30.0):
     vdce = nynet_testbed(seed=seed, hosts_per_site=3, with_loads=False,
-                         trace=False,
                          reschedule_policy=ReschedulePolicy(
                              load_threshold=threshold, max_attempts=3))
     vdce.start()
@@ -80,7 +79,6 @@ def test_threshold_sweep(benchmark):
 def test_no_spike_no_rescheduling(benchmark):
     """The policy must not fire on a healthy run (no thrashing)."""
     vdce = nynet_testbed(seed=29, hosts_per_site=3, with_loads=False,
-                         trace=False,
                          reschedule_policy=ReschedulePolicy(
                              load_threshold=3.0))
     vdce.start()

@@ -21,7 +21,7 @@ from _common import print_table
 
 
 def homogeneous_two_sites(wan=T1_WAN, hosts=3):
-    vdce = VDCE(seed=6, trace=False)
+    vdce = VDCE(seed=6)
     vdce.add_site("syracuse")
     vdce.add_site("rome")
     vdce.connect_sites("syracuse", "rome", wan)

@@ -54,7 +54,7 @@ def test_queue_awareness_fixes_wide_graphs(benchmark):
         paper, aware, rr, heft = [], [], [], []
         for seed in (1, 2, 3):
             vdce = nynet_testbed(seed=seed, hosts_per_site=4,
-                                 with_loads=True, trace=False)
+                                 with_loads=True)
             vdce.start()
             vdce.warm_up(40.0)
             graph = make(vdce.registry)
@@ -102,8 +102,7 @@ def test_queue_awareness_spreads_independent_tasks(benchmark):
     """Direct mechanism check: N independent identical tasks land on N
     distinct hosts instead of one."""
     from repro.afg import GraphBuilder
-    vdce = nynet_testbed(seed=11, hosts_per_site=4, with_loads=False,
-                         trace=False)
+    vdce = nynet_testbed(seed=11, hosts_per_site=4, with_loads=False)
     vdce.start()
     b = GraphBuilder(vdce.registry, name="independent")
     for i in range(4):

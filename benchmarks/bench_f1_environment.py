@@ -18,7 +18,7 @@ from _common import print_table
 
 def build(n_sites: int, hosts_per_site: int = 3):
     vdce = wide_area_testbed(n_sites=n_sites, hosts_per_site=hosts_per_site,
-                             seed=1, with_loads=False, trace=False)
+                             seed=1, with_loads=False)
     vdce.start()
     return vdce
 

@@ -17,7 +17,7 @@ from _common import print_table
 
 
 def staged_run(n: int, seed: int = 2):
-    vdce = quiet_testbed(seed=seed, trace=False)
+    vdce = quiet_testbed(seed=seed)
     vdce.start()
     # stage 1: editor (programmatic build of the Figure 3 application)
     editor = vdce.open_editor("vdce", "vdce", "pipeline-app")

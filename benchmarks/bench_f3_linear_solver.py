@@ -19,7 +19,7 @@ from _common import print_table
 
 
 def homogeneous_testbed(seed: int = 5, hosts: int = 4) -> VDCE:
-    vdce = VDCE(seed=seed, trace=False)
+    vdce = VDCE(seed=seed)
     vdce.add_site("syracuse")
     vdce.add_site("rome")
     vdce.connect_sites("syracuse", "rome", ATM_OC3)

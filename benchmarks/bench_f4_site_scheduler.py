@@ -37,8 +37,7 @@ from _common import print_table, realized_makespan
 
 
 def loaded_testbed(seed: int):
-    vdce = nynet_testbed(seed=seed, hosts_per_site=4, with_loads=True,
-                         trace=False)
+    vdce = nynet_testbed(seed=seed, hosts_per_site=4, with_loads=True)
     vdce.start()
     vdce.warm_up(40.0)
     return vdce
@@ -130,7 +129,7 @@ def test_k_sweep_saturated_local_site(benchmark):
     rows = []
     for k in (0, 1, 2, 3):
         vdce = wide_area_testbed(n_sites=4, hosts_per_site=3, seed=4,
-                                 with_loads=False, trace=False)
+                                 with_loads=False)
         vdce.start()
         for host in vdce.world.all_hosts():
             if host.site == "site0":
@@ -154,7 +153,7 @@ def test_k_does_not_hurt_idle_local_site(benchmark):
     makespans = []
     for k in (0, 2):
         vdce = wide_area_testbed(n_sites=3, hosts_per_site=3, seed=6,
-                                 with_loads=False, trace=False)
+                                 with_loads=False)
         vdce.start()
         graph = fourier_pipeline_graph(vdce.registry, n=8192, stages=4)
         table = vdce_table(vdce, graph, k=k, local="site0")
@@ -169,8 +168,7 @@ def test_k_does_not_hurt_idle_local_site(benchmark):
 def test_communication_heavy_chain_stays_colocated(benchmark):
     """Figure 4's design intent: 'schedule the application tasks within a
     site ... to decrease the inter-task communication time'."""
-    vdce = nynet_testbed(seed=9, hosts_per_site=4, with_loads=False,
-                         trace=False)
+    vdce = nynet_testbed(seed=9, hosts_per_site=4, with_loads=False)
     vdce.start()
     graph = fourier_pipeline_graph(vdce.registry, n=200_000, stages=5)
     table = vdce_table(vdce, graph, k=1)

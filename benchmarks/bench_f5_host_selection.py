@@ -23,8 +23,7 @@ from _common import print_table
 
 
 def make_testbed(seed=3, coverage=1.0):
-    vdce = nynet_testbed(seed=seed, hosts_per_site=6, with_loads=True,
-                         trace=False)
+    vdce = nynet_testbed(seed=seed, hosts_per_site=6, with_loads=True)
     vdce.start(calibration_coverage=coverage)
     vdce.warm_up(40.0)
     return vdce
@@ -72,8 +71,7 @@ def test_selection_regret_vs_baselines(benchmark):
     product still finds the true winner (the paper's core argument for
     task-specific prediction).
     """
-    vdce = nynet_testbed(seed=5, hosts_per_site=6, with_loads=False,
-                         trace=False)
+    vdce = nynet_testbed(seed=5, hosts_per_site=6, with_loads=False)
     vdce.start()
     for host in vdce.world.all_hosts():
         # cpu_factor < 1 == fast machine; load it moderately
@@ -114,8 +112,7 @@ def test_selection_regret_vs_baselines(benchmark):
 def test_constraints_and_preferences_respected(benchmark):
     """Selection under executable-location constraints + machine type."""
     from repro.afg import GraphBuilder, TaskProperties
-    vdce = nynet_testbed(seed=7, hosts_per_site=6, with_loads=False,
-                         trace=False)
+    vdce = nynet_testbed(seed=7, hosts_per_site=6, with_loads=False)
     allowed = {"syracuse/h1", "syracuse/h4"}
     vdce.start(constrain={"lu-decomposition": allowed})
     repo = vdce.repositories["syracuse"]

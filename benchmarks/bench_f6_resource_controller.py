@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.faults import FaultPlan, HostCrash
 from repro.net import WORKLOAD_UPDATE
+from repro.obs import Observability
 from repro.workloads import nynet_testbed
 
 from _common import print_table
@@ -23,7 +24,7 @@ from _common import print_table
 def run_monitoring(filter_policy: str, seed: int = 3,
                    duration_s: float = 120.0):
     vdce = nynet_testbed(seed=seed, hosts_per_site=4, with_loads=True,
-                         trace=False, filter_policy=filter_policy)
+                         filter_policy=filter_policy)
     vdce.start()
     # measure staleness by sampling repository error every second
     errors = []
@@ -82,8 +83,8 @@ def test_failure_detection_latency_vs_echo_period(benchmark):
         latencies = []
         for seed in (1, 2, 3):
             vdce = nynet_testbed(seed=seed, hosts_per_site=3,
-                                 with_loads=False, trace=True,
-                                 echo_period_s=period)
+                                 with_loads=False, echo_period_s=period,
+                                 obs=Observability())
             vdce.start()
             crash_at = 7.0 + seed
             vdce.apply_fault_plan(
@@ -109,7 +110,7 @@ def test_monitoring_overhead_scales_with_hosts(benchmark):
     rows = []
     for hosts in (2, 4, 8):
         vdce = nynet_testbed(seed=2, hosts_per_site=hosts, with_loads=False,
-                             trace=False, filter_policy="always")
+                             filter_policy="always")
         vdce.start()
         vdce.run(until=60.0)
         msgs = vdce.network.stats.by_kind

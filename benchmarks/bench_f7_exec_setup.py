@@ -25,7 +25,7 @@ def test_setup_latency_vs_channel_count(benchmark):
     linearly."""
     rows = []
     for width in (2, 4, 8):
-        vdce = quiet_testbed(seed=2, hosts_per_site=5, trace=False)
+        vdce = quiet_testbed(seed=2, hosts_per_site=5)
         vdce.start()
         graph = fork_join_graph(vdce.registry, width=width, size=256)
         # Alternate site pins so the dataflow genuinely crosses machines
@@ -108,7 +108,7 @@ def test_conversion_overhead_heterogeneous(benchmark):
     pairs do not — and the numeric payload survives either way."""
 
     def run_pair(dst_arch: str, dst_os: str):
-        vdce = VDCE(seed=4, trace=False)
+        vdce = VDCE(seed=4)
         vdce.add_site("s1")
         vdce.add_site("s2")
         vdce.connect_sites("s1", "s2", ATM_OC3)

@@ -112,7 +112,7 @@ def test_full_simulated_run_throughput(benchmark):
     from repro.workloads import quiet_testbed
 
     def run_once():
-        v = quiet_testbed(seed=63, trace=False)
+        v = quiet_testbed(seed=63)
         v.start()
         g = linear_solver_graph(v.registry, n=40)
         return v.run_application(g, "syracuse", max_sim_time_s=600)

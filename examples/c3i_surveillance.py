@@ -12,12 +12,14 @@ Run:  python examples/c3i_surveillance.py
 
 import numpy as np
 
+from repro.obs import Observability
 from repro.viz import ApplicationPerformanceView, WorkloadView
 from repro.workloads import c3i_scenario_graph, nynet_testbed
 
 
 def main() -> None:
-    vdce = nynet_testbed(seed=3, hosts_per_site=4, with_loads=True)
+    vdce = nynet_testbed(seed=3, hosts_per_site=4, with_loads=True,
+                         obs=Observability())
     vdce.start()
     # let monitors populate the repositories with real measurements
     vdce.warm_up(30.0)

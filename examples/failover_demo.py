@@ -12,12 +12,13 @@ Run:  python examples/failover_demo.py
 """
 
 from repro.faults import FaultPlan, ServerCrash
+from repro.obs import Observability
 from repro.workloads import linear_solver_graph, quiet_testbed
 
 
 def failover_demo(n: int = 200) -> None:
     print("=== site-server failover ===")
-    vdce = quiet_testbed(seed=7)
+    vdce = quiet_testbed(seed=7, obs=Observability())
     vdce.start()
     vdce.enable_failover("syracuse", ["h1", "h2"])
     site = vdce.world.site("syracuse")

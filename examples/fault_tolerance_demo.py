@@ -14,6 +14,7 @@ Run:  python examples/fault_tolerance_demo.py
 """
 
 from repro.faults import FaultPlan, HostCrash
+from repro.obs import Observability
 from repro.resources.loads import SpikeLoad
 from repro.scheduling.rescheduling import ReschedulePolicy
 from repro.workloads import linear_solver_graph, nynet_testbed
@@ -23,7 +24,8 @@ def crash_demo(n: int = 150) -> None:
     print("=== host-crash recovery ===")
     vdce = nynet_testbed(seed=21, hosts_per_site=3, with_loads=False,
                          reschedule_policy=ReschedulePolicy(
-                             load_threshold=3.0))
+                             load_threshold=3.0),
+                         obs=Observability())
     vdce.start()
     graph = linear_solver_graph(vdce.registry, n=n)
     process, run = vdce.submit(graph, "syracuse", k_remote_sites=1)
@@ -50,7 +52,8 @@ def overload_demo(n: int = 150) -> None:
     print("\n=== overload-triggered rescheduling ===")
     vdce = nynet_testbed(seed=22, hosts_per_site=3, with_loads=False,
                          reschedule_policy=ReschedulePolicy(
-                             load_threshold=3.0))
+                             load_threshold=3.0),
+                         obs=Observability())
     vdce.start()
     graph = linear_solver_graph(vdce.registry, n=n)
     process, run = vdce.submit(graph, "syracuse", k_remote_sites=1)

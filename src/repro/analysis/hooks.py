@@ -3,8 +3,8 @@
 Non-kernel code (host selection, site manager, replication, network)
 reports shared-cell accesses through the module-global :data:`HB` so a
 disabled sanitizer costs those paths one module-attribute load and an
-identity check — the same PERF001 guard idiom the tracer and obs
-subsystems use.  The kernel itself uses ``Environment._hb`` (one slot
+identity check — the same PERF001 guard idiom the obs subsystem
+uses.  The kernel itself uses ``Environment._hb`` (one slot
 load) instead; :class:`~repro.analysis.session.AnalysisSession` keeps
 the two in sync.
 

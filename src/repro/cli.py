@@ -69,8 +69,12 @@ def cmd_info(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from repro.obs import Observability
+    # the post-mortem archive keeps the trace log, which only an
+    # observed run records
     vdce = nynet_testbed(seed=args.seed, hosts_per_site=args.hosts,
-                         with_loads=not args.idle)
+                         with_loads=not args.idle,
+                         obs=Observability() if args.archive else None)
     vdce.start()
     if not args.idle:
         vdce.warm_up(30.0)
@@ -339,8 +343,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_monitor(args) -> int:
+    from repro.obs import Observability
     vdce = nynet_testbed(seed=args.seed, hosts_per_site=args.hosts,
-                         with_loads=True, filter_policy=args.policy)
+                         with_loads=True, filter_policy=args.policy,
+                         obs=Observability())
     vdce.start()
     vdce.run(until=args.duration)
     print(WorkloadView(vdce.tracer).render())

@@ -52,6 +52,7 @@ from repro.runtime.control.site_manager import SiteManager
 from repro.runtime.data.data_manager import DataManager
 from repro.scheduling.qos import QoSRequirement, require_admission
 from repro.scheduling.rescheduling import ReschedulePolicy, Rescheduler
+from repro.simcore.trace import Tracer
 from repro.tasklib.registry import LibraryRegistry
 from repro.tasklib import standard_registry
 from repro.core.run import ApplicationRun
@@ -63,7 +64,6 @@ class VDCE:
 
     def __init__(self, seed: int = 0,
                  registry: LibraryRegistry | None = None,
-                 trace: bool = True,
                  monitor_period_s: float = 2.0,
                  echo_period_s: float = 5.0,
                  echo_timeout_s: float = 1.0,
@@ -71,12 +71,11 @@ class VDCE:
                  reschedule_policy: ReschedulePolicy | None = None,
                  weight_jitter: float = 0.10,
                  obs: Observability | None = None) -> None:
-        self.world = VDCEnvironment(seed=seed, trace=trace)
-        #: observability handle threaded through every daemon; inert
-        #: (the shared OBS_OFF singleton) unless one is supplied.
+        self.world = VDCEnvironment(seed=seed)
+        #: observability handle threaded through every daemon: metrics,
+        #: spans and the flat trace log; inert (the shared OBS_OFF
+        #: singleton) unless one is supplied.
         self.obs = obs if obs is not None else OBS_OFF
-        if obs is not None:
-            obs.attach_tracer(self.world.tracer)
         self.world.network.set_observability(self.obs)
         self.registry = registry or standard_registry()
         self.model = ExecutionModel(jitter=weight_jitter, seed=seed)
@@ -116,8 +115,19 @@ class VDCE:
         return self.world.topology
 
     @property
-    def tracer(self):
-        return self.world.tracer
+    def tracer(self) -> Tracer:
+        """The flat trace log of an observed run (``obs.trace``).
+
+        Raises :class:`ConfigurationError` unless the VDCE was built
+        with an enabled :class:`Observability`: an unobserved run
+        records nothing, and reading its empty log would let a query
+        for a missing record pass.
+        """
+        if not self.obs.enabled:
+            raise ConfigurationError(
+                "this VDCE records no trace; build it with "
+                "obs=Observability() to read one")
+        return self.obs.trace
 
     @property
     def now(self) -> float:
@@ -214,8 +224,7 @@ class VDCE:
                        repo: SiteRepository) -> SiteManager:
         """Create and wire one Site Manager (facade hooks included)."""
         sm = SiteManager(self.env, self.network, site, repo,
-                         self.topology, tracer=self.tracer,
-                         obs=self.obs)
+                         self.topology, obs=self.obs)
         sm.on_reschedule_request = self._handle_reschedule_request
         # host-down hook: reroute lost tasks of active executions
         sm.on_host_down = self._handle_host_down
@@ -233,25 +242,24 @@ class VDCE:
                 echo_period_s=self.echo_period_s,
                 echo_timeout_s=self.echo_timeout_s,
                 change_filter=ChangeFilter(policy=self.filter_policy),
-                tracer=self.tracer, obs=self.obs)
+                obs=self.obs)
             sm.register_group_manager(gm)
             self.group_managers[(site_name, group)] = gm
             for member in members:
                 host = site.host(member)
                 self.monitors[host.address] = MonitorDaemon(
                     self.env, self.network, host, gm.address,
-                    period_s=self.monitor_period_s, tracer=self.tracer,
-                    obs=self.obs)
+                    period_s=self.monitor_period_s, obs=self.obs)
                 dm = DataManager(self.env, self.network, host,
                                  byte_orders=self._byte_orders,
                                  retry_rng=self.world.rng.stream(
                                      "retry-jitter"),
-                                 tracer=self.tracer, obs=self.obs)
+                                 obs=self.obs)
                 self.data_managers[host.address] = dm
                 self.app_controllers[host.address] = ApplicationController(
                     self.env, self.network, host, self.registry, self.model,
                     dm, gm.address, policy=self.reschedule_policy,
-                    tracer=self.tracer, obs=self.obs)
+                    obs=self.obs)
 
     # -- editor access -----------------------------------------------------
     def open_editor(self, user: str, password: str,
@@ -416,10 +424,10 @@ class VDCE:
                      "entries": [fresh], "coordinator": sm.address,
                      "immediate": True},
             size_bytes=256)
-        self.tracer.record(self.now, "vdce:rescheduled", sm.address,
-                           node=node_id, to=new_entry.host,
-                           attempt=attempt)
         if self.obs.enabled:
+            self.obs.trace.record(self.now, "vdce:rescheduled", sm.address,
+                                  node=node_id, to=new_entry.host,
+                                  attempt=attempt)
             self.obs.metrics.counter(
                 "vdce_reschedules_total",
                 help="facade-coordinated task reschedules").inc(
@@ -468,8 +476,7 @@ class VDCE:
             raise ConfigurationError(f"unknown site {site!r}")
         if self.recovery is None:
             self.recovery = RecoveryCoordinator(
-                self.env, self.network, self.topology,
-                tracer=self.tracer, obs=self.obs)
+                self.env, self.network, self.topology, obs=self.obs)
             self.recovery.on_promoted = self._on_server_promoted
         self.recovery.enable_site(
             self.world.site(site), self.site_managers[site],
@@ -513,8 +520,9 @@ class VDCE:
                              "coordinator": new_sm.address,
                              "immediate": True},
                     size_bytes=256)
-        self.tracer.record(self.now, "vdce:failover", new_sm.address,
-                           site=site_name)
+        if self.obs.enabled:
+            self.obs.trace.record(self.now, "vdce:failover", new_sm.address,
+                                  site=site_name)
 
     # -- elastic federation membership --------------------------------------------
     def enable_membership(self, config: MembershipConfig | None = None
@@ -556,8 +564,7 @@ class VDCE:
         daemon = MembershipDaemon(
             self.env, self.network, self.world.site(site_name),
             DirectorySync(self.repositories[site_name]),
-            config=self.federation.config, tracer=self.tracer,
-            obs=self.obs, wal_log=wal_log,
+            config=self.federation.config, obs=self.obs, wal_log=wal_log,
             on_quarantine=self._on_site_quarantined,
             on_rejoin=self._on_site_rejoined)
         self.federation.add(daemon)
@@ -576,8 +583,9 @@ class VDCE:
         if sm is not None:
             sm.waive_site_acks(peer)
         self._requeue_site_tasks(peer, coordinator=observer)
-        self.tracer.record(self.now, "vdce:site-quarantined",
-                           f"{observer}/server", peer=peer)
+        if self.obs.enabled:
+            self.obs.trace.record(self.now, "vdce:site-quarantined",
+                                  f"{observer}/server", peer=peer)
 
     def _on_site_rejoined(self, observer: str, peer: str) -> None:
         """Reconcile after a partition heals.
@@ -615,8 +623,9 @@ class VDCE:
                              "coordinator": sm.address,
                              "immediate": True},
                     size_bytes=256)
-        self.tracer.record(self.now, "vdce:site-rejoined",
-                           f"{observer}/server", peer=peer)
+        if self.obs.enabled:
+            self.obs.trace.record(self.now, "vdce:site-rejoined",
+                                  f"{observer}/server", peer=peer)
 
     def _requeue_site_tasks(self, peer: str,
                             coordinator: str | None = None) -> None:
@@ -719,9 +728,9 @@ class VDCE:
         sponsor = sponsor or (members[0] if members else None)
         if sponsor is not None:
             daemon.request_snapshot(sponsor)
-        self.tracer.record(self.now, "vdce:site-join", f"{name}/server",
-                           hosts=len(hosts), sponsor=sponsor)
         if self.obs.enabled:
+            self.obs.trace.record(self.now, "vdce:site-join", f"{name}/server",
+                                  hosts=len(hosts), sponsor=sponsor)
             self.obs.metrics.counter(
                 "vdce_membership_elastic_total",
                 help="elastic site joins/leaves executed").inc(
@@ -766,9 +775,9 @@ class VDCE:
             del self.repositories[name]
             self.topology.remove_site(name)
             del self.world.sites[name]
-            self.tracer.record(self.now, "vdce:site-leave",
-                               f"{name}/server")
             if self.obs.enabled:
+                self.obs.trace.record(self.now, "vdce:site-leave",
+                                      f"{name}/server")
                 self.obs.metrics.counter(
                     "vdce_membership_elastic_total",
                     help="elastic site joins/leaves executed").inc(
@@ -817,8 +826,7 @@ class VDCE:
         """
         if self.fault_injector is None:
             self.fault_injector = FaultInjector(
-                self.env, self.network, tracer=self.tracer,
-                rng=self.world.rng.stream("faults"),
+                self.env, self.network, rng=self.world.rng.stream("faults"),
                 host_resolver=self.world.host,
                 site_resolver=self.world.site,
                 site_hosts=lambda s: list(self.world.site(s).hosts.values()))

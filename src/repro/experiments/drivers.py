@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.experiments.measures import format_table, realized_makespan
 from repro.faults import FaultPlan, HostCrash
+from repro.obs import Observability
 from repro.prediction.predict import PerformancePredictor
 from repro.scheduling.baselines import (
     MinLoadScheduler,
@@ -62,7 +63,7 @@ DEFAULT_FAMILIES = {
 
 def _loaded_testbed(seed: int, hosts_per_site: int = 4):
     vdce = nynet_testbed(seed=seed, hosts_per_site=hosts_per_site,
-                         with_loads=True, trace=False)
+                         with_loads=True)
     vdce.start()
     vdce.warm_up(40.0)
     return vdce
@@ -161,7 +162,7 @@ def monitoring_comparison(policies=("always", "threshold", "ci"),
     rows = []
     for policy in policies:
         vdce = nynet_testbed(seed=seed, hosts_per_site=4, with_loads=True,
-                             trace=False, filter_policy=policy)
+                             filter_policy=policy)
         vdce.start()
         errors: list[float] = []
 
@@ -199,8 +200,8 @@ def failure_detection_sweep(periods=(2.0, 5.0, 10.0),
         latencies = []
         for seed in seeds:
             vdce = nynet_testbed(seed=seed, hosts_per_site=3,
-                                 with_loads=False, trace=True,
-                                 echo_period_s=period)
+                                 with_loads=False, echo_period_s=period,
+                                 obs=Observability())
             vdce.start()
             crash_at = 7.0 + seed
             vdce.apply_fault_plan(

@@ -9,12 +9,12 @@ per-message faults install a hook into
 :meth:`repro.net.network.Network.send` that can drop, duplicate or delay
 individual messages.
 
-Every injected fault is recorded twice: as a ``fault:*`` record in the
-shared :class:`~repro.simcore.trace.Tracer` (for post-mortem analysis via
-:mod:`repro.viz.postmortem`) and as a row in :attr:`FaultInjector.events`
+Every injected fault is recorded as a row in :attr:`FaultInjector.events`
 whose canonical JSON form (:meth:`log_json`) is byte-identical across
 runs with the same seed — the determinism contract the chaos harness
-asserts.
+asserts.  An observed run (the network's ``obs`` handle enabled) also
+gets a ``fault:*`` record in ``obs.trace`` for post-mortem analysis via
+:mod:`repro.viz.postmortem`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.net.message import Message
 from repro.net.network import FaultAction, Network
 from repro.resources.host import Host
 from repro.simcore.engine import Environment
-from repro.simcore.trace import Tracer
 from repro.util.errors import ConfigurationError
 
 
@@ -50,7 +49,6 @@ class FaultInjector:
     ACTOR = "faults"
 
     def __init__(self, env: Environment, network: Network,
-                 tracer: Tracer | None = None,
                  rng: np.random.Generator | None = None,
                  host_resolver: Callable[[str], Host] | None = None,
                  site_hosts: Callable[[str], Iterable[Host]] | None = None,
@@ -58,7 +56,6 @@ class FaultInjector:
                  ) -> None:
         self.env = env
         self.network = network
-        self.tracer = tracer or Tracer(enabled=False)
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self._host_resolver = host_resolver
         self._site_hosts = site_hosts
@@ -107,8 +104,10 @@ class FaultInjector:
     # -- bookkeeping -------------------------------------------------------
     def _record(self, fault: str, **detail: Any) -> None:
         self.events.append({"t": self.env.now, "fault": fault, **detail})
-        self.tracer.record(self.env.now, f"fault:{fault}", self.ACTOR,
-                           **detail)
+        obs = self.network.obs
+        if obs.enabled:
+            obs.trace.record(self.env.now, f"fault:{fault}", self.ACTOR,
+                             **detail)
 
     def event_log(self) -> list[dict[str, Any]]:
         """A copy of the injected-fault event rows, in injection order."""

@@ -49,7 +49,6 @@ from repro.net.network import Network
 from repro.obs import OBS_OFF, Observability
 from repro.resources.site import Site
 from repro.simcore.engine import Environment
-from repro.simcore.trace import Tracer
 from repro.util.errors import ConfigurationError
 
 #: peer statuses (the state machine above)
@@ -104,7 +103,6 @@ class MembershipDaemon:
     def __init__(self, env: Environment, network: Network, site: Site,
                  sync: DirectorySync,
                  config: MembershipConfig | None = None,
-                 tracer: Tracer | None = None,
                  obs: Observability | None = None,
                  wal_log: Callable[[str, dict], None] | None = None,
                  on_quarantine: Callable[[str, str], None] | None = None,
@@ -116,7 +114,6 @@ class MembershipDaemon:
         self.site = site
         self.sync = sync
         self.config = config or MembershipConfig()
-        self.tracer = tracer or Tracer(enabled=False)
         self.obs = obs if obs is not None else OBS_OFF
         self.wal_log = wal_log
         self.on_quarantine = on_quarantine
@@ -271,21 +268,21 @@ class MembershipDaemon:
 
     # -- transitions --------------------------------------------------------
     def _transition(self, event: str, peer: str, **detail: Any) -> None:
-        """Ledger + tracer + WAL + counter for one membership event."""
+        """Ledger + trace record + counter + WAL for one membership event."""
         self.events.append({"t": self.env.now, "site": self.site.name,
                             "event": event, "peer": peer, **detail})
-        self.tracer.record(self.env.now, f"membership:{event}",
-                           self.address, peer=peer, **detail)
+        if self.obs.enabled:
+            self.obs.trace.record(self.env.now, f"membership:{event}",
+                                  self.address, peer=peer, **detail)
+            self.obs.metrics.counter(
+                "membership_transitions_total",
+                help="membership state transitions observed").inc(
+                    site=self.site.name, event=event)
         if self.wal_log is not None and event in ("join", "leave",
                                                   "quarantine", "rejoin"):
             self.wal_log(f"site-{event}",
                          {"site": self.site.name, "peer": peer,
                           "time": self.env.now})
-        if self.obs.enabled:
-            self.obs.metrics.counter(
-                "membership_transitions_total",
-                help="membership state transitions observed").inc(
-                    site=self.site.name, event=event)
 
     def _admit(self, peer: str, via: str) -> PeerView:
         view = self.seed_peer(peer)

@@ -25,7 +25,6 @@ from repro.net.topology import Topology
 from repro.obs import OBS_OFF, Observability
 from repro.simcore.engine import Environment
 from repro.simcore.store import Store
-from repro.simcore.trace import Tracer
 from repro.util.errors import ChannelError, ConfigurationError
 
 
@@ -84,16 +83,14 @@ class TrafficStats:
 class Network:
     """Latency/bandwidth-modelled message delivery between endpoints."""
 
-    __slots__ = ("env", "topology", "tracer", "per_message_overhead_s",
+    __slots__ = ("env", "topology", "per_message_overhead_s",
                  "stats", "_mailboxes", "is_up", "fault_hook", "obs",
                  "_m_messages", "_m_bytes", "_m_dropped", "_m_delay")
 
     def __init__(self, env: Environment, topology: Topology,
-                 tracer: Tracer | None = None,
                  per_message_overhead_s: float = 1e-4) -> None:
         self.env = env
         self.topology = topology
-        self.tracer = tracer or Tracer(enabled=False)
         self.per_message_overhead_s = per_message_overhead_s
         self.stats = TrafficStats()
         self._mailboxes: dict[str, Store] = {}
@@ -195,10 +192,11 @@ class Network:
         """Send to several destinations in one coalesced operation.
 
         Every message, single sends included, is routed here, one at a
-        time in *dsts* order: stats, tracer record, obs metrics and
-        span, the happens-before hook, then the host-down, partition and
-        fault-hook checks (so injector RNG draws follow send order), and
-        finally the modelled delay and any injected duplicates.
+        time in *dsts* order: the happens-before hook, stats, the trace
+        record and metrics (one ``obs.enabled`` guard), then the
+        host-down, partition and fault-hook checks (so injector RNG
+        draws follow send order), and finally the modelled delay and
+        any injected duplicates.
         Consecutive messages sharing a delay ride **one** heap entry
         (:meth:`Environment.call_later`) and one arrival callback, so a
         fan-out inside a site (echo rounds, start signals to co-located
@@ -216,7 +214,6 @@ class Network:
         env = self.env
         now = env._now
         stats = self.stats
-        tracer = self.tracer
         obs = self.obs
         fault_hook = self.fault_hook
         is_up = self.is_up
@@ -248,18 +245,16 @@ class Network:
             stats.bytes += nbytes
             stats.by_kind[kind] += 1
             stats.bytes_by_kind[kind] += nbytes
-            if tracer.enabled:
-                tracer.record(now, f"net:{kind}", src, dst=dst,
-                              bytes=nbytes)
             if obs.enabled:
+                obs.trace.record(now, f"net:{kind}", src, dst=dst,
+                                 bytes=nbytes)
                 self._m_messages.inc(kind=kind)
                 self._m_bytes.inc(nbytes, kind=kind)
             if not (is_up(dst_host) and src_up):
                 stats.dropped += 1
-                if tracer.enabled:
-                    tracer.record(now, "net:dropped", src, dst=dst,
-                                  kind=kind)
                 if obs.enabled:
+                    obs.trace.record(now, "net:dropped", src, dst=dst,
+                                     kind=kind)
                     self._m_dropped.inc(reason="host-down")
                 continue
             if (src_host != dst_host
@@ -270,20 +265,18 @@ class Network:
                 # deterministic).
                 stats.dropped += 1
                 stats.partition_drops += 1
-                if tracer.enabled:
-                    tracer.record(now, "net:partition-drop", src, dst=dst,
-                                  kind=kind)
                 if obs.enabled:
+                    obs.trace.record(now, "net:partition-drop", src,
+                                     dst=dst, kind=kind)
                     self._m_dropped.inc(reason="partitioned")
                 continue
             action = fault_hook(msg) if fault_hook is not None else None
             if action is not None and action.drop:
                 stats.dropped += 1
                 stats.injected_drops += 1
-                if tracer.enabled:
-                    tracer.record(now, "net:injected-drop", src, dst=dst,
-                                  kind=kind)
                 if obs.enabled:
+                    obs.trace.record(now, "net:injected-drop", src,
+                                     dst=dst, kind=kind)
                     self._m_dropped.inc(reason="injected")
                 continue
             if src_host == dst_host:

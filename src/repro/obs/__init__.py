@@ -1,21 +1,23 @@
 """``repro.obs`` — sim-time observability: metrics, causal spans, exporters.
 
 One :class:`Observability` handle threads through the whole federation
-(facade → daemons → network) and carries the two stores:
+(facade → daemons → network) and carries the three stores:
 
 * ``obs.metrics`` — a :class:`~repro.obs.metrics.MetricsRegistry` of
   counters/gauges/histograms keyed on sorted label tuples;
 * ``obs.spans`` — a :class:`~repro.obs.spans.SpanTracker` holding the
   application → schedule-round → task-execution → message-delivery
-  causal tree.
+  causal tree;
+* ``obs.trace`` — the flat :class:`~repro.simcore.trace.Tracer` log of
+  what happened when.
 
-The handle defaults to **disabled**, and every instrumented call site
-guards with ``if obs.enabled:`` (the same idiom as tracer calls,
-enforced by reprolint PERF001 on hot-path modules) — so the PR 2 fast
-paths pay one attribute load when observability is off.  Components
-that are built before an Observability exists fall back to the shared
-:data:`OBS_OFF` singleton, which is safe to share precisely because
-nothing ever records through a disabled handle.
+The handle's ``enabled`` flag is the one instrumentation switch.  It
+defaults to **disabled**, and every instrumented call site guards with
+one ``if obs.enabled:`` (enforced by reprolint PERF001 across
+``repro``) — so unobserved runs pay one attribute load per site.
+Components that are built before an Observability exists fall back to
+the shared :data:`OBS_OFF` singleton, which is safe to share precisely
+because nothing ever records through a disabled handle.
 
 Exports (:mod:`repro.obs.export`): Chrome ``trace_event`` JSON,
 Prometheus text, JSONL — all byte-identical across runs of a fixed
@@ -57,22 +59,20 @@ class Observability:
     no yields, so the hand-off is deterministic.
     """
 
-    __slots__ = ("enabled", "metrics", "spans", "current_parent")
+    __slots__ = ("enabled", "metrics", "spans", "trace", "current_parent")
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self.metrics = MetricsRegistry()
         self.spans = SpanTracker()
+        self.trace = Tracer()
         self.current_parent: int | None = None
-
-    def attach_tracer(self, tracer: Tracer) -> None:
-        """Layer span begin/end records onto an existing flat tracer."""
-        self.spans.tracer = tracer
 
     def reset(self) -> None:
         """Drop all recorded state (fresh run, same instruments wiring)."""
         self.metrics.clear()
         self.spans.clear()
+        self.trace.clear()
         self.current_parent = None
 
     def __repr__(self) -> str:

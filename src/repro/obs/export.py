@@ -172,7 +172,7 @@ def tracer_from_jsonl(text: str) -> Tracer:
     The round-trip exists so exported traces can feed the viz views
     (WorkloadView etc.) offline, without re-running the simulation.
     """
-    tracer = Tracer(enabled=True)
+    tracer = Tracer()
     for line in text.splitlines():
         line = line.strip()
         if not line:

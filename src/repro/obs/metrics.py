@@ -18,9 +18,8 @@ sorted by metric name then label key — so exports are byte-identical
 across runs and independent of ``PYTHONHASHSEED``.  Nothing in this
 module reads the wall clock or any RNG.
 
-Recording is cheap (a dict lookup and an add) but not free; hot paths
-must guard calls with ``if obs.enabled:`` — the same idiom as tracer
-calls, enforced by reprolint PERF001 on the hot-path modules.
+Recording is cheap (a dict lookup and an add) but not free; every call
+site guards with ``if obs.enabled:``, enforced by reprolint PERF001.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Causal spans: a run reconstructed as a tree, layered on the Tracer.
+"""Causal spans: a run reconstructed as a tree.
 
 The flat :class:`~repro.simcore.trace.Tracer` answers "what happened
 when"; spans answer "what caused what".  Every span has a monotonically
@@ -10,12 +10,6 @@ assigned id and an optional parent id, giving the canonical hierarchy
 so one submission can be replayed as a tree (the Gantt rows of the
 Application Performance view are exactly the task-execution layer).
 
-The tracker *layers on* the existing tracer rather than replacing it:
-when a tracer is attached and enabled, every begin/end also lands in the
-flat trace as ``span:<category>`` records, so existing consumers (the
-visualization services, the post-mortem archive) see span activity
-without learning a new API.
-
 Determinism: span ids come from a per-tracker counter (never ``id()``),
 cross-component parent lookups go through explicit ``bind`` keys, and
 :meth:`SpanTracker.finished`/:meth:`SpanTracker.tree` iterate in id
@@ -26,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
-
-from repro.simcore.trace import Tracer
 
 #: the canonical span hierarchy, outermost first; "failover" spans sit
 #: outside the application tree (they time a control-plane promotion,
@@ -79,8 +71,7 @@ class Span:
 class SpanTracker:
     """Create, finish and cross-reference spans for one observed run."""
 
-    def __init__(self, tracer: Tracer | None = None) -> None:
-        self.tracer = tracer
+    def __init__(self) -> None:
         self.spans: list[Span] = []
         self._by_id: dict[int, Span] = {}
         self._bindings: dict[tuple[Any, ...], int] = {}
@@ -101,11 +92,6 @@ class SpanTracker:
         self._next_id += 1
         self.spans.append(span)
         self._by_id[span.span_id] = span
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.record(start_s, f"span:{category}", actor,
-                          phase="begin", span=span.span_id,
-                          parent=parent_id, name=name)
         return span.span_id
 
     def end(self, span_id: int, end_s: float, **attrs: Any) -> Span:
@@ -119,11 +105,6 @@ class SpanTracker:
                 f"({end_s} < {span.start_s})")
         span.end_s = end_s
         span.attrs.update(attrs)
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.record(end_s, f"span:{span.category}", span.actor,
-                          phase="end", span=span.span_id,
-                          parent=span.parent_id, name=span.name)
         return span
 
     def complete(self, name: str, category: str, actor: str, start_s: float,

@@ -45,7 +45,6 @@ from repro.recovery.wal import replay_executions
 from repro.resources.site import Site
 from repro.runtime.control.site_manager import ExecutionState, SiteManager
 from repro.simcore.engine import Environment
-from repro.simcore.trace import Tracer
 from repro.util.errors import ConfigurationError
 
 
@@ -70,12 +69,11 @@ class RecoveryCoordinator:
     """Per-federation failover brain (wired by ``VDCE.enable_failover``)."""
 
     def __init__(self, env: Environment, network: Network,
-                 topology: Topology, tracer: Tracer | None = None,
+                 topology: Topology,
                  obs: Observability | None = None) -> None:
         self.env = env
         self.network = network
         self.topology = topology
-        self.tracer = tracer or Tracer(enabled=False)
         self.obs = obs if obs is not None else OBS_OFF
         self.sites: dict[str, SiteFailoverState] = {}
         self.failovers = 0
@@ -111,15 +109,14 @@ class RecoveryCoordinator:
             host = site.host(host_name)  # raises on unknown host
             replicas.append(StandbyReplica(
                 self.env, self.network, host, site,
-                repository=copy.deepcopy(sm.repository),
-                tracer=self.tracer, obs=self.obs))
+                repository=copy.deepcopy(sm.repository), obs=self.obs))
         standby_addrs = [r.address for r in replicas]
         shipper = ReplicationShipper(self.env, self.network, sm.address,
-                                     standby_addrs, tracer=self.tracer)
+                                     standby_addrs)
         sm.replication = shipper
         heartbeat = ServerHeartbeatDaemon(
             self.env, self.network, site, standby_addrs,
-            period_s=heartbeat_period_s, tracer=self.tracer)
+            period_s=heartbeat_period_s)
         state = SiteFailoverState(
             site=site, sm=sm, shipper=shipper, heartbeat=heartbeat,
             replicas=replicas, monitors=monitors,
@@ -127,8 +124,10 @@ class RecoveryCoordinator:
             promote_grace_s=promote_grace_s)
         self._attach_trackers(state)
         self.sites[site.name] = state
-        self.tracer.record(self.env.now, "rec:enabled", sm.address,
-                           site=site.name, standbys=sorted(standby_addrs))
+        if self.obs.enabled:
+            self.obs.trace.record(self.env.now, "rec:enabled", sm.address,
+                                  site=site.name,
+                                  standbys=sorted(standby_addrs))
         return replicas
 
     def _attach_trackers(self, state: SiteFailoverState) -> None:
@@ -178,7 +177,7 @@ class RecoveryCoordinator:
         new_sm = SiteManager(
             self.env, self.network, site, replica.repository,
             self.topology, selection_timeout_s=old_sm.selection_timeout_s,
-            tracer=self.tracer, obs=self.obs)
+            obs=self.obs)
         for gm in old_sm.group_managers.values():
             new_sm.register_group_manager(gm)
         new_sm.on_reschedule_request = old_sm.on_reschedule_request
@@ -197,10 +196,10 @@ class RecoveryCoordinator:
         new_sm.replication = ReplicationShipper(
             self.env, self.network, new_sm.address,
             [r.address for r in survivors],
-            start_lsn=replica.last_lsn(), tracer=self.tracer)
+            start_lsn=replica.last_lsn())
         heartbeat = ServerHeartbeatDaemon(
             self.env, self.network, site, [r.address for r in survivors],
-            period_s=state.heartbeat_period_s, tracer=self.tracer)
+            period_s=state.heartbeat_period_s)
         # 5. reconstruct execution state from the shipped log
         rebuilt = self._reconstruct(new_sm, old_sm, replica, site)
         state.sm = new_sm
@@ -211,12 +210,12 @@ class RecoveryCoordinator:
         state.promotions += 1
         state.history.append(replica.host.address)
         self.failovers += 1
-        self.tracer.record(self.env.now, "rec:promoted", new_sm.address,
-                           site=site_name, host=replica.host.address,
-                           executions=len(rebuilt),
-                           wal_records=len(records))
         obs = self.obs
         if obs.enabled:
+            obs.trace.record(self.env.now, "rec:promoted", new_sm.address,
+                             site=site_name, host=replica.host.address,
+                             executions=len(rebuilt),
+                             wal_records=len(records))
             obs.metrics.counter(
                 "failovers_total",
                 help="server failovers (standby promotions)").inc(

@@ -27,7 +27,6 @@ from repro.net import SERVER_HEARTBEAT
 from repro.net.network import Network
 from repro.resources.site import Site
 from repro.simcore.engine import Environment
-from repro.simcore.trace import Tracer
 from repro.util.errors import ConfigurationError
 
 #: service suffix of the heartbeat source endpoint on the server machine
@@ -38,8 +37,7 @@ class ServerHeartbeatDaemon:
     """Periodic I-am-alive beat from the active server to its standbys."""
 
     def __init__(self, env: Environment, network: Network, site: Site,
-                 standby_addrs: list[str], period_s: float = 2.0,
-                 tracer: Tracer | None = None) -> None:
+                 standby_addrs: list[str], period_s: float = 2.0) -> None:
         if period_s <= 0:
             raise ConfigurationError("heartbeat period must be positive")
         self.env = env
@@ -47,7 +45,6 @@ class ServerHeartbeatDaemon:
         self.site = site
         self.standby_addrs = sorted(standby_addrs)
         self.period_s = period_s
-        self.tracer = tracer or Tracer(enabled=False)
         self.address = f"{site.name}/server/{HEARTBEAT_SERVICE}"
         self.beats_sent = 0
         self._proc = env.process(self._beat_loop(),

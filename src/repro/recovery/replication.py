@@ -31,7 +31,6 @@ from repro.repository.site_repository import SiteRepository
 from repro.resources.host import Host
 from repro.resources.site import Site
 from repro.simcore.engine import Environment
-from repro.simcore.trace import Tracer
 
 
 class ReplicationShipper:
@@ -39,14 +38,12 @@ class ReplicationShipper:
 
     def __init__(self, env: Environment, network: Network,
                  src_address: str, standby_addrs: list[str],
-                 start_lsn: int = 0,
-                 tracer: Tracer | None = None) -> None:
+                 start_lsn: int = 0) -> None:
         self.env = env
         self.network = network
         self.src_address = src_address
         self.standby_addrs = sorted(standby_addrs)
         self.wal = WriteAheadLog(start_lsn=start_lsn)
-        self.tracer = tracer or Tracer(enabled=False)
 
     def log(self, kind: str, payload: dict[str, Any]) -> WalRecord:
         """Record one mutation and ship it to the standbys."""
@@ -69,7 +66,6 @@ class StandbyReplica:
 
     def __init__(self, env: Environment, network: Network, host: Host,
                  site: Site, repository: SiteRepository,
-                 tracer: Tracer | None = None,
                  obs: Observability | None = None) -> None:
         self.env = env
         self.network = network
@@ -78,7 +74,6 @@ class StandbyReplica:
         #: this standby's own repository copy (snapshot at enable time,
         #: then rolled forward by shipped repository-kind records)
         self.repository = repository
-        self.tracer = tracer or Tracer(enabled=False)
         self.obs = obs if obs is not None else OBS_OFF
         self.address = f"{host.address}/{self.SERVICE}"
         self.mailbox = network.register(self.address)

@@ -16,7 +16,6 @@ from repro.net.network import Network
 from repro.net.topology import LinkSpec, Topology
 from repro.resources.host import Host, HostSpec
 from repro.simcore.engine import Environment
-from repro.simcore.trace import Tracer
 from repro.util.errors import ConfigurationError, NotRegisteredError
 from repro.util.rng import RngRegistry
 
@@ -117,14 +116,12 @@ class VDCEnvironment:
     :mod:`repro.runtime` and the facade in :mod:`repro.core`.
     """
 
-    def __init__(self, seed: int = 0, lan: LinkSpec | None = None,
-                 trace: bool = True) -> None:
+    def __init__(self, seed: int = 0, lan: LinkSpec | None = None) -> None:
         self.env = Environment()
-        self.tracer = Tracer(enabled=trace)
         self.topology = Topology() if lan is None else Topology(lan=lan)
         # sim-time clock drives lazily-applied time-varying link schedules
         self.topology.clock = lambda: self.env.now
-        self.network = Network(self.env, self.topology, tracer=self.tracer)
+        self.network = Network(self.env, self.topology)
         self.rng = RngRegistry(seed)
         self.sites: dict[str, Site] = {}
         self.network.is_up = self._host_is_up
@@ -201,10 +198,9 @@ def build_environment(
     site_hosts: dict[str, Iterable[HostSpec]],
     wan_links: Iterable[tuple[str, str, LinkSpec]],
     seed: int = 0,
-    trace: bool = True,
 ) -> VDCEnvironment:
     """Declarative constructor used by tests and workload generators."""
-    vdce = VDCEnvironment(seed=seed, trace=trace)
+    vdce = VDCEnvironment(seed=seed)
     for site_name, specs in site_hosts.items():
         vdce.add_site(site_name)
         for spec in specs:

@@ -37,7 +37,6 @@ from repro.runtime.data.data_manager import (
 )
 from repro.scheduling.rescheduling import ReschedulePolicy
 from repro.simcore.engine import Environment, Interrupt
-from repro.simcore.trace import Tracer
 from repro.tasklib.registry import LibraryRegistry
 from repro.util.errors import ExecutionError
 
@@ -63,7 +62,6 @@ class ApplicationController:
                  group_manager_addr: str,
                  policy: ReschedulePolicy | None = None,
                  monitor_interval_s: float = 1.0,
-                 tracer: Tracer | None = None,
                  obs: Observability | None = None) -> None:
         self.env = env
         self.network = network
@@ -74,7 +72,6 @@ class ApplicationController:
         self.group_manager_addr = group_manager_addr
         self.policy = policy or ReschedulePolicy()
         self.monitor_interval_s = monitor_interval_s
-        self.tracer = tracer or Tracer(enabled=False)
         self.obs = obs if obs is not None else OBS_OFF
         self.address = f"{host.address}/{self.SERVICE}"
         self.mailbox = network.register(self.address)
@@ -130,11 +127,11 @@ class ApplicationController:
                     # arrive here, so running would die on a closed
                     # channel.  Leave it unclaimed; the rescheduling
                     # pipeline re-issues it with the inputs attached.
-                    self.tracer.record(self.env.now,
-                                       "ac:unsourceable-repush",
-                                       self.host.address,
-                                       node=entry["node_id"],
-                                       execution=execution_id)
+                    if self.obs.enabled:
+                        self.obs.trace.record(
+                            self.env.now, "ac:unsourceable-repush",
+                            self.host.address, node=entry["node_id"],
+                            execution=execution_id)
                     continue
                 if not self._claim(execution_id, entry["node_id"],
                                    coordinator):
@@ -235,9 +232,10 @@ class ApplicationController:
         if report is not None:
             self.network.send(self.address, coordinator, TASK_COMPLETED,
                               payload=report, size_bytes=128)
-            self.tracer.record(self.env.now, "task-report-resent",
-                               self.host.address, node=node_id,
-                               execution=execution_id)
+            if self.obs.enabled:
+                self.obs.trace.record(self.env.now, "task-report-resent",
+                                      self.host.address, node=node_id,
+                                      execution=execution_id)
 
     def _in_spec(self, execution_id: str, entry: dict,
                  link: dict) -> ChannelSpec:
@@ -302,13 +300,13 @@ class ApplicationController:
         slowdown_at_start = self.host.slowdown(extra_memory_mb=memory)
         self.host.task_started(load=1.0, memory_mb=memory)
         self._occupy_participants(entry, duration)
-        self.tracer.record(self.env.now, "task-start", self.host.address,
-                           node=node_id, duration=duration,
-                           execution=execution_id)
         started = self.env.now
         obs = self.obs
         task_span = None
         if obs.enabled:
+            obs.trace.record(started, "task-start", self.host.address,
+                             node=node_id, duration=duration,
+                             execution=execution_id)
             task_span = obs.spans.begin(
                 node_id, "task-execution", self.host.address, started,
                 parent_id=obs.spans.lookup(("app", execution_id)),
@@ -324,10 +322,10 @@ class ApplicationController:
             # terminated by the overload watcher (or a failure handler)
             self.host.task_finished(load=1.0, memory_mb=memory)
             self.stats.overload_terminations += 1
-            self.tracer.record(self.env.now, "task-terminated",
-                               self.host.address, node=node_id,
-                               cause=str(interrupt.cause))
             if obs.enabled and task_span is not None:
+                obs.trace.record(self.env.now, "task-terminated",
+                                 self.host.address, node=node_id,
+                                 cause=str(interrupt.cause))
                 obs.spans.end(task_span, self.env.now,
                               terminated=str(interrupt.cause))
                 obs.metrics.counter(
@@ -361,9 +359,10 @@ class ApplicationController:
             yield self.env.process(self.data_manager.send_output(
                 spec, value, link["size_bytes"]))
         self.stats.tasks_executed += 1
-        self.tracer.record(self.env.now, "task-finish", self.host.address,
-                           node=node_id, elapsed=elapsed,
-                           execution=execution_id)
+        if obs.enabled:
+            obs.trace.record(self.env.now, "task-finish", self.host.address,
+                             node=node_id, elapsed=elapsed,
+                             execution=execution_id)
         report = {
             "execution_id": execution_id, "node_id": node_id,
             "task_name": entry["task_name"], "host": self.host.address,
@@ -393,8 +392,10 @@ class ApplicationController:
             except ExecutionError:
                 # numeric failure: propagate Nones downstream; the paper's
                 # runtime "intercepts the error messages generated"
-                self.tracer.record(self.env.now, "task-numeric-error",
-                                   self.host.address, node=entry["node_id"])
+                if self.obs.enabled:
+                    self.obs.trace.record(
+                        self.env.now, "task-numeric-error",
+                        self.host.address, node=entry["node_id"])
         return {port: None for port in definition.signature.outputs}
 
     # -- parallel participants -----------------------------------------------

@@ -34,7 +34,6 @@ from repro.net.network import Network
 from repro.obs import OBS_OFF, Observability
 from repro.runtime.control.change_filter import ChangeFilter
 from repro.simcore.engine import Environment
-from repro.simcore.trace import Tracer
 from repro.util.errors import ConfigurationError
 
 HOST_UP = "host-up"
@@ -63,7 +62,6 @@ class GroupManager:
                  echo_timeout_s: float = 1.0,
                  miss_limit: int = 2,
                  change_filter: ChangeFilter | None = None,
-                 tracer: Tracer | None = None,
                  obs: Observability | None = None) -> None:
         if echo_period_s <= 0 or echo_timeout_s <= 0:
             raise ConfigurationError("echo period/timeout must be positive")
@@ -80,7 +78,6 @@ class GroupManager:
         self.echo_timeout_s = echo_timeout_s
         self.miss_limit = miss_limit
         self.filter = change_filter or ChangeFilter()
-        self.tracer = tracer or Tracer(enabled=False)
         self.obs = obs if obs is not None else OBS_OFF
         self.stats = GroupManagerStats()
         #: same-tick forwarded monitor samples, shipped as one batched
@@ -123,6 +120,10 @@ class GroupManager:
         forwarded = self.filter.observe(host, sample["cpu_load"])
         obs = self.obs
         if obs.enabled:
+            obs.trace.record(self.env.now,
+                             "gm:forward" if forwarded else "gm:suppress",
+                             self.address, host=host,
+                             load=sample["cpu_load"])
             obs.metrics.counter(
                 "gm_reports_total",
                 help="load reports handled, by filter outcome").inc(
@@ -139,11 +140,6 @@ class GroupManager:
                 # NORMAL-priority callback, append order preserved.
                 # reprolint: disable=DET003 -- same-tick coalescing flush, arrival-ordered
                 self.env.call_later(0.0, self._flush_updates)
-            self.tracer.record(self.env.now, "gm:forward", self.address,
-                               host=host, load=sample["cpu_load"])
-        else:
-            self.tracer.record(self.env.now, "gm:suppress", self.address,
-                               host=host, load=sample["cpu_load"])
 
     def _flush_updates(self, _arg=None) -> None:
         """Ship the tick's forwarded samples as one batched update."""
@@ -207,34 +203,34 @@ class GroupManager:
                     # the machine answered again: recovery
                     self._marked_down.discard(host)
                     self.stats.recoveries_detected += 1
-                    if obs.enabled:
-                        obs.metrics.counter(
-                            "gm_liveness_events_total",
-                            help="echo-inferred host state changes").inc(
-                                host=host, kind="recovery")
                     self.network.send(self.address, self.site_manager_addr,
                                       HOST_UP, payload={"host": host,
                                                         "time": self.env.now},
                                       size_bytes=48)
-                    self.tracer.record(self.env.now, "gm:host-up",
-                                       self.address, host=host)
+                    if obs.enabled:
+                        obs.trace.record(self.env.now, "gm:host-up",
+                                         self.address, host=host)
+                        obs.metrics.counter(
+                            "gm_liveness_events_total",
+                            help="echo-inferred host state changes").inc(
+                                host=host, kind="recovery")
             else:
                 self._misses[host] += 1
                 if self._misses[host] >= self.miss_limit and \
                         host not in self._marked_down:
                     self._marked_down.add(host)
                     self.stats.failures_detected += 1
-                    if obs.enabled:
-                        obs.metrics.counter(
-                            "gm_liveness_events_total",
-                            help="echo-inferred host state changes").inc(
-                                host=host, kind="failure")
                     self.network.send(self.address, self.site_manager_addr,
                                       HOST_DOWN, payload={"host": host,
                                                           "time": self.env.now},
                                       size_bytes=48)
-                    self.tracer.record(self.env.now, "gm:host-down",
-                                       self.address, host=host)
+                    if obs.enabled:
+                        obs.trace.record(self.env.now, "gm:host-down",
+                                         self.address, host=host)
+                        obs.metrics.counter(
+                            "gm_liveness_events_total",
+                            help="echo-inferred host state changes").inc(
+                                host=host, kind="failure")
 
     # -- allocation distribution -------------------------------------------
     def _on_allocation(self, msg) -> None:

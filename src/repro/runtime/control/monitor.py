@@ -17,7 +17,6 @@ from repro.net.network import Network
 from repro.obs import OBS_OFF, Observability
 from repro.resources.host import Host
 from repro.simcore.engine import Environment
-from repro.simcore.trace import Tracer
 from repro.util.errors import ConfigurationError
 
 
@@ -28,7 +27,6 @@ class MonitorDaemon:
 
     def __init__(self, env: Environment, network: Network, host: Host,
                  group_leader_addr: str, period_s: float = 2.0,
-                 tracer: Tracer | None = None,
                  obs: Observability | None = None) -> None:
         if period_s <= 0:
             raise ConfigurationError("monitor period must be positive")
@@ -37,7 +35,6 @@ class MonitorDaemon:
         self.host = host
         self.group_leader_addr = group_leader_addr
         self.period_s = period_s
-        self.tracer = tracer or Tracer(enabled=False)
         self.obs = obs if obs is not None else OBS_OFF
         self.address = f"{host.address}/{self.SERVICE}"
         self.mailbox = network.register(self.address)
@@ -108,21 +105,16 @@ class MonitorDaemon:
             if self.host.up == was_up:
                 continue
             was_up = self.host.up
+            kind = "recovered" if was_up else "crashed"
+            self.transitions.append((self.env.now, kind))
             obs = self.obs
             if obs.enabled:
+                obs.trace.record(self.env.now, f"mon:{kind}", self.address)
                 obs.metrics.counter(
                     "monitor_transitions_total",
                     help="locally observed up/down transitions").inc(
-                        host=self.host.address,
-                        kind="recovered" if self.host.up else "crashed")
-            if not self.host.up:
-                self.transitions.append((self.env.now, "crashed"))
-                self.tracer.record(self.env.now, "mon:crashed",
-                                   self.address)
-            else:
-                self.transitions.append((self.env.now, "recovered"))
-                self.tracer.record(self.env.now, "mon:recovered",
-                                   self.address)
+                        host=self.host.address, kind=kind)
+            if was_up:
                 self.network.send(self.address, self.group_leader_addr,
                                   LOAD_REPORT, payload=self.measure(),
                                   size_bytes=64)

@@ -49,7 +49,6 @@ from repro.scheduling.allocation import ResourceAllocationTable
 from repro.scheduling.host_selection import HostSelectionResult, HostSelector
 from repro.scheduling.site_scheduler import SiteScheduler
 from repro.simcore.engine import Environment, Event
-from repro.simcore.trace import Tracer
 from repro.util.errors import SchedulingError
 
 TASK_COMPLETED = "task-completed"
@@ -91,7 +90,6 @@ class SiteManager:
     def __init__(self, env: Environment, network: Network, site: Site,
                  repository: SiteRepository, topology: Topology,
                  selection_timeout_s: float = 5.0,
-                 tracer: Tracer | None = None,
                  obs: Observability | None = None) -> None:
         self.env = env
         self.network = network
@@ -99,7 +97,6 @@ class SiteManager:
         self.repository = repository
         self.topology = topology
         self.selection_timeout_s = selection_timeout_s
-        self.tracer = tracer or Tracer(enabled=False)
         self.obs = obs if obs is not None else OBS_OFF
         self.address = f"{site.name}/server/{self.SERVICE}"
         self.mailbox = network.register(self.address)
@@ -176,9 +173,10 @@ class SiteManager:
                 available_memory_mb=sample["available_memory_mb"],
                 time=sample["time"])
             self.updates_applied += 1
-            self.tracer.record(self.env.now, "sm:db-update", self.address,
-                               host=sample["host"], load=sample["cpu_load"])
             if self.obs.enabled:
+                self.obs.trace.record(
+                    self.env.now, "sm:db-update", self.address,
+                    host=sample["host"], load=sample["cpu_load"])
                 self.obs.metrics.counter(
                     "sm_db_updates_total",
                     help="repository workload updates applied").inc(
@@ -189,9 +187,9 @@ class SiteManager:
         self._log("host-down", {"host": host, "time": self.env.now})
         if host in self.repository.resource_performance:
             self.repository.resource_performance.mark_down(host, self.env.now)
-        self.tracer.record(self.env.now, "sm:host-down", self.address,
-                           host=host)
         if self.obs.enabled:
+            self.obs.trace.record(self.env.now, "sm:host-down", self.address,
+                                  host=host)
             self.obs.metrics.counter(
                 "sm_host_events_total",
                 help="host down/up notifications handled").inc(
@@ -207,8 +205,10 @@ class SiteManager:
             state.expected_acks.discard(host)
             state.received_acks.discard(host)
             state.controllers.discard(f"{host}/appctl")
-            self.tracer.record(self.env.now, "sm:ack-waived", self.address,
-                               execution=state.execution_id, host=host)
+            if self.obs.enabled:
+                self.obs.trace.record(
+                    self.env.now, "sm:ack-waived", self.address,
+                    execution=state.execution_id, host=host)
             self._maybe_start(state)
         if self.on_host_down is not None:
             self.on_host_down(host)
@@ -235,9 +235,11 @@ class SiteManager:
                 state.expected_acks.discard(host)
                 state.received_acks.discard(host)
                 state.controllers.discard(f"{host}/appctl")
-            self.tracer.record(self.env.now, "sm:site-acks-waived",
-                               self.address, execution=state.execution_id,
-                               site=site_name, hosts=len(stale))
+            if self.obs.enabled:
+                self.obs.trace.record(
+                    self.env.now, "sm:site-acks-waived", self.address,
+                    execution=state.execution_id, site=site_name,
+                    hosts=len(stale))
             self._maybe_start(state)
 
     def _on_host_up(self, msg) -> None:
@@ -245,9 +247,9 @@ class SiteManager:
         self._log("host-up", {"host": host, "time": self.env.now})
         if host in self.repository.resource_performance:
             self.repository.resource_performance.mark_up(host, self.env.now)
-        self.tracer.record(self.env.now, "sm:host-up", self.address,
-                           host=host)
         if self.obs.enabled:
+            self.obs.trace.record(self.env.now, "sm:host-up", self.address,
+                                  host=host)
             self.obs.metrics.counter(
                 "sm_host_events_total",
                 help="host down/up notifications handled").inc(
@@ -270,8 +272,10 @@ class SiteManager:
                           payload={"request_id": payload["request_id"],
                                    "result": result},
                           size_bytes=128 + 64 * len(result.choices))
-        self.tracer.record(self.env.now, "sm:selection-served", self.address,
-                           application=graph.name, requester=msg.src)
+        if self.obs.enabled:
+            self.obs.trace.record(
+                self.env.now, "sm:selection-served", self.address,
+                application=graph.name, requester=msg.src)
 
     def _on_selection_reply(self, msg) -> None:
         payload = msg.payload
@@ -321,9 +325,10 @@ class SiteManager:
             yield self.env.any_of([pending.done, timeout])
         del self._pending[request_id]
         table, report = scheduler.schedule(graph, dict(pending.results))
-        self.tracer.record(self.env.now, "sm:scheduled", self.address,
-                           application=graph.name,
-                           sites=sorted(pending.results))
+        if self.obs.enabled:
+            self.obs.trace.record(self.env.now, "sm:scheduled", self.address,
+                                  application=graph.name,
+                                  sites=sorted(pending.results))
         return table, report
 
     # -- allocation distribution (Figure 6 interaction 4) ---------------------
@@ -483,9 +488,9 @@ class SiteManager:
         self.network.send_batch(
             self.address, sorted(state.controllers), START_SIGNAL,
             payload={"execution_id": state.execution_id}, size_bytes=32)
-        self.tracer.record(self.env.now, "sm:start-signal", self.address,
-                           execution=state.execution_id)
         if self.obs.enabled:
+            self.obs.trace.record(self.env.now, "sm:start-signal",
+                                  self.address, execution=state.execution_id)
             self.obs.metrics.counter(
                 "sm_start_signals_total",
                 help="execution start signals emitted").inc(
@@ -525,8 +530,10 @@ class SiteManager:
             self._log("exec-finished",
                       {"execution_id": state.execution_id})
             state.finished.succeed(dict(state.completed_tasks))
-            self.tracer.record(self.env.now, "sm:app-completed", self.address,
-                               execution=state.execution_id)
+            if self.obs.enabled:
+                self.obs.trace.record(
+                    self.env.now, "sm:app-completed", self.address,
+                    execution=state.execution_id)
 
     def resend_start(self, state: ExecutionState) -> None:
         """Re-emit the start signal for an already-started execution.
@@ -539,8 +546,9 @@ class SiteManager:
         self.network.send_batch(
             self.address, sorted(state.controllers), START_SIGNAL,
             payload={"execution_id": state.execution_id}, size_bytes=32)
-        self.tracer.record(self.env.now, "sm:start-resent", self.address,
-                           execution=state.execution_id)
+        if self.obs.enabled:
+            self.obs.trace.record(self.env.now, "sm:start-resent",
+                                  self.address, execution=state.execution_id)
 
     def execution_state(self, execution_id: str) -> ExecutionState:
         """Bookkeeping for one distributed execution (acks, completions)."""
@@ -548,9 +556,11 @@ class SiteManager:
 
     # -- rescheduling relay -------------------------------------------------------
     def _on_reschedule_request(self, msg) -> None:
-        self.tracer.record(self.env.now, "sm:reschedule-request", self.address,
-                           host=msg.payload.get("host"),
-                           reason=msg.payload.get("reason"))
+        if self.obs.enabled:
+            self.obs.trace.record(
+                self.env.now, "sm:reschedule-request", self.address,
+                host=msg.payload.get("host"),
+                reason=msg.payload.get("reason"))
         if self.on_reschedule_request is not None:
             self.on_reschedule_request(msg.payload)
 

@@ -29,7 +29,6 @@ from repro.runtime.data.conversion import conversion_cost_s, convert
 from repro.runtime.data.messaging import RetryPolicy
 from repro.simcore.engine import Environment
 from repro.simcore.store import Store
-from repro.simcore.trace import Tracer
 from repro.util.errors import ChannelError, DeliveryTimeoutError
 
 
@@ -77,7 +76,6 @@ class DataManager:
 
     def __init__(self, env: Environment, network: Network, host: Host,
                  byte_orders: dict[str, str] | None = None,
-                 tracer: Tracer | None = None,
                  retry_policy: RetryPolicy | None = None,
                  retry_rng=None,
                  obs: Observability | None = None) -> None:
@@ -89,7 +87,6 @@ class DataManager:
         #: the shared named stream ``rng.stream("retry-jitter")``); None
         #: keeps the plain deterministic backoff ladder
         self.retry_rng = retry_rng
-        self.tracer = tracer or Tracer(enabled=False)
         self.obs = obs if obs is not None else OBS_OFF
         self.address = f"{host.address}/{self.SERVICE}"
         self.mailbox = network.register(self.address)
@@ -172,6 +169,9 @@ class DataManager:
             if attempt < policy.max_attempts:
                 self.stats.retries += 1
                 if obs.enabled:
+                    obs.trace.record(self.env.now, "dm:retry", self.address,
+                                     key=spec.key, attempt=attempt + 1,
+                                     dst=spec.dst_host)
                     obs.metrics.counter(
                         "dm_setup_retries_total",
                         help="channel-setup retries").inc(
@@ -181,11 +181,11 @@ class DataManager:
                         help="retransmissions across all subsystems").inc(
                             component="data-manager",
                             host=self.host.address)
-                self.tracer.record(self.env.now, "dm:retry", self.address,
-                                   key=spec.key, attempt=attempt + 1,
-                                   dst=spec.dst_host)
         self.stats.setups_abandoned += 1
         if obs.enabled:
+            obs.trace.record(self.env.now, "dm:setup-abandoned", self.address,
+                             key=spec.key, dst=spec.dst_host,
+                             attempts=policy.max_attempts)
             obs.metrics.counter(
                 "dm_setups_abandoned_total",
                 help="channel setups abandoned after retries").inc(
@@ -194,9 +194,6 @@ class DataManager:
                 "delivery_timeouts_total",
                 help="exchanges abandoned after the retry budget").inc(
                     component="data-manager", host=self.host.address)
-        self.tracer.record(self.env.now, "dm:setup-abandoned", self.address,
-                           key=spec.key, dst=spec.dst_host,
-                           attempts=policy.max_attempts)
         self._pending_acks.pop(spec.key, None)
         return False
 
@@ -235,8 +232,9 @@ class DataManager:
                 raise DeliveryTimeoutError(
                     f"channel setup exhausted retries for {failed} "
                     f"(policy: {self.retry_policy})")
-        self.tracer.record(self.env.now, "dm:channels-ready", self.address,
-                           count=len(specs))
+        if self.obs.enabled:
+            self.obs.trace.record(self.env.now, "dm:channels-ready",
+                                  self.address, count=len(specs))
         return len(specs)
 
     def _inbox_loop(self):
@@ -307,8 +305,9 @@ class DataManager:
             # drop, exactly like the cross-host orphan-data path.
             store = self._endpoints.get(spec.key)
             if store is None:
-                self.tracer.record(self.env.now, "dm:orphan-data",
-                                   self.address, key=spec.key)
+                if obs.enabled:
+                    obs.trace.record(self.env.now, "dm:orphan-data",
+                                     self.address, key=spec.key)
             else:
                 store.put({"key": spec.key, "value": value,
                            "src_node": spec.src_node})
@@ -319,8 +318,9 @@ class DataManager:
         store = self._endpoints.get(key)
         if store is None:
             # Channel torn down (e.g. consumer rescheduled): drop.
-            self.tracer.record(self.env.now, "dm:orphan-data", self.address,
-                               key=key)
+            if self.obs.enabled:
+                self.obs.trace.record(self.env.now, "dm:orphan-data",
+                                      self.address, key=key)
             return
         store.put(msg.payload)
 

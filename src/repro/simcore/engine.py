@@ -176,8 +176,9 @@ class Timeout(Event):
     _exception = None
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # NaN-safe: NaN fails every comparison
+            raise SimulationError(
+                f"timeout delay must be >= 0, got {delay}")
         self.env = env
         self.callbacks = _NO_WAITERS
         self._value = value
@@ -477,8 +478,9 @@ def _compile_timeout():
         of through ``Timeout.__init__``'s chained constructors (``_ok``
         and ``_exception`` are class-level on :class:`Timeout`).
         """
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # NaN-safe: NaN fails every comparison
+            raise SimulationError(
+                f"timeout delay must be >= 0, got {delay}")
         ev = _new(_cls)
         ev.env = self
         ev.callbacks = _mark
@@ -553,8 +555,9 @@ class Environment:
         an event triggered at the same instant would run; it must not
         assume an active process (``env.active_process`` is ``None``).
         """
-        if delay < 0:
-            raise SimulationError(f"negative call_later delay: {delay}")
+        if not delay >= 0:  # NaN-safe: NaN fails every comparison
+            raise SimulationError(
+                f"call_later delay must be >= 0, got {delay}")
         entry = _Callback(fn, arg)
         heappush(self._queue, (self._now + delay, NORMAL, next(self._seq),
                                entry))

@@ -2,8 +2,10 @@
 
 Every significant happening in the simulated VDCE (load report, echo
 packet, schedule decision, channel setup, task start/finish, failure) is
-recorded as a :class:`TraceRecord`.  The visualization services (paper
-section 2.3.2) and the benchmark harness are both consumers of the trace.
+recorded as a :class:`TraceRecord` in the ``trace`` log of an enabled
+:class:`~repro.obs.Observability` handle; an unobserved run records
+nothing.  The visualization services (paper section 2.3.2) and the
+post-mortem archive read the trace.
 """
 
 from __future__ import annotations
@@ -35,16 +37,13 @@ class TraceRecord:
 class Tracer:
     """Append-only trace with filtered queries and live subscribers."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.records: list[TraceRecord] = []
         self._subscribers: list[Callable[[TraceRecord], None]] = []
 
     def record(self, time: float, category: str, actor: str,
                **detail: Any) -> None:
-        """Append a record (no-op when tracing is disabled)."""
-        if not self.enabled:
-            return
+        """Append a record and hand it to every subscriber."""
         rec = TraceRecord(time=time, category=category, actor=actor,
                           detail=detail)
         self.records.append(rec)

@@ -21,6 +21,7 @@ deterministically from the user and job names (:func:`tenant_of_user`,
 
 from __future__ import annotations
 
+import math
 import zlib
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
@@ -93,6 +94,10 @@ def parse_trace_line(line: str, lineno: int = 0) -> JobRequest | None:
         duration = float(parts[3])
     except ValueError as exc:
         raise TraceError(f"trace line {lineno}: {exc}") from None
+    if not (math.isfinite(submit) and math.isfinite(duration)):
+        raise TraceError(
+            f"trace line {lineno}: submit and duration must be finite, "
+            f"got {text!r}")
     if nproc < 1:
         raise TraceError(f"trace line {lineno}: nproc must be >= 1")
     if submit < 0 or duration <= 0:

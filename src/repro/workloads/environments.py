@@ -36,11 +36,11 @@ def _populate_site(vdce: VDCE, site: str, n_hosts: int, offset: int,
 
 
 def nynet_testbed(seed: int = 0, hosts_per_site: int = 4,
-                  with_loads: bool = True, trace: bool = True,
+                  with_loads: bool = True,
                   load_mean_range: tuple[float, float] = (0.1, 0.8),
                   **vdce_kwargs) -> VDCE:
     """The paper's two-site NYNET deployment: Syracuse <-ATM-> Rome."""
-    vdce = VDCE(seed=seed, trace=trace, **vdce_kwargs)
+    vdce = VDCE(seed=seed, **vdce_kwargs)
     vdce.add_site("syracuse", lan=ETHERNET_10)
     vdce.add_site("rome", lan=ETHERNET_10)
     vdce.connect_sites("syracuse", "rome", ATM_OC3)
@@ -58,13 +58,13 @@ def nynet_testbed(seed: int = 0, hosts_per_site: int = 4,
 
 def wide_area_testbed(n_sites: int = 4, hosts_per_site: int = 4,
                       seed: int = 0, with_loads: bool = True,
-                      trace: bool = True, ring: bool = False,
+                      ring: bool = False,
                       wan_link: LinkSpec | None = None,
                       **vdce_kwargs) -> VDCE:
     """N sites on a WAN chain (or ring), heterogeneous hosts per site."""
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
-    vdce = VDCE(seed=seed, trace=trace, **vdce_kwargs)
+    vdce = VDCE(seed=seed, **vdce_kwargs)
     link = wan_link or T1_WAN
     names = [f"site{i}" for i in range(n_sites)]
     for name in names:
@@ -86,9 +86,9 @@ def wide_area_testbed(n_sites: int = 4, hosts_per_site: int = 4,
 
 
 def quiet_testbed(seed: int = 0, hosts_per_site: int = 3,
-                  trace: bool = True, **vdce_kwargs) -> VDCE:
+                  **vdce_kwargs) -> VDCE:
     """Two idle heterogeneous sites: deterministic fast tests."""
     vdce_kwargs.setdefault("reschedule_policy",
                            ReschedulePolicy(load_threshold=1e9))
     return nynet_testbed(seed=seed, hosts_per_site=hosts_per_site,
-                         with_loads=False, trace=trace, **vdce_kwargs)
+                         with_loads=False, **vdce_kwargs)

@@ -21,7 +21,6 @@ from typing import Any
 from repro.faults import FaultPlan
 from repro.obs import Observability
 from repro.obs.export import chrome_trace_json, trace_to_jsonl
-from repro.simcore.trace import Tracer
 from repro.util.errors import VDCEError
 from repro.workloads import linear_solver_graph, quiet_testbed
 
@@ -156,7 +155,7 @@ def run_chaos(seed: int, n: int = 200, horizon_s: float = 60.0,
         chrome_trace=(chrome_trace_json(observability.spans.spans,
                                         clock_end=vdce.now)
                       if observability is not None else None),
-        trace=(trace_to_jsonl(_without_span_mirror(vdce.tracer))
+        trace=(trace_to_jsonl(observability.trace)
                if observability is not None else None),
         failovers=vdce.recovery.failovers if vdce.recovery else 0,
         tasks_executed=sum(ac.stats.tasks_executed
@@ -164,14 +163,6 @@ def run_chaos(seed: int, n: int = 200, horizon_s: float = 60.0,
         ledger=(vdce.federation.ledger_json()
                 if vdce.federation is not None else None),
     )
-
-
-def _without_span_mirror(tracer: Tracer) -> Tracer:
-    """The flat trace minus the ``span:*`` records mirrored from spans."""
-    flat = Tracer()
-    flat.records = [rec for rec in tracer.records
-                    if not rec.category.startswith("span:")]
-    return flat
 
 
 def assert_invariants(outcome: ChaosOutcome) -> None:

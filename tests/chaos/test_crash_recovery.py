@@ -10,13 +10,14 @@ reassignment.
 import pytest
 
 from repro.faults import FaultPlan, HostCrash, MessageFaults
+from repro.obs import Observability
 from repro.viz.postmortem import RunArchive
 from repro.workloads import linear_solver_graph, quiet_testbed
 
 
 @pytest.fixture(scope="module")
 def recovered_run():
-    v = quiet_testbed(seed=101)
+    v = quiet_testbed(seed=101, obs=Observability())
     v.start()
     # Window 1: drop every channel-setup for the first 4 simulated
     # seconds.  The default retry ladder (1 + 2 + 4 s) resends until the

@@ -152,7 +152,7 @@ class TestLocalRunnerIOService:
 
 class TestNetworkDelayModel:
     def test_delay_components(self):
-        v = quiet_testbed(seed=74, trace=False)
+        v = quiet_testbed(seed=74)
         v.start()
         net = v.network
         # same host: near-zero; same site: LAN; cross site: WAN
@@ -181,10 +181,9 @@ class TestComparativeRunsIntegration:
 class TestWideAreaRing:
     def test_ring_topology_shortens_wraparound(self, registry):
         from repro.workloads import wide_area_testbed
-        chain = wide_area_testbed(n_sites=4, seed=1, with_loads=False,
-                                  trace=False)
+        chain = wide_area_testbed(n_sites=4, seed=1, with_loads=False)
         ring = wide_area_testbed(n_sites=4, seed=1, with_loads=False,
-                                 trace=False, ring=True)
+                                 ring=True)
         # site0 -> site3: 3 hops on the chain, 1 hop on the ring
         assert len(chain.topology.path("site0", "site3")) == 4
         assert len(ring.topology.path("site0", "site3")) == 2

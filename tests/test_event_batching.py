@@ -70,6 +70,18 @@ class TestCallLater:
         with pytest.raises(SimulationError):
             env.call_later(-0.1, print, None)
 
+    def test_nan_delay_rejected(self):
+        # a NaN entry would fire at now = NaN and poison the clock; an
+        # infinite delay stays legal (the entry simply never fires)
+        env = Environment()
+        fired = []
+        with pytest.raises(SimulationError):
+            env.call_later(float("nan"), fired.append, "nan")
+        env.call_later(float("inf"), fired.append, "never")
+        env.call_later(1.0, fired.append, "one")
+        env.run(until=10.0)
+        assert fired == ["one"] and env.now == 10.0
+
 
 class TestPutNowait:
     def test_unbounded_appends_like_put(self):

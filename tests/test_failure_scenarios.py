@@ -41,8 +41,7 @@ class TestGroupLeaderFailure:
         silent (its host drops all traffic), so the Site Manager stops
         receiving that group's workload updates — an emergent blind spot
         the paper's design shares."""
-        v = nynet_testbed(seed=51, hosts_per_site=6, with_loads=True,
-                          trace=True)
+        v = nynet_testbed(seed=51, hosts_per_site=6, with_loads=True)
         v.start()
         site = v.world.sites["syracuse"]
         leader = site.group_leader("g0")

@@ -116,7 +116,7 @@ class TestDirectorySyncUnits:
 
 def two_site_vdce(seed: int) -> VDCE:
     """A minimal federation with no default user (deterministic rows)."""
-    vdce = VDCE(seed=seed, trace=False)
+    vdce = VDCE(seed=seed)
     vdce.add_site("alpha", lan=ETHERNET_10)
     vdce.add_site("beta", lan=ETHERNET_10)
     vdce.connect_sites("alpha", "beta", ATM_OC3)

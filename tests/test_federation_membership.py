@@ -207,7 +207,7 @@ def run_property_federation(seed: int) -> dict:
     fourth site, and drains away a random non-coordinator site.
     """
     vdce = wide_area_testbed(n_sites=3, hosts_per_site=3, seed=seed,
-                             with_loads=False, trace=False)
+                             with_loads=False)
     vdce.start()
     fed = vdce.federation = None  # appease linters; reassigned below
     fed = vdce.enable_membership()

@@ -6,6 +6,7 @@ import pytest
 
 from repro import VDCE, HostSpec, QoSRequirement, TaskProperties
 from repro.faults import FaultPlan, HostCrash
+from repro.obs import Observability
 from repro.scheduling.rescheduling import ReschedulePolicy
 from repro.util.errors import ConfigurationError, QoSViolationError
 from repro.workloads import (
@@ -194,7 +195,8 @@ class TestDynamicRescheduling:
     def build(self):
         v = nynet_testbed(seed=21, with_loads=False, hosts_per_site=3,
                           reschedule_policy=ReschedulePolicy(
-                              load_threshold=3.0, max_attempts=3))
+                              load_threshold=3.0, max_attempts=3),
+                          obs=Observability())
         v.start()
         return v
 

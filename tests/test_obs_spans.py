@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.spans import SPAN_CATEGORIES, SpanTracker
-from repro.simcore.trace import Tracer
 
 
 class TestSpanLifecycle:
@@ -107,21 +106,3 @@ class TestBindings:
         assert len(st) == 0
         assert st.lookup(("app", "exec-1")) is None
         assert st.begin("x", "application", "s", 0.0) == 1  # ids restart
-
-
-class TestTracerLayering:
-    def test_begin_end_emit_trace_records_when_enabled(self):
-        tracer = Tracer(enabled=True)
-        st = SpanTracker(tracer=tracer)
-        sid = st.begin("lu", "task-execution", "h1", 1.0)
-        st.end(sid, 2.0)
-        cats = tracer.categories()
-        assert cats.get("span:task-execution") == 2  # begin + end
-
-    def test_disabled_tracer_stays_silent(self):
-        tracer = Tracer(enabled=False)
-        st = SpanTracker(tracer=tracer)
-        sid = st.begin("lu", "task-execution", "h1", 1.0)
-        st.end(sid, 2.0)
-        assert tracer.count() == 0
-        assert len(st) == 1  # spans still recorded

@@ -208,6 +208,31 @@ def test_path_filters_scope_rules(tmp_path: Path) -> None:
     assert {Path(f.path).name for f in result.findings} == {"network.py"}
 
 
+def test_perf001_scope(tmp_path: Path) -> None:
+    # the guard check covers every repro module except the recorders;
+    # slots parity covers the four hot-path files only
+    unguarded = "def f(obs):\n    obs.trace.record(0.0, 'x', 'a')\n"
+    unslotted = ("class A:\n    __slots__ = ()\n\n\n"
+                 "class B:\n    pass\n")
+    files = {
+        "repro/runtime/daemon.py": unguarded + unslotted,
+        "repro/obs/spans.py": unguarded,
+        "repro/simcore/trace.py": unguarded,
+        "repro/net/network.py": unslotted,
+        "tooling.py": unguarded,
+    }
+    for rel, text in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    result = LintRunner([ALL_CHECKERS["PERF001"]()],
+                        excludes=()).run([tmp_path])
+    found = {(Path(f.path).relative_to(tmp_path).as_posix(), f.line)
+             for f in result.findings}
+    assert found == {("repro/runtime/daemon.py", 2),
+                     ("repro/net/network.py", 5)}
+
+
 def test_parse_errors_fail_the_run(tmp_path: Path) -> None:
     bad = tmp_path / "broken.py"
     bad.write_text("def oops(:\n")

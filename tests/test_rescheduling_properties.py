@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, HostCrash
+from repro.obs import Observability
 from repro.scheduling.allocation import AllocationEntry
 from repro.scheduling.rescheduling import Rescheduler
 from repro.util.errors import NoFeasibleHostError
@@ -86,7 +87,7 @@ class TestReschedulerProperties:
 class TestEndToEndCrashProperty:
     @pytest.mark.parametrize("seed", [3, 7, 11])
     def test_single_crash_never_reassigns_to_dead_host(self, seed):
-        v = quiet_testbed(seed=seed)
+        v = quiet_testbed(seed=seed, obs=Observability())
         v.start()
         graph = linear_solver_graph(v.registry, n=200)
         sites = sorted(v.world.sites)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import VDCE, ATM_OC3, HostSpec
+from repro.obs import Observability
 from repro.tasklib import (
     LibraryRegistry,
     TaskDefinition,
@@ -17,7 +18,7 @@ from repro.workloads import linear_solver_graph, quiet_testbed
 
 def small_vdce(registry=None, seed=61):
     v = VDCE(seed=seed, registry=registry or standard_registry(),
-             trace=True)
+             obs=Observability())
     v.add_site("syracuse")
     v.add_site("rome")
     v.connect_sites("syracuse", "rome", ATM_OC3)

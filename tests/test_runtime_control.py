@@ -4,6 +4,7 @@ the change filter, and failure detection."""
 import pytest
 
 from repro.faults import FaultPlan, HostCrash
+from repro.obs import Observability
 from repro.runtime.control.change_filter import ChangeFilter
 from repro.util.errors import ConfigurationError
 from repro.workloads import quiet_testbed
@@ -66,7 +67,7 @@ class TestChangeFilter:
 
 @pytest.fixture
 def vdce():
-    v = quiet_testbed(seed=3, trace=True)
+    v = quiet_testbed(seed=3, obs=Observability())
     v.start()
     return v
 

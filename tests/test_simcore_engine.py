@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simcore import Environment, Interrupt
+from repro.simcore.engine import Timeout
 from repro.util.errors import SimulationError
 
 
@@ -27,6 +28,14 @@ class TestClockAndTimeouts:
         env = Environment()
         with pytest.raises(SimulationError):
             env.timeout(-1.0)
+
+    def test_nan_timeout_rejected(self):
+        env = Environment()
+        with pytest.raises(SimulationError):
+            env.timeout(float("nan"))
+        with pytest.raises(SimulationError):
+            Timeout(env, float("nan"))
+        assert env.peek() == float("inf")  # nothing was queued
 
     def test_run_until_time_stops_clock_exactly(self):
         env = Environment()

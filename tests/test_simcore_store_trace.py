@@ -133,11 +133,6 @@ class TestTracer:
         recs = list(tr.query(category="tick", actor="a", since=3.0, until=7.0))
         assert [r.time for r in recs] == [3.0, 5.0, 7.0]
 
-    def test_disabled_tracer_records_nothing(self):
-        tr = Tracer(enabled=False)
-        tr.record(0.0, "x", "y")
-        assert tr.count() == 0
-
     def test_subscribe(self):
         tr = Tracer()
         seen = []

@@ -62,17 +62,17 @@ def test_background_load_means_follow_crc32_buckets() -> None:
 
 
 DISTRIBUTE_ORDER_CODE = """
+from repro.obs import Observability
 from repro.workloads.environments import quiet_testbed
 from repro.workloads.applications import linear_solver_graph
 
-vdce = quiet_testbed(seed=11)
+vdce = quiet_testbed(seed=11, obs=Observability())
 vdce.start()
 graph = linear_solver_graph(vdce.registry, n=40)
 process, run = vdce.submit(graph, sorted(vdce.world.sites)[0],
                            k_remote_sites=1)
 vdce.env.run(until=500.0)
-trace = vdce.tracer.records if vdce.tracer is not None else []
-for rec in trace:
+for rec in vdce.tracer.records:
     print(rec)
 print("completions", sorted(run.completions))
 print("makespan", f"{run.makespan:.9f}")
@@ -112,7 +112,7 @@ def test_distribution_order_sorted_regardless_of_set_order(monkeypatch):
     from repro.workloads.applications import fork_join_graph
     from repro.workloads.environments import quiet_testbed
 
-    vdce = quiet_testbed(seed=3, trace=False)
+    vdce = quiet_testbed(seed=3)
     vdce.start()
     graph = fork_join_graph(vdce.registry, width=8)
     sites = sorted(vdce.world.sites)

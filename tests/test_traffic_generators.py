@@ -206,6 +206,22 @@ class TestTraceFiles:
         with pytest.raises(TraceError):
             parse_trace_line("j1 two 0.0 5.0 u1")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["submit", "duration"])
+    def test_non_finite_times_rejected(self, column, value):
+        times = {"submit": "0.0", "duration": "5.0", column: value}
+        line = f"j1 1 {times['submit']} {times['duration']} u1"
+        with pytest.raises(TraceError, match="trace line 4: .* finite"):
+            parse_trace_line(line, lineno=4)
+
+    def test_nan_submit_fails_the_load_at_its_line(self, tmp_path):
+        # float() parses "nan" and nan < 0 is False: without the finite
+        # check this trace replays to a NaN horizon and utilization
+        path = tmp_path / "nan.txt"
+        path.write_text("j1 1 0.0 5.0 u1\nj2 1 nan 5.0 u2\n")
+        with pytest.raises(TraceError, match="trace line 2: .* finite"):
+            list(load_trace(path))
+
     def test_decreasing_submit_times_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("j1 1 5.0 1.0 u1\nj2 1 4.0 1.0 u1\n")

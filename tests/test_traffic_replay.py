@@ -203,7 +203,7 @@ class TestReplayCli:
         # back-compat: a positional path renders a post-mortem archive
         from repro.viz import archive_run
         from repro.workloads import linear_solver_graph, quiet_testbed
-        vdce = quiet_testbed(seed=2)
+        vdce = quiet_testbed(seed=2, obs=Observability())
         vdce.start()
         graph = linear_solver_graph(vdce.registry, n=40)
         run = vdce.run_application(graph, "syracuse", max_sim_time_s=600)

@@ -45,7 +45,7 @@ def wal_probe(vdce) -> dict:
 def run_monitored(*, failover: bool = False,
                   obs: Observability | None = None,
                   until: float = 30.0):
-    vdce = nynet_testbed(seed=5, trace=False, obs=obs)
+    vdce = nynet_testbed(seed=5, obs=obs)
     vdce.start()
     if failover:
         vdce.enable_failover("syracuse", ["h2", "h3"])

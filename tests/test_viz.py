@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.obs import Observability
 from repro.viz import ApplicationPerformanceView, ComparativeView, WorkloadView
 from repro.workloads import linear_solver_graph, quiet_testbed
 
 
 @pytest.fixture(scope="module")
 def completed():
-    v = quiet_testbed(seed=4)
+    v = quiet_testbed(seed=4, obs=Observability())
     v.start()
     g = linear_solver_graph(v.registry, n=40)
     run = v.run_application(g, "syracuse", max_sim_time_s=600)
@@ -98,7 +99,7 @@ class TestWorkloadHeatmap:
     def test_heatmap_rows_per_host(self):
         from repro.workloads import nynet_testbed
         v = nynet_testbed(seed=8, hosts_per_site=2, with_loads=True,
-                          filter_policy="always")
+                          filter_policy="always", obs=Observability())
         v.start()
         v.run(until=60)
         view = WorkloadView(v.tracer)
@@ -114,7 +115,7 @@ class TestWorkloadHeatmap:
     def test_heatmap_shade_scales_with_load(self):
         from repro.workloads import nynet_testbed
         v = nynet_testbed(seed=9, hosts_per_site=2, with_loads=False,
-                          filter_policy="always")
+                          filter_policy="always", obs=Observability())
         v.start()
         v.world.host("syracuse/h0").true_load = 3.9  # near max_load
         v.world.host("syracuse/h1").true_load = 0.05

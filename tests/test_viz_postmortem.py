@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults import FaultPlan, LinkDown
+from repro.obs import Observability
 from repro.util.errors import RuntimeSystemError
 from repro.viz import RunArchive, WorkloadView, archive_run
 from repro.workloads import linear_solver_graph, quiet_testbed
@@ -10,7 +11,7 @@ from repro.workloads import linear_solver_graph, quiet_testbed
 
 @pytest.fixture(scope="module")
 def completed():
-    v = quiet_testbed(seed=81)
+    v = quiet_testbed(seed=81, obs=Observability())
     v.start()
     g = linear_solver_graph(v.registry, n=50)
     run = v.run_application(g, "syracuse", max_sim_time_s=600)
@@ -47,7 +48,7 @@ class TestArchiveConstruction:
 
 class TestFaultRows:
     def test_mid_run_link_down_archived(self):
-        v = quiet_testbed(seed=81)
+        v = quiet_testbed(seed=81, obs=Observability())
         v.start()
         v.enable_membership()
         g = linear_solver_graph(v.registry, n=150)

@@ -39,7 +39,8 @@ def observed_run():
 @pytest.fixture(scope="module")
 def loaded_run():
     """A run on the loaded NYNET testbed, so sm:db-update records exist."""
-    vdce = nynet_testbed(seed=4, hosts_per_site=3, with_loads=True)
+    vdce = nynet_testbed(seed=4, hosts_per_site=3, with_loads=True,
+                         obs=Observability())
     vdce.start()
     vdce.warm_up(60.0)
     graph = linear_solver_graph(vdce.registry, n=40)

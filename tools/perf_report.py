@@ -132,8 +132,7 @@ def bench_predict_sweep(scale: int) -> int:
 def bench_scheduler_walk(scale: int) -> int:
     """Figure 4 + Figure 5: host selection at every site plus the site
     scheduler's ready-set walk, repeated with one predictor (warm)."""
-    vdce = nynet_testbed(seed=1, hosts_per_site=4, with_loads=True,
-                         trace=False)
+    vdce = nynet_testbed(seed=1, hosts_per_site=4, with_loads=True)
     vdce.start()
     vdce.warm_up(40.0)
     graph = linear_solver_graph(vdce.registry, n=200)
@@ -158,8 +157,7 @@ def _resched_fixture(key: str = ""):
     """Shared fixture for the full-vs-incremental rescheduling pair."""
     fixture = _RESCHED_CACHE.get(key)
     if fixture is None:
-        vdce = nynet_testbed(seed=1, hosts_per_site=16, with_loads=True,
-                             trace=False)
+        vdce = nynet_testbed(seed=1, hosts_per_site=16, with_loads=True)
         vdce.start()
         vdce.warm_up(40.0)
         # trace-scale: a 200-task DAG, the regime the incremental layer
@@ -267,7 +265,7 @@ def bench_e2e_linear_solver(scale: int) -> int:
     """End-to-end: submit, schedule, execute a linear solver app."""
     ops = 0
     for seed in range(scale):
-        vdce = quiet_testbed(seed=63 + seed, trace=False)
+        vdce = quiet_testbed(seed=63 + seed)
         vdce.start()
         graph = linear_solver_graph(vdce.registry, n=40)
         run = vdce.run_application(graph, "syracuse", max_sim_time_s=600)
@@ -280,7 +278,7 @@ def bench_e2e_layered_graph(scale: int) -> int:
     """End-to-end: a wide layered random DAG through the full pipeline."""
     ops = 0
     for seed in range(scale):
-        vdce = quiet_testbed(seed=7 + seed, trace=False)
+        vdce = quiet_testbed(seed=7 + seed)
         vdce.start()
         graph = random_layered_graph(vdce.registry, layers=5, width=4,
                                      seed=3 + seed)
@@ -330,7 +328,7 @@ def bench_e2e_hb_enabled(scale: int) -> int:
     from repro.analysis import AnalysisSession
     ops = 0
     for seed in range(scale):
-        vdce = quiet_testbed(seed=63 + seed, trace=False)
+        vdce = quiet_testbed(seed=63 + seed)
         vdce.start()
         with AnalysisSession(vdce.env, sites=vdce.world.sites) as session:
             session.track_vdce(vdce)
@@ -347,14 +345,14 @@ def bench_e2e_obs_disabled(scale: int) -> int:
     """bench_e2e_linear_solver with an attached-but-disabled obs handle.
 
     Mirrors ``e2e_linear_solver`` exactly apart from the explicit
-    ``Observability(enabled=False)``, so the ratio of the two measures
-    what a wired-but-off observability layer costs on the hot paths
-    (the guarded-call contract says: one attribute load per site).
+    ``Observability(enabled=False)``; both runs are unobserved, so the
+    ratio of the two measures what a wired-but-off handle costs on the
+    hot paths (the guarded-call contract says: one attribute load per
+    site).
     """
     ops = 0
     for seed in range(scale):
-        vdce = quiet_testbed(seed=63 + seed, trace=False,
-                             obs=Observability(enabled=False))
+        vdce = quiet_testbed(seed=63 + seed, obs=Observability(enabled=False))
         vdce.start()
         graph = linear_solver_graph(vdce.registry, n=40)
         run = vdce.run_application(graph, "syracuse", max_sim_time_s=600)
@@ -364,16 +362,17 @@ def bench_e2e_obs_disabled(scale: int) -> int:
 
 
 def bench_e2e_obs_enabled(scale: int) -> int:
-    """Same workload with full metric/span recording switched on."""
+    """Same workload with the trace log, metrics and spans recording."""
     ops = 0
     for seed in range(scale):
         obs = Observability()
-        vdce = quiet_testbed(seed=63 + seed, trace=False, obs=obs)
+        vdce = quiet_testbed(seed=63 + seed, obs=obs)
         vdce.start()
         graph = linear_solver_graph(vdce.registry, n=40)
         run = vdce.run_application(graph, "syracuse", max_sim_time_s=600)
         assert run.status == "completed"
         assert len(obs.spans) > 0 and obs.metrics.collect()
+        assert obs.trace.records
         ops += len(run.completions)
     return ops
 

@@ -18,8 +18,8 @@ against the project's *own* rules, the way a generic linter never could:
   mutations must bump the ``generation`` cursor stamp;
 * **SIM001** — simulation-safety: process generators must not call
   blocking/real-I/O APIs or share state through ``global``/``nonlocal``;
-* **PERF001** — hot-path hygiene in the kernel and network send path
-  (``__slots__`` parity, guarded tracer calls).
+* **PERF001** — every trace, metric or span record under an
+  ``obs.enabled`` guard, and ``__slots__`` parity on the hot paths.
 
 Run ``python -m tools.reprolint src/ tests/`` from the repository root.
 Suppress a finding with ``# reprolint: disable=RULE  -- justification``

@@ -1,61 +1,88 @@
-"""PERF001: hot-path hygiene in the kernel, network and scheduler paths.
+"""PERF001: guarded instrumentation everywhere, slots on the hot path.
 
-PR 2 measured two things that matter on the hot path: instance dict
-lookups (hence ``__slots__`` on every kernel class) and tracer overhead
-when tracing is off (hence every ``tracer.record`` behind an
-``if tracer.enabled`` guard).  The observability subsystem (``repro.obs``)
-adds a third: metric/span recording, which must follow the same guard
-idiom so a disabled :class:`~repro.obs.Observability` costs one attribute
-load.  This checker keeps all three properties from regressing in the
-files where they were earned:
+One :class:`~repro.obs.Observability` handle carries every recorder —
+the flat trace log, metrics and spans — and its ``enabled`` flag is the
+one instrumentation switch.  A run without an enabled handle must pay
+one attribute load per record site and nothing more, so this checker
+flags, in every module under ``repro/``:
+
+* a trace, metric or span recording call (``record`` / ``inc`` / ``set``
+  / ``add`` / ``observe`` / ``begin`` / ``end`` / ``complete``) on an
+  obs-rooted receiver — ``obs.…``, ``….trace`` / ``.tracer`` /
+  ``.metrics`` / ``.spans``, or an ``_m_*`` instrument handle — that is
+  not enclosed in an ``if`` whose test consults ``.enabled``.
+
+``repro/obs/`` and ``repro/simcore/trace.py`` implement recording and
+are exempt.  Instance-dict lookups also cost on the kernel, network and
+scheduler hot paths, so those four files keep a second check:
 
 * a class without ``__slots__`` in a module where sibling classes have
-  them (dataclasses and exception types are exempt);
-* a ``…tracer.record(...)`` call not enclosed in an ``if`` whose test
-  consults ``.enabled``;
-* a metric/span recording call (``inc``/``set``/``add``/``observe`` /
-  ``begin``/``end``/``complete`` on an obs-rooted receiver — ``obs.…``,
-  ``….metrics``/``.spans``, or an ``_m_*`` instrument handle) outside
-  such a guard.
+  them (dataclasses and exception types are exempt).
 """
 
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 
 from tools.reprolint.core import Checker
 
 _EXC_BASES = ("Exception", "BaseException", "RuntimeError", "ValueError",
               "KeyError", "TypeError")
 
-#: recording entry points of repro.obs instruments and span trackers
-_OBS_RECORD_METHODS = frozenset(
-    {"inc", "set", "add", "observe", "begin", "end", "complete"})
+#: recording entry points of the trace log, metric instruments and spans
+_RECORD_METHODS = frozenset(
+    {"record", "inc", "set", "add", "observe", "begin", "end", "complete"})
+
+#: receiver names that root a chain in the observability handle
+_OBS_STORES = frozenset({"trace", "tracer", "metrics", "spans"})
+
+#: modules that implement recording, exempt from the guard check
+_RECORDER_PATHS = ("repro/obs/", "repro/simcore/trace.py")
+
+#: hot-path modules where __slots__ parity is enforced
+_SLOTS_PATHS = ("repro/simcore/engine.py", "repro/net/network.py",
+                "repro/scheduling/site_scheduler.py",
+                "repro/scheduling/heft.py")
+
+
+def _under(path: Path, fragments: tuple[str, ...]) -> bool:
+    posix = path.as_posix()
+    return any(fragment in posix for fragment in fragments)
 
 
 class HotPathHygieneChecker(Checker):
     rule = "PERF001"
-    description = ("hot-path files: __slots__ parity and guarded "
-                   "tracer/metric/span calls")
-    path_filters = ("repro/simcore/engine.py", "repro/net/network.py",
-                    "repro/scheduling/site_scheduler.py",
-                    "repro/scheduling/heft.py")
+    description = ("guarded trace/metric/span records across repro; "
+                   "__slots__ parity on hot-path files")
+    path_filters = ("repro/",)
     default_config: dict[str, object] = {}
+
+    def applies_to(self, path: Path) -> bool:
+        if not super().applies_to(path):
+            return False
+        return self.ignore_path_filters or not _under(path, _RECORDER_PATHS)
 
     # -- __slots__ parity --------------------------------------------------
     def visit_Module(self, node: ast.Module) -> None:
+        if self.ignore_path_filters or _under(Path(self._path),
+                                              _SLOTS_PATHS):
+            self._check_slots_parity(node)
+        self.generic_visit(node)
+
+    def _check_slots_parity(self, node: ast.Module) -> None:
         classes = [n for n in node.body if isinstance(n, ast.ClassDef)]
         slotted = [c for c in classes if self._has_slots(c)]
-        if slotted:
-            for cls in classes:
-                if cls in slotted or self._is_exempt_class(cls):
-                    continue
-                self.report(cls, (
-                    f"class {cls.name} has no __slots__ but "
-                    f"{len(slotted)} sibling class(es) in this hot-path "
-                    "module do; per-instance dicts cost on every "
-                    "attribute access"))
-        self.generic_visit(node)
+        if not slotted:
+            return
+        for cls in classes:
+            if cls in slotted or self._is_exempt_class(cls):
+                continue
+            self.report(cls, (
+                f"class {cls.name} has no __slots__ but "
+                f"{len(slotted)} sibling class(es) in this hot-path "
+                "module do; per-instance dicts cost on every "
+                "attribute access"))
 
     @staticmethod
     def _has_slots(cls: ast.ClassDef) -> bool:
@@ -87,49 +114,43 @@ class HotPathHygieneChecker(Checker):
                 return True
         return False
 
-    # -- guarded tracer calls ----------------------------------------------
+    # -- guarded record calls ----------------------------------------------
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._scan_for_tracer(node.body, guarded=False)
+        self._scan(node.body, guarded=False)
         self.generic_visit(node)
 
     visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
 
-    def _scan_for_tracer(self, stmts: list[ast.stmt],
-                         guarded: bool) -> None:
+    def _scan(self, stmts: list[ast.stmt], guarded: bool) -> None:
         for stmt in stmts:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue  # visited separately
             if isinstance(stmt, ast.If):
                 body_guarded = guarded or self._test_checks_enabled(
                     stmt.test)
-                self._scan_for_tracer(stmt.body, body_guarded)
-                self._scan_for_tracer(stmt.orelse, guarded)
+                self._scan(stmt.body, body_guarded)
+                self._scan(stmt.orelse, guarded)
                 continue
             # expressions hanging directly off this statement (the nested
             # statement lists are recursed into below, so an `if` inside
             # a for/while/with/try is still honoured)
-            for expr in self._immediate_exprs(stmt):
-                for child in ast.walk(expr):
-                    if not isinstance(child, ast.Call) or guarded:
-                        continue
-                    if self._is_tracer_record(child):
-                        self.report(child, (
-                            "tracer.record() outside an `if "
-                            "tracer.enabled` guard pays dict/append cost "
-                            "on every send even with tracing off"))
-                    elif self._is_obs_record(child):
-                        self.report(child, (
-                            "metric/span recording outside an `if "
-                            "obs.enabled` guard pays dict/label cost on "
-                            "every hot-path pass even with observability "
-                            "off"))
+            if not guarded:
+                for expr in self._immediate_exprs(stmt):
+                    for child in ast.walk(expr):
+                        if isinstance(child, ast.Call) \
+                                and self._is_obs_record(child):
+                            self.report(child, (
+                                "trace/metric/span recording outside an "
+                                "`if obs.enabled` guard pays argument and "
+                                "call cost even when the run is not "
+                                "observed"))
             for attr in ("body", "orelse", "finalbody"):
                 inner = getattr(stmt, attr, None)
                 if isinstance(inner, list) and inner \
                         and isinstance(inner[0], ast.stmt):
-                    self._scan_for_tracer(inner, guarded)
+                    self._scan(inner, guarded)
             for handler in getattr(stmt, "handlers", []):
-                self._scan_for_tracer(handler.body, guarded)
+                self._scan(handler.body, guarded)
 
     @staticmethod
     def _immediate_exprs(stmt: ast.stmt) -> list[ast.expr]:
@@ -155,31 +176,19 @@ class HotPathHygieneChecker(Checker):
         return False
 
     @staticmethod
-    def _is_tracer_record(node: ast.Call) -> bool:
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "record"):
-            return False
-        value = func.value
-        if isinstance(value, ast.Name):
-            return "tracer" in value.id
-        if isinstance(value, ast.Attribute):
-            return "tracer" in value.attr
-        return False
-
-    @staticmethod
     def _is_obs_record(node: ast.Call) -> bool:
         """A recording call on an obs-rooted receiver.
 
-        Matches ``obs.metrics.counter(...).inc(...)``, ``obs.spans.
-        begin(...)``, and prebound instrument handles like
-        ``self._m_messages.observe(...)`` — but not ordinary methods
-        that happen to share a name (``some_set.add``,
-        ``intervals.append``), because the receiver chain must mention
+        Matches ``obs.trace.record(...)``, ``obs.metrics.counter(...)
+        .inc(...)``, ``obs.spans.begin(...)``, and prebound instrument
+        handles like ``self._m_messages.observe(...)`` — but not
+        ordinary methods that happen to share a name (``some_set.add``,
+        ``repo.delta.record``), because the receiver chain must mention
         an obs marker.
         """
         func = node.func
         if not (isinstance(func, ast.Attribute)
-                and func.attr in _OBS_RECORD_METHODS):
+                and func.attr in _RECORD_METHODS):
             return False
         for part in ast.walk(func.value):
             name = None
@@ -189,7 +198,6 @@ class HotPathHygieneChecker(Checker):
                 name = part.attr
             if name is None:
                 continue
-            if name == "obs" or name.startswith(("obs", "_m_")) or \
-                    name in ("metrics", "spans"):
+            if name.startswith(("obs", "_m_")) or name in _OBS_STORES:
                 return True
         return False
