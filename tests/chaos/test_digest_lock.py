@@ -19,7 +19,13 @@ outputs the scheduling and monitoring layers feed:
   :class:`BakeoffConfig` seed), which pins every host-selection answer;
 * ``monitor`` — the dynamic repository records and the replication WAL
   of the monitored NYNET testbed with failover on (the seed is the
-  testbed seed), which pins the Group Manager → Site Manager relay.
+  testbed seed), which pins the Group Manager → Site Manager relay;
+* ``reschedule`` — the flat trace log and the final allocation table
+  (node, host, predicted time) of a 123-task layered DAG on the loaded
+  eight-host NYNET testbed, with one host crash mid-run, seeds
+  101/202/303.  The background loads trip the default
+  :class:`ReschedulePolicy` hundreds of times per run, so every
+  load-triggered and host-down reschedule decision is pinned.
 
 A kernel, network, scheduling or control-plane refactor that claims to
 be behaviour-preserving must leave every digest unchanged; a change
@@ -41,6 +47,10 @@ import pytest
 
 from repro.analysis.runner import AnalyzeConfig, report_json, run_analysis
 from repro.bakeoff import BakeoffConfig, run_bakeoff
+from repro.faults import FaultPlan, HostCrash
+from repro.obs import Observability
+from repro.obs.export import trace_to_jsonl
+from repro.workloads import nynet_testbed, random_layered_graph
 from tests.chaos.harness import ChaosOutcome, assert_invariants, run_chaos
 from tests.chaos.test_partition import run_partition_chaos
 from tests.chaos.test_server_failover import SERVER_CRASH_PLAN, STANDBYS
@@ -57,7 +67,8 @@ LOCK_ROWS = tuple(
     [(scenario, seed)
      for scenario in ("chaos", "failover", "partition", "analyze")
      for seed in LOCK_SEEDS]
-    + [("bakeoff", 0), ("monitor", 5)])
+    + [("bakeoff", 0), ("monitor", 5)]
+    + [("reschedule", seed) for seed in LOCK_SEEDS])
 
 #: the bake-off row's contestants: both HostSelector-driven schedulers
 #: plus the branch-and-bound reference they are scored against
@@ -73,6 +84,32 @@ def _run(scenario: str, seed: int) -> ChaosOutcome:
     return run_partition_chaos(seed, obs=True)
 
 
+def run_rescheduling(seed: int, max_sim_time_s: float = 2000.0
+                     ) -> dict[str, str]:
+    """The ``reschedule`` row: a loaded testbed that keeps moving tasks.
+
+    Returns the flat trace log as JSONL and the final allocation table
+    as JSON rows ``[node, host, predicted time]`` in node order.
+    """
+    obs = Observability()
+    vdce = nynet_testbed(seed, hosts_per_site=8, obs=obs)
+    vdce.start()
+    vdce.warm_up(30.0)
+    vdce.apply_fault_plan(FaultPlan((
+        HostCrash("syracuse/h3", at=vdce.now + 4.0, recover_after=15.0),)))
+    graph = random_layered_graph(vdce.registry, layers=12, width=10,
+                                 seed=seed)
+    process, run = vdce.submit(graph, "syracuse", k_remote_sites=1)
+    deadline = vdce.now + max_sim_time_s
+    while not process.triggered and vdce.now < deadline:
+        vdce.env.run(until=vdce.now + 5.0)
+    assert process.triggered and process.ok, f"seed {seed}: {run.status}"
+    table = [[node_id, entry.host, entry.predicted_time_s]
+             for node_id, entry in sorted(run.table.entries.items())]
+    return {"trace": trace_to_jsonl(obs.trace),
+            "allocation": json.dumps(table)}
+
+
 def _artifacts(scenario: str, seed: int) -> dict[str, str]:
     """The exported text of each recorded artifact of one run."""
     if scenario == "analyze":
@@ -86,6 +123,8 @@ def _artifacts(scenario: str, seed: int) -> dict[str, str]:
         vdce = run_monitored(failover=True)
         probes = {"dynamic": dynamic_probe(vdce), "wal": wal_probe(vdce)}
         return {"probes": json.dumps(probes, sort_keys=True)}
+    if scenario == "reschedule":
+        return run_rescheduling(seed)
     outcome = _run(scenario, seed)
     assert_invariants(outcome)
     artifacts = {"fault_log": outcome.fault_log,
@@ -201,6 +240,24 @@ DIGESTS: dict[tuple[str, int], dict[str, str]] = {
     ('monitor', 5): {
         'probes':
             '797186ef7ee8df2d4d042a6b0d8cfdfdac2a0a3ed8f9aca92d5a6014892e3faa',
+    },
+    ('reschedule', 101): {
+        'trace':
+            'b7085bf5680b9aaac080299b6fab17746229d9d7a74e46a8aa1ca7160e418178',
+        'allocation':
+            'b47b7d5b44f33caf0c2c64ce5d36c41e919bc548d5fc76be89d17f67b6851db6',
+    },
+    ('reschedule', 202): {
+        'trace':
+            '45a546cf3edf5b863f36d69b385dcd144a65708925ade94abd53958dcd6c5c6c',
+        'allocation':
+            '9e0a5b55d51023f9f5fd00bb7a3a4c96faf34a90f3a38bed21b9423eff7cce9c',
+    },
+    ('reschedule', 303): {
+        'trace':
+            'eaf80990e8776c2414284ee9c9c90cd6134c58a46331987c187a26f6753524bd',
+        'allocation':
+            '665cbe7d828f155b31a77ff85bea98657a77a313903fe9c8bdc99cf42d0a51ad',
     },
 }
 
