@@ -90,6 +90,7 @@ class VDCE:
         #: federation membership view, created by :meth:`enable_membership`
         self.federation: Federation | None = None
         self.repositories: dict[str, SiteRepository] = {}
+        self.rescheduler = Rescheduler(self.repositories)
         self.site_managers: dict[str, SiteManager] = {}
         self.group_managers: dict[tuple[str, str], GroupManager] = {}
         self.monitors: dict[str, MonitorDaemon] = {}
@@ -389,8 +390,6 @@ class VDCE:
         attempt = entry_payload.get("attempt", 0) + 1
         node = run.graph.node(node_id)
         current = run.table.get(node_id)
-        rescheduler = Rescheduler(self.repositories,
-                                  policy=self.reschedule_policy)
         exclude = {payload["host"]}
         # degraded mode: never re-queue into a partition — the request's
         # own excluded sites plus whatever the coordinating site's
@@ -401,9 +400,9 @@ class VDCE:
                 self.federation.quarantined(run.report.local_site))
         forced = attempt > self.reschedule_policy.max_attempts
         try:
-            new_entry = rescheduler.reschedule(node, current,
-                                               exclude_hosts=exclude,
-                                               exclude_sites=exclude_sites)
+            new_entry = self.rescheduler.reschedule(
+                node, current, exclude_hosts=exclude,
+                exclude_sites=exclude_sites)
         except VDCEError:
             # nowhere to go: force re-execution where it was
             new_entry = current

@@ -189,26 +189,25 @@ class HostSelector:
 
     def _apply_events(self, view: _ClassView, node: TaskNode,
                       processors: int, events: list[DeltaEvent]) -> None:
-        """Re-score only the (host, task-class) pairs the journal dirtied."""
+        """Re-score each (host, task-class) pair the journal dirtied once."""
         scores = view.scores
         task_name = node.task_name
         changed: set[str] = set()
+        dirty: dict[str, None] = {}
         for kind, a, b in events:
             if kind == "host":
-                addr = a
+                dirty[a] = None
             elif kind == "host-removed":
                 if scores.pop(a, None) is not None:
                     changed.add(a)
                 # the satellite invalidation: drop only this host's
                 # memoized predictions, keep the rest warm
                 self.predictor.invalidate(host=a)
-                continue
             elif kind == "weight" or kind == "constraint":
-                if a != task_name:
-                    continue
-                addr = b
-            else:  # "task": registration never changes existing estimates
-                continue
+                if a == task_name:
+                    dirty[b] = None
+            # "task": registration never changes existing estimates
+        for addr in dirty:
             est = self._feasible_estimate(node, processors, addr)
             if est is None:
                 if scores.pop(addr, None) is not None:
@@ -344,6 +343,20 @@ class HostSelector:
     def select_for_task(self, node: TaskNode) -> HostChoice:
         """Minimum-``Predict`` host(s) at this site for one task."""
         return self.select_ranked(node, 1)[0]
+
+    def best_excluding(self, node: TaskNode,
+                       exclude: set[str]) -> HostChoice | None:
+        """The minimum-``Predict`` single host outside *exclude*, or None.
+
+        A reschedule request's answer (section 2.3.1): the first
+        non-excluded entry of the processors = 1 view's
+        ``len(exclude) + 1`` best, by (estimate, address)."""
+        view = self._view_for(node, 1)
+        for addr, est in self._top_n(view, len(exclude) + 1):
+            if addr not in exclude:
+                return HostChoice(node.node_id, self.repository.site,
+                                  (addr,), est)
+        return None
 
     # -- whole-graph selection (the figure's task_queue loop) -------------------
     def select(self, graph: ApplicationFlowGraph,

@@ -9,18 +9,17 @@ is rescheduled and the host excluded.
 
 The :class:`Rescheduler` re-runs host selection for a single task against
 the *current* repository view, excluding the hosts that triggered the
-request.
+request, from the same delta-aware score views as the Site Scheduler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.afg.graph import TaskNode
-from repro.prediction.predict import PerformancePredictor
 from repro.repository.site_repository import SiteRepository
 from repro.scheduling.allocation import AllocationEntry
+from repro.scheduling.host_selection import HostSelector
 from repro.util.errors import NoFeasibleHostError
 
 
@@ -41,16 +40,12 @@ class ReschedulePolicy:
 
 
 class Rescheduler:
-    """Pick a replacement host for one task, excluding bad hosts."""
+    """Pick a replacement host for one task, excluding bad hosts, from one
+    :class:`HostSelector` per site (rebuilt on a rejoin or promotion)."""
 
-    def __init__(self, repositories: dict[str, SiteRepository],
-                 predictor_factory: Callable[
-                     [SiteRepository], PerformancePredictor] | None = None,
-                 policy: ReschedulePolicy | None = None) -> None:
+    def __init__(self, repositories: dict[str, SiteRepository]) -> None:
         self.repositories = repositories
-        self.policy = policy or ReschedulePolicy()
-        self._predictor_factory = predictor_factory or (
-            lambda repo: PerformancePredictor(repo.task_performance))
+        self._selectors: dict[str, HostSelector] = {}
 
     def reschedule(self, node: TaskNode, current: AllocationEntry,
                    exclude_hosts: set[str] | None = None,
@@ -74,28 +69,17 @@ class Rescheduler:
         for site, repo in sorted(self.repositories.items()):
             if site in skip_sites:
                 continue
-            predictor = self._predictor_factory(repo)
-            records = [
-                rec for rec in repo.resource_performance.hosts_at(site)
-                if rec.address not in exclude
-                and repo.task_constraints.is_runnable_on(node.task_name,
-                                                         rec.address)
-                and (node.properties.machine_type is None
-                     or rec.arch == node.properties.machine_type)
-            ]
-            if not records:
-                continue
-            try:
-                pred = predictor.best_host(node.definition,
-                                           node.properties.input_size,
-                                           records)
-            except NoFeasibleHostError:
-                continue
-            if best is None or pred.estimate_s < best.predicted_time_s:
+            selector = self._selectors.get(site)
+            if selector is None or selector.repository is not repo:
+                selector = self._selectors[site] = HostSelector(repo)
+            choice = selector.best_excluding(node, exclude)
+            if choice is not None and (
+                    best is None
+                    or choice.predicted_time_s < best.predicted_time_s):
                 best = AllocationEntry(
                     node_id=node.node_id, task_name=node.task_name,
-                    site=site, hosts=(pred.host,),
-                    predicted_time_s=pred.estimate_s)
+                    site=site, hosts=choice.hosts,
+                    predicted_time_s=choice.predicted_time_s)
         if best is None:
             raise NoFeasibleHostError(
                 f"no replacement host for task {node.node_id!r} "
