@@ -12,6 +12,11 @@ view machinery (``_rebuild_view``, ``_apply_events``,
 The answers follow the selector's contract: hosts ascending by
 (predicted time, address); a parallel task gets one choice holding its
 ``processors`` best hosts, timed by the slowest of them.
+
+:func:`reference_reschedule` is the same kind of oracle for
+:class:`~repro.scheduling.Rescheduler`: the per-request walk it replaced,
+with a fresh predictor per site and ``best_host`` over the filtered
+records.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 from repro.afg.graph import ApplicationFlowGraph, TaskNode
 from repro.prediction.predict import PerformancePredictor
 from repro.repository.site_repository import SiteRepository
-from repro.scheduling import HostChoice, HostSelectionResult
+from repro.scheduling import AllocationEntry, HostChoice, HostSelectionResult
 from repro.util.errors import NoFeasibleHostError
 
 
@@ -78,3 +83,44 @@ def reference_select(repository: SiteRepository,
         ranked[node_id] = options
     return HostSelectionResult(site=repository.site, choices=choices,
                                infeasible=tuple(infeasible), ranked=ranked)
+
+
+def reference_reschedule(repositories: dict[str, SiteRepository],
+                         node: TaskNode, current: AllocationEntry,
+                         exclude_hosts: set[str] | None = None,
+                         exclude_sites: set[str] | None = None,
+                         ) -> AllocationEntry:
+    """Replacement allocation for *node*: every site re-walked cold."""
+    exclude = set(exclude_hosts or ()) | set(current.hosts)
+    skip_sites = exclude_sites or set()
+    best: AllocationEntry | None = None
+    for site, repo in sorted(repositories.items()):
+        if site in skip_sites:
+            continue
+        predictor = PerformancePredictor(repo.task_performance)
+        records = [
+            rec for rec in repo.resource_performance.hosts_at(site)
+            if rec.address not in exclude
+            and repo.task_constraints.is_runnable_on(node.task_name,
+                                                     rec.address)
+            and (node.properties.machine_type is None
+                 or rec.arch == node.properties.machine_type)
+        ]
+        if not records:
+            continue
+        try:
+            pred = predictor.best_host(node.definition,
+                                       node.properties.input_size,
+                                       records)
+        except NoFeasibleHostError:
+            continue
+        if best is None or pred.estimate_s < best.predicted_time_s:
+            best = AllocationEntry(
+                node_id=node.node_id, task_name=node.task_name,
+                site=site, hosts=(pred.host,),
+                predicted_time_s=pred.estimate_s)
+    if best is None:
+        raise NoFeasibleHostError(
+            f"no replacement host for task {node.node_id!r} "
+            f"(excluded: {sorted(exclude)})")
+    return best
