@@ -486,7 +486,10 @@ class VDCE:
 
     def _on_server_promoted(self, site_name: str, old_sm: SiteManager,
                             new_sm: SiteManager) -> None:
-        """Swap the facade's manager map and heal in-flight work.
+        """Swap the facade's manager and repository maps, heal in-flight work.
+
+        Rescheduling then prices the site from the promoted replica,
+        which the live Site Manager keeps current.
 
         The coordinator already re-pushed the WAL's original
         allocations; here every incomplete task of this site's active
@@ -497,6 +500,7 @@ class VDCE:
         node), so the overlap is harmless.
         """
         self.site_managers[site_name] = new_sm
+        self.repositories[site_name] = new_sm.repository
         for execution_id in sorted(self._active_runs):
             run = self._active_runs[execution_id]
             if run.status != "running" or run.table is None:

@@ -26,9 +26,9 @@ from repro.recovery import (
 )
 from repro.runtime.data.messaging import RetryPolicy
 from repro.scheduling.allocation import AllocationEntry, ResourceAllocationTable
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, NoFeasibleHostError
 from repro.util.rng import RngRegistry
-from repro.workloads import linear_solver_graph, quiet_testbed
+from repro.workloads import linear_solver_graph, nynet_testbed, quiet_testbed
 
 
 # ---------------------------------------------------------------------------
@@ -357,3 +357,33 @@ class TestHostFlapping:
         # every bump beyond the initial assignment was a reschedule the
         # facade coordinated — versions can never outrun that count
         assert sum(v - 1 for v in versions) <= run.reschedules
+
+
+class TestPromotedRepository:
+    """After a failover the facade reads the promoted replica."""
+
+    def test_reschedule_sees_a_crash_after_promotion(self):
+        vdce = nynet_testbed(seed=3, hosts_per_site=8)
+        vdce.start()
+        vdce.enable_failover("syracuse", ["h1", "h2"])
+        vdce.warm_up(10.0)
+        graph = linear_solver_graph(vdce.registry, n=10)
+        node = graph.node("lu")
+        hosts = sorted(h.address for h in vdce.world.all_hosts())
+        current = AllocationEntry(
+            node_id=node.node_id, task_name=node.task_name,
+            site="syracuse", hosts=(hosts[0],), predicted_time_s=1.0)
+        others = set(hosts) - {"syracuse/h5"}
+        # the selectors are built on the pre-failover repository
+        assert vdce.rescheduler.reschedule(
+            node, current, exclude_hosts=others).hosts == ("syracuse/h5",)
+        vdce.apply_fault_plan(FaultPlan((
+            ServerCrash("syracuse", at=vdce.now + 5.0),
+            HostCrash("syracuse/h5", at=vdce.now + 40.0))))
+        vdce.run(until=vdce.now + 80.0)
+        assert vdce.recovery.failovers == 1
+        live = vdce.site_managers["syracuse"].repository
+        assert vdce.repositories["syracuse"] is live
+        assert live.resource_performance.get("syracuse/h5").status == "down"
+        with pytest.raises(NoFeasibleHostError):
+            vdce.rescheduler.reschedule(node, current, exclude_hosts=others)
