@@ -56,7 +56,11 @@ from repro.simcore.trace import Tracer
 from repro.tasklib.registry import LibraryRegistry
 from repro.tasklib import standard_registry
 from repro.core.run import ApplicationRun
-from repro.util.errors import ConfigurationError, VDCEError
+from repro.util.errors import (
+    ConfigurationError,
+    QoSViolationError,
+    VDCEError,
+)
 
 
 class VDCE:
@@ -326,7 +330,13 @@ class VDCE:
             run.table, run.report = table, report
             run.scheduled_at = env.now
             if qos is not None:
-                require_admission(graph, table, self.topology, qos)
+                try:
+                    require_admission(graph, table, self.topology, qos)
+                except QoSViolationError:
+                    # never admitted: host-down and partition handling
+                    # skip the run, so none of its tasks executes
+                    run.status = "rejected"
+                    raise
             state = sm.distribute_allocation(
                 table, execution_id, graph,
                 max_host_load=(qos.max_host_load if qos is not None

@@ -183,6 +183,24 @@ class TestQoSAdmission:
                                  qos=QoSRequirement(deadline_s=1e-6),
                                  max_sim_time_s=600)
 
+    def test_rejected_submit_never_executes(self, vdce):
+        """A crash of a host the rejected table names must not re-route
+        (and so run) any task of the never-admitted application."""
+        g = linear_solver_graph(vdce.registry, n=40)
+        process, run = vdce.submit(g, "syracuse", k_remote_sites=1,
+                                   qos=QoSRequirement(deadline_s=1e-6))
+        vdce.run(until=vdce.now + 5.0)
+        assert isinstance(process.exception, QoSViolationError)
+        assert run.status == "rejected"
+        hosts = sorted({e.host for e in run.table.entries.values()})
+        assert hosts == ["syracuse/h2"]
+        vdce.apply_fault_plan(FaultPlan((
+            HostCrash("syracuse/h2", at=vdce.now + 1.0),)))
+        vdce.run(until=vdce.now + 30.0)
+        assert run.reschedules == 0
+        assert sum(ac.stats.tasks_executed
+                   for ac in vdce.app_controllers.values()) == 0
+
     def test_generous_deadline_admitted(self, vdce):
         g = linear_solver_graph(vdce.registry, n=40)
         run = vdce.run_application(g, "syracuse",
