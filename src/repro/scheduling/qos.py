@@ -27,9 +27,11 @@ class QoSRequirement:
     max_host_load: float | None = None  # runtime rescheduling trigger
 
     def __post_init__(self) -> None:
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        # NaN-safe: a NaN deadline would reject every application, a NaN
+        # ceiling would never trigger
+        if self.deadline_s is not None and not self.deadline_s > 0:
             raise ConfigurationError("deadline must be positive")
-        if self.max_host_load is not None and self.max_host_load <= 0:
+        if self.max_host_load is not None and not self.max_host_load > 0:
             raise ConfigurationError("max_host_load must be positive")
 
 

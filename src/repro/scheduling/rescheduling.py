@@ -20,20 +20,27 @@ from repro.afg.graph import TaskNode
 from repro.repository.site_repository import SiteRepository
 from repro.scheduling.allocation import AllocationEntry
 from repro.scheduling.host_selection import HostSelector
-from repro.util.errors import NoFeasibleHostError
+from repro.util.errors import ConfigurationError, NoFeasibleHostError
 
 
 @dataclass(frozen=True)
 class ReschedulePolicy:
     """When the Application Controller pulls the trigger."""
 
-    #: terminate + reschedule when observed load exceeds this
+    #: terminate + reschedule when observed load exceeds this (``inf``
+    #: never does)
     load_threshold: float = 2.0
-    #: minimum predicted improvement factor required to move (avoids
-    #: thrashing between near-equal hosts)
-    min_improvement: float = 1.15
     #: maximum times one task may be rescheduled
     max_attempts: int = 3
+
+    def __post_init__(self) -> None:
+        # NaN-safe: a NaN threshold would silently never trigger
+        if not self.load_threshold >= 0:
+            raise ConfigurationError(
+                f"load_threshold must be >= 0, got {self.load_threshold}")
+        if self.max_attempts < 0:
+            raise ConfigurationError(
+                f"max_attempts must be >= 0, got {self.max_attempts}")
 
     def should_reschedule(self, observed_load: float) -> bool:
         return observed_load > self.load_threshold

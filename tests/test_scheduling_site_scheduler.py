@@ -22,6 +22,7 @@ from repro.scheduling import (
     require_admission,
 )
 from repro.util.errors import (
+    ConfigurationError,
     NoFeasibleHostError,
     QoSViolationError,
     SchedulingError,
@@ -379,6 +380,22 @@ class TestRescheduler:
         assert policy.should_reschedule(2.5)
         assert not policy.should_reschedule(1.5)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(load_threshold=float("nan")),
+        dict(load_threshold=-1.0),
+        dict(load_threshold=float("-inf")),
+        dict(max_attempts=-2),
+    ], ids=["nan-threshold", "negative-threshold", "minus-inf-threshold",
+            "negative-attempts"])
+    def test_bad_policy_values_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            ReschedulePolicy(**kwargs)
+
+    def test_infinite_threshold_turns_rescheduling_off(self):
+        policy = ReschedulePolicy(load_threshold=float("inf"),
+                                  max_attempts=0)
+        assert not policy.should_reschedule(1e300)
+
 
 class TestQoS:
     def test_admission_pass_and_fail(self, registry, federation):
@@ -408,3 +425,8 @@ class TestQoS:
             QoSRequirement(deadline_s=0)
         with pytest.raises(Exception):
             QoSRequirement(max_host_load=-1)
+
+    @pytest.mark.parametrize("field", ["deadline_s", "max_host_load"])
+    def test_nan_requirement_rejected(self, field):
+        with pytest.raises(ConfigurationError):
+            QoSRequirement(**{field: float("nan")})
