@@ -34,7 +34,6 @@ from repro.federation import (
     MembershipConfig,
     MembershipDaemon,
 )
-from repro.net import EXECUTION_REQUEST
 from repro.net.topology import LinkSpec
 from repro.obs import OBS_OFF, Observability
 from repro.prediction.calibration import calibrate_weights
@@ -230,11 +229,21 @@ class VDCE:
         """Create and wire one Site Manager (facade hooks included)."""
         sm = SiteManager(self.env, self.network, site, repo,
                          self.topology, obs=self.obs)
+        self._wire(site_name, sm)
+        return sm
+
+    def _wire(self, site_name: str, sm: SiteManager) -> None:
+        """Make *sm* the manager of *site_name* and install the facade hooks.
+
+        The one place a Site Manager gets its hooks, whether it was
+        brought up, joined membership, or promoted by a failover.
+        """
         sm.on_reschedule_request = self._handle_reschedule_request
         # host-down hook: reroute lost tasks of active executions
         sm.on_host_down = self._handle_host_down
+        if self.federation is not None:
+            sm.site_filter = self.federation.usable_filter(site_name)
         self.site_managers[site_name] = sm
-        return sm
 
     def _start_site_daemons(self, site_name: str, site, sm: SiteManager
                             ) -> None:
@@ -405,7 +414,7 @@ class VDCE:
         # own excluded sites plus whatever the coordinating site's
         # membership view currently quarantines
         exclude_sites = set(payload.get("exclude_sites") or ())
-        if self.federation is not None and run.report is not None:
+        if self.federation is not None:
             exclude_sites.update(
                 self.federation.quarantined(run.report.local_site))
         forced = attempt > self.reschedule_policy.max_attempts
@@ -419,20 +428,11 @@ class VDCE:
             forced = True
         run.table.reassign(new_entry) if new_entry is not current else None
         run.reschedules += 1
-        local_site = run.report.local_site if run.report else \
-            sorted(self.site_managers)[0]
+        local_site = run.report.local_site
         sm = self.site_managers[local_site]
-        fresh = SiteManager._entry_payload(new_entry, run.graph, run.table)
-        fresh["forward_inputs"] = payload.get("inputs") or {}
-        fresh["attempt"] = attempt
-        fresh["forced"] = forced
-        self.network.send(
-            sm.address, f"{new_entry.host}/appctl", EXECUTION_REQUEST,
-            payload={"application": run.graph.name,
-                     "execution_id": execution_id,
-                     "entries": [fresh], "coordinator": sm.address,
-                     "immediate": True},
-            size_bytes=256)
+        sm.push_task(run.graph, run.table, new_entry, execution_id,
+                     forward_inputs=payload.get("inputs") or {},
+                     attempt=attempt, forced=forced)
         if self.obs.enabled:
             self.obs.trace.record(self.now, "vdce:rescheduled", sm.address,
                                   node=node_id, to=new_entry.host,
@@ -509,30 +509,10 @@ class VDCE:
         and dropped).  Application Controllers dedup by (execution,
         node), so the overlap is harmless.
         """
-        self.site_managers[site_name] = new_sm
+        self._wire(site_name, new_sm)
         self.repositories[site_name] = new_sm.repository
-        for execution_id in sorted(self._active_runs):
-            run = self._active_runs[execution_id]
-            if run.status != "running" or run.table is None:
-                continue
-            if run.report is not None and \
-                    run.report.local_site != site_name:
-                continue
-            for node_id in sorted(run.table.entries):
-                if node_id in run.completions:
-                    continue
-                entry = run.table.get(node_id)
-                fresh = SiteManager._entry_payload(entry, run.graph,
-                                                   run.table)
-                self.network.send(
-                    new_sm.address, f"{entry.host}/appctl",
-                    EXECUTION_REQUEST,
-                    payload={"application": run.graph.name,
-                             "execution_id": execution_id,
-                             "entries": [fresh],
-                             "coordinator": new_sm.address,
-                             "immediate": True},
-                    size_bytes=256)
+        for run, entry in self._unfinished(coordinator=site_name):
+            new_sm.push_task(run.graph, run.table, entry, run.execution_id)
         if self.obs.enabled:
             self.obs.trace.record(self.now, "vdce:failover", new_sm.address,
                                   site=site_name)
@@ -581,8 +561,7 @@ class VDCE:
             on_quarantine=self._on_site_quarantined,
             on_rejoin=self._on_site_rejoined)
         self.federation.add(daemon)
-        self.site_managers[site_name].site_filter = \
-            self.federation.usable_filter(site_name)
+        self._wire(site_name, self.site_managers[site_name])
         return daemon
 
     def _on_site_quarantined(self, observer: str, peer: str) -> None:
@@ -610,32 +589,11 @@ class VDCE:
         work finished behind the partition is recovered rather than
         re-run and nothing executes twice.
         """
-        for execution_id in sorted(self._active_runs):
-            run = self._active_runs[execution_id]
-            if run.status != "running" or run.table is None:
-                continue
-            if run.report is None or run.report.local_site != observer:
-                continue
-            sm = self.site_managers[observer]
-            for node_id in sorted(run.table.entries):
-                if node_id in run.completions:
-                    continue
-                entry = run.table.get(node_id)
-                if entry.site != peer:
-                    continue
-                fresh = SiteManager._entry_payload(entry, run.graph,
-                                                   run.table)
-                node = run.graph.node(node_id)
-                fresh["forward_inputs"] = {
-                    port: None for port in node.input_ports}
-                self.network.send(
-                    sm.address, f"{entry.host}/appctl", EXECUTION_REQUEST,
-                    payload={"application": run.graph.name,
-                             "execution_id": execution_id,
-                             "entries": [fresh],
-                             "coordinator": sm.address,
-                             "immediate": True},
-                    size_bytes=256)
+        for run, entry in self._unfinished(coordinator=observer, site=peer):
+            node = run.graph.node(entry.node_id)
+            self.site_managers[observer].push_task(
+                run.graph, run.table, entry, run.execution_id,
+                forward_inputs={port: None for port in node.input_ports})
         if self.obs.enabled:
             self.obs.trace.record(self.now, "vdce:site-rejoined",
                                   f"{observer}/server", peer=peer)
@@ -650,34 +608,22 @@ class VDCE:
         its own partition, and the idempotency keys absorb the overlap
         at rejoin.
         """
-        for execution_id in sorted(self._active_runs):
-            run = self._active_runs[execution_id]
-            if run.status != "running" or run.table is None:
+        for run, entry in self._unfinished(coordinator=coordinator,
+                                           site=peer):
+            if run.report.local_site == peer:
                 continue
-            local_site = (run.report.local_site
-                          if run.report is not None else None)
-            if coordinator is not None and local_site != coordinator:
-                continue
-            if local_site == peer:
-                continue
-            for node_id in sorted(run.table.entries):
-                if node_id in run.completions:
-                    continue
-                entry = run.table.get(node_id)
-                if entry.site != peer:
-                    continue
-                node = run.graph.node(node_id)
-                # inputs behind the partition are unreachable; the task
-                # re-runs in simulation mode (cf. _handle_host_down)
-                inputs = {port: None for port in node.input_ports}
-                self._handle_reschedule_request({
-                    "execution_id": execution_id,
-                    "entry": {"node_id": node_id,
-                              "task_name": entry.task_name},
-                    "host": entry.host, "inputs": inputs,
-                    "exclude_sites": [peer],
-                    "reason": "site-unreachable",
-                })
+            node = run.graph.node(entry.node_id)
+            # inputs behind the partition are unreachable; the task
+            # re-runs in simulation mode (cf. _handle_host_down)
+            inputs = {port: None for port in node.input_ports}
+            self._handle_reschedule_request({
+                "execution_id": run.execution_id,
+                "entry": {"node_id": entry.node_id,
+                          "task_name": entry.task_name},
+                "host": entry.host, "inputs": inputs,
+                "exclude_sites": [peer],
+                "reason": "site-unreachable",
+            })
         if self.obs.enabled:
             self.obs.metrics.counter(
                 "vdce_degraded_requeues_total",
@@ -801,18 +747,35 @@ class VDCE:
     def _site_involved(self, name: str) -> bool:
         """Does any active run still coordinate at or execute on *name*?"""
         for run in self._active_runs.values():
-            if run.status != "running":
-                continue
-            if run.report is not None and run.report.local_site == name:
+            if run.status == "running" and run.report is not None \
+                    and run.report.local_site == name:
                 return True
-            if run.table is None:
+        return next(self._unfinished(site=name), None) is not None
+
+    def _unfinished(self, coordinator: str | None = None,
+                    site: str | None = None):
+        """Yield ``(run, entry)`` for every unfinished task of a live run.
+
+        The one sweep every re-dispatch walks: running runs in
+        execution-id order, their tasks in node-id order, skipping tasks
+        in ``run.completions``.  *coordinator* keeps only runs that site
+        coordinates; *site* keeps only tasks currently placed there.
+        Each entry is read from the table as it is reached, so a
+        reschedule made for one task is seen by the rest of the sweep.
+        """
+        for execution_id in sorted(self._active_runs):
+            run = self._active_runs[execution_id]
+            if run.status != "running" or run.table is None:
                 continue
-            for node_id in run.table.entries:
+            if coordinator is not None and \
+                    run.report.local_site != coordinator:
+                continue
+            for node_id in sorted(run.table.entries):
                 if node_id in run.completions:
                     continue
-                if run.table.get(node_id).site == name:
-                    return True
-        return False
+                entry = run.table.get(node_id)
+                if site is None or entry.site == site:
+                    yield run, entry
 
     def _stop_site_daemons(self, site_name: str) -> None:
         """Stop and drop every daemon of one site (site_leave teardown)."""

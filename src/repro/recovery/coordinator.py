@@ -35,7 +35,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.net import ALLOCATION_PUSH, SERVER_PROMOTED
+from repro.net import SERVER_PROMOTED
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.obs import OBS_OFF, Observability
@@ -178,10 +178,10 @@ class RecoveryCoordinator:
             self.env, self.network, site, replica.repository,
             self.topology, selection_timeout_s=old_sm.selection_timeout_s,
             obs=self.obs)
+        # the Group Managers carry over now: step 5 pushes through them
+        # before the facade's on_promoted hook wires the rest
         for gm in old_sm.group_managers.values():
             new_sm.register_group_manager(gm)
-        new_sm.on_reschedule_request = old_sm.on_reschedule_request
-        new_sm.on_host_down = old_sm.on_host_down
         # 4. re-arm the survivors: state transfer, new shipper + beat
         survivors = [r for r in state.replicas
                      if r is not replica and r.active]
@@ -201,7 +201,7 @@ class RecoveryCoordinator:
             self.env, self.network, site, [r.address for r in survivors],
             period_s=state.heartbeat_period_s)
         # 5. reconstruct execution state from the shipped log
-        rebuilt = self._reconstruct(new_sm, old_sm, replica, site)
+        rebuilt = self._reconstruct(new_sm, old_sm, replica)
         state.sm = new_sm
         state.shipper = new_sm.replication
         state.heartbeat = heartbeat
@@ -229,8 +229,7 @@ class RecoveryCoordinator:
         return new_sm
 
     def _reconstruct(self, new_sm: SiteManager, old_sm: SiteManager,
-                     replica: StandbyReplica,
-                     site: Site) -> list[ExecutionState]:
+                     replica: StandbyReplica) -> list[ExecutionState]:
         """Rebuild unfinished executions from the replica's WAL copy."""
         recovered = replay_executions(replica.ordered_records())
         resource_perf = new_sm.repository.resource_performance
@@ -270,22 +269,8 @@ class RecoveryCoordinator:
             # re-push every portion; the Application Controllers dedup
             # by (execution, node), so completed or running tasks are
             # not re-executed and lost pushes are healed
-            for push_site in sorted(begin["by_site"]):
-                portions = begin["by_site"][push_site]
-                if push_site == site.name:
-                    new_sm._push_to_groups(portions, state.application,
-                                           execution_id)
-                else:
-                    self.network.send(
-                        new_sm.address,
-                        f"{push_site}/server/{SiteManager.SERVICE}",
-                        ALLOCATION_PUSH,
-                        payload={"application": state.application,
-                                 "execution_id": execution_id,
-                                 "portions": portions,
-                                 "coordinator": new_sm.address},
-                        size_bytes=256 + 128 * sum(
-                            map(len, portions.values())))
+            new_sm.push_portions(begin["by_site"], state.application,
+                                 execution_id)
             if state.started:
                 new_sm.resend_start(state)
             else:

@@ -33,6 +33,7 @@ from repro.net import (
     AFG_MULTICAST,
     ALLOCATION_PUSH,
     CHANNEL_ACK,
+    EXECUTION_REQUEST,
     HOST_DOWN,
     HOST_SELECTION_REPLY,
     RESCHEDULE_REQUEST,
@@ -376,17 +377,27 @@ class SiteManager:
             "controllers": sorted(state.controllers),
             "total_tasks": state.total_tasks,
             "coordinator": self.address, "by_site": by_site})
+        self.push_portions(by_site, table.application, execution_id)
+        return state
+
+    def push_portions(self, by_site: dict[str, dict[str, list]],
+                      application: str, execution_id: str) -> None:
+        """Push per-site allocation portions with this manager coordinating.
+
+        *by_site* maps site -> host -> entry payloads.  This site's
+        portions go to its own Group Managers; every remote site's go
+        out in one batched ``ALLOCATION_PUSH`` to its Site Manager.
+        """
         remote_dsts: list[str] = []
         remote_payloads: list[Any] = []
         remote_sizes: list[float] = []
         for site, portions in by_site.items():
             if site == self.site.name:
-                self._push_to_groups(portions, table.application,
-                                     execution_id)
+                self._push_to_groups(portions, application, execution_id)
             else:
                 remote_dsts.append(f"{site}/server/{self.SERVICE}")
                 remote_payloads.append(
-                    {"application": table.application,
+                    {"application": application,
                      "execution_id": execution_id,
                      "portions": portions,
                      "coordinator": self.address})
@@ -396,7 +407,26 @@ class SiteManager:
             self.network.send_batch(
                 self.address, remote_dsts, ALLOCATION_PUSH,
                 payloads=remote_payloads, sizes=remote_sizes)
-        return state
+
+    def push_task(self, graph: ApplicationFlowGraph,
+                  table: ResourceAllocationTable, entry,
+                  execution_id: str, **fields: Any) -> None:
+        """Send one entry straight to its host's Application Controller.
+
+        The ``immediate`` execution request carries the entry payload
+        plus *fields* (e.g. ``forward_inputs``, ``attempt``) and names
+        this manager as the coordinator.  Reschedules, failover healing
+        and rejoin reconciliation all re-dispatch through here.
+        """
+        payload = self._entry_payload(entry, graph, table)
+        payload.update(fields)
+        self.network.send(
+            self.address, f"{entry.host}/appctl", EXECUTION_REQUEST,
+            payload={"application": graph.name,
+                     "execution_id": execution_id,
+                     "entries": [payload], "coordinator": self.address,
+                     "immediate": True},
+            size_bytes=256)
 
     def _on_allocation_push(self, msg) -> None:
         """Remote-site role: distribute a forwarded portion to my groups."""
