@@ -99,6 +99,28 @@ class TestFailoverExactlyOnce:
         assert_invariants(outcome)
 
 
+class TestFailoverUnderMembership:
+    def test_server_crash_with_membership_is_deterministic(self, chaos_seed):
+        # the promoted manager inherits the membership site filter; the
+        # run must still complete and replay byte for byte.  Task-level
+        # exactly-once is not asserted: a peer that quarantines the
+        # crashed server's site re-queues tasks still running on that
+        # site's live hosts.
+        first = run_chaos(chaos_seed, membership=True,
+                          failover_standbys=STANDBYS,
+                          plan=SERVER_CRASH_PLAN)
+        second = run_chaos(chaos_seed, membership=True,
+                           failover_standbys=STANDBYS,
+                           plan=SERVER_CRASH_PLAN)
+        assert_invariants(first)
+        assert first.status == "completed", \
+            f"failover under membership did not heal (seed {chaos_seed})"
+        assert first.failovers == 1
+        assert first.ledger is not None
+        assert first.fault_log == second.fault_log
+        assert first.ledger == second.ledger
+
+
 class TestUnsourceableRepush:
     def test_promotion_repush_never_kills_daemons(self):
         """Seed-13 regression, found by the happens-before triage sweep.

@@ -28,7 +28,12 @@ from repro.runtime.data.messaging import RetryPolicy
 from repro.scheduling.allocation import AllocationEntry, ResourceAllocationTable
 from repro.util.errors import ConfigurationError, NoFeasibleHostError
 from repro.util.rng import RngRegistry
-from repro.workloads import linear_solver_graph, nynet_testbed, quiet_testbed
+from repro.workloads import (
+    linear_solver_graph,
+    nynet_testbed,
+    quiet_testbed,
+    wide_area_testbed,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -387,3 +392,33 @@ class TestPromotedRepository:
         assert live.resource_performance.get("syracuse/h5").status == "down"
         with pytest.raises(NoFeasibleHostError):
             vdce.rescheduler.reschedule(node, current, exclude_hosts=others)
+
+
+class TestPromotedSiteFilter:
+    """A promoted Site Manager keeps excluding quarantined sites."""
+
+    def test_promoted_manager_skips_a_quarantined_site(self):
+        vdce = wide_area_testbed(n_sites=3, hosts_per_site=4, seed=3,
+                                 ring=True)
+        vdce.start()
+        vdce.enable_membership()
+        vdce.enable_failover("site0", ["h1", "h2"])
+        vdce.warm_up(10.0)
+        vdce.apply_fault_plan(FaultPlan((
+            ServerCrash("site0", at=vdce.now + 2.0),
+            ServerCrash("site2", at=vdce.now + 40.0))))
+        vdce.run(until=vdce.now + 80.0)
+        assert vdce.recovery.failovers == 1
+        assert vdce.federation.quarantined("site0") == ["site2"]
+        sm = vdce.site_managers["site0"]
+        assert sm.site_filter is not None
+        assert not sm.site_filter("site2")
+        # an unfiltered round would multicast to site2 and wait out the
+        # whole selection timeout for a reply that never comes
+        graph = linear_solver_graph(vdce.registry, n=40, seed=1)
+        _, run = vdce.submit(graph, "site0", k_remote_sites=2)
+        while run.table is None:
+            vdce.run(until=vdce.now + 0.01)
+        assert run.scheduling_time < sm.selection_timeout_s / 10
+        assert "site2" not in run.report.consulted_sites
+
