@@ -31,7 +31,7 @@ from repro.simcore.engine import Process
 
 #: daemon attributes that hold root processes worth site-tagging
 _PROC_ATTRS = ("_inbox_proc", "_echo_proc", "_sampler", "_responder",
-               "_watcher", "_proc")
+               "_proc")
 
 #: the journal-publishing repository databases (user accounts has no
 #: subscribe hook and is written only from the editor session, outside

@@ -94,7 +94,7 @@ class RecoveryCoordinator:
 
         *standby_hosts* are bare host names at *site*; *monitors* maps
         host addresses to their MonitorDaemon (the facade's registry) so
-        each standby's crash-watch loop can tick its failure detector.
+        each standby's sampling loop can tick its failure detector.
         """
         if site.name in self.sites:
             raise ConfigurationError(

@@ -7,11 +7,11 @@ goes silent — the same silence-is-failure model the Group Manager's
 echo pipeline uses for ordinary hosts.
 
 Detection rides on the per-host :class:`~repro.runtime.control.monitor.
-MonitorDaemon`: its crash-watch loop ticks the standby's
-:class:`HeartbeatTracker` once per sampling period (the issue's
-"extending MonitorDaemon's crash-watch to cover the server host
-itself").  The promotion rule is deterministic by construction —
-**lowest-address live standby wins**: the tracker of rank *r* (the
+MonitorDaemon`: the one loop that samples the standby's load and
+watches its own up/down state also ticks the standby's
+:class:`HeartbeatTracker` once per sampling period, so the monitor's
+crash watch covers the server host as well.  The promotion rule is
+deterministic by construction — **lowest-address live standby wins**: the tracker of rank *r* (the
 standby's index in the sorted standby-address list) only fires after
 ``suspect_after_s + r * promote_grace_s`` of heartbeat silence, so the
 lowest live address always promotes first and a dead standby simply
@@ -71,12 +71,12 @@ class ServerHeartbeatDaemon:
 class HeartbeatTracker:
     """One standby's view of server liveness, ticked by its monitor.
 
-    ``tick(now)`` is called from the host's MonitorDaemon crash-watch
-    loop each sampling period.  The tracker suspects the server after
-    ``suspect_after_s`` of silence and fires ``on_promote(replica,
-    suspected_at)`` once the silence also exceeds this standby's
-    rank-staggered grace — implementing lowest-address-wins without any
-    message exchange between standbys.
+    ``tick(now)`` is called from the host's MonitorDaemon sampling loop
+    each period, right after the load sample.  The tracker suspects the
+    server after ``suspect_after_s`` of silence and fires
+    ``on_promote(replica, suspected_at)`` once the silence also exceeds
+    this standby's rank-staggered grace — implementing
+    lowest-address-wins without any message exchange between standbys.
     """
 
     def __init__(self, replica: Any, rank: int, suspect_after_s: float,
@@ -99,7 +99,7 @@ class HeartbeatTracker:
         return self.suspect_after_s + self.rank * self.promote_grace_s
 
     def tick(self, now: float) -> None:
-        """One detector evaluation (called by the monitor crash-watch)."""
+        """One detector evaluation (called by the monitor sampling loop)."""
         replica = self.replica
         if not replica.active or not replica.host.up:
             # a dead standby observes nothing; clearing suspicion keeps

@@ -42,13 +42,11 @@ class MonitorDaemon:
         #: observed local up/down transitions: (time, "crashed"/"recovered")
         self.transitions: list[tuple[float, str]] = []
         #: server-liveness detector (a recovery.failover.HeartbeatTracker)
-        #: ticked from the crash-watch loop when this host is a standby
+        #: ticked from the sampling loop when this host is a standby
         self._server_tracker = None
         self._sampler = env.process(self._sample_loop(), name=f"mon:{host.name}")
         self._responder = env.process(self._respond_loop(),
                                       name=f"mon-echo:{host.name}")
-        self._watcher = env.process(self._crash_watch_loop(),
-                                    name=f"mon-watch:{host.name}")
 
     # -- measurement ---------------------------------------------------------
     def measure(self) -> dict:
@@ -61,60 +59,54 @@ class MonitorDaemon:
         }
 
     def _sample_loop(self):
-        while True:
-            yield self.env.timeout(self.period_s)
-            if not self.host.up:
-                continue  # a down host measures nothing
-            sample = self.measure()
-            self.network.send(self.address, self.group_leader_addr,
-                              LOAD_REPORT, payload=sample,
-                              size_bytes=64)
-            self.reports_sent += 1
-            obs = self.obs
-            if obs.enabled:
-                obs.metrics.counter(
-                    "monitor_reports_total",
-                    help="load reports sent, by host").inc(
-                        host=self.host.address)
-                obs.metrics.gauge(
-                    "host_cpu_load",
-                    help="last monitor-sampled CPU load").set(
-                        sample["cpu_load"], host=self.host.address)
+        """Sample, watch the server, then watch the host, each period.
 
-    # -- local crash detection ----------------------------------------------
-    def _crash_watch_loop(self):
-        """Observe the host's own up/down state each sampling period.
+        A down host measures nothing.  When this host is a failover
+        standby the loop also ticks the attached heartbeat tracker,
+        which promotes once the server has been silent past this
+        standby's rank-staggered deadline.
 
         The Group Manager infers remote crashes from echo silence; the
-        Monitor records the local ground truth into the trace so
-        post-mortem analysis can separate detection latency from the
+        loop records the host's own up/down transitions into the trace
+        so post-mortem analysis can separate detection latency from the
         fault itself.  On recovery it pushes a load report at once
         instead of waiting out the period, so repositories catch up a
         period earlier.
-
-        When this host is a failover standby the same loop extends the
-        crash watch to the *server* host: each period it ticks the
-        attached heartbeat tracker, which promotes once the server has
-        been silent past this standby's rank-staggered deadline.
         """
+        obs = self.obs
         was_up = self.host.up
         while True:
             yield self.env.timeout(self.period_s)
-            if self._server_tracker is not None and self.host.up:
-                self._server_tracker.tick(self.env.now)
-            if self.host.up == was_up:
+            up = self.host.up
+            if up:
+                sample = self.measure()
+                self.network.send(self.address, self.group_leader_addr,
+                                  LOAD_REPORT, payload=sample,
+                                  size_bytes=64)
+                self.reports_sent += 1
+                if obs.enabled:
+                    obs.metrics.counter(
+                        "monitor_reports_total",
+                        help="load reports sent, by host").inc(
+                            host=self.host.address)
+                    obs.metrics.gauge(
+                        "host_cpu_load",
+                        help="last monitor-sampled CPU load").set(
+                            sample["cpu_load"], host=self.host.address)
+                if self._server_tracker is not None:
+                    self._server_tracker.tick(self.env.now)
+            if up == was_up:
                 continue
-            was_up = self.host.up
-            kind = "recovered" if was_up else "crashed"
+            was_up = up
+            kind = "recovered" if up else "crashed"
             self.transitions.append((self.env.now, kind))
-            obs = self.obs
             if obs.enabled:
                 obs.trace.record(self.env.now, f"mon:{kind}", self.address)
                 obs.metrics.counter(
                     "monitor_transitions_total",
                     help="locally observed up/down transitions").inc(
                         host=self.host.address, kind=kind)
-            if was_up:
+            if up:
                 self.network.send(self.address, self.group_leader_addr,
                                   LOAD_REPORT, payload=self.measure(),
                                   size_bytes=64)
@@ -137,6 +129,6 @@ class MonitorDaemon:
 
     def stop(self) -> None:
         """Terminate the daemon's processes (simulation teardown)."""
-        for proc in (self._sampler, self._responder, self._watcher):
+        for proc in (self._sampler, self._responder):
             if proc.is_alive:
                 proc.interrupt("stop")

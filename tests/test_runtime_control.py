@@ -4,8 +4,12 @@ the change filter, and failure detection."""
 import pytest
 
 from repro.faults import FaultPlan, HostCrash
+from repro.net import Network, Topology
 from repro.obs import Observability
+from repro.resources.host import Host, HostSpec
 from repro.runtime.control.change_filter import ChangeFilter
+from repro.runtime.control.monitor import MonitorDaemon
+from repro.simcore import Environment
 from repro.util.errors import ConfigurationError
 from repro.workloads import quiet_testbed
 
@@ -112,6 +116,59 @@ class TestMonitoringPipeline:
         host.true_load = 5.0
         vdce.run(until=20)
         assert gm.stats.updates_forwarded > before
+
+
+class _TimeoutCountingEnv(Environment):
+    """An environment that counts the timeouts it hands out."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.timeouts = 0
+
+    def timeout(self, delay, value=None):
+        self.timeouts += 1
+        return super().timeout(delay, value)
+
+
+class TestMonitorWorkCount:
+    def _monitor(self):
+        env = _TimeoutCountingEnv()
+        topo = Topology()
+        topo.add_site("s")
+        net = Network(env, topo)
+        net.register("s/h1/groupmgr")
+        host = Host(HostSpec(name="h0"), site="s")
+        return env, host, MonitorDaemon(env, net, host, "s/h1/groupmgr",
+                                        period_s=2.0)
+
+    def test_a_monitored_host_costs_one_timeout_per_period(self):
+        env, host, monitor = self._monitor()
+        env.run(until=20.0)
+        # ten periods fired, each arming the next: one loop, one timer
+        assert env.timeouts == 11
+        assert monitor.reports_sent == 10
+
+    def test_one_tick_samples_then_ticks_the_tracker_then_watches(self):
+        env, host, monitor = self._monitor()
+        ticks = []
+
+        class Tracker:
+            def tick(self, now):
+                ticks.append((now, monitor.reports_sent,
+                              list(monitor.transitions)))
+
+        monitor.watch_server(Tracker())
+        env.run(until=2.0)
+        host.up = False
+        env.run(until=4.0)
+        host.up = True
+        env.run(until=6.0)
+        # a down host neither samples nor ticks; on recovery the tick
+        # sees that tick's sample but not yet the recovery transition
+        assert ticks == [(2.0, 1, []), (6.0, 2, [(4.0, "crashed")])]
+        assert monitor.transitions == [(4.0, "crashed"), (6.0, "recovered")]
+        assert monitor.reports_sent == 3
+        assert env.timeouts == 4
 
 
 class TestFailureDetection:
