@@ -156,6 +156,13 @@ class Event:
         elif callbacks is not _NO_WAITERS and callbacks is not None:
             callbacks(self)  # a single waiter's bound resume
 
+    def _abandon(self) -> None:
+        """Hook: the last process waiting here was interrupted away.
+
+        A no-op for plain events; an event that holds a place in some
+        queue (a pending store get) overrides it to give that place up.
+        """
+
 
 class Timeout(Event):
     """An event that fires after a fixed simulated delay.
@@ -311,11 +318,14 @@ class Process(Event):
                 cbs = target.callbacks
                 if cbs is self._resume_cb:
                     target.callbacks = _NO_WAITERS
+                    target._abandon()
                 elif type(cbs) is list:
                     try:
                         cbs.remove(self._resume_cb)
                     except ValueError:
                         pass
+                    if not cbs:
+                        target._abandon()
         self._target = None
         env = self.env
         hit = Event(env)

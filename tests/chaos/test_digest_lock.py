@@ -189,7 +189,7 @@ DIGESTS: dict[tuple[str, int], dict[str, str]] = {
         'chrome_trace':
             'c7d725a9de54e64f8697657845abb3034fdd5a42427b156f5a271d073107aa53',
         'trace':
-            '1b025e5ae652875695f74eb4a3b481634e6136946cd76f5336e952db9ddbde32',
+            '9ce0a324c7487fa7d0911e9f5876874051effccea627390019cd2c63f03a6080',
     },
     ('partition', 101): {
         'fault_log':

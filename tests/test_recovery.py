@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, HostCrash, ServerCrash
+from repro.net import HOST_DOWN
 from repro.recovery import (
     EXECUTION_KINDS,
     MEMBERSHIP_KINDS,
@@ -392,6 +393,32 @@ class TestPromotedRepository:
         assert live.resource_performance.get("syracuse/h5").status == "down"
         with pytest.raises(NoFeasibleHostError):
             vdce.rescheduler.reschedule(node, current, exclude_hosts=others)
+
+
+class TestPromotedMailbox:
+    """The promoted manager reads every message sent to the role address."""
+
+    def test_first_message_after_promotion_is_applied(self):
+        vdce = quiet_testbed(seed=5)
+        vdce.start()
+        vdce.enable_failover("syracuse", ["h1", "h2"])
+        vdce.warm_up(5.0)
+        vdce.apply_fault_plan(FaultPlan((
+            ServerCrash("syracuse", at=vdce.now + 1.0),)))
+        while vdce.recovery.failovers == 0:
+            vdce.run(until=vdce.now + 0.5)
+        assert vdce.world.site("syracuse").server_role_host == "h1"
+        # the promoted manager shares the stopped one's mailbox; the
+        # stopped inbox's pending get must not take the first report
+        sm = vdce.site_managers["syracuse"]
+        gm = vdce.group_managers[("syracuse", "g0")]
+        hosts = ("syracuse/h0", "syracuse/h1", "syracuse/h2")
+        for host in hosts:
+            vdce.network.send(gm.address, sm.address, HOST_DOWN,
+                              payload={"host": host}, size_bytes=32)
+            vdce.run(until=vdce.now + 0.5)
+        records = sm.repository.resource_performance
+        assert [records.get(h).status for h in hosts] == ["down"] * 3
 
 
 class TestPromotedSiteFilter:

@@ -116,6 +116,48 @@ class TestStore:
         assert sorted(got) == [("c1", "first"), ("c2", "second")]
 
 
+    def test_interrupted_getter_leaves_the_queue(self):
+        # a stopped daemon's pending get must not swallow the next item
+        # meant for whoever reads the mailbox after it
+        env = Environment()
+        store = Store(env)
+        got = []
+
+        def reader(tag):
+            item = yield store.get()
+            got.append((tag, item))
+
+        old = env.process(reader("old"))
+        env.run(until=1.0)
+        old.interrupt("stop")
+        env.process(reader("new"))
+        env.run(until=2.0)
+        store.put_nowait("msg")
+        env.run(until=3.0)
+        assert got == [("new", "msg")]
+        assert not old.is_alive
+
+    def test_interrupt_after_handoff_keeps_other_getters(self):
+        # a get already handed its item is not in the queue any more;
+        # interrupting its reader must leave the next getter in place
+        env = Environment()
+        store = Store(env)
+        got = []
+
+        def reader(tag):
+            item = yield store.get()
+            got.append((tag, item))
+
+        first = env.process(reader("first"))
+        env.process(reader("second"))
+        env.run(until=1.0)
+        store.put_nowait("a")
+        first.interrupt("stop")
+        store.put_nowait("b")
+        env.run(until=2.0)
+        assert got == [("second", "b")]
+
+
 class TestTracer:
     def test_record_and_query(self):
         tr = Tracer()
