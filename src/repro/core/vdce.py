@@ -350,6 +350,8 @@ class VDCE:
                 table, execution_id, graph,
                 max_host_load=(qos.max_host_load if qos is not None
                                else None))
+            # the live record every sweep reads while the run is going
+            run.completions = state.completed_tasks
             completions = yield state.finished
             run.started_at = (state.start_signal_time
                               if state.start_signal_time is not None
@@ -444,24 +446,21 @@ class VDCE:
 
     def _handle_host_down(self, host: str) -> None:
         """Reroute unfinished tasks assigned to a failed host."""
-        for run in self._active_runs.values():
-            if run.table is None or run.status != "running":
+        for run, entry in self._unfinished():
+            if host not in entry.hosts:
                 continue
-            for entry in run.table.portion_for_host(host):
-                if entry.node_id in run.completions:
-                    continue
-                node = run.graph.node(entry.node_id)
-                # Inputs held on the dead machine are lost; the task is
-                # re-run in simulation mode (values regenerate only for
-                # entry tasks, whose inputs are parameters).
-                inputs = {port: None for port in node.input_ports}
-                self._handle_reschedule_request({
-                    "execution_id": run.execution_id,
-                    "entry": {"node_id": entry.node_id,
-                              "task_name": entry.task_name},
-                    "host": host, "inputs": inputs,
-                    "reason": "host-down",
-                })
+            node = run.graph.node(entry.node_id)
+            # Inputs held on the dead machine are lost; the task is
+            # re-run in simulation mode (values regenerate only for
+            # entry tasks, whose inputs are parameters).
+            inputs = {port: None for port in node.input_ports}
+            self._handle_reschedule_request({
+                "execution_id": run.execution_id,
+                "entry": {"node_id": entry.node_id,
+                          "task_name": entry.task_name},
+                "host": host, "inputs": inputs,
+                "reason": "host-down",
+            })
 
     # -- self-healing control plane (server failover) -----------------------------
     def enable_failover(self, site: str, standby_hosts: list[str],
@@ -499,7 +498,8 @@ class VDCE:
         """Swap the facade's manager and repository maps, heal in-flight work.
 
         Rescheduling then prices the site from the promoted replica,
-        which the live Site Manager keeps current.
+        which the live Site Manager keeps current, and each run this
+        site coordinates reads its completions from the rebuilt state.
 
         The coordinator already re-pushed the WAL's original
         allocations; here every incomplete task of this site's active
@@ -511,6 +511,15 @@ class VDCE:
         """
         self._wire(site_name, new_sm)
         self.repositories[site_name] = new_sm.repository
+        for run in self._active_runs.values():
+            if run.status != "running" or run.table is None or \
+                    run.report.local_site != site_name:
+                continue
+            try:
+                state = new_sm.execution_state(run.execution_id)
+            except KeyError:
+                continue  # finished in the log: the old record is whole
+            run.completions = state.completed_tasks
         for run, entry in self._unfinished(coordinator=site_name):
             new_sm.push_task(run.graph, run.table, entry, run.execution_id)
         if self.obs.enabled:

@@ -155,9 +155,9 @@ DIGESTS: dict[tuple[str, int], dict[str, str]] = {
         'fault_log':
             'c4f2eba2560e1de91a276bea3c163aeeef2725d0dd74a68200b2172d286de810',
         'chrome_trace':
-            'b299123448d8940fe4026a0efa2d27a13c8a77bf4f80d4a460ab22c2943658b0',
+            '806f3cf8a6f510456c552e600722acef5071d2c5dc48fcd7ee3326c1c2d6bb9f',
         'trace':
-            'ef910fcefbc0b413311f397ef0f231296212c6fbef44619ff4ef261ec0256c3e',
+            '5b30d0e99100d657e110cddb67a504a8d9495c233c3bbae89f54e19f7523d771',
     },
     ('chaos', 303): {
         'fault_log':
@@ -205,9 +205,9 @@ DIGESTS: dict[tuple[str, int], dict[str, str]] = {
         'fault_log':
             '5c5fd458864a9598f8d30b74e0c71e730da5c11a92d6bec80deb7121c196bf38',
         'chrome_trace':
-            'e5488f507b938e96130e08a7e64362dd6fb4081bcbd960666ce99c13752cc32f',
+            '981be88ebce7fe0d18eaa7db3364e42ed8d6035d8aca1f6df7b9c511db647277',
         'trace':
-            '9409a5cd502663c20cb6cefe30004771026d07ff7a815acb39bca908527255fe',
+            '80fb260bbad174d03e9c8964d6efc428596837fccae097280f901b9e3b678e2d',
         'ledger':
             '0523b312abe4282e4ef6d4b1d4a2b4f53b208d455e1397397f1fc4ef779f142f',
     },

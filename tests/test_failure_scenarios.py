@@ -166,3 +166,36 @@ class TestWholeSiteOutage:
         v.run_application(g, "syracuse", k_remote_sites=1,
                           max_sim_time_s=1200)
         assert v.env.failed_processes == []
+
+
+class TestFinishedTasksStayFinished:
+    """A host-down reroutes only the tasks that have not completed."""
+
+    def test_crash_after_completions_keeps_finished_tasks(self):
+        v = quiet_testbed(seed=1)
+        v.start()
+        v.warm_up(10.0)
+        graph = linear_solver_graph(v.registry, n=150, seed=1)
+        process, run = v.submit(graph, "syracuse", k_remote_sites=1)
+        while run.table is None:
+            v.env.run(until=v.now + 0.01)
+        state = v.site_managers["syracuse"].execution_state(run.execution_id)
+        while len(state.completed_tasks) < 3:
+            v.env.run(until=v.now + 0.01)
+        done = sorted(state.completed_tasks)
+        assert done == ["gen-A", "gen-b", "lu"]
+        assert {state.completed_tasks[n]["host"] for n in done} == \
+            {"syracuse/h2"}
+        # the run's record is the coordinator's live one, so the sweep
+        # triggered by this crash sees the three tasks as finished
+        assert run.completions is state.completed_tasks
+        crash(v, "syracuse/h2", at=v.now + 0.001, recover_after=1000.0)
+        assert drive(v, process)
+        assert run.status == "completed"
+        assert [run.table.version_of(n) for n in done] == [1, 1, 1]
+        assert run.reschedules == 5
+        executed = sum(ac.stats.tasks_executed
+                       for ac in v.app_controllers.values())
+        # 10, not 8: a task running on h2 when it crashes still counts
+        assert executed == 10
+

@@ -421,6 +421,28 @@ class TestPromotedMailbox:
         assert [records.get(h).status for h in hosts] == ["down"] * 3
 
 
+class TestPromotedCompletionRecord:
+    """A run coordinated by a failed-over site reads the rebuilt record."""
+
+    def test_run_completions_follow_the_promoted_manager(self):
+        vdce = quiet_testbed(seed=101)
+        vdce.start()
+        vdce.enable_failover("syracuse", ["h1", "h2"])
+        graph = linear_solver_graph(vdce.registry, n=200)
+        process, run = vdce.submit(graph, "syracuse", k_remote_sites=1)
+        vdce.apply_fault_plan(FaultPlan((ServerCrash("syracuse", at=12.0),)))
+        while vdce.recovery.failovers == 0:
+            vdce.run(until=vdce.now + 0.5)
+        promoted = vdce.site_managers["syracuse"]
+        assert run.status == "running"
+        assert run.completions is promoted.execution_state(
+            run.execution_id).completed_tasks
+        while not process.triggered:
+            vdce.run(until=vdce.now + 5.0)
+        assert run.status == "completed"
+        assert sorted(run.completions) == sorted(graph.nodes)
+
+
 class TestPromotedSiteFilter:
     """A promoted Site Manager keeps excluding quarantined sites."""
 
