@@ -447,20 +447,25 @@ class VDCE:
     def _handle_host_down(self, host: str) -> None:
         """Reroute unfinished tasks assigned to a failed host."""
         for run, entry in self._unfinished():
-            if host not in entry.hosts:
-                continue
-            node = run.graph.node(entry.node_id)
-            # Inputs held on the dead machine are lost; the task is
-            # re-run in simulation mode (values regenerate only for
-            # entry tasks, whose inputs are parameters).
-            inputs = {port: None for port in node.input_ports}
-            self._handle_reschedule_request({
-                "execution_id": run.execution_id,
-                "entry": {"node_id": entry.node_id,
-                          "task_name": entry.task_name},
-                "host": host, "inputs": inputs,
-                "reason": "host-down",
-            })
+            if host in entry.hosts:
+                self._reroute(run, entry, host, "host-down")
+
+    def _reroute(self, run: ApplicationRun, entry, host: str, reason: str,
+                 exclude_sites: tuple[str, ...] = ()) -> None:
+        """Reschedule *entry* away from *host*, its inputs lost.
+
+        Inputs held on a dead machine or behind a partition are gone, so
+        the task re-runs in simulation mode (values regenerate only for
+        entry tasks, whose inputs are parameters).
+        """
+        node = run.graph.node(entry.node_id)
+        self._handle_reschedule_request({
+            "execution_id": run.execution_id,
+            "entry": {"node_id": entry.node_id,
+                      "task_name": entry.task_name},
+            "host": host, "inputs": {port: None for port in node.input_ports},
+            "exclude_sites": list(exclude_sites), "reason": reason,
+        })
 
     # -- self-healing control plane (server failover) -----------------------------
     def enable_failover(self, site: str, standby_hosts: list[str],
@@ -511,10 +516,7 @@ class VDCE:
         """
         self._wire(site_name, new_sm)
         self.repositories[site_name] = new_sm.repository
-        for run in self._active_runs.values():
-            if run.status != "running" or run.table is None or \
-                    run.report.local_site != site_name:
-                continue
+        for run in self._live_runs(site_name):
             try:
                 state = new_sm.execution_state(run.execution_id)
             except KeyError:
@@ -619,20 +621,9 @@ class VDCE:
         """
         for run, entry in self._unfinished(coordinator=coordinator,
                                            site=peer):
-            if run.report.local_site == peer:
-                continue
-            node = run.graph.node(entry.node_id)
-            # inputs behind the partition are unreachable; the task
-            # re-runs in simulation mode (cf. _handle_host_down)
-            inputs = {port: None for port in node.input_ports}
-            self._handle_reschedule_request({
-                "execution_id": run.execution_id,
-                "entry": {"node_id": entry.node_id,
-                          "task_name": entry.task_name},
-                "host": entry.host, "inputs": inputs,
-                "exclude_sites": [peer],
-                "reason": "site-unreachable",
-            })
+            if run.report.local_site != peer:
+                self._reroute(run, entry, entry.host, "site-unreachable",
+                              exclude_sites=(peer,))
         if self.obs.enabled:
             self.obs.metrics.counter(
                 "vdce_degraded_requeues_total",
@@ -755,30 +746,29 @@ class VDCE:
 
     def _site_involved(self, name: str) -> bool:
         """Does any active run still coordinate at or execute on *name*?"""
-        for run in self._active_runs.values():
-            if run.status == "running" and run.report is not None \
-                    and run.report.local_site == name:
-                return True
-        return next(self._unfinished(site=name), None) is not None
+        return next(self._live_runs(name), None) is not None or \
+            next(self._unfinished(site=name), None) is not None
+
+    def _live_runs(self, coordinator: str | None = None):
+        """Scheduled, still-running runs in execution-id order; with
+        *coordinator*, only the runs that site coordinates."""
+        for execution_id in sorted(self._active_runs):
+            run = self._active_runs[execution_id]
+            if run.status == "running" and run.table is not None and (
+                    coordinator is None
+                    or run.report.local_site == coordinator):
+                yield run
 
     def _unfinished(self, coordinator: str | None = None,
                     site: str | None = None):
         """Yield ``(run, entry)`` for every unfinished task of a live run.
 
-        The one sweep every re-dispatch walks: running runs in
-        execution-id order, their tasks in node-id order, skipping tasks
-        in ``run.completions``.  *coordinator* keeps only runs that site
-        coordinates; *site* keeps only tasks currently placed there.
-        Each entry is read from the table as it is reached, so a
-        reschedule made for one task is seen by the rest of the sweep.
+        The one sweep every re-dispatch walks: the :meth:`_live_runs`,
+        each run's tasks in node-id order, minus ``run.completions``;
+        *site* keeps only tasks currently placed there.  Entries are
+        read as they are reached, so the sweep sees its own reschedules.
         """
-        for execution_id in sorted(self._active_runs):
-            run = self._active_runs[execution_id]
-            if run.status != "running" or run.table is None:
-                continue
-            if coordinator is not None and \
-                    run.report.local_site != coordinator:
-                continue
+        for run in self._live_runs(coordinator):
             for node_id in sorted(run.table.entries):
                 if node_id in run.completions:
                     continue

@@ -7,16 +7,15 @@ goes silent — the same silence-is-failure model the Group Manager's
 echo pipeline uses for ordinary hosts.
 
 Detection rides on the per-host :class:`~repro.runtime.control.monitor.
-MonitorDaemon`: the one loop that samples the standby's load and
-watches its own up/down state also ticks the standby's
-:class:`HeartbeatTracker` once per sampling period, so the monitor's
-crash watch covers the server host as well.  The promotion rule is
-deterministic by construction — **lowest-address live standby wins**: the tracker of rank *r* (the
-standby's index in the sorted standby-address list) only fires after
-``suspect_after_s + r * promote_grace_s`` of heartbeat silence, so the
-lowest live address always promotes first and a dead standby simply
-never ticks (its monitor observes ``host.up == False``).  No elections,
-no races, sim-time exact.
+MonitorDaemon`: its sampling loop ticks the standby's
+:class:`HeartbeatTracker` once per period, so the monitor's crash watch
+covers the server host too.  The promotion rule is deterministic by
+construction — **lowest-address live standby wins**: the tracker of
+rank *r* (the standby's index in the sorted standby-address list) only
+fires after ``suspect_after_s + r * promote_grace_s`` of heartbeat
+silence, so the lowest live address always promotes first and a dead
+standby simply never ticks (its monitor observes ``host.up == False``).
+No elections, no races, sim-time exact.
 """
 
 from __future__ import annotations
@@ -72,11 +71,11 @@ class HeartbeatTracker:
     """One standby's view of server liveness, ticked by its monitor.
 
     ``tick(now)`` is called from the host's MonitorDaemon sampling loop
-    each period, right after the load sample.  The tracker suspects the
-    server after ``suspect_after_s`` of silence and fires
-    ``on_promote(replica, suspected_at)`` once the silence also exceeds
-    this standby's rank-staggered grace — implementing
-    lowest-address-wins without any message exchange between standbys.
+    each period.  The tracker suspects the server after
+    ``suspect_after_s`` of silence and fires ``on_promote(replica,
+    suspected_at)`` once the silence also exceeds this standby's
+    rank-staggered grace — implementing lowest-address-wins without any
+    message exchange between standbys.
     """
 
     def __init__(self, replica: Any, rank: int, suspect_after_s: float,

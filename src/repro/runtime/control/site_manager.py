@@ -382,12 +382,9 @@ class SiteManager:
 
     def push_portions(self, by_site: dict[str, dict[str, list]],
                       application: str, execution_id: str) -> None:
-        """Push per-site allocation portions with this manager coordinating.
-
-        *by_site* maps site -> host -> entry payloads.  This site's
-        portions go to its own Group Managers; every remote site's go
-        out in one batched ``ALLOCATION_PUSH`` to its Site Manager.
-        """
+        """Push *by_site* (site -> host -> entry payloads) as coordinator:
+        local portions to this site's Group Managers, remote ones in one
+        batched ``ALLOCATION_PUSH`` to their Site Managers."""
         remote_dsts: list[str] = []
         remote_payloads: list[Any] = []
         remote_sizes: list[float] = []
@@ -411,13 +408,9 @@ class SiteManager:
     def push_task(self, graph: ApplicationFlowGraph,
                   table: ResourceAllocationTable, entry,
                   execution_id: str, **fields: Any) -> None:
-        """Send one entry straight to its host's Application Controller.
-
-        The ``immediate`` execution request carries the entry payload
-        plus *fields* (e.g. ``forward_inputs``, ``attempt``) and names
-        this manager as the coordinator.  Reschedules, failover healing
-        and rejoin reconciliation all re-dispatch through here.
-        """
+        """Send one entry as an ``immediate`` execution request, with this
+        manager coordinating; *fields* (``forward_inputs``, ``attempt``,
+        ...) extend the entry payload.  Every re-dispatch goes here."""
         payload = self._entry_payload(entry, graph, table)
         payload.update(fields)
         self.network.send(

@@ -157,11 +157,8 @@ class Event:
             callbacks(self)  # a single waiter's bound resume
 
     def _abandon(self) -> None:
-        """Hook: the last process waiting here was interrupted away.
-
-        A no-op for plain events; an event that holds a place in some
-        queue (a pending store get) overrides it to give that place up.
-        """
+        """Hook run when the last waiting process is interrupted away;
+        an event holding a queue place (a store get) gives it up."""
 
 
 class Timeout(Event):

@@ -16,19 +16,12 @@ from repro.util.errors import SimulationError
 
 
 class StoreGet(Event):
-    """Pending retrieval from a :class:`Store`.
-
-    Keeps its store so that a get nobody waits on any more (its process
-    was interrupted, e.g. a daemon stopped) leaves the getter queue
-    instead of swallowing the next item put there.
-    """
+    """Pending retrieval from a :class:`Store`; once its reader is
+    interrupted away it leaves the getter queue instead of swallowing
+    the next item."""
 
     #: ``_hb_extra`` carries the sanitizer's buffered putter clock
     __slots__ = ("store", "_hb_extra")
-
-    def __init__(self, env: Environment, store: "Store") -> None:
-        super().__init__(env)
-        self.store = store
 
     def _abandon(self) -> None:
         if self._ok is None:  # still queued: no item handed over yet
@@ -99,7 +92,8 @@ class Store:
 
     def get(self) -> StoreGet:
         """Return an event that triggers with the oldest item."""
-        ev = StoreGet(self.env, self)
+        ev = StoreGet(self.env)
+        ev.store = self
         self._getters.append(ev)
         self._dispatch()
         return ev
