@@ -46,7 +46,10 @@ from repro.obs import OBS_OFF, Observability
 from repro.repository.site_repository import SiteRepository
 from repro.resources.site import Site
 from repro.runtime.control.group_manager import HOST_UP, GroupManager
-from repro.scheduling.allocation import ResourceAllocationTable
+from repro.scheduling.allocation import (
+    AllocationEntry,
+    ResourceAllocationTable,
+)
 from repro.scheduling.host_selection import HostSelectionResult, HostSelector
 from repro.scheduling.site_scheduler import SiteScheduler
 from repro.simcore.engine import Environment, Event
@@ -406,7 +409,7 @@ class SiteManager:
                 payloads=remote_payloads, sizes=remote_sizes)
 
     def push_task(self, graph: ApplicationFlowGraph,
-                  table: ResourceAllocationTable, entry,
+                  table: ResourceAllocationTable, entry: AllocationEntry,
                   execution_id: str, **fields: Any) -> None:
         """Send one entry as an ``immediate`` execution request, with this
         manager coordinating; *fields* (``forward_inputs``, ``attempt``,

@@ -137,6 +137,29 @@ class TestStore:
         assert got == [("new", "msg")]
         assert not old.is_alive
 
+    def test_get_shared_by_interrupted_readers_leaves_the_queue(self):
+        env = Environment()
+        store = Store(env)
+        shared = store.get()
+        got = []
+
+        def waiter():
+            yield shared
+
+        def reader():
+            got.append((yield store.get()))
+
+        waiters = [env.process(waiter()) for _ in range(2)]
+        env.run(until=1.0)
+        for proc in waiters:
+            proc.interrupt("stop")
+        env.process(reader())
+        env.run(until=2.0)
+        store.put_nowait("msg")
+        env.run(until=3.0)
+        assert got == ["msg"]
+        assert not shared.triggered
+
     def test_interrupt_after_handoff_keeps_other_getters(self):
         # a get already handed its item is not in the queue any more;
         # interrupting its reader must leave the next getter in place
