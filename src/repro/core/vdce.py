@@ -448,9 +448,9 @@ class VDCE:
         """Reroute unfinished tasks assigned to a failed host."""
         for run, entry in self._unfinished():
             if host in entry.hosts:
-                self._reroute(run, entry, host, "host-down")
+                self._reroute(run, entry, host)
 
-    def _reroute(self, run: ApplicationRun, entry, host: str, reason: str,
+    def _reroute(self, run: ApplicationRun, entry, host: str,
                  exclude_sites: tuple[str, ...] = ()) -> None:
         """Reschedule *entry* away from *host*, its inputs lost.
 
@@ -464,7 +464,7 @@ class VDCE:
             "entry": {"node_id": entry.node_id,
                       "task_name": entry.task_name},
             "host": host, "inputs": {port: None for port in node.input_ports},
-            "exclude_sites": list(exclude_sites), "reason": reason,
+            "exclude_sites": list(exclude_sites),
         })
 
     # -- self-healing control plane (server failover) -----------------------------
@@ -520,7 +520,7 @@ class VDCE:
             try:
                 state = new_sm.execution_state(run.execution_id)
             except KeyError:
-                continue  # finished in the log: the old record is whole
+                continue  # finished or never logged: old record stays
             run.completions = state.completed_tasks
         for run, entry in self._unfinished(coordinator=site_name):
             new_sm.push_task(run.graph, run.table, entry, run.execution_id)
@@ -622,8 +622,7 @@ class VDCE:
         for run, entry in self._unfinished(coordinator=coordinator,
                                            site=peer):
             if run.report.local_site != peer:
-                self._reroute(run, entry, entry.host, "site-unreachable",
-                              exclude_sites=(peer,))
+                self._reroute(run, entry, entry.host, exclude_sites=(peer,))
         if self.obs.enabled:
             self.obs.metrics.counter(
                 "vdce_degraded_requeues_total",

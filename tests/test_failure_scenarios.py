@@ -198,4 +198,3 @@ class TestFinishedTasksStayFinished:
                        for ac in v.app_controllers.values())
         # 10, not 8: a task running on h2 when it crashes still counts
         assert executed == 10
-

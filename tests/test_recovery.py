@@ -470,4 +470,3 @@ class TestPromotedSiteFilter:
             vdce.run(until=vdce.now + 0.01)
         assert run.scheduling_time < sm.selection_timeout_s / 10
         assert "site2" not in run.report.consulted_sites
-
