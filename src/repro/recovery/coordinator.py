@@ -78,8 +78,8 @@ class RecoveryCoordinator:
         self.sites: dict[str, SiteFailoverState] = {}
         self.failovers = 0
         #: facade hook: called as (site_name, old_sm, new_sm) after a
-        #: promotion so the facade can swap its site-manager map and
-        #: reconcile in-flight runs
+        #: promotion so the facade can wire the new manager (its hooks
+        #: and site filter) and reconcile in-flight runs
         self.on_promoted: Callable[[str, SiteManager, SiteManager],
                                    None] | None = None
 
@@ -178,8 +178,8 @@ class RecoveryCoordinator:
             self.env, self.network, site, replica.repository,
             self.topology, selection_timeout_s=old_sm.selection_timeout_s,
             obs=self.obs)
-        # the Group Managers carry over now: step 5 pushes through them
-        # before the facade's on_promoted hook wires the rest
+        # Group Managers re-register here, not in the facade's wiring:
+        # step 5 pushes through them before on_promoted runs
         for gm in old_sm.group_managers.values():
             new_sm.register_group_manager(gm)
         # 4. re-arm the survivors: state transfer, new shipper + beat
