@@ -27,6 +27,16 @@ outputs the scheduling and monitoring layers feed:
   :class:`ReschedulePolicy` hundreds of times per run, so every
   load-triggered and host-down reschedule decision is pinned.
 
+Two more lock the trace-replay reports the traffic layer prints:
+
+* ``replay`` — the JSON report of the capacity-model
+  :func:`run_replay` with quotas, token buckets, bounded queues and
+  skewed DRF weights all in play (3,000 arrivals, 6 tenants), seeds
+  101/202/303;
+* ``replay-bakeoff`` — the replay bake-off JSON at the
+  :class:`ReplayBakeoffConfig` defaults (four schedulers, 200 arrivals,
+  5 tenants; the seed is the config seed).
+
 A kernel, network, scheduling or control-plane refactor that claims to
 be behaviour-preserving must leave every digest unchanged; a change
 that moves one is a behaviour change and has to say so when it
@@ -46,10 +56,16 @@ import json
 import pytest
 
 from repro.analysis.runner import AnalyzeConfig, report_json, run_analysis
-from repro.bakeoff import BakeoffConfig, run_bakeoff
+from repro.bakeoff import (
+    BakeoffConfig,
+    ReplayBakeoffConfig,
+    run_bakeoff,
+    run_replay_bakeoff,
+)
 from repro.faults import FaultPlan, HostCrash
 from repro.obs import Observability
 from repro.obs.export import trace_to_jsonl
+from repro.traffic import ReplayConfig, run_replay
 from repro.workloads import nynet_testbed, random_layered_graph
 from tests.chaos.harness import ChaosOutcome, assert_invariants, run_chaos
 from tests.chaos.test_partition import run_partition_chaos
@@ -68,11 +84,20 @@ LOCK_ROWS = tuple(
      for scenario in ("chaos", "failover", "partition", "analyze")
      for seed in LOCK_SEEDS]
     + [("bakeoff", 0), ("monitor", 5)]
-    + [("reschedule", seed) for seed in LOCK_SEEDS])
+    + [("reschedule", seed) for seed in LOCK_SEEDS]
+    + [("replay", seed) for seed in LOCK_SEEDS]
+    + [("replay-bakeoff", 7)])
 
 #: the bake-off row's contestants: both HostSelector-driven schedulers
 #: plus the branch-and-bound reference they are scored against
 BAKEOFF_SCHEDULERS = ("site", "heft", "optimal")
+
+
+def replay_config(seed: int) -> ReplayConfig:
+    """The ``replay`` row: every admission limit bites at least once."""
+    return ReplayConfig(arrivals=3000, users=300, tenants=6, seed=seed,
+                        rate_limit_per_s=2.0, burst=4, quota_procs=48,
+                        max_pending=40, weight_skew=1.5)
 
 
 def _run(scenario: str, seed: int) -> ChaosOutcome:
@@ -125,6 +150,11 @@ def _artifacts(scenario: str, seed: int) -> dict[str, str]:
         return {"probes": json.dumps(probes, sort_keys=True)}
     if scenario == "reschedule":
         return run_rescheduling(seed)
+    if scenario == "replay":
+        return {"report": run_replay(replay_config(seed)).to_json()}
+    if scenario == "replay-bakeoff":
+        config = ReplayBakeoffConfig(seed=seed)
+        return {"result": run_replay_bakeoff(config).to_json()}
     outcome = _run(scenario, seed)
     assert_invariants(outcome)
     artifacts = {"fault_log": outcome.fault_log,
@@ -258,6 +288,22 @@ DIGESTS: dict[tuple[str, int], dict[str, str]] = {
             'eaf80990e8776c2414284ee9c9c90cd6134c58a46331987c187a26f6753524bd',
         'allocation':
             '665cbe7d828f155b31a77ff85bea98657a77a313903fe9c8bdc99cf42d0a51ad',
+    },
+    ('replay', 101): {
+        'report':
+            '91c099032bff9eaad988f279105deb3cab241fce7545a4e79ecd0a099cc07de8',
+    },
+    ('replay', 202): {
+        'report':
+            '5a12f62687c90177af4c3d8340905dff95e479d072e21deff7eec64d3793509e',
+    },
+    ('replay', 303): {
+        'report':
+            '7f5ad4126a5316b38815c4623f1a1a748c25e114593202b02c7b751407354171',
+    },
+    ('replay-bakeoff', 7): {
+        'result':
+            'c423f80d32d34111eac3df2759de0d53a7d9c930edaf23ee6bd930ce65011715',
     },
 }
 
