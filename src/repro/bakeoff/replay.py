@@ -4,9 +4,8 @@ The classic bake-off (:mod:`repro.bakeoff.runner`) scores one AFG at a
 time on an idle federation; this module scores schedulers under
 *traffic*: the same deterministic arrival stream (an open-loop
 generator from :mod:`repro.traffic`) is replayed against each
-scheduler, every dispatch placed by the real scheduler through a
-:class:`~repro.traffic.drf.DRFGatedScheduler` (the
-``SchedulerContext.tenancy`` pre-filter), and each contestant is scored
+scheduler.  The replay pump's DRF grant decides which job runs next;
+the scheduler places every granted job, and each contestant is scored
 on what sustained load actually exposes: tenant wait times, delivered
 utilization, fairness, and predicted work.
 
@@ -19,7 +18,6 @@ contestants never perturb each other), the federation, and the JSON
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 from repro.experiments.measures import format_table
@@ -28,14 +26,9 @@ from repro.scheduling.registry import SchedulerContext, create_scheduler
 from repro.simcore.engine import Environment
 from repro.tasklib import standard_registry
 from repro.testing import build_federation
-from repro.traffic.drf import (
-    DRFAllocator,
-    DRFGatedScheduler,
-    TenantOverShareError,
-    TenantShareFilter,
-)
+from repro.traffic.drf import DRFAllocator, fairness_stats
 from repro.traffic.generators import OpenLoopGenerator, WorkloadShape
-from repro.traffic.replay import ReplayEngine
+from repro.traffic.replay import CapacityBackend, ReplayEngine
 from repro.traffic.templates import TEMPLATE_NAMES, template_by_name
 from repro.traffic.tenancy import make_tenants, provision_tenants
 from repro.traffic.trace import JobRequest
@@ -63,87 +56,35 @@ class ReplayBakeoffConfig:
     nproc_cap: int = 8
 
 
-class ScheduledReplayBackend:
-    """Site pools whose placement comes from a real registered scheduler.
+class ScheduledReplayBackend(CapacityBackend):
+    """The capacity pools, with placement from a registered scheduler.
 
-    Each dispatch builds the job's AFG template, runs it through the
-    DRF-gated scheduler, and occupies ``nproc`` processors at the site
-    the scheduler put the job's entry task on (falling back to the
-    most-free site when that site cannot seat the width).  Service time
-    is the trace duration — identical across contestants, so wait and
-    fairness differences are attributable to placement alone.
+    Each dispatch builds the job's AFG template, schedules it, and
+    seats ``nproc`` processors at the site the scheduler put the job's
+    entry task on (falling back to the most-free site when that site
+    cannot seat the width).  Service time is the trace duration —
+    identical across contestants, so wait and fairness differences are
+    attributable to placement alone.
     """
 
     def __init__(self, env: Environment, scheduler_name: str,
                  ctx: SchedulerContext, procs_per_site: int) -> None:
-        self.env = env
+        super().__init__(env, ctx.repositories, procs_per_site)
         self.inner = create_scheduler(scheduler_name, ctx)
-        gate = ctx.tenancy
-        assert isinstance(gate, TenantShareFilter)
-        self.gate = gate
         self.registry = standard_registry()
-        self.free: dict[str, int] = {
-            site: procs_per_site for site in sorted(ctx.repositories)}
-        self.procs_per_site = procs_per_site
-        self.busy_proc_s: dict[str, float] = {site: 0.0
-                                              for site in self.free}
-        self._site_names = sorted(self.free)
         self.predicted_work_s = 0.0
-        self.gate_refusals = 0
-
-    def fits(self, req: JobRequest) -> bool:
-        return any(self.free[site] >= req.nproc
-                   for site in self._site_names)
 
     def ever_fits(self, req: JobRequest) -> bool:
-        return req.nproc <= self.procs_per_site and bool(req.template)
+        return super().ever_fits(req) and bool(req.template)
 
-    def _fallback_site(self, nproc: int) -> str:
-        best, best_free = "", -1
-        for site in self._site_names:
-            free = self.free[site]
-            if free >= nproc and free > best_free:
-                best, best_free = site, free
-        return best
-
-    def start(self, req: JobRequest,
-              on_complete: Callable[[], None]) -> None:
-        template = template_by_name(req.template)
-        graph = template.build(self.registry)
-        # The engine has already charged this job's demand; un-charge it
-        # around the gate check so ``admits`` prices the job as the
-        # not-yet-granted request it logically is, then re-charge (the
-        # engine owns the release at completion).
-        demand = ReplayEngine.demand_of(req)
-        allocator = self.gate.allocator
-        allocator.release(req.tenant, demand)
-        gated = DRFGatedScheduler(self.inner, self.gate, req.tenant,
-                                  req.nproc, memory_mb=demand[1])
-        try:
-            table = gated.schedule(graph)
-            entry = next(iter(table.entries.values()))
-            site = entry.site
-            self.predicted_work_s += table.predicted_total_work_s()
-        except TenantOverShareError:  # engine pre-checks; belt-and-braces
-            self.gate_refusals += 1
-            site = ""
-        finally:
-            allocator.allocate(req.tenant, demand)
-        if not site or self.free[site] < req.nproc:
-            site = self._fallback_site(req.nproc)
-        if not site:
-            raise RuntimeError(
-                f"no site can seat {req.nproc} processors for {req.job}")
-        self.free[site] -= req.nproc
-        self.env.call_later(req.duration_s, self._finish,
-                            (site, req, on_complete))
-
-    def _finish(self, handoff: tuple[str, JobRequest,
-                                     Callable[[], None]]) -> None:
-        site, req, on_complete = handoff
-        self.free[site] += req.nproc
-        self.busy_proc_s[site] += req.nproc * req.duration_s
-        on_complete()
+    def _place(self, req: JobRequest) -> str:
+        graph = template_by_name(req.template).build(self.registry)
+        table = self.inner.schedule(graph)
+        self.predicted_work_s += table.predicted_total_work_s()
+        site = next(iter(table.entries.values())).site
+        if self.free[site] >= req.nproc:
+            return site
+        return super()._place(req)
 
 
 @dataclass
@@ -196,14 +137,11 @@ def run_replay_bakeoff(config: ReplayBakeoffConfig,
             capacity_procs=total_procs,
             capacity_memory_mb=total_procs * config.memory_per_proc_mb,
             tenants=tenants)
-        gate = TenantShareFilter(allocator,
-                                 mem_per_proc_mb=config.memory_per_proc_mb)
         env = Environment()
         ctx = SchedulerContext(
             repositories=fed.repositories, topology=fed.topology,
             local_site=config.sites[0],
-            rng=rng.spawn(f"replay-bakeoff:{name}"), obs=obs,
-            tenancy=gate)
+            rng=rng.spawn(f"replay-bakeoff:{name}"), obs=obs)
         backend = ScheduledReplayBackend(env, name, ctx,
                                          config.procs_per_site)
         arrivals = OpenLoopGenerator(
@@ -220,19 +158,16 @@ def run_replay_bakeoff(config: ReplayBakeoffConfig,
         busy = sum(backend.busy_proc_s.values())
         horizon = outcome.horizon_s or 1.0
         waits = [s.wait_sum_s for s in outcome.tenants.values()]
-        service = [s.busy_proc_s for s in outcome.tenants.values()]
-        square = sum(v * v for v in service)
-        jain = ((sum(service) ** 2) / (len(service) * square)
-                if square > 0 else 1.0)
+        service = {tenant: s.busy_proc_s
+                   for tenant, s in outcome.tenants.items()}
         result.rows.append({
             "scheduler": name,
             "dispatched": dispatched,
             "completed": completed,
             "utilization": busy / (total_procs * horizon),
             "mean_wait_s": (sum(waits) / dispatched) if dispatched else 0.0,
-            "jain_index": jain,
+            "jain_index": fairness_stats(service)["jain_index"],
             "drf_violations": outcome.drf_violations,
-            "gate_refusals": backend.gate_refusals,
             "predicted_work_s": backend.predicted_work_s,
             "horizon_s": horizon,
         })

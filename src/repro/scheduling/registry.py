@@ -33,29 +33,6 @@ from repro.util.rng import RngRegistry
 
 
 @runtime_checkable
-class TenantGate(Protocol):
-    """The DRF pre-filter contract (implemented by ``repro.traffic.drf``).
-
-    When a :class:`SchedulerContext` carries a gate, dispatch layers ask
-    it before handing a tenant's job to the inner scheduler: ``admits``
-    answers whether granting *procs*/*memory_mb* keeps the tenant inside
-    its quota and its weighted dominant-resource fair share, and
-    ``precedence`` orders tenants for progressive filling (lowest
-    weighted dominant share first).  Schedulers themselves stay
-    tenant-blind — fairness is enforced around them, so every registered
-    scheduler composes with multi-tenancy unchanged.
-    """
-
-    def admits(self, tenant: str, procs: int, memory_mb: float) -> bool:
-        """May *tenant* be granted this demand right now?"""
-        ...  # pragma: no cover
-
-    def precedence(self, tenant: str) -> tuple[float, str]:
-        """Sort key (weighted dominant share, name) for progressive filling."""
-        ...  # pragma: no cover
-
-
-@runtime_checkable
 class Scheduler(Protocol):
     """The one contract every registered scheduler satisfies."""
 
@@ -85,11 +62,6 @@ class SchedulerContext:
     k_remote_sites: int = 2
     rng: RngRegistry = field(default_factory=lambda: RngRegistry(0))
     obs: Observability = field(default_factory=lambda: OBS_OFF)
-    #: multi-tenant DRF pre-filter (``repro.traffic.drf.TenantShareFilter``):
-    #: when set, dispatch layers consult it before scheduling a tenant's
-    #: job.  ``None`` means single-tenant operation — the default, and
-    #: byte-identical to the pre-tenancy behaviour.
-    tenancy: TenantGate | None = None
     #: degraded-mode site predicate (``repro.federation``): sites it
     #: rejects — quarantined by the membership protocol — are excluded
     #: from neighbourhood selection.  ``None`` means full membership.

@@ -23,9 +23,6 @@ from repro.traffic.admission import (
 from repro.traffic.drf import (
     RESOURCES,
     DRFAllocator,
-    DRFGatedScheduler,
-    TenantOverShareError,
-    TenantShareFilter,
     fairness_stats,
 )
 from repro.traffic.generators import (
@@ -69,7 +66,6 @@ __all__ = [
     "CapacityBackend",
     "ClosedLoopGenerator",
     "DRFAllocator",
-    "DRFGatedScheduler",
     "GENERATORS",
     "JobRequest",
     "JobTemplate",
@@ -83,8 +79,6 @@ __all__ = [
     "TEMPLATES",
     "TEMPLATE_NAMES",
     "TenantAdmissionStats",
-    "TenantOverShareError",
-    "TenantShareFilter",
     "TraceError",
     "WorkloadShape",
     "build_arrivals",

@@ -9,31 +9,20 @@ processors and memory — matching the demand vector a
 :class:`~repro.traffic.templates.JobTemplate` charges per job
 (``nproc`` processors, ``nproc * mem_per_proc_mb`` MB).
 
-:class:`DRFAllocator` is the bookkeeping core;
-:class:`TenantShareFilter` adapts it to the
-:class:`~repro.scheduling.registry.TenantGate` protocol so a
-:class:`~repro.scheduling.registry.SchedulerContext` can carry the DRF
-pre-filter, and :class:`DRFGatedScheduler` wraps any registered
-scheduler with that gate — schedulers stay tenant-blind, fairness is
-enforced around them.
+:class:`DRFAllocator` is the bookkeeping core.  The replay pump
+(:class:`~repro.traffic.replay.ReplayEngine`) makes the one grant
+decision with it; schedulers only place the jobs it granted, so they
+stay tenant-blind.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from repro.afg.graph import ApplicationFlowGraph
 from repro.repository.user_accounts import TenantRecord
-from repro.scheduling.allocation import ResourceAllocationTable
-from repro.scheduling.registry import Scheduler
-from repro.util.errors import SchedulingError
 
 #: The DRF resource axes, in vector order.
 RESOURCES = ("procs", "memory_mb")
-
-
-class TenantOverShareError(SchedulingError):
-    """A gated schedule was refused: the tenant is outside its share."""
 
 
 class DRFAllocator:
@@ -57,11 +46,6 @@ class DRFAllocator:
         self._used = [0.0, 0.0]
 
     # -- bookkeeping ------------------------------------------------------
-    def demand_of(self, nproc: int, mem_per_proc_mb: float
-                  ) -> tuple[float, float]:
-        """The (procs, memory_mb) vector one job charges."""
-        return (float(nproc), float(nproc) * mem_per_proc_mb)
-
     def allocated(self, tenant: str) -> tuple[float, float]:
         vec = self._alloc[tenant]
         return (vec[0], vec[1])
@@ -139,57 +123,6 @@ class DRFAllocator:
         if vec[0] < -1e-9 or vec[1] < -1e-9:
             raise ValueError(f"tenant {tenant!r} released more than "
                              "it allocated")
-
-
-class TenantShareFilter:
-    """The :class:`~repro.scheduling.registry.TenantGate` for a replay.
-
-    ``admits`` answers the quota + capacity question for one demand;
-    ``precedence`` exposes the progressive-filling sort key.  Attach it
-    to ``SchedulerContext.tenancy`` and dispatch layers (the replay
-    engine, :class:`DRFGatedScheduler`) enforce DRF around whatever
-    scheduler the context builds.
-    """
-
-    def __init__(self, allocator: DRFAllocator,
-                 mem_per_proc_mb: float = 0.0) -> None:
-        self.allocator = allocator
-        self.mem_per_proc_mb = mem_per_proc_mb
-
-    def admits(self, tenant: str, procs: int, memory_mb: float) -> bool:
-        demand = (float(procs), float(memory_mb) if memory_mb
-                  else float(procs) * self.mem_per_proc_mb)
-        return self.allocator.can_allocate(tenant, demand)
-
-    def precedence(self, tenant: str) -> tuple[float, str]:
-        return (self.allocator.dominant_share(tenant), tenant)
-
-
-class DRFGatedScheduler:
-    """Wrap any registered scheduler with a tenant share gate.
-
-    ``schedule`` consults the gate for the graph's processor/memory
-    demand before delegating; a refusal raises
-    :class:`TenantOverShareError`, which dispatch layers treat as "keep
-    the job queued" — never a drop.
-    """
-
-    def __init__(self, inner: Scheduler, gate: TenantShareFilter,
-                 tenant: str, nproc: int, memory_mb: float = 0.0) -> None:
-        self.inner = inner
-        self.gate = gate
-        self.tenant = tenant
-        self.nproc = nproc
-        self.memory_mb = memory_mb
-        self.name = f"drf({inner.name})"
-
-    def schedule(self, graph: ApplicationFlowGraph
-                 ) -> ResourceAllocationTable:
-        if not self.gate.admits(self.tenant, self.nproc, self.memory_mb):
-            raise TenantOverShareError(
-                f"tenant {self.tenant!r} is outside its DRF share for "
-                f"{self.nproc} procs")
-        return self.inner.schedule(graph)
 
 
 def fairness_stats(shares: Mapping[str, float]) -> dict[str, float]:

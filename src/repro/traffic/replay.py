@@ -15,13 +15,15 @@ eligible remains.  Every decision is audited — a dispatch that was not
 share-minimal among eligible tenants counts as a ``drf_violation``
 (asserted zero by ``repro replay --check``).
 
-The default :class:`CapacityBackend` models each site as a processor
-pool (jobs occupy ``nproc`` processors for their trace duration via one
-``call_later`` completion entry) — that is what sustains 100k+
-arrivals in seconds.  The scheduled backend
-(:mod:`repro.bakeoff.replay`) and the VDCE backend
-(:class:`~repro.traffic.vdce_replay.VdceReplayBackend`) plug real
-placement and real execution underneath the same pump.
+The pump is the one grant decision: a backend only seats, and later
+completes, the jobs it was handed.  The default :class:`CapacityBackend`
+models each site as a processor pool (jobs occupy ``nproc`` processors
+for their trace duration via one ``call_later`` completion entry) —
+that is what sustains 100k+ arrivals in seconds.  The scheduled backend
+(:mod:`repro.bakeoff.replay`) is the same pool with placement from a
+registered scheduler; the VDCE backend
+(:class:`~repro.traffic.vdce_replay.VdceReplayBackend`) plugs real
+execution underneath the same pump.
 """
 
 from __future__ import annotations
@@ -77,17 +79,13 @@ class ReplayBackend(Protocol):
 class CapacityBackend:
     """Per-site processor pools with trace-duration service times.
 
-    ``site_filter`` is the degraded-mode hook
-    (:meth:`~repro.federation.Federation.usable_filter`): sites it
-    rejects hold no usable capacity, so admission control sheds load
-    against *reachable* capacity — with every remote site quarantined,
-    jobs too wide for the surviving pools are rejected as infeasible
-    rather than queued forever.
+    ``_place`` seats a job at the most-free site that fits it;
+    :class:`~repro.bakeoff.replay.ScheduledReplayBackend` keeps these
+    pools and overrides only placement (and ``ever_fits``).
     """
 
     def __init__(self, env: Environment, sites: Iterable[str],
-                 procs_per_site: int,
-                 site_filter: Callable[[str], bool] | None = None) -> None:
+                 procs_per_site: int) -> None:
         self.env = env
         self.free: dict[str, int] = {site: procs_per_site
                                      for site in sorted(sites)}
@@ -95,38 +93,30 @@ class CapacityBackend:
         self.busy_proc_s: dict[str, float] = {site: 0.0
                                               for site in self.free}
         self._site_names = sorted(self.free)
-        self.site_filter = site_filter
-
-    def _usable(self) -> list[str]:
-        if self.site_filter is None:
-            return self._site_names
-        return [site for site in self._site_names if self.site_filter(site)]
 
     def fits(self, req: JobRequest) -> bool:
         nproc = req.nproc
-        for site in self._usable():
+        for site in self._site_names:
             if self.free[site] >= nproc:
                 return True
         return False
 
     def ever_fits(self, req: JobRequest) -> bool:
-        if req.nproc > self.procs_per_site:
-            return False
-        return bool(self._usable())
+        return req.nproc <= self.procs_per_site and bool(self._site_names)
 
-    def _place(self, nproc: int) -> str:
+    def _place(self, req: JobRequest) -> str:
         """Most-free site that fits, ties broken by name (deterministic)."""
         best = ""
         best_free = -1
-        for site in self._usable():
+        for site in self._site_names:
             free = self.free[site]
-            if free >= nproc and free > best_free:
+            if free >= req.nproc and free > best_free:
                 best, best_free = site, free
         return best
 
     def start(self, req: JobRequest,
               on_complete: Callable[[], None]) -> None:
-        site = self._place(req.nproc)
+        site = self._place(req)
         if not site:
             raise RuntimeError(
                 f"backend.start without a fitting site for {req.job}")
@@ -170,10 +160,7 @@ class ReplayEngine:
     def __init__(self, env: Environment, arrivals: Iterable[JobRequest],
                  tenants: Mapping[str, TenantRecord],
                  allocator: DRFAllocator, backend: ReplayBackend,
-                 obs: Observability = OBS_OFF,
-                 base_backoff_s: float = 0.5,
-                 max_backoff_s: float = 60.0,
-                 max_attempts: int = 8) -> None:
+                 obs: Observability = OBS_OFF) -> None:
         self.env = env
         self.backend = backend
         self.allocator = allocator
@@ -184,8 +171,7 @@ class ReplayEngine:
             env, tenants, allocator, demand_fn=self.demand_of,
             on_admit=self._on_admitted,
             feasible_fn=lambda req, demand: self.backend.ever_fits(req),
-            obs=obs, base_backoff_s=base_backoff_s,
-            max_backoff_s=max_backoff_s, max_attempts=max_attempts)
+            obs=obs)
         self.outcome = ReplayOutcome(
             tenants={name: TenantReplayStats()
                      for name in self._tenant_names})

@@ -303,7 +303,7 @@ DIGESTS: dict[tuple[str, int], dict[str, str]] = {
     },
     ('replay-bakeoff', 7): {
         'result':
-            'c423f80d32d34111eac3df2759de0d53a7d9c930edaf23ee6bd930ce65011715',
+            '582874f56f94f9b53ab66181d91c16d4e539f542fe95dc6694f67e7a2c1658ca',
     },
 }
 

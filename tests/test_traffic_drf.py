@@ -1,4 +1,4 @@
-"""DRF allocator, tenant gate, and the fairness property.
+"""DRF allocator and the fairness property.
 
 The headline property (the ISSUE's acceptance bound): **no tenant sits
 below its fair share while another tenant exceeds its fair share and
@@ -11,15 +11,7 @@ end-to-end audit at zero.
 import pytest
 
 from repro.repository import TenantRecord
-from repro.scheduling.registry import TenantGate
-from repro.traffic import (
-    DRFAllocator,
-    DRFGatedScheduler,
-    TenantOverShareError,
-    TenantShareFilter,
-    fairness_stats,
-    make_tenants,
-)
+from repro.traffic import DRFAllocator, fairness_stats, make_tenants
 
 
 def allocator(tenants=None, procs=100, mem=100_000.0):
@@ -30,8 +22,7 @@ def allocator(tenants=None, procs=100, mem=100_000.0):
 class TestAllocator:
     def test_demand_and_bookkeeping(self):
         alloc = allocator()
-        demand = alloc.demand_of(4, 256.0)
-        assert demand == (4.0, 1024.0)
+        demand = (4.0, 1024.0)
         alloc.allocate("t00", demand)
         assert alloc.allocated("t00") == demand
         assert alloc.free() == (96.0, 98_976.0)
@@ -131,44 +122,6 @@ class TestFairnessProperty:
         assert skewed["max_share"] == 3.0
         empty = fairness_stats({})
         assert empty["jain_index"] == 1.0
-
-
-class TestTenantGate:
-    def test_share_filter_satisfies_protocol(self):
-        gate = TenantShareFilter(allocator(), mem_per_proc_mb=256.0)
-        assert isinstance(gate, TenantGate)
-
-    def test_admits_prices_memory_from_default(self):
-        alloc = DRFAllocator(
-            10, 2560.0,
-            {"t": TenantRecord(name="t")})
-        gate = TenantShareFilter(alloc, mem_per_proc_mb=256.0)
-        assert gate.admits("t", 10, 0.0)       # exactly capacity
-        assert not gate.admits("t", 11, 0.0)   # procs over
-        assert not gate.admits("t", 5, 3000.0)  # explicit memory over
-
-    def test_precedence_orders_by_share(self):
-        alloc = allocator()
-        gate = TenantShareFilter(alloc)
-        alloc.allocate("t00", (10.0, 0.0))
-        assert gate.precedence("t01") < gate.precedence("t00")
-
-    def test_gated_scheduler_refuses_over_share(self):
-        class FakeScheduler:
-            name = "fake"
-
-            def schedule(self, graph):
-                return "table"
-
-        alloc = DRFAllocator(4, 4096.0,
-                             {"t": TenantRecord(name="t")})
-        gate = TenantShareFilter(alloc, mem_per_proc_mb=256.0)
-        gated = DRFGatedScheduler(FakeScheduler(), gate, "t", nproc=2)
-        assert gated.name == "drf(fake)"
-        assert gated.schedule(None) == "table"
-        alloc.allocate("t", (4.0, 1024.0))  # now full
-        with pytest.raises(TenantOverShareError):
-            gated.schedule(None)
 
 
 class TestMakeTenants:

@@ -224,7 +224,6 @@ class TestReplayBakeoff:
         for row in result.rows:
             assert row["dispatched"] == row["completed"] == 60
             assert row["drf_violations"] == 0
-            assert row["gate_refusals"] == 0
             assert row["predicted_work_s"] > 0
         assert result.to_json() == run_replay_bakeoff(config).to_json()
 
