@@ -262,7 +262,7 @@ class FaultInjector:
             if self._link_gone(spec.site_a, spec.site_b):
                 return
             # capture the spec at degrade time, not install time: an
-            # earlier fault or schedule step may have rewritten it
+            # earlier fault may have rewritten it
             original = topo.link(spec.site_a, spec.site_b)
             degraded = type(original)(
                 latency_s=original.latency_s * spec.latency_factor,

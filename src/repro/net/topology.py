@@ -2,19 +2,18 @@
 
 The paper's VDCE spans geographically distributed sites (Figure 1: e.g.
 the Syracuse and Rome sites on the NYNET ATM testbed) whose hosts form
-groups on LANs.  This module models that three-level structure — WAN
-links between sites, a LAN per group, loopback within a host — and
-computes per-transfer latency/transfer-time, which the Site Scheduler
-Algorithm's ``transfer_time(S_parent, S_j)`` term consumes directly.
+groups on LANs.  This module models the WAN links between sites and a
+LAN per site (:class:`~repro.net.network.Network` prices loopback
+within a host itself) and computes per-transfer latency/transfer-time,
+which the Site Scheduler Algorithm's ``transfer_time(S_parent, S_j)``
+term consumes directly.
 
 Links are **mutable at runtime**: :meth:`Topology.set_link` rewrites a
-link's latency/bandwidth mid-run, :meth:`Topology.set_link_up` takes a
-link administratively down (and back up), and
-:meth:`Topology.schedule_link` installs a time-varying per-pair
-profile — a sorted sequence of ``(at, LinkSpec | None)`` steps applied
-lazily against the topology's sim-time ``clock`` (``None`` = link
-down for that interval).  Every mutation bumps :attr:`Topology.version`
-and invalidates the per-pair path cache, so cached transfer costs can
+link's latency/bandwidth mid-run and :meth:`Topology.set_link_up`
+takes a link administratively down (and back up).  The fault injector's
+link faults (:mod:`repro.faults`) are the one caller that changes links
+mid-run.  Every mutation bumps :attr:`Topology.version` and
+invalidates the per-pair path cache, so cached transfer costs can
 never go stale (the INV001 contract).  When no path survives between
 two sites the pair is *unreachable*: :meth:`transfer_time` raises and
 :meth:`reachable` returns ``False`` — this is how WAN partitions
@@ -26,7 +25,6 @@ All sizes are bytes, times are seconds, bandwidths are bytes/second.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import networkx as nx
 
@@ -59,7 +57,6 @@ ATM_OC3 = LinkSpec(latency_s=0.005, bandwidth_bps=155e6 / 8)
 ETHERNET_10 = LinkSpec(latency_s=0.001, bandwidth_bps=10e6 / 8)
 ETHERNET_100 = LinkSpec(latency_s=0.0005, bandwidth_bps=100e6 / 8)
 T1_WAN = LinkSpec(latency_s=0.020, bandwidth_bps=1.544e6 / 8)
-LOOPBACK = LinkSpec(latency_s=1e-5, bandwidth_bps=1e9)
 
 
 #: Sentinel distinguishing "pair not cached" from "cached as unreachable".
@@ -81,8 +78,7 @@ class Topology:
     between sites follow the minimum-latency path over *up* links; the
     path's transfer time is the sum of per-hop latencies plus the size
     divided by the bottleneck (minimum) bandwidth along the path.
-    Transfers inside a site use the site's LAN spec; transfers inside a
-    host are loopback.
+    Transfers inside a site use the site's LAN spec.
 
     Cache discipline: ``_pair_cache`` memoises the
     ``(latency sum, bottleneck bandwidth)`` pair per *ordered*
@@ -90,28 +86,18 @@ class Topology:
     and the cache must reproduce the uncached per-call result exactly.
     Unreachable pairs are negatively cached as ``None`` so a partition
     does not re-run Dijkstra on every send.  *Every* link mutation
-    (``connect``/``set_link``/``set_link_up``/a due schedule step)
-    clears the cache and bumps :attr:`version`; consumers holding
-    derived cost views can cheap-check the stamp.
+    (``connect``/``set_link``/``set_link_up``) clears the cache and
+    bumps :attr:`version`; consumers holding derived cost views can
+    cheap-check the stamp.
     """
 
-    def __init__(self, lan: LinkSpec = ETHERNET_10,
-                 loopback: LinkSpec = LOOPBACK,
-                 clock: Callable[[], float] | None = None) -> None:
+    def __init__(self, lan: LinkSpec = ETHERNET_10) -> None:
         self._graph = nx.Graph()
         self._lan: dict[str, LinkSpec] = {}
         self._default_lan = lan
-        self._loopback = loopback
-        #: sim-time source for schedule steps; wired by the environment
-        self.clock = clock
         self._version = 0
         self._pair_cache: dict[tuple[str, str],
                                tuple[float, float] | None] = {}
-        # flattened schedule steps: (at, insertion seq, a, b, spec|None),
-        # sorted; _step_idx marks the first not-yet-applied step
-        self._steps: list[tuple[float, int, str, str, LinkSpec | None]] = []
-        self._step_idx = 0
-        self._step_seq = 0
 
     @property
     def version(self) -> int:
@@ -132,20 +118,11 @@ class Topology:
         self._invalidate()
 
     def remove_site(self, site: str) -> None:
-        """Remove a departed site and every link touching it.
-
-        Pending schedule steps addressing the departed site are dropped
-        too — applying them lazily later would dereference a removed
-        edge from an unrelated cost query.
-        """
+        """Remove a departed site and every link touching it."""
         if site not in self._graph:
             raise ConfigurationError(f"unknown site {site!r}")
         self._graph.remove_node(site)
         del self._lan[site]
-        tail = [step for step in self._steps[self._step_idx:]
-                if site not in (step[2], step[3])]
-        del self._steps[self._step_idx:]
-        self._steps.extend(tail)
         self._invalidate()
 
     def connect(self, a: str, b: str, link: LinkSpec = ATM_OC3) -> None:
@@ -202,48 +179,6 @@ class Topology:
         """Whether the direct link between *a* and *b* is up."""
         return bool(self._edge(a, b).get("up", True))
 
-    # -- time-varying schedules -------------------------------------------
-    def schedule_link(self, a: str, b: str,
-                      steps: list[tuple[float, LinkSpec | None]]) -> None:
-        """Install a time-varying profile for the *a*–*b* link.
-
-        Each ``(at, spec)`` step takes effect at sim time ``at``:
-        a :class:`LinkSpec` rewrites the link (and brings it up),
-        ``None`` takes it down.  Steps are applied **lazily** — the
-        first cost query at or after ``at`` (via :attr:`clock`) applies
-        every due step and invalidates the caches — so the link state
-        is a pure function of sim time and the installed profiles.
-        """
-        self._edge(a, b)  # validate the pair up front
-        for at, spec in steps:
-            if at < 0:
-                raise ConfigurationError(f"schedule step at {at} < 0")
-            self._steps.append((at, self._step_seq, a, b, spec))
-            self._step_seq += 1
-        # stable (time, insertion) order keeps overlapping profiles
-        # deterministic; already-applied prefix is untouched by sorting
-        # only the pending tail
-        pending = sorted(self._steps[self._step_idx:])
-        del self._steps[self._step_idx:]
-        self._steps.extend(pending)
-
-    def _advance(self) -> None:
-        """Apply every schedule step due by the current clock."""
-        if self._step_idx >= len(self._steps) or self.clock is None:
-            return
-        now = self.clock()
-        while (self._step_idx < len(self._steps)
-               and self._steps[self._step_idx][0] <= now):
-            _at, _seq, a, b, spec = self._steps[self._step_idx]
-            self._step_idx += 1
-            data = self._edge(a, b)
-            if spec is None:
-                data["up"] = False
-            else:
-                data["link"] = spec
-                data["up"] = True
-            self._invalidate()
-
     @property
     def sites(self) -> list[str]:
         return list(self._graph.nodes)
@@ -263,7 +198,6 @@ class Topology:
         :class:`~repro.util.errors.ConfigurationError` when the pair is
         partitioned.
         """
-        self._advance()
         for s in (src, dst):
             if s not in self._graph:
                 raise ConfigurationError(f"unknown site {s!r}")
@@ -279,7 +213,6 @@ class Topology:
     def _pair(self, src: str, dst: str) -> tuple[float, float] | None:
         """Cached ``(latency sum, bottleneck bandwidth)``; ``None`` when
         the pair is currently partitioned (negatively cached)."""
-        self._advance()
         key = (src, dst)
         pair = self._pair_cache.get(key, _UNSET)
         if pair is _UNSET:

@@ -119,8 +119,6 @@ class VDCEnvironment:
     def __init__(self, seed: int = 0, lan: LinkSpec | None = None) -> None:
         self.env = Environment()
         self.topology = Topology() if lan is None else Topology(lan=lan)
-        # sim-time clock drives lazily-applied time-varying link schedules
-        self.topology.clock = lambda: self.env.now
         self.network = Network(self.env, self.topology)
         self.rng = RngRegistry(seed)
         self.sites: dict[str, Site] = {}

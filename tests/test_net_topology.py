@@ -190,17 +190,6 @@ class TestRuntimeLinkMutation:
         assert topo.reachable("syracuse", "rome")
         assert not topo.has_link("rome", "buffalo")
 
-    def test_remove_site_drops_its_pending_schedule_steps(self):
-        topo = three_site_topology()
-        times = iter([0.0, 50.0, 50.0, 50.0])
-        topo.clock = lambda: next(times)
-        topo.schedule_link("rome", "buffalo", [(10.0, None)])
-        topo.schedule_link("syracuse", "rome", [(20.0, None)])
-        topo.remove_site("buffalo")
-        # the surviving step still applies; the orphaned one is gone
-        assert not topo.reachable("syracuse", "rome")
-        assert topo.has_link("syracuse", "rome")
-
     def test_has_link_requires_both_sites_and_an_edge(self):
         topo = three_site_topology()
         assert topo.has_link("syracuse", "rome")
