@@ -72,7 +72,6 @@ class VDCE:
                  echo_timeout_s: float = 1.0,
                  filter_policy: str = "ci",
                  reschedule_policy: ReschedulePolicy | None = None,
-                 weight_jitter: float = 0.10,
                  obs: Observability | None = None) -> None:
         self.world = VDCEnvironment(seed=seed)
         #: observability handle threaded through every daemon: metrics,
@@ -81,7 +80,7 @@ class VDCE:
         self.obs = obs if obs is not None else OBS_OFF
         self.world.network.set_observability(self.obs)
         self.registry = registry or standard_registry()
-        self.model = ExecutionModel(jitter=weight_jitter, seed=seed)
+        self.model = ExecutionModel(seed=seed)
         self.monitor_period_s = monitor_period_s
         self.echo_period_s = echo_period_s
         self.echo_timeout_s = echo_timeout_s

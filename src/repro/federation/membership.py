@@ -106,9 +106,8 @@ class MembershipDaemon:
                  obs: Observability | None = None,
                  wal_log: Callable[[str, dict], None] | None = None,
                  on_quarantine: Callable[[str, str], None] | None = None,
-                 on_rejoin: Callable[[str, str], None] | None = None,
-                 on_join: Callable[[str, str], None] | None = None,
-                 on_leave: Callable[[str, str], None] | None = None) -> None:
+                 on_rejoin: Callable[[str, str], None] | None = None
+                 ) -> None:
         self.env = env
         self.network = network
         self.site = site
@@ -118,8 +117,6 @@ class MembershipDaemon:
         self.wal_log = wal_log
         self.on_quarantine = on_quarantine
         self.on_rejoin = on_rejoin
-        self.on_join = on_join
-        self.on_leave = on_leave
         self.address = f"{site.name}/server/{self.SERVICE}"
         self.mailbox = network.register(self.address)
         self.peers: dict[str, PeerView] = {}
@@ -226,8 +223,6 @@ class MembershipDaemon:
             # departed site coming back: treated as a fresh join
             view.status = MEMBER
             self._transition("join", peer, via="announce")
-            if self.on_join is not None:
-                self.on_join(self.site.name, peer)
         elif view.status == QUARANTINED:
             self._rejoin(view)
         view.last_heard = self.env.now
@@ -243,8 +238,6 @@ class MembershipDaemon:
             view.span_id = None
         view.status = LEFT
         self._transition("leave", peer)
-        if self.on_leave is not None:
-            self.on_leave(self.site.name, peer)
 
     def _on_sync_request(self, msg) -> None:
         reply = self.sync.build_reply(msg.payload["cursor"])
@@ -287,8 +280,6 @@ class MembershipDaemon:
     def _admit(self, peer: str, via: str) -> PeerView:
         view = self.seed_peer(peer)
         self._transition("join", peer, via=via)
-        if self.on_join is not None:
-            self.on_join(self.site.name, peer)
         return view
 
     def _quarantine(self, view: PeerView) -> None:

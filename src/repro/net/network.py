@@ -83,15 +83,16 @@ class TrafficStats:
 class Network:
     """Latency/bandwidth-modelled message delivery between endpoints."""
 
-    __slots__ = ("env", "topology", "per_message_overhead_s",
+    __slots__ = ("env", "topology",
                  "stats", "_mailboxes", "is_up", "fault_hook", "obs",
                  "_m_messages", "_m_bytes", "_m_dropped", "_m_delay")
 
-    def __init__(self, env: Environment, topology: Topology,
-                 per_message_overhead_s: float = 1e-4) -> None:
+    #: software cost every message pays on top of the wire time
+    per_message_overhead_s = 1e-4
+
+    def __init__(self, env: Environment, topology: Topology) -> None:
         self.env = env
         self.topology = topology
-        self.per_message_overhead_s = per_message_overhead_s
         self.stats = TrafficStats()
         self._mailboxes: dict[str, Store] = {}
         #: predicate deciding whether the *host* owning an address is up;

@@ -109,13 +109,11 @@ class AdaptiveForecaster(Forecaster):
 
     name = "adaptive"
 
-    def __init__(self, family: Sequence[Forecaster] | None = None) -> None:
-        self.family: list[Forecaster] = list(family) if family else [
+    def __init__(self) -> None:
+        self.family: list[Forecaster] = [
             LastValueForecaster(), MeanForecaster(), EWMAForecaster(0.4),
             TrendForecaster(),
         ]
-        if not self.family:
-            raise ConfigurationError("adaptive family may not be empty")
 
     def backtest_errors(self, window: Sequence[float]) -> dict[str, float]:
         """Mean absolute one-step-ahead error per family member."""

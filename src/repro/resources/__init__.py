@@ -13,7 +13,6 @@ from repro.resources.loads import (
     RandomWalkLoad,
     SpikeLoad,
     TraceLoad,
-    attach_random_loads,
     diurnal_trace,
 )
 from repro.resources.site import Site, VDCEnvironment, build_environment
@@ -31,7 +30,6 @@ __all__ = [
     "SpikeLoad",
     "TraceLoad",
     "VDCEnvironment",
-    "attach_random_loads",
     "build_environment",
     "diurnal_trace",
 ]

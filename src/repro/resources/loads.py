@@ -24,18 +24,20 @@ from repro.resources.host import Host
 from repro.simcore.engine import Environment
 from repro.util.errors import ConfigurationError
 
+#: sim seconds between two steps of a random walk
+WALK_INTERVAL_S = 1.0
+#: share of its distance to the mean a random walk closes per step
+WALK_REVERSION = 0.2
+
 
 class LoadModel:
     """Base class: attaches a load process to a host."""
 
     def __init__(self, env: Environment, host: Host,
-                 rng: np.random.Generator, interval_s: float = 1.0) -> None:
-        if interval_s <= 0:
-            raise ConfigurationError("load update interval must be positive")
+                 rng: np.random.Generator) -> None:
         self.env = env
         self.host = host
         self.rng = rng
-        self.interval_s = interval_s
         self.process = env.process(self._run(), name=f"load:{host.address}")
 
     def _run(self):
@@ -52,24 +54,20 @@ class RandomWalkLoad(LoadModel):
 
     def __init__(self, env: Environment, host: Host,
                  rng: np.random.Generator, mean: float = 0.5,
-                 reversion: float = 0.2, volatility: float = 0.15,
-                 interval_s: float = 1.0) -> None:
+                 volatility: float = 0.15) -> None:
         if mean < 0:
             raise ConfigurationError("mean load must be >= 0")
-        if not 0 < reversion <= 1:
-            raise ConfigurationError("reversion must be in (0, 1]")
         self.mean = mean
-        self.reversion = reversion
         self.volatility = volatility
-        super().__init__(env, host, rng, interval_s)
+        super().__init__(env, host, rng)
 
     def _run(self):
         self.host.true_load = max(0.0, self.mean
                                   + self.volatility * self.rng.standard_normal())
         while True:
-            yield self.env.timeout(self.interval_s)
+            yield self.env.timeout(WALK_INTERVAL_S)
             load = self.host.true_load
-            load += self.reversion * (self.mean - load)
+            load += WALK_REVERSION * (self.mean - load)
             load += self.volatility * self.rng.standard_normal()
             self.host.true_load = max(0.0, load)
 
@@ -87,7 +85,7 @@ class OnOffLoad(LoadModel):
         self.on_load = on_load
         self.mean_on_s = mean_on_s
         self.mean_off_s = mean_off_s
-        super().__init__(env, host, rng, interval_s=1.0)
+        super().__init__(env, host, rng)
 
     def _run(self):
         while True:
@@ -106,7 +104,7 @@ class SpikeLoad(LoadModel):
             if start < 0 or duration <= 0 or extra < 0:
                 raise ConfigurationError(f"invalid spike {(start, duration, extra)}")
         self.spikes = sorted(spikes)
-        super().__init__(env, host, rng=np.random.default_rng(0), interval_s=1.0)
+        super().__init__(env, host, rng=np.random.default_rng(0))
 
     def _run(self):
         now = 0.0
@@ -140,8 +138,7 @@ class TraceLoad(LoadModel):
             raise ConfigurationError("trace loads must be >= 0")
         self.trace = list(trace)
         self.repeat = repeat
-        super().__init__(env, host, rng=np.random.default_rng(0),
-                         interval_s=1.0)
+        super().__init__(env, host, rng=np.random.default_rng(0))
 
     def _run(self):
         while True:
@@ -182,15 +179,3 @@ def diurnal_trace(peak_load: float = 1.5, base_load: float = 0.1,
         out.append((t, max(0.0, float(load))))
     return out
 
-
-def attach_random_loads(env: Environment, hosts: list[Host],
-                        rng: np.random.Generator,
-                        mean_range: tuple[float, float] = (0.1, 1.0),
-                        interval_s: float = 1.0) -> list[RandomWalkLoad]:
-    """Give every host a random-walk load with a host-specific mean."""
-    models = []
-    for host in hosts:
-        mean = float(rng.uniform(*mean_range))
-        models.append(RandomWalkLoad(env, host, rng, mean=mean,
-                                     interval_s=interval_s))
-    return models

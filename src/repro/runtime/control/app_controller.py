@@ -42,6 +42,9 @@ from repro.util.errors import ExecutionError
 
 PARALLEL_OCCUPY = "parallel-occupy"
 
+#: how often a running task's host load is checked for overload
+MONITOR_INTERVAL_S = 1.0
+
 
 @dataclass
 class ControllerStats:
@@ -61,7 +64,6 @@ class ApplicationController:
                  data_manager: DataManager,
                  group_manager_addr: str,
                  policy: ReschedulePolicy | None = None,
-                 monitor_interval_s: float = 1.0,
                  obs: Observability | None = None) -> None:
         self.env = env
         self.network = network
@@ -71,7 +73,6 @@ class ApplicationController:
         self.data_manager = data_manager
         self.group_manager_addr = group_manager_addr
         self.policy = policy or ReschedulePolicy()
-        self.monitor_interval_s = monitor_interval_s
         self.obs = obs if obs is not None else OBS_OFF
         self.address = f"{host.address}/{self.SERVICE}"
         self.mailbox = network.register(self.address)
@@ -423,7 +424,7 @@ class ApplicationController:
         if overloaded is None:
             overloaded = self.policy.should_reschedule
         while True:
-            yield self.env.timeout(self.monitor_interval_s)
+            yield self.env.timeout(MONITOR_INTERVAL_S)
             if not task_proc.is_alive:
                 return
             if overloaded(self.host.true_load):

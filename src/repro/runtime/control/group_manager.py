@@ -38,6 +38,9 @@ from repro.util.errors import ConfigurationError
 
 HOST_UP = "host-up"
 
+#: consecutive unanswered echo rounds before a host is declared down
+MISS_LIMIT = 2
+
 
 @dataclass
 class GroupManagerStats:
@@ -60,13 +63,10 @@ class GroupManager:
                  site_manager_addr: str,
                  echo_period_s: float = 5.0,
                  echo_timeout_s: float = 1.0,
-                 miss_limit: int = 2,
                  change_filter: ChangeFilter | None = None,
                  obs: Observability | None = None) -> None:
         if echo_period_s <= 0 or echo_timeout_s <= 0:
             raise ConfigurationError("echo period/timeout must be positive")
-        if miss_limit < 1:
-            raise ConfigurationError("miss_limit must be >= 1")
         self.env = env
         self.network = network
         self.site = site
@@ -76,7 +76,6 @@ class GroupManager:
         self.site_manager_addr = site_manager_addr
         self.echo_period_s = echo_period_s
         self.echo_timeout_s = echo_timeout_s
-        self.miss_limit = miss_limit
         self.filter = change_filter or ChangeFilter()
         self.obs = obs if obs is not None else OBS_OFF
         self.stats = GroupManagerStats()
@@ -216,7 +215,7 @@ class GroupManager:
                                 host=host, kind="recovery")
             else:
                 self._misses[host] += 1
-                if self._misses[host] >= self.miss_limit and \
+                if self._misses[host] >= MISS_LIMIT and \
                         host not in self._marked_down:
                     self._marked_down.add(host)
                     self.stats.failures_detected += 1

@@ -505,8 +505,8 @@ class Environment:
     __slots__ = ("_now", "_queue", "_seq", "_active_process",
                  "failed_processes", "_hb")
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: list[tuple[float, int, int, Event | _Resume]] = []
         self._seq = count(1)
         self._active_process: Process | None = None
