@@ -77,6 +77,18 @@ class TenantRecord:
     burst: int = 1
     max_pending: int = 0
 
+    def __post_init__(self) -> None:
+        # negated in-range tests, so NaN fails every check
+        if not self.name:
+            raise RepositoryError("tenant name may not be empty")
+        if not self.weight > 0:
+            raise RepositoryError("tenant weight must be positive")
+        if not (self.quota_procs >= 0 and self.quota_memory_mb >= 0):
+            raise RepositoryError("tenant quotas may not be negative")
+        if not (self.rate_per_s >= 0 and self.burst >= 1
+                and self.max_pending >= 0):
+            raise RepositoryError("tenant rate/burst/max_pending out of range")
+
 
 class UserAccountsDB:
     """Accounts + tenants keyed by name; authentication for the editor login.
@@ -182,14 +194,6 @@ class UserAccountsDB:
     # -- tenants ----------------------------------------------------------
     def add_tenant(self, record: TenantRecord) -> TenantRecord:
         """Create or replace a tenant's admission contract."""
-        if not record.name:
-            raise RepositoryError("tenant name may not be empty")
-        if record.weight <= 0:
-            raise RepositoryError("tenant weight must be positive")
-        if record.quota_procs < 0 or record.quota_memory_mb < 0:
-            raise RepositoryError("tenant quotas may not be negative")
-        if record.rate_per_s < 0 or record.burst < 1 or record.max_pending < 0:
-            raise RepositoryError("tenant rate/burst/max_pending out of range")
         self._tenants.put(record.name, record.__dict__.copy())
         self._stamp("tenant", record.name)
         return record

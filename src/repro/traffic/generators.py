@@ -81,7 +81,7 @@ class OpenLoopGenerator:
                  templates: tuple[str, ...] = (),
                  shape: WorkloadShape | None = None,
                  start_s: float = 0.0) -> None:
-        if rate_per_s <= 0:
+        if not rate_per_s > 0:
             raise TraceError("rate_per_s must be > 0")
         _check_population(users, tenants, count)
         self._rng = rng
@@ -125,7 +125,7 @@ class ClosedLoopGenerator:
                  templates: tuple[str, ...] = (),
                  shape: WorkloadShape | None = None,
                  start_s: float = 0.0) -> None:
-        if think_time_s < 0:
+        if not think_time_s >= 0:
             raise TraceError("think_time_s must be >= 0")
         _check_population(users, tenants, count)
         self._rng = rng

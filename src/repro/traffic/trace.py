@@ -184,6 +184,8 @@ def synthetic_alibaba_trace(rng: np.random.Generator, count: int,
         raise TraceError("count must be >= 0")
     if users < 1 or tenants < 1:
         raise TraceError("users and tenants must be >= 1")
+    if not mean_rate_per_s > 0:
+        raise TraceError("mean_rate_per_s must be > 0")
     peak_rate = mean_rate_per_s * (1.0 + diurnal_amplitude)
     now = start_s
     emitted = 0

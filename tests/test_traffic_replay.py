@@ -21,6 +21,7 @@ from repro.traffic import (
     JobRequest,
     ReplayConfig,
     ReplayEngine,
+    TraceError,
     check_report,
     dump_trace,
     make_tenants,
@@ -28,10 +29,28 @@ from repro.traffic import (
 )
 from repro.traffic.generators import OpenLoopGenerator
 from repro.traffic.templates import TEMPLATE_NAMES
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, RepositoryError
 from repro.util.rng import RngRegistry
 
 SMALL = dict(arrivals=1500, users=100, tenants=5, rate_per_s=30.0)
+
+#: ``repro replay`` arguments no tenant contract or arrival process can
+#: honour: negative or NaN weights, rates, quotas and think times
+UNHONOURABLE = [
+    ["--weight-skew", "-2"],
+    ["--weight-skew", "nan"],
+    ["--rate-limit", "-1"],
+    ["--rate-limit", "nan"],
+    ["--quota-memory", "nan"],
+    ["--burst", "0", "--rate-limit", "1"],
+    ["--quota-procs", "-1"],
+    ["--max-pending", "-1"],
+    ["--generator", "synthetic-alibaba", "--rate", "0"],
+    ["--generator", "synthetic-alibaba", "--rate", "-3"],
+    ["--generator", "synthetic-alibaba", "--rate", "nan"],
+    ["--rate", "nan"],
+    ["--generator", "closed-loop", "--think-time", "nan"],
+]
 
 
 def small_config(**overrides):
@@ -181,6 +200,18 @@ class TestReplayCli:
         first = out.read_bytes()
         assert main(args) == 0
         assert out.read_bytes() == first  # byte-identical re-run
+
+    @pytest.mark.parametrize(
+        "extra", UNHONOURABLE,
+        ids=lambda args: "_".join(arg.removeprefix("--") for arg in args))
+    def test_cli_rejects_what_it_cannot_honour(self, extra, monkeypatch):
+        def started(self, until=None):
+            raise AssertionError("the replay started running")
+
+        monkeypatch.setattr(Environment, "run", started)
+        with pytest.raises((RepositoryError, TraceError)):
+            main(["replay", "--arrivals", "200", "--users", "50",
+                  "--check", *extra])
 
     def test_cli_replay_prom_artifact(self, tmp_path):
         prom = tmp_path / "tenants.prom"
