@@ -178,4 +178,3 @@ def diurnal_trace(peak_load: float = 1.5, base_load: float = 0.1,
             load += noise * float(rng.standard_normal())
         out.append((t, max(0.0, float(load))))
     return out
-
