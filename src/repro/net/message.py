@@ -8,11 +8,7 @@ the paper's Figures 2, 6 and 7.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from typing import Any
-
-_SEQ = itertools.count(1)
 
 
 # Message kinds used by the Control Manager (paper Figure 6).
@@ -50,25 +46,30 @@ SYNC_REQUEST = "sync-request"          # rejoiner -> up-to-date peer
 SYNC_REPLY = "sync-reply"              # peer -> rejoiner (delta/snapshot)
 
 
-@dataclass(frozen=True)
 class Message:
     """An addressed, sized unit of communication.
 
     ``size_bytes`` drives the transfer-time model; control messages are
     small and data messages carry the producing task's output size.
+    ``send_time`` is the simulated time of the send.  A slotted record,
+    built positionally on the send path; receivers treat it as
+    read-only (duplicated deliveries share one instance).
     """
 
-    src: str
-    dst: str
-    kind: str
-    payload: Any = None
-    size_bytes: float = 256.0  # default control-message size
-    send_time: float = 0.0
-    seq: int = field(default_factory=lambda: next(_SEQ))
+    __slots__ = ("src", "dst", "kind", "payload", "size_bytes", "send_time")
 
-    def reply(self, kind: str, payload: Any = None,
-              size_bytes: float = 256.0, send_time: float = 0.0) -> "Message":
-        """Build a response addressed back to this message's sender."""
-        return Message(src=self.dst, dst=self.src, kind=kind,
-                       payload=payload, size_bytes=size_bytes,
-                       send_time=send_time)
+    def __init__(self, src: str, dst: str, kind: str, payload: Any = None,
+                 size_bytes: float = 256.0,  # default control-message size
+                 send_time: float = 0.0) -> None:
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.payload = payload
+        self.size_bytes = size_bytes
+        self.send_time = send_time
+
+    def __repr__(self) -> str:
+        return (f"Message(src={self.src!r}, dst={self.dst!r}, "
+                f"kind={self.kind!r}, payload={self.payload!r}, "
+                f"size_bytes={self.size_bytes!r}, "
+                f"send_time={self.send_time!r})")

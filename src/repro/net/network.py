@@ -1,12 +1,14 @@
 """The simulated message network connecting VDCE daemons.
 
 Endpoints register a mailbox under a hierarchical address
-``site/host[/service]``.  :meth:`Network.send` computes the transfer time
-from the :class:`~repro.net.topology.Topology` (WAN path between sites,
-LAN inside a site, loopback inside a host) and delivers the message into
-the destination mailbox after that delay.  Messages to hosts that are
-down are silently dropped — exactly the failure model the Group Manager's
-echo packets are designed to detect (paper section 2.3.1).
+``site/host[/service]``; registration resolves the address's site and
+host once.  :meth:`Network.send` prices the transfer from the
+:class:`~repro.net.topology.Topology`'s cached route (WAN path between
+sites, LAN inside a site; loopback inside a host is priced here) and
+delivers the message into the destination mailbox after that delay.
+Messages to hosts that are down are silently dropped — exactly the
+failure model the Group Manager's echo packets are designed to detect
+(paper section 2.3.1).
 
 The network also keeps per-kind traffic counters, which back the
 monitoring-traffic experiment (F6) and the setup-cost experiment (F7).
@@ -27,6 +29,8 @@ from repro.simcore.engine import Environment
 from repro.simcore.store import Store
 from repro.util.errors import ChannelError, ConfigurationError
 
+_INF = float("inf")
+
 
 @lru_cache(maxsize=4096)
 def split_address(addr: str) -> tuple[str, str]:
@@ -34,7 +38,8 @@ def split_address(addr: str) -> tuple[str, str]:
 
     Addresses with no ``/`` are site-level actors (e.g. a site manager):
     site == host == addr.  The function is pure, and every ``send``
-    splits both endpoints, so results are memoized.
+    splits its sender (destinations were split at ``register``), so
+    results are memoized.
     """
     parts = addr.split("/")
     if not parts[0]:
@@ -84,7 +89,7 @@ class Network:
     """Latency/bandwidth-modelled message delivery between endpoints."""
 
     __slots__ = ("env", "topology",
-                 "stats", "_mailboxes", "is_up", "fault_hook", "obs",
+                 "stats", "_endpoints", "is_up", "fault_hook", "obs",
                  "_m_messages", "_m_bytes", "_m_dropped", "_m_delay")
 
     #: software cost every message pays on top of the wire time
@@ -94,7 +99,8 @@ class Network:
         self.env = env
         self.topology = topology
         self.stats = TrafficStats()
-        self._mailboxes: dict[str, Store] = {}
+        #: address -> (mailbox, site, host), resolved once at register
+        self._endpoints: dict[str, tuple[Store, str, str]] = {}
         #: predicate deciding whether the *host* owning an address is up;
         #: installed by the failure-injection layer.
         self.is_up: Callable[[str], bool] = lambda host: True
@@ -127,23 +133,23 @@ class Network:
     # -- endpoints --------------------------------------------------------
     def register(self, addr: str) -> Store:
         """Create (or fetch) the mailbox for *addr*."""
-        split_address(addr)  # validate
-        box = self._mailboxes.get(addr)
-        if box is None:
-            box = Store(self.env)
-            self._mailboxes[addr] = box
-        return box
+        endpoint = self._endpoints.get(addr)
+        if endpoint is None:
+            site, host = split_address(addr)  # validates
+            endpoint = (Store(self.env), site, host)
+            self._endpoints[addr] = endpoint
+        return endpoint[0]
 
     def mailbox(self, addr: str) -> Store:
         """Fetch a registered endpoint's mailbox."""
         try:
-            return self._mailboxes[addr]
+            return self._endpoints[addr][0]
         except KeyError:
             raise ChannelError(f"no endpoint registered at {addr!r}") from None
 
     @property
     def addresses(self) -> list[str]:
-        return list(self._mailboxes)
+        return list(self._endpoints)
 
     # -- delivery ---------------------------------------------------------
     def delay_for(self, src: str, dst: str, nbytes: float) -> float:
@@ -163,9 +169,10 @@ class Network:
         A one-destination :meth:`send_batch`, so every message takes the
         same route: one heap entry, no delivery process.  Returns the
         sent :class:`Message`.  Raises :class:`ChannelError` when the
-        destination endpoint was never registered (a programming error,
-        unlike a *down* host which is a simulated fault and drops
-        silently).
+        destination endpoint was never registered and
+        :class:`ConfigurationError` for a size that is negative, NaN or
+        infinite (programming errors, unlike a *down* host which is a
+        simulated fault and drops silently).
         """
         return self.send_batch(src, (dst,), kind, payload, size_bytes)[0]
 
@@ -192,12 +199,17 @@ class Network:
                    sizes: Sequence[float] | None = None) -> list[Message]:
         """Send to several destinations in one coalesced operation.
 
-        Every message, single sends included, is routed here, one at a
-        time in *dsts* order: the happens-before hook, stats, the trace
-        record and metrics (one ``obs.enabled`` guard), then the
-        host-down, partition and fault-hook checks (so injector RNG
-        draws follow send order), and finally the modelled delay and
-        any injected duplicates.
+        The whole batch is checked first: every destination must be
+        registered (else :class:`ChannelError`) and every size finite and
+        ``>= 0`` (else :class:`ConfigurationError`), so a batch that
+        fails counts and schedules nothing.  Then every message, single
+        sends included, is routed here, one at a time in *dsts* order:
+        the happens-before hook, stats, the trace record and metrics (one
+        ``obs.enabled`` guard), then the host-down, partition and
+        fault-hook checks (so injector RNG draws follow send order), and
+        finally the modelled delay and any injected duplicates.  Each
+        message costs one endpoint lookup (site and host were resolved
+        at :meth:`register`) and one :meth:`Topology.route` lookup.
         Consecutive messages sharing a delay ride **one** heap entry
         (:meth:`Environment.call_later`) and one arrival callback, so a
         fan-out inside a site (echo rounds, start signals to co-located
@@ -212,14 +224,24 @@ class Network:
             raise ConfigurationError("payloads must align with dsts")
         if sizes is not None and len(sizes) != len(dsts):
             raise ConfigurationError("sizes must align with dsts")
+        endpoints = self._endpoints
+        try:
+            targets = [endpoints[dst] for dst in dsts]
+        except KeyError as exc:
+            raise ChannelError(
+                f"no endpoint registered at {exc.args[0]!r}") from None
+        for nbytes in (size_bytes,) if sizes is None else sizes:
+            if not 0.0 <= nbytes < _INF:  # NaN-safe
+                raise ConfigurationError(
+                    f"message size must be finite and >= 0, got {nbytes}")
         env = self.env
         now = env._now
         stats = self.stats
         obs = self.obs
         fault_hook = self.fault_hook
         is_up = self.is_up
-        mailboxes = self._mailboxes
-        topology = self.topology
+        route = self.topology.route
+        overhead = self.per_message_overhead_s
         src_site, src_host = split_address(src)
         src_up = is_up(src_host)
         hb = hooks.HB
@@ -229,15 +251,11 @@ class Network:
         run_delay = -1.0
         for i in range(len(dsts)):
             dst = dsts[i]
+            box, dst_site, dst_host = targets[i]
             pl = payload if payloads is None else payloads[i]
             nbytes = size_bytes if sizes is None else sizes[i]
-            msg = Message(src=src, dst=dst, kind=kind, payload=pl,
-                          size_bytes=nbytes, send_time=now)
+            msg = Message(src, dst, kind, pl, nbytes, now)
             messages.append(msg)
-            box = mailboxes.get(dst)
-            if box is None:
-                raise ChannelError(f"no endpoint registered at {dst!r}")
-            dst_site, dst_host = split_address(dst)
             if hb is not None:
                 hb.on_send(dst_site)
             # inlined TrafficStats.account: sends dominate, and the
@@ -258,19 +276,23 @@ class Network:
                                      kind=kind)
                     self._m_dropped.inc(reason="host-down")
                 continue
-            if (src_host != dst_host
-                    and not topology.reachable(src_site, dst_site)):
-                # No surviving WAN route: the partition eats the message
-                # before any injected per-message fault gets a say (no
-                # RNG draws for undeliverable traffic keeps drops
-                # deterministic).
-                stats.dropped += 1
-                stats.partition_drops += 1
-                if obs.enabled:
-                    obs.trace.record(now, "net:partition-drop", src,
-                                     dst=dst, kind=kind)
-                    self._m_dropped.inc(reason="partitioned")
-                continue
+            if src_host == dst_host:
+                wire = 1e-5 + nbytes / 1e9  # loopback
+            else:
+                pair = route(src_site, dst_site)
+                if pair is None:
+                    # No surviving route: the partition eats the message
+                    # before any injected per-message fault gets a say
+                    # (no RNG draws for undeliverable traffic keeps drops
+                    # deterministic).
+                    stats.dropped += 1
+                    stats.partition_drops += 1
+                    if obs.enabled:
+                        obs.trace.record(now, "net:partition-drop", src,
+                                         dst=dst, kind=kind)
+                        self._m_dropped.inc(reason="partitioned")
+                    continue
+                wire = pair[0] + nbytes / pair[1]
             action = fault_hook(msg) if fault_hook is not None else None
             if action is not None and action.drop:
                 stats.dropped += 1
@@ -280,11 +302,7 @@ class Network:
                                      dst=dst, kind=kind)
                     self._m_dropped.inc(reason="injected")
                 continue
-            if src_host == dst_host:
-                wire = 1e-5 + nbytes / 1e9  # loopback
-            else:
-                wire = topology.transfer_time(src_site, dst_site, nbytes)
-            delay = wire + self.per_message_overhead_s
+            delay = wire + overhead
             copies = 1
             if action is not None:
                 delay += action.extra_delay_s

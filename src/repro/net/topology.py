@@ -13,11 +13,13 @@ link's latency/bandwidth mid-run and :meth:`Topology.set_link_up`
 takes a link administratively down (and back up).  The fault injector's
 link faults (:mod:`repro.faults`) are the one caller that changes links
 mid-run.  Every mutation bumps :attr:`Topology.version` and
-invalidates the per-pair path cache, so cached transfer costs can
-never go stale (the INV001 contract).  When no path survives between
-two sites the pair is *unreachable*: :meth:`transfer_time` raises and
-:meth:`reachable` returns ``False`` — this is how WAN partitions
-emerge from link faults rather than being scripted.
+invalidates the per-pair route cache, so cached transfer costs can
+never go stale (the INV001 contract).  :meth:`Topology.route` answers
+reachability and price together from that cache; when no path survives
+between two sites the pair is *unreachable*: ``route`` returns
+``None``, :meth:`transfer_time` raises and :meth:`reachable` returns
+``False`` — this is how WAN partitions emerge from link faults rather
+than being scripted.
 
 All sizes are bytes, times are seconds, bandwidths are bytes/second.
 """
@@ -80,15 +82,16 @@ class Topology:
     divided by the bottleneck (minimum) bandwidth along the path.
     Transfers inside a site use the site's LAN spec.
 
-    Cache discipline: ``_pair_cache`` memoises the
+    Cache discipline: ``_pair_cache`` memoises :meth:`route`'s
     ``(latency sum, bottleneck bandwidth)`` pair per *ordered*
     (src, dst) — shortest-path tie-breaks are not guaranteed symmetric
     and the cache must reproduce the uncached per-call result exactly.
-    Unreachable pairs are negatively cached as ``None`` so a partition
-    does not re-run Dijkstra on every send.  *Every* link mutation
-    (``connect``/``set_link``/``set_link_up``) clears the cache and
-    bumps :attr:`version`; consumers holding derived cost views can
-    cheap-check the stamp.
+    A same-site pair caches its LAN spec; unreachable pairs (partitioned,
+    or naming an unknown site) are negatively cached as ``None`` so a
+    partition does not re-run Dijkstra on every send.  *Every* mutation
+    (``add_site``/``remove_site``/``connect``/``set_link``/
+    ``set_link_up``) clears the cache and bumps :attr:`version`;
+    consumers holding derived cost views can cheap-check the stamp.
     """
 
     def __init__(self, lan: LinkSpec = ETHERNET_10) -> None:
@@ -210,32 +213,43 @@ class Topology:
             raise ConfigurationError(
                 f"no WAN path between {src!r} and {dst!r}") from None
 
-    def _pair(self, src: str, dst: str) -> tuple[float, float] | None:
-        """Cached ``(latency sum, bottleneck bandwidth)``; ``None`` when
-        the pair is currently partitioned (negatively cached)."""
+    def route(self, src: str, dst: str) -> tuple[float, float] | None:
+        """``(latency, bandwidth)`` of the current route from *src* to
+        *dst*, or ``None`` when there is none.
+
+        A transfer of *n* bytes costs ``latency + n / bandwidth``.  A
+        same-site pair answers with the site's LAN spec; a WAN pair with
+        the minimum-latency path's latency sum and bottleneck bandwidth.
+        A pair that is partitioned, or names a site that is not (or no
+        longer) part of the topology, has no route.  One cache lookup
+        once the pair has been asked for since the last mutation.
+        """
         key = (src, dst)
         pair = self._pair_cache.get(key, _UNSET)
         if pair is _UNSET:
-            try:
-                hops = self.path(src, dst)
-            except ConfigurationError:
-                for s in (src, dst):
-                    if s not in self._graph:
-                        raise
-                pair = None
-            else:
-                latency = 0.0
-                bottleneck = float("inf")
-                for u, v in zip(hops, hops[1:]):
-                    link: LinkSpec = self._graph.edges[u, v]["link"]
-                    latency += link.latency_s
-                    bottleneck = min(bottleneck, link.bandwidth_bps)
-                pair = (latency, bottleneck)
+            pair = None
+            if src == dst:
+                lan = self._lan.get(src)
+                if lan is not None:
+                    pair = (lan.latency_s, lan.bandwidth_bps)
+            elif src in self._graph and dst in self._graph:
+                try:
+                    hops = self.path(src, dst)
+                except ConfigurationError:
+                    pass  # partitioned
+                else:
+                    latency = 0.0
+                    bottleneck = float("inf")
+                    for u, v in zip(hops, hops[1:]):
+                        link: LinkSpec = self._graph.edges[u, v]["link"]
+                        latency += link.latency_s
+                        bottleneck = min(bottleneck, link.bandwidth_bps)
+                    pair = (latency, bottleneck)
             self._pair_cache[key] = pair
         return pair
 
     def reachable(self, src: str, dst: str) -> bool:
-        """Whether a WAN route currently exists from *src* to *dst*.
+        """Whether a route currently exists from *src* to *dst*.
 
         A site that is not (or no longer) part of the topology — e.g.
         one that executed ``site_leave`` while a partition hid the
@@ -243,11 +257,7 @@ class Topology:
         error: stragglers' messages to it become deterministic
         partition drops.
         """
-        if src == dst:
-            return src in self._graph or src in self._lan
-        if src not in self._graph or dst not in self._graph:
-            return False
-        return self._pair(src, dst) is not None
+        return self.route(src, dst) is not None
 
     def has_link(self, a: str, b: str) -> bool:
         """Whether both sites exist and share a direct WAN link.
@@ -271,11 +281,11 @@ class Topology:
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
-        if src == dst:
-            spec = self.lan(src)
-            return spec.latency_s + nbytes / spec.bandwidth_bps
-        pair = self._pair(src, dst)
+        pair = self.route(src, dst)
         if pair is None:
+            for s in (src, dst):
+                if s not in self._lan:
+                    raise ConfigurationError(f"unknown site {s!r}")
             raise ConfigurationError(
                 f"no WAN path between {src!r} and {dst!r}")
         return pair[0] + nbytes / pair[1]

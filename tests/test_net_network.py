@@ -293,13 +293,65 @@ class TestFaultHook:
         assert calls == []  # natural drop wins before injection
 
 
-class TestMessage:
-    def test_reply_swaps_addresses(self):
-        m = Message(src="a", dst="b", kind="req")
-        r = m.reply("resp", payload=1)
-        assert (r.src, r.dst, r.kind, r.payload) == ("b", "a", "resp", 1)
+class TestBatchChecksFirst:
+    """A batch that fails sends nothing: every destination and every size
+    is checked before any message is counted or scheduled."""
 
-    def test_sequence_numbers_unique(self):
-        a = Message(src="x", dst="y", kind="k")
-        b = Message(src="x", dst="y", kind="k")
-        assert a.seq != b.seq
+    @staticmethod
+    def assert_nothing_sent(env, net, *boxes):
+        assert net.stats.messages == 0
+        assert net.stats.bytes == 0
+        assert dict(net.stats.by_kind) == {}
+        assert env._queue == []
+        env.run()
+        for box in boxes:
+            assert box.try_get() is None
+
+    def test_unregistered_destination_sends_nothing(self):
+        env, net = make_net()
+        first = net.register("s1/h1")
+        with pytest.raises(ChannelError, match="s1/nope"):
+            net.send_batch("s1/h0", ["s1/h1", "s1/nope"], "k")
+        self.assert_nothing_sent(env, net, first)
+
+    @pytest.mark.parametrize("size", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("dst", ["s1/h0/svc", "s1/h1", "s2/h1"],
+                             ids=["loopback", "lan", "wan"])
+    def test_bad_size_sends_nothing(self, size, dst):
+        env, net = make_net()
+        box = net.register(dst)
+        with pytest.raises(ConfigurationError, match="size"):
+            net.send("s1/h0", dst, "k", size_bytes=size)
+        self.assert_nothing_sent(env, net, box)
+
+    def test_one_bad_size_in_a_batch_sends_nothing(self):
+        env, net = make_net()
+        boxes = [net.register(f"s1/h{i}") for i in (1, 2, 3)]
+        with pytest.raises(ConfigurationError):
+            net.send_batch("s1/h0", ["s1/h1", "s1/h2", "s1/h3"], "k",
+                           sizes=[64.0, float("nan"), 64.0])
+        self.assert_nothing_sent(env, net, *boxes)
+
+    def test_shared_size_ignored_when_sizes_given(self):
+        env, net = make_net()
+        box = net.register("s1/h1")
+        net.send_batch("s1/h0", ["s1/h1"], "k", size_bytes=-1.0,
+                       sizes=[32.0])
+        env.run()
+        assert box.try_get().size_bytes == 32.0
+
+
+class TestMessage:
+    def test_positional_record(self):
+        m = Message("a", "b", "req", {"x": 1}, 64.0, 2.5)
+        assert (m.src, m.dst, m.kind, m.payload, m.size_bytes,
+                m.send_time) == ("a", "b", "req", {"x": 1}, 64.0, 2.5)
+        assert not hasattr(m, "__dict__")
+
+    def test_send_stamps_send_time(self):
+        env, net = make_net()
+        net.register("s2/h1")
+        env.run(until=1.5)
+        msg = net.send("s1/h1", "s2/h1", "ping")
+        assert msg.send_time == 1.5
+        assert msg.size_bytes == 256.0

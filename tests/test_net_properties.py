@@ -1,5 +1,7 @@
 """Property-based tests of the network substrate (hypothesis)."""
 
+import copy
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -122,3 +124,79 @@ def test_unknown_site_rejected_everywhere():
                lambda: topo.neighbors_by_latency("ghost")):
         with pytest.raises(ConfigurationError):
             fn()
+
+
+def uncached_twin(topo: Topology) -> Topology:
+    """A freshly built Topology of *topo*'s state, with an empty route
+    cache.  Deep-copying the graph keeps each site's adjacency order, so
+    shortest-path tie-breaks match."""
+    twin = Topology()
+    twin._graph = copy.deepcopy(topo._graph)
+    twin._lan = dict(topo._lan)
+    return twin
+
+
+def answer(fn, *args):
+    """A query's value, or its error's type and message."""
+    try:
+        return fn(*args)
+    except (ConfigurationError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def link_spec(draw):
+    return LinkSpec(latency_s=draw(st.floats(1e-4, 0.1)),
+                    bandwidth_bps=draw(st.floats(1e5, 1e9)))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_route_cache_never_stale(data):
+    """INV001 for the route cache: with queries interleaved between
+    mutations, every ordered pair (same-site pairs and departed sites
+    included) answers ``route``, ``reachable`` and ``transfer_time``
+    exactly as an uncached Topology of the same state does."""
+    topo, sites = data.draw(random_topology())
+    names = list(sites)  # every site ever present, departed ones too
+    nbytes = data.draw(st.sampled_from([0.0, 1500.0, 1e7]))
+
+    def check():
+        queries = (("route", lambda t: t.route),
+                   ("reachable", lambda t: t.reachable),
+                   ("transfer_time",
+                    lambda t: lambda a, b: t.transfer_time(a, b, nbytes)))
+        for label, method in queries:
+            twin = uncached_twin(topo)  # each pair asked once: uncached
+            for a in names:
+                for b in names:
+                    assert answer(method(topo), a, b) == \
+                        answer(method(twin), a, b), (label, a, b)
+
+    check()
+    for step in range(data.draw(st.integers(1, 10))):
+        present = topo.sites
+        links = sorted(tuple(sorted(e)) for e in topo._graph.edges)
+        ops = ["add_site"]
+        if links:
+            ops += ["set_link", "set_link_up"]
+        if present:
+            ops.append("remove_site")
+        op = data.draw(st.sampled_from(ops))
+        if op == "set_link":
+            a, b = data.draw(st.sampled_from(links))
+            topo.set_link(a, b, link_spec(data.draw))
+        elif op == "set_link_up":
+            a, b = data.draw(st.sampled_from(links))
+            topo.set_link_up(a, b, data.draw(st.booleans()))
+        elif op == "remove_site":
+            topo.remove_site(data.draw(st.sampled_from(present)))
+        else:
+            site = f"n{step}"
+            topo.add_site(site)
+            names.append(site)
+            for peer in data.draw(st.lists(st.sampled_from(present),
+                                           unique=True, max_size=2)
+                                   if present else st.just([])):
+                topo.connect(site, peer, link_spec(data.draw))
+        check()
