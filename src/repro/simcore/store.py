@@ -31,6 +31,9 @@ class StoreGet(Event):
 class StorePut(Event):
     """Pending insertion into a capacity-bounded :class:`Store`."""
 
+    #: ``_hb_clock`` carries the sanitizer's snapshot of the putter
+    __slots__ = ("item", "_hb_clock")
+
     def __init__(self, env: Environment, item: Any) -> None:
         super().__init__(env)
         self.item = item
@@ -42,6 +45,8 @@ class Store:
     ``capacity`` of ``None`` means unbounded (puts always succeed
     immediately); otherwise puts block while the store is full.
     """
+
+    __slots__ = ("env", "capacity", "items", "_getters", "_putters")
 
     def __init__(self, env: Environment, capacity: int | None = None) -> None:
         if capacity is not None and capacity < 1:
@@ -91,9 +96,22 @@ class Store:
                 hb.store_append(self)
 
     def get(self) -> StoreGet:
-        """Return an event that triggers with the oldest item."""
+        """Return an event that triggers with the oldest item.
+
+        With an item buffered and no putter waiting, the item goes
+        straight to the new getter — what ``_dispatch`` would do, since
+        no getter waits while items are buffered — without a trip
+        through the getter queue.
+        """
         ev = StoreGet(self.env)
         ev.store = self
+        if self.items and not self._putters:
+            item = self.items.popleft()
+            hb = self.env._hb
+            if hb is not None:
+                hb.store_handoff(self, ev)
+            ev.succeed(item)
+            return ev
         self._getters.append(ev)
         self._dispatch()
         return ev

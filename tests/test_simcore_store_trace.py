@@ -1,8 +1,19 @@
 """Tests for simcore Store (mailboxes) and Tracer."""
 
-import pytest
+from collections import deque
 
-from repro.simcore import Environment, Store, Tracer
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.simcore import Environment, Interrupt, Store, Tracer
 from repro.util.errors import SimulationError
 
 
@@ -179,6 +190,128 @@ class TestStore:
         store.put_nowait("b")
         env.run(until=2.0)
         assert got == [("second", "b")]
+
+
+class StoreModel(RuleBasedStateMachine):
+    """One :class:`Store`, unbounded or bounded, against a deque model.
+
+    Every rule runs the simulation until nothing is pending, so each
+    reader that can be served has been.  The model holds the buffer, the
+    queued putters' items (bounded stores only), the waiting readers in
+    getter-queue order and every item handed out, in order.
+    """
+
+    @initialize(capacity=st.sampled_from([None, 1, 2, 3]))
+    def make_store(self, capacity):
+        self.env = Environment()
+        self.store = Store(self.env, capacity=capacity)
+        self.capacity = capacity
+        self.next_item = 0
+        self.buffer: deque = deque()
+        self.putters: deque = deque()      # (StorePut or None, item)
+        self.waiting: deque = deque()      # reader tags, getter order
+        self.readers: dict = {}            # tag -> process
+        self.expected: list = []           # (tag, item), delivery order
+        self.got: list = []
+        self.taken: list = []              # try_get results
+        self.put_items: list = []
+
+    # -- model transitions ---------------------------------------------
+    def _room(self) -> bool:
+        return self.capacity is None or len(self.buffer) < self.capacity
+
+    def _admit_putters(self) -> None:
+        while self.putters and self._room():
+            _ev, item = self.putters.popleft()
+            self.buffer.append(item)
+
+    def _offer(self, put_event, item) -> None:
+        self.put_items.append(item)
+        if self.waiting and not self.buffer:
+            self.expected.append((self.waiting.popleft(), item))
+        elif self._room() and not self.putters:
+            self.buffer.append(item)
+        else:
+            self.putters.append((put_event, item))
+
+    def _item(self) -> int:
+        self.next_item += 1
+        return self.next_item
+
+    # -- rules -----------------------------------------------------------
+    @rule()
+    def put_nowait(self):
+        item = self._item()
+        self.store.put_nowait(item)
+        self._offer(None, item)
+        self.env.run()
+
+    @rule()
+    def put(self):
+        item = self._item()
+        ev = self.store.put(item)
+        self._offer(ev, item)
+        self.env.run()
+
+    @rule()
+    def get(self):
+        tag = len(self.readers)
+
+        def reader():
+            try:
+                item = yield self.store.get()
+            except Interrupt:
+                return
+            self.got.append((tag, item))
+
+        self.readers[tag] = self.env.process(reader())
+        if self.buffer:
+            self.expected.append((tag, self.buffer.popleft()))
+            self._admit_putters()
+        else:
+            self.waiting.append(tag)
+        self.env.run()
+
+    @rule()
+    def try_get(self):
+        item = self.store.try_get()
+        if self.buffer:
+            assert item == self.buffer.popleft()
+            self.taken.append(item)
+            self._admit_putters()
+        else:
+            assert item is None
+        self.env.run()
+
+    @precondition(lambda self: self.waiting)
+    @rule(data=st.data())
+    def interrupt_waiting_reader(self, data):
+        tag = data.draw(st.sampled_from(list(self.waiting)))
+        self.readers[tag].interrupt("stop")
+        self.waiting.remove(tag)
+        self.env.run()
+        assert not self.readers[tag].is_alive
+
+    # -- checks ----------------------------------------------------------
+    @invariant()
+    def fifo_and_nothing_lost_or_duplicated(self):
+        assert list(self.store.items) == list(self.buffer)
+        assert self.got == self.expected
+        held = (list(self.buffer) + [item for _, item in self.putters]
+                + [item for _, item in self.got] + self.taken)
+        assert sorted(held) == sorted(self.put_items)
+        for ev, item in self.putters:
+            assert ev is None or not ev.triggered, item
+
+    @invariant()
+    def interrupted_readers_leave_the_getter_queue(self):
+        assert len(self.store._getters) == len(self.waiting)
+        assert not (self.store._getters and self.store.items)
+
+
+TestStoreModel = StoreModel.TestCase
+TestStoreModel.settings = settings(max_examples=30, stateful_step_count=25,
+                                   derandomize=True, deadline=None)
 
 
 class TestTracer:

@@ -13,8 +13,9 @@ flags, in every module under ``repro/``:
   not enclosed in an ``if`` whose test consults ``.enabled``.
 
 ``repro/obs/`` and ``repro/simcore/trace.py`` implement recording and
-are exempt.  Instance-dict lookups also cost on the kernel, network and
-scheduler hot paths, so those four files keep a second check:
+are exempt.  Instance-dict lookups also cost on the kernel, mailbox,
+network and scheduler hot paths, so those five files keep a second
+check:
 
 * a class without ``__slots__`` in a module where sibling classes have
   them (dataclasses and exception types are exempt).
@@ -41,7 +42,8 @@ _OBS_STORES = frozenset({"trace", "tracer", "metrics", "spans"})
 _RECORDER_PATHS = ("repro/obs/", "repro/simcore/trace.py")
 
 #: hot-path modules where __slots__ parity is enforced
-_SLOTS_PATHS = ("repro/simcore/engine.py", "repro/net/network.py",
+_SLOTS_PATHS = ("repro/simcore/engine.py", "repro/simcore/store.py",
+                "repro/net/network.py",
                 "repro/scheduling/site_scheduler.py",
                 "repro/scheduling/heft.py")
 
