@@ -434,41 +434,21 @@ class HBRecorder:
         env._active_process = None
         self.current = self._external
 
-    def run_loop(self, env: Any, until: Any = None) -> Any:
-        """Instrumented replacement for ``Environment.run``.
+    def run_loop(self, env: Any, stop: Event | None, horizon: float) -> None:
+        """Instrumented dispatch loop, delegated from ``Environment.run``.
 
-        Same dispatch order and termination semantics as the plain loop
-        (heap order, the three ``until`` variants, identical error
-        messages) with clock propagation around every callback.
+        The plain loop's stop rule — queue empty, next entry past
+        *horizon*, or *stop* processed — over :meth:`_step`, so the
+        dispatch order is the same, with clock propagation around every
+        callback.  ``Environment.run`` checks its argument and settles
+        the outcome for both loops.
         """
         queue = env._queue
         try:
-            if isinstance(until, Event):
-                stop = until
-                while stop.callbacks is not None:
-                    if not queue:
-                        raise SimulationError(
-                            "simulation ran out of events before the "
-                            "awaited event triggered (deadlock?)")
-                    self._step(env)
-                if stop._ok:
-                    return stop._value
-                raise stop._exception  # type: ignore[misc]
-            if until is None:
-                while queue:
-                    self._step(env)
-                return None
-            horizon = float(until)
-            if horizon < env._now:
-                raise SimulationError(
-                    f"run(until={horizon}) is in the past (now={env._now})")
-            while queue and queue[0][0] <= horizon:
+            while (queue and (stop is None or stop.callbacks is not None)
+                   and queue[0][0] <= horizon):
                 self._step(env)
-            if horizon != float("inf"):
-                env._now = horizon
-            return None
         finally:
-            env._active_process = None
             self.current = self._external
 
     # -- report accessors ------------------------------------------------

@@ -46,6 +46,8 @@ from repro.util.errors import SimulationError
 URGENT = 0
 NORMAL = 1
 
+_INF = float("inf")
+
 
 class _NoWaiters:
     """Singleton marking an event nobody has attached to yet.
@@ -573,13 +575,9 @@ class Environment:
             hb.on_schedule(entry)
 
     # -- scheduling -------------------------------------------------------
-    def _enqueue(self, event: Event, delay: float, priority: int) -> None:
-        heappush(self._queue,
-                 (self._now + delay, priority, next(self._seq), event))
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when none remain."""
-        return self._queue[0][0] if self._queue else float("inf")
+        return self._queue[0][0] if self._queue else _INF
 
     def step(self) -> None:
         """Process exactly one event."""
@@ -599,59 +597,47 @@ class Environment:
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the queue drains, *until* time passes, or event fires.
 
-        Returns the event's value when *until* is an :class:`Event`.
+        Returns the event's value when *until* is an :class:`Event`, and
+        raises :class:`SimulationError` when the queue empties before
+        that event is processed.  A time horizon must be at or after
+        :attr:`now`; the clock ends on it.
 
-        The loop dispatches queue entries inline rather than through
-        :meth:`Event._run_callbacks` (events in the queue always hold a
-        live callback list; a ``None`` marks the lighter resume records),
-        so per-event cost is one pop, one time store, and the callbacks
-        themselves.
+        One loop serves all three forms: a drain is a run to an infinite
+        horizon, and an event target also ends the loop once processed
+        (at once if it already was).  The loop dispatches queue entries
+        inline rather than through :meth:`Event._run_callbacks` (events
+        in the queue always hold a live callback list; a ``None`` marks
+        the lighter resume records), so per-event cost is one pop, one
+        horizon comparison, one ``stop is None`` test, one time store,
+        and the callbacks themselves.
         """
-        hb = self._hb
-        if hb is not None:
-            # Sanitizer attached: delegate to the recorder's instrumented
-            # loop (same dispatch semantics, plus clock propagation).
-            return hb.run_loop(self, until)
-        queue = self._queue
-        pop = heappop
-        mark = _NO_WAITERS
         if isinstance(until, Event):
-            stop = until
-            while stop.callbacks is not None:  # i.e. not yet processed
-                if not queue:
-                    raise SimulationError(
-                        "simulation ran out of events before the awaited "
-                        "event triggered (deadlock?)")
-                entry = pop(queue)
-                item = entry[3]
-                self._now = entry[0]
-                cbs = item.callbacks
-                if cbs is None:
-                    item._run_callbacks()
-                else:
-                    item.callbacks = None
-                    try:
-                        cbs(item)  # sole waiter's bound resume (dominant)
-                    except TypeError:
-                        if type(cbs) is list:
-                            for cb in cbs:
-                                cb(item)
-                        elif cbs is mark:
-                            pass  # fired with nobody attached
-                        else:
-                            raise
-            self._active_process = None
-            if stop._ok:
-                return stop._value
-            raise stop._exception  # type: ignore[misc]
-        if until is None:
-            # Drain: no horizon comparison, and the empty queue surfaces
-            # as IndexError from the pop instead of a per-event check.
-            try:
-                while True:
+            stop: Event | None = until
+            horizon = _INF
+        else:
+            stop = None
+            horizon = _INF if until is None else float(until)
+            if not horizon >= self._now:  # NaN-safe: NaN fails it too
+                raise SimulationError(f"run(until={horizon}) is not at or "
+                                      f"after now={self._now}")
+        try:
+            hb = self._hb
+            if hb is not None:
+                # Sanitizer attached: the recorder's instrumented loop
+                # (same dispatch order, plus clock propagation).
+                hb.run_loop(self, stop, horizon)
+            else:
+                queue = self._queue
+                pop = heappop
+                mark = _NO_WAITERS
+                while queue and (stop is None or stop.callbacks is not None):
                     entry = pop(queue)
+                    when = entry[0]
+                    if when > horizon:
+                        heappush(queue, entry)
+                        break
                     item = entry[3]
-                    self._now = entry[0]
+                    self._now = when
                     cbs = item.callbacks
                     if cbs is None:
                         item._run_callbacks()
@@ -667,39 +653,15 @@ class Environment:
                                 pass  # fired with nobody attached
                             else:
                                 raise
-            except IndexError:
-                if queue:  # a real IndexError from user code, not ours
-                    raise
+        finally:
             self._active_process = None
+        if stop is None:
+            if horizon != _INF:
+                self._now = horizon
             return None
-        horizon = float(until)
-        if horizon < self._now:
-            raise SimulationError(f"run(until={horizon}) is in the past "
-                                  f"(now={self._now})")
-        while queue:
-            entry = pop(queue)
-            when = entry[0]
-            if when > horizon:
-                heappush(queue, entry)
-                break
-            item = entry[3]
-            self._now = when
-            cbs = item.callbacks
-            if cbs is None:
-                item._run_callbacks()
-            else:
-                item.callbacks = None
-                try:
-                    cbs(item)  # sole waiter's bound resume (dominant)
-                except TypeError:
-                    if type(cbs) is list:
-                        for cb in cbs:
-                            cb(item)
-                    elif cbs is mark:
-                        pass  # fired with nobody attached
-                    else:
-                        raise
-        self._active_process = None
-        if horizon != float("inf"):
-            self._now = horizon
-        return None
+        if stop.callbacks is not None:  # i.e. not yet processed
+            raise SimulationError("simulation ran out of events before the "
+                                  "awaited event triggered (deadlock?)")
+        if stop._ok:
+            return stop._value
+        raise stop._exception  # type: ignore[misc]

@@ -210,32 +210,86 @@ class TestSessionLifecycle:
         assert hooks.HB is None
 
     def test_instrumented_run_matches_plain_run(self):
-        """The instrumented loop must replay engine semantics exactly."""
-        def trace_run(session_on: bool):
-            env = Environment()
-            out: list[tuple[str, float]] = []
-
+        """The instrumented loop must replay engine semantics exactly:
+        the same dispatch order, clock, return value and error, for
+        every ``until`` form."""
+        def workers(env, out):
             def worker(env, name, delay):
                 yield env.timeout(delay)
                 out.append((name, env.now))
                 yield env.timeout(delay)
                 out.append((name, env.now))
+                return name
 
+            first = env.process(worker(env, "a", 1.0))
+            env.process(worker(env, "b", 1.5))
+            env.call_later(2.0, lambda _: out.append(("cb", env.now)),
+                           None)
+            return first
+
+        def drain(env, out):
+            workers(env, out)
+            return env.run()
+
+        def horizon_slices(env, out):
+            workers(env, out)
+            return [env.run(until=t) for t in (0.5, 1.5, 1.5, 2.0, 9.0)]
+
+        def pending_target(env, out):
+            return env.run(until=workers(env, out))
+
+        def processed_target(env, out):
+            first = workers(env, out)
+            env.run(until=first)
+            return env.run(until=first), env.now
+
+        def failed_target(env, out):
+            def crash(env):
+                yield env.timeout(1.5)
+                raise RuntimeError("crashed")
+
+            workers(env, out)
+            return env.run(until=env.process(crash(env)))
+
+        def deadlock(env, out):
+            workers(env, out)
+            return env.run(until=env.event())
+
+        def horizon_in_the_past(env, out):
+            workers(env, out)
+            env.run(until=2.5)
+            return env.run(until=1.0)
+
+        def nan_horizon(env, out):
+            workers(env, out)
+            return env.run(until=float("nan"))
+
+        def last_callback_raises(env, out):
+            workers(env, out)
+            env.call_later(5.0, lambda _: [][0], None)
+            return env.run()
+
+        def trace_run(case, session_on: bool):
+            env = Environment()
+            out: list[tuple[str, float]] = []
             ctx = (AnalysisSession(env) if session_on else None)
             if ctx:
                 ctx.attach()
             try:
-                env.process(worker(env, "a", 1.0))
-                env.process(worker(env, "b", 1.5))
-                env.call_later(2.0, lambda _: out.append(("cb", env.now)),
-                               None)
-                env.run()
+                outcome = ("returned", case(env, out))
+            except Exception as exc:
+                outcome = (type(exc).__name__, str(exc))
             finally:
                 if ctx:
                     ctx.detach()
-            return out, env.now
+            return out, env.now, outcome
 
-        assert trace_run(False) == trace_run(True)
+        for case in (drain, horizon_slices, pending_target,
+                     processed_target, failed_target, deadlock,
+                     horizon_in_the_past, nan_horizon,
+                     last_callback_raises):
+            plain = trace_run(case, False)
+            assert plain == trace_run(case, True), case.__name__
 
 
 SMALL = AnalyzeConfig(seeds=(101,), chaos_tasks=30)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.util.errors import SimulationError
 
 
 class TestParser:
@@ -72,6 +73,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Workload" in out
         assert "reduction" in out
+
+    def test_monitor_rejects_nan_duration(self):
+        # a NaN horizon never stops: the monitors' periodic loops keep
+        # the queue from draining, so the run must refuse it up front
+        with pytest.raises(SimulationError, match="until=nan"):
+            main(["monitor", "--duration", "nan", "--seed", "1"])
 
 
 class TestObsCommand:

@@ -1,7 +1,10 @@
 """Tests for the discrete-event simulation kernel."""
 
+from contextlib import nullcontext
+
 import pytest
 
+from repro.analysis import AnalysisSession
 from repro.simcore import Environment, Interrupt
 from repro.simcore.engine import Timeout
 from repro.util.errors import SimulationError
@@ -53,6 +56,29 @@ class TestClockAndTimeouts:
         env.run(until=5.0)
         with pytest.raises(SimulationError):
             env.run(until=1.0)
+
+    @pytest.mark.parametrize("sanitized", [False, True],
+                             ids=["plain", "sanitized"])
+    def test_run_until_nan_raises(self, sanitized):
+        # NaN fails every comparison, so a horizon check that is not
+        # NaN-safe would let the run go on with the clock set to NaN
+        env = Environment()
+        fired = []
+        env.call_later(1.0, fired.append, "one")
+        with AnalysisSession(env) if sanitized else nullcontext():
+            with pytest.raises(SimulationError, match="until=nan"):
+                env.run(until=float("nan"))
+        assert fired == [] and env.now == 0.0
+        assert env.peek() == 1.0
+
+    def test_drain_raises_a_callbacks_index_error(self):
+        # a callback's IndexError is the callback's error, not a sign
+        # that the queue ran empty
+        env = Environment()
+        env.call_later(1.0, lambda _: [][0])
+        with pytest.raises(IndexError):
+            env.run()
+        assert env.now == 1.0
 
     def test_timeout_value_passed_through(self):
         env = Environment()
