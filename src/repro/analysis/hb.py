@@ -258,22 +258,13 @@ class HBRecorder:
                 dq.appendleft(None)
         return dq
 
-    def store_put(self, put_event: Any) -> None:
-        """``Store.put``: snapshot the putter before it can block."""
-        put_event._hb_clock = self.snapshot()
-
     def store_append(self, store: Any) -> None:
-        """``put_nowait`` buffered an item: enqueue the putter's clock."""
+        """``Store.put`` buffered an item: enqueue the putter's clock."""
         self._clocks_for(store, len(store.items) - 1).append(self.snapshot())
 
-    def store_buffered(self, store: Any, put_event: Any) -> None:
-        """``_dispatch`` moved a waiting put into the buffer."""
-        self._clocks_for(store, len(store.items) - 1).append(
-            getattr(put_event, "_hb_clock", None))
-
     def store_handoff(self, store: Any, get_event: Any) -> None:
-        """``_dispatch`` satisfies a getter from the buffer: attach the
-        buffered putter clock so the getter joins it on resume."""
+        """``Store.get`` takes a buffered item: attach its putter's clock
+        so the getter joins it on resume."""
         dq = self._clocks_for(store, len(store.items) + 1)
         clock = dq.popleft()
         if clock:

@@ -187,7 +187,7 @@ class Network:
         is_up = self.is_up
         for box, msg, dst_host in entries:
             if is_up(dst_host):
-                box.put_nowait(msg)
+                box.put(msg)
             else:
                 self.stats.dropped += 1
                 if self.obs.enabled:

@@ -9,7 +9,7 @@ from repro.simcore.engine import (
     Process,
     Timeout,
 )
-from repro.simcore.store import Store, StoreGet, StorePut
+from repro.simcore.store import Store, StoreGet
 from repro.simcore.trace import TraceRecord, Tracer
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "Process",
     "Store",
     "StoreGet",
-    "StorePut",
     "Timeout",
     "TraceRecord",
     "Tracer",

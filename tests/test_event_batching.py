@@ -1,8 +1,8 @@
 """Batched event delivery: the kernel primitive and the network fan-out.
 
 :meth:`Environment.call_later` puts one ``_Callback`` heap entry behind
-a whole delivery run, :meth:`Store.put_nowait` skips the pending-put
-event on unbounded mailboxes, and :meth:`Network.send_batch` coalesces
+a whole delivery run, :meth:`Store.put` hands each message over without
+an event of its own, and :meth:`Network.send_batch` coalesces
 consecutive same-delay messages onto one entry.  ``Network.send`` is a
 one-destination ``send_batch``, so the contract is *semantic
 equivalence*: a batch must be indistinguishable — message contents,
@@ -83,14 +83,15 @@ class TestCallLater:
         assert fired == ["one"] and env.now == 10.0
 
 
-class TestPutNowait:
-    def test_unbounded_appends_like_put(self):
+class TestPut:
+    def test_buffers_items_in_order(self):
         env = Environment()
         store = Store(env)
-        store.put_nowait("x")
-        store.put_nowait("y")
+        store.put("x")
+        store.put("y")
         assert store.try_get() == "x"
         assert store.try_get() == "y"
+        assert env._queue == []  # a buffered put schedules nothing
 
     def test_hands_item_straight_to_waiting_getter(self):
         env = Environment()
@@ -103,20 +104,11 @@ class TestPutNowait:
 
         env.process(getter(env))
         env.run()
-        store.put_nowait("direct")
+        store.put("direct")
+        assert len(env._queue) == 1  # the getter's trigger, nothing else
         env.run()
         assert got == ["direct"]
         assert len(store) == 0
-
-    def test_bounded_store_falls_back_to_blocking_put(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        store.put_nowait("first")
-        store.put_nowait("second")  # must queue, not overflow
-        assert len(store.items) == 1
-        assert store.try_get() == "first"
-        env.run()
-        assert store.try_get() == "second"
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from collections import deque
 
-import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -14,7 +13,6 @@ from hypothesis.stateful import (
 )
 
 from repro.simcore import Environment, Interrupt, Store, Tracer
-from repro.util.errors import SimulationError
 
 
 class TestStore:
@@ -66,29 +64,6 @@ class TestStore:
         env.run()
         assert out == [1, 2, 3]
 
-    def test_capacity_blocks_putter(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        events = []
-
-        def producer(env):
-            yield store.put("a")
-            events.append(("a-stored", env.now))
-            yield store.put("b")
-            events.append(("b-stored", env.now))
-
-        def consumer(env):
-            yield env.timeout(10.0)
-            item = yield store.get()
-            events.append(("got", item, env.now))
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert ("a-stored", 0.0) in events
-        assert ("got", "a", 10.0) in events
-        assert ("b-stored", 10.0) in events
-
     def test_try_get(self):
         env = Environment()
         store = Store(env)
@@ -104,11 +79,6 @@ class TestStore:
         store.put(1)
         store.put(2)
         assert len(store) == 2
-
-    def test_bad_capacity(self):
-        env = Environment()
-        with pytest.raises(SimulationError):
-            Store(env, capacity=0)
 
     def test_multiple_consumers_each_get_one(self):
         env = Environment()
@@ -143,7 +113,7 @@ class TestStore:
         old.interrupt("stop")
         env.process(reader("new"))
         env.run(until=2.0)
-        store.put_nowait("msg")
+        store.put("msg")
         env.run(until=3.0)
         assert got == [("new", "msg")]
         assert not old.is_alive
@@ -166,7 +136,7 @@ class TestStore:
             proc.interrupt("stop")
         env.process(reader())
         env.run(until=2.0)
-        store.put_nowait("msg")
+        store.put("msg")
         env.run(until=3.0)
         assert got == ["msg"]
         assert not shared.triggered
@@ -185,30 +155,28 @@ class TestStore:
         first = env.process(reader("first"))
         env.process(reader("second"))
         env.run(until=1.0)
-        store.put_nowait("a")
+        store.put("a")
         first.interrupt("stop")
-        store.put_nowait("b")
+        store.put("b")
         env.run(until=2.0)
         assert got == [("second", "b")]
 
 
 class StoreModel(RuleBasedStateMachine):
-    """One :class:`Store`, unbounded or bounded, against a deque model.
+    """One :class:`Store` against a deque model.
 
     Every rule runs the simulation until nothing is pending, so each
     reader that can be served has been.  The model holds the buffer, the
-    queued putters' items (bounded stores only), the waiting readers in
-    getter-queue order and every item handed out, in order.
+    waiting readers in getter-queue order and every item handed out, in
+    order.
     """
 
-    @initialize(capacity=st.sampled_from([None, 1, 2, 3]))
-    def make_store(self, capacity):
+    @initialize()
+    def make_store(self):
         self.env = Environment()
-        self.store = Store(self.env, capacity=capacity)
-        self.capacity = capacity
+        self.store = Store(self.env)
         self.next_item = 0
         self.buffer: deque = deque()
-        self.putters: deque = deque()      # (StorePut or None, item)
         self.waiting: deque = deque()      # reader tags, getter order
         self.readers: dict = {}            # tag -> process
         self.expected: list = []           # (tag, item), delivery order
@@ -216,41 +184,17 @@ class StoreModel(RuleBasedStateMachine):
         self.taken: list = []              # try_get results
         self.put_items: list = []
 
-    # -- model transitions ---------------------------------------------
-    def _room(self) -> bool:
-        return self.capacity is None or len(self.buffer) < self.capacity
-
-    def _admit_putters(self) -> None:
-        while self.putters and self._room():
-            _ev, item = self.putters.popleft()
-            self.buffer.append(item)
-
-    def _offer(self, put_event, item) -> None:
-        self.put_items.append(item)
-        if self.waiting and not self.buffer:
-            self.expected.append((self.waiting.popleft(), item))
-        elif self._room() and not self.putters:
-            self.buffer.append(item)
-        else:
-            self.putters.append((put_event, item))
-
-    def _item(self) -> int:
-        self.next_item += 1
-        return self.next_item
-
     # -- rules -----------------------------------------------------------
     @rule()
-    def put_nowait(self):
-        item = self._item()
-        self.store.put_nowait(item)
-        self._offer(None, item)
-        self.env.run()
-
-    @rule()
     def put(self):
-        item = self._item()
-        ev = self.store.put(item)
-        self._offer(ev, item)
+        self.next_item += 1
+        item = self.next_item
+        assert self.store.put(item) is None
+        self.put_items.append(item)
+        if self.waiting:
+            self.expected.append((self.waiting.popleft(), item))
+        else:
+            self.buffer.append(item)
         self.env.run()
 
     @rule()
@@ -267,7 +211,6 @@ class StoreModel(RuleBasedStateMachine):
         self.readers[tag] = self.env.process(reader())
         if self.buffer:
             self.expected.append((tag, self.buffer.popleft()))
-            self._admit_putters()
         else:
             self.waiting.append(tag)
         self.env.run()
@@ -278,7 +221,6 @@ class StoreModel(RuleBasedStateMachine):
         if self.buffer:
             assert item == self.buffer.popleft()
             self.taken.append(item)
-            self._admit_putters()
         else:
             assert item is None
         self.env.run()
@@ -296,12 +238,11 @@ class StoreModel(RuleBasedStateMachine):
     @invariant()
     def fifo_and_nothing_lost_or_duplicated(self):
         assert list(self.store.items) == list(self.buffer)
+        assert len(self.store) == len(self.buffer)
         assert self.got == self.expected
-        held = (list(self.buffer) + [item for _, item in self.putters]
-                + [item for _, item in self.got] + self.taken)
+        held = (list(self.buffer) + [item for _, item in self.got]
+                + self.taken)
         assert sorted(held) == sorted(self.put_items)
-        for ev, item in self.putters:
-            assert ev is None or not ev.triggered, item
 
     @invariant()
     def interrupted_readers_leave_the_getter_queue(self):
