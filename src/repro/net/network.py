@@ -17,7 +17,7 @@ monitoring-traffic experiment (F6) and the setup-cost experiment (F7).
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -76,13 +76,6 @@ class TrafficStats:
     by_kind: dict[str, int] = field(default_factory=lambda: defaultdict(int))
     bytes_by_kind: dict[str, float] = field(
         default_factory=lambda: defaultdict(float))
-
-    def account(self, msg: Message) -> None:
-        """Tally one sent message into the counters."""
-        self.messages += 1
-        self.bytes += msg.size_bytes
-        self.by_kind[msg.kind] += 1
-        self.bytes_by_kind[msg.kind] += msg.size_bytes
 
 
 class Network:
@@ -152,16 +145,6 @@ class Network:
         return list(self._endpoints)
 
     # -- delivery ---------------------------------------------------------
-    def delay_for(self, src: str, dst: str, nbytes: float) -> float:
-        """Modelled delivery delay for a message of *nbytes*."""
-        src_site, src_host = split_address(src)
-        dst_site, dst_host = split_address(dst)
-        if src_host == dst_host:
-            wire = 1e-5 + nbytes / 1e9  # loopback
-        else:
-            wire = self.topology.transfer_time(src_site, dst_site, nbytes)
-        return wire + self.per_message_overhead_s
-
     def send(self, src: str, dst: str, kind: str, payload=None,
              size_bytes: float = 256.0) -> Message:
         """Send a message; it arrives after the modelled delay.
@@ -258,8 +241,6 @@ class Network:
             messages.append(msg)
             if hb is not None:
                 hb.on_send(dst_site)
-            # inlined TrafficStats.account: sends dominate, and the
-            # method call is measurable at message rate
             stats.messages += 1
             stats.bytes += nbytes
             stats.by_kind[kind] += 1
@@ -329,15 +310,3 @@ class Network:
             for _ in range(copies):
                 run_entries.append((box, msg, dst_host))
         return messages
-
-    def multicast(self, src: str, dsts: Iterable[str], kind: str,
-                  payload=None, size_bytes: float = 256.0) -> list[Message]:
-        """Send the same payload to several destinations.
-
-        The paper's Site Scheduler multicasts the AFG to the selected
-        remote sites (Figure 4 step 3); we model multicast as unicast
-        fan-out, which is what a mid-90s IP WAN would do — now coalesced
-        through :meth:`send_batch`.
-        """
-        dsts = dsts if isinstance(dsts, (list, tuple)) else list(dsts)
-        return self.send_batch(src, dsts, kind, payload, size_bytes)

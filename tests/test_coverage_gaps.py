@@ -154,11 +154,28 @@ class TestNetworkDelayModel:
     def test_delay_components(self):
         v = quiet_testbed(seed=74)
         v.start()
-        net = v.network
-        # same host: near-zero; same site: LAN; cross site: WAN
-        local = net.delay_for("syracuse/h0/a", "syracuse/h0/b", 100)
-        lan = net.delay_for("syracuse/h0", "syracuse/h1", 100)
-        wan = net.delay_for("syracuse/h0", "rome/h0", 100)
+        net, env = v.network, v.env
+
+        def arrival_delay(src, dst):
+            got = net.register(dst).get()
+            start = env.now
+            net.send(src, dst, "probe", size_bytes=100)
+            first, _ = env.run(until=env.any_of([got, env.timeout(1.0)]))
+            assert first == 0, f"probe {src} -> {dst} never arrived"
+            return env.now - start
+
+        def priced(src_site, dst_site):
+            latency, bandwidth = net.topology.route(src_site, dst_site)
+            return latency + 100 / bandwidth + net.per_message_overhead_s
+
+        # same host: loopback; same site: LAN; cross site: WAN
+        local = arrival_delay("syracuse/h0/probe-a", "syracuse/h0/probe-b")
+        lan = arrival_delay("syracuse/h0/probe", "syracuse/h1/probe")
+        wan = arrival_delay("syracuse/h0/probe", "rome/h0/probe")
+        assert local == pytest.approx(
+            1e-5 + 100 / 1e9 + net.per_message_overhead_s)
+        assert lan == pytest.approx(priced("syracuse", "syracuse"))
+        assert wan == pytest.approx(priced("syracuse", "rome"))
         assert local < lan < wan
 
 

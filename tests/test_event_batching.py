@@ -210,8 +210,8 @@ class TestBatchEquivalence:
         env, net = make_net()
         net.register("s1/h0/src")
         boxes = [net.register(f"s1/h{i}/svc") for i in range(1, 4)]
-        net.multicast("s1/h0/src", (f"s1/h{i}/svc" for i in range(1, 4)),
-                      "afg", payload={"graph": "g"}, size_bytes=64)
+        net.send_batch("s1/h0/src", [f"s1/h{i}/svc" for i in range(1, 4)],
+                       "afg", payload={"graph": "g"}, size_bytes=64)
         env.run()
         for box in boxes:
             [(_, _, kind, payload, size)] = drain(box)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net import ATM_OC3, Message, Network, Topology, split_address
-from repro.net.network import FaultAction, TrafficStats
+from repro.net.network import FaultAction
 from repro.simcore import Environment
 from repro.util.errors import ChannelError, ConfigurationError
 
@@ -15,6 +15,19 @@ def make_net() -> tuple[Environment, Network]:
     topo.add_site("s2")
     topo.connect("s1", "s2", ATM_OC3)
     return env, Network(env, topo)
+
+
+def routed_delay(net: Network, src_site: str, dst_site: str,
+                 nbytes: float) -> float:
+    """The modelled delay of a message between two hosts, priced from
+    the topology's route and the per-message overhead."""
+    latency, bandwidth = net.topology.route(src_site, dst_site)
+    return latency + nbytes / bandwidth + net.per_message_overhead_s
+
+
+def loopback_delay(net: Network, nbytes: float) -> float:
+    """The modelled delay of a message between services of one host."""
+    return 1e-5 + nbytes / 1e9 + net.per_message_overhead_s
 
 
 class TestAddressing:
@@ -59,15 +72,19 @@ class TestDelivery:
 
     def test_larger_messages_take_longer(self):
         env, net = make_net()
-        small = net.delay_for("s1/h1", "s2/h1", 100)
-        big = net.delay_for("s1/h1", "s2/h1", 10_000_000)
+        net.register("s2/h1")
+        net.send("s1/h1", "s2/h1", "small", size_bytes=100)
+        net.send("s1/h1", "s2/h1", "big", size_bytes=10_000_000)
+        small, big = sorted(when for when, *_ in env._queue)
+        assert small == routed_delay(net, "s1", "s2", 100)
+        assert big == routed_delay(net, "s1", "s2", 10_000_000)
         assert big > small
 
     def test_multicast_reaches_all(self):
         env, net = make_net()
         boxes = [net.register(f"s2/h{i}") for i in range(3)]
-        net.multicast("s1/h1", [f"s2/h{i}" for i in range(3)], "afg",
-                      payload="graph")
+        net.send_batch("s1/h1", [f"s2/h{i}" for i in range(3)], "afg",
+                       payload="graph")
         env.run()
         for box in boxes:
             msg = box.try_get()
@@ -136,7 +153,7 @@ class TestSingleDeliveryPath:
         net.send("s1/h1", "s2/h1", "ping", payload=7, size_bytes=64)
         assert spawned == []
         [(when, _prio, _seq, _entry)] = env._queue
-        assert when == net.delay_for("s1/h1", "s2/h1", 64)
+        assert when == routed_delay(net, "s1", "s2", 64)
         env.run()
         assert box.try_get().payload == 7
         assert env.now == when
@@ -172,13 +189,19 @@ class TestSingleDeliveryPath:
 class TestDelayForEdgeCases:
     def test_zero_byte_payload_still_costs_latency(self):
         env, net = make_net()
-        delay = net.delay_for("s1/h1", "s2/h1", 0)
-        assert delay >= ATM_OC3.latency_s + net.per_message_overhead_s
+        net.register("s2/h1")
+        net.send("s1/h1", "s2/h1", "ping", size_bytes=0)
+        [(when, *_)] = env._queue
+        assert when == routed_delay(net, "s1", "s2", 0)
+        assert when >= ATM_OC3.latency_s + net.per_message_overhead_s
 
     def test_zero_byte_loopback_costs_only_overhead(self):
         env, net = make_net()
-        delay = net.delay_for("s1/h1", "s1/h1/svc", 0)
-        assert delay == pytest.approx(1e-5 + net.per_message_overhead_s)
+        net.register("s1/h1/svc")
+        net.send("s1/h1", "s1/h1/svc", "ping", size_bytes=0)
+        [(when, *_)] = env._queue
+        assert when == loopback_delay(net, 0)
+        assert when == pytest.approx(1e-5 + net.per_message_overhead_s)
 
     def test_self_send_src_equals_dst(self):
         env, net = make_net()
@@ -190,19 +213,35 @@ class TestDelayForEdgeCases:
 
     def test_self_send_uses_loopback_not_topology(self):
         env, net = make_net()
-        # loopback between services of one host must not consult the WAN
-        assert net.delay_for("s1/h1/a", "s1/h1/b", 1000) < \
-            net.delay_for("s1/h1", "s1/h2", 1000)
+        # loopback between services of one host must not consult the LAN
+        net.register("s1/h1/b")
+        net.register("s1/h2")
+        net.send("s1/h1/a", "s1/h1/b", "local", size_bytes=1000)
+        net.send("s1/h1", "s1/h2", "lan", size_bytes=1000)
+        local, lan = sorted(when for when, *_ in env._queue)
+        assert local == loopback_delay(net, 1000)
+        assert lan == routed_delay(net, "s1", "s1", 1000)
+        assert local < lan
 
     def test_unknown_site_raises(self):
         env, net = make_net()
-        with pytest.raises(Exception):
-            net.delay_for("s1/h1", "atlantis/h1", 100)
+        with pytest.raises(ChannelError):
+            net.send("s1/h1", "atlantis/h1", "ping", size_bytes=100)
+        # registered, a site the topology lacks has no route: its
+        # messages are partition drops, never priced or scheduled
+        net.register("atlantis/h1")
+        net.send("s1/h1", "atlantis/h1", "ping", size_bytes=100)
+        assert env._queue == []
+        assert net.stats.partition_drops == 1
 
     def test_malformed_address_raises(self):
         env, net = make_net()
+        net.register("s2/h1")
         with pytest.raises(ConfigurationError):
-            net.delay_for("/bad", "s2/h1", 100)
+            net.send("/bad", "s2/h1", "ping", size_bytes=100)
+        with pytest.raises(ConfigurationError):
+            net.register("/bad")
+        assert net.stats.messages == 0
 
 
 class TestTrafficStats:
@@ -218,18 +257,22 @@ class TestTrafficStats:
         assert net.stats.bytes_by_kind["a"] == 150
 
     def test_account_zero_byte_message(self):
-        stats = TrafficStats()
-        stats.account(Message(src="a", dst="b", kind="k", size_bytes=0))
+        env, net = make_net()
+        net.register("s2/h1")
+        net.send("s1/h1", "s2/h1", "k", size_bytes=0)
+        stats = net.stats
         assert stats.messages == 1
         assert stats.bytes == 0
         assert stats.by_kind == {"k": 1}
         assert stats.bytes_by_kind["k"] == 0
 
     def test_account_accumulates_float_bytes(self):
-        stats = TrafficStats()
-        stats.account(Message(src="a", dst="b", kind="k", size_bytes=0.5))
-        stats.account(Message(src="a", dst="b", kind="k", size_bytes=0.25))
-        assert stats.bytes == pytest.approx(0.75)
+        env, net = make_net()
+        net.register("s2/h1")
+        net.send("s1/h1", "s2/h1", "k", size_bytes=0.5)
+        net.send("s1/h1", "s2/h1", "k", size_bytes=0.25)
+        assert net.stats.bytes == pytest.approx(0.75)
+        assert net.stats.bytes_by_kind["k"] == pytest.approx(0.75)
 
     def test_dropped_messages_still_accounted_as_sent(self):
         env, net = make_net()
