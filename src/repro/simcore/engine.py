@@ -608,7 +608,8 @@ class Environment:
         inline rather than through :meth:`Event._run_callbacks` (events
         in the queue always hold a live callback list; a ``None`` marks
         the lighter resume records), so per-event cost is one pop, one
-        horizon comparison, one ``stop is None`` test, one time store,
+        horizon comparison, one ``stop is None`` test (an event target
+        adds the check that it is not yet processed), one time store,
         and the callbacks themselves.
         """
         if isinstance(until, Event):
