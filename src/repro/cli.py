@@ -26,11 +26,13 @@ Gives downstream users the paper's workflow without writing code:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro import __version__
 from repro.runtime.data.messaging import DIALECTS
 from repro.tasklib import standard_registry
+from repro.util.errors import ConfigurationError
 from repro.viz import ApplicationPerformanceView, WorkloadView
 from repro.workloads import (
     APPLICATION_FAMILIES,
@@ -43,11 +45,14 @@ from repro.workloads import (
 
 def _build_app(name: str, registry, size: int | None):
     if name == "linear-solver":
-        return linear_solver_graph(registry, n=size or 120)
+        return linear_solver_graph(
+            registry, n=size if size is not None else 120)
     if name == "fourier-pipeline":
-        return fourier_pipeline_graph(registry, n=size or 4096)
+        return fourier_pipeline_graph(
+            registry, n=size if size is not None else 4096)
     if name == "c3i-scenario":
-        return c3i_scenario_graph(registry, targets=size or 40)
+        return c3i_scenario_graph(
+            registry, targets=size if size is not None else 40)
     raise SystemExit(
         f"unknown application {name!r}; choose from "
         f"linear-solver, fourier-pipeline, c3i-scenario")
@@ -99,6 +104,7 @@ def cmd_solve(args) -> int:
 def cmd_schedule(args) -> int:
     vdce = nynet_testbed(seed=args.seed, hosts_per_site=args.hosts,
                          with_loads=not args.idle)
+    graph = _build_app(args.app, vdce.registry, args.size)
     vdce.start()
     if not args.idle:
         vdce.warm_up(30.0)
@@ -107,7 +113,6 @@ def cmd_schedule(args) -> int:
         SiteScheduler,
         predicted_schedule_length,
     )
-    graph = _build_app(args.app, vdce.registry, args.size)
     selectors = {s: HostSelector(r)
                  for s, r in vdce.repositories.items()}
     sched = SiteScheduler("syracuse", vdce.topology, k_remote_sites=args.k,
@@ -325,8 +330,14 @@ def cmd_analyze(args) -> int:
     from repro.analysis import AnalyzeConfig, render_report, run_analysis
     from repro.analysis.runner import SCENARIOS, report_json
     scenarios = SCENARIOS if args.scenario == "all" else (args.scenario,)
+    try:
+        seeds = tuple(int(s) for s in args.seeds.split(","))
+    except ValueError:
+        raise ConfigurationError(
+            f"--seeds must be a comma list of integers, got "
+            f"{args.seeds!r}") from None
     config = AnalyzeConfig(
-        seeds=tuple(int(s) for s in args.seeds.split(",")),
+        seeds=seeds,
         scenarios=scenarios, chaos_tasks=args.tasks,
         max_sim_time_s=args.max_time)
     report = run_analysis(config)
@@ -372,10 +383,10 @@ def cmd_obs(args) -> int:
     obs = Observability()
     vdce = nynet_testbed(seed=args.seed, hosts_per_site=args.hosts,
                          with_loads=not args.idle, obs=obs)
+    graph = _build_app(args.app, vdce.registry, args.size)
     vdce.start()
     if not args.idle:
         vdce.warm_up(30.0)
-    graph = _build_app(args.app, vdce.registry, args.size)
     processes = [vdce.submit(graph, "syracuse", queue_aware=args.queue_aware)
                  for _ in range(args.apps)]
     deadline = vdce.now + args.max_time
@@ -614,8 +625,33 @@ COMMANDS = {
 }
 
 
+#: (option, test, rule) for the numbers a run is bounded or sized by;
+#: a value that fails would hang the run or end it before it starts
+_NUMBER_CHECKS = (
+    ("max_time", lambda v: 0 < v < math.inf, "positive and finite"),
+    ("sample_every", lambda v: v > 0, "positive"),
+    ("duration", lambda v: v != math.inf, "finite"),
+    ("hosts", lambda v: v >= 1, "at least 1"),
+    ("apps", lambda v: v >= 1, "at least 1"),
+)
+
+
+def _check_numbers(args) -> None:
+    """Raise :class:`ConfigurationError` for a bad bound or count.
+
+    NaN and negative ``--duration`` values are left to the kernel,
+    whose ``run(until=...)`` raises ``SimulationError`` for them.
+    """
+    for name, ok, rule in _NUMBER_CHECKS:
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            raise ConfigurationError(
+                f"--{name.replace('_', '-')} must be {rule}, got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _check_numbers(args)
     return COMMANDS[args.command](args)
 
 

@@ -31,7 +31,6 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.federation import (
     DirectorySync,
     Federation,
-    MembershipConfig,
     MembershipDaemon,
 )
 from repro.net.topology import LinkSpec
@@ -61,6 +60,9 @@ from repro.util.errors import (
     VDCEError,
 )
 
+#: how often a leaving site's drain checks for work still involving it
+LEAVE_POLL_PERIOD_S = 1.0
+
 
 class VDCE:
     """A complete simulated Virtual Distributed Computing Environment."""
@@ -69,7 +71,6 @@ class VDCE:
                  registry: LibraryRegistry | None = None,
                  monitor_period_s: float = 2.0,
                  echo_period_s: float = 5.0,
-                 echo_timeout_s: float = 1.0,
                  filter_policy: str = "ci",
                  reschedule_policy: ReschedulePolicy | None = None,
                  obs: Observability | None = None) -> None:
@@ -83,7 +84,6 @@ class VDCE:
         self.model = ExecutionModel(seed=seed)
         self.monitor_period_s = monitor_period_s
         self.echo_period_s = echo_period_s
-        self.echo_timeout_s = echo_timeout_s
         self.filter_policy = filter_policy
         self.reschedule_policy = reschedule_policy or ReschedulePolicy()
         self.fault_injector: FaultInjector | None = None
@@ -253,7 +253,6 @@ class VDCE:
                 member_hosts=[f"{site_name}/{m}" for m in members],
                 site_manager_addr=sm.address,
                 echo_period_s=self.echo_period_s,
-                echo_timeout_s=self.echo_timeout_s,
                 change_filter=ChangeFilter(policy=self.filter_policy),
                 obs=self.obs)
             sm.register_group_manager(gm)
@@ -467,15 +466,14 @@ class VDCE:
         })
 
     # -- self-healing control plane (server failover) -----------------------------
-    def enable_failover(self, site: str, standby_hosts: list[str],
-                        heartbeat_period_s: float = 2.0,
-                        miss_limit: int = 3,
-                        promote_grace_s: float = 2.0) -> RecoveryCoordinator:
+    def enable_failover(self, site: str,
+                        standby_hosts: list[str]) -> RecoveryCoordinator:
         """Replicate *site*'s server state onto *standby_hosts*.
 
         Every mutating Site Manager operation is write-ahead-logged and
         shipped to the standbys; if the server machine goes silent for
-        ``miss_limit`` heartbeat periods, the lowest-address live standby
+        ``MISS_LIMIT`` heartbeat periods (constants of
+        :mod:`repro.recovery.coordinator`), the lowest-address live standby
         promotes itself (after its rank-staggered grace), rebuilds the
         execution state from the log, and in-flight applications finish
         exactly once.  May be enabled per site; returns the shared
@@ -492,9 +490,7 @@ class VDCE:
             self.recovery.on_promoted = self._on_server_promoted
         self.recovery.enable_site(
             self.world.site(site), self.site_managers[site],
-            standby_hosts, self.monitors,
-            heartbeat_period_s=heartbeat_period_s,
-            miss_limit=miss_limit, promote_grace_s=promote_grace_s)
+            standby_hosts, self.monitors)
         return self.recovery
 
     def _on_server_promoted(self, site_name: str, old_sm: SiteManager,
@@ -528,8 +524,7 @@ class VDCE:
                                   site=site_name)
 
     # -- elastic federation membership --------------------------------------------
-    def enable_membership(self, config: MembershipConfig | None = None
-                          ) -> Federation:
+    def enable_membership(self) -> Federation:
         """Start the membership protocol on every site.
 
         One :class:`~repro.federation.MembershipDaemon` per site server
@@ -546,7 +541,7 @@ class VDCE:
                 "start() the VDCE before enable_membership")
         if self.federation is not None:
             return self.federation
-        self.federation = Federation(config=config)
+        self.federation = Federation()
         for site_name in sorted(self.site_managers):
             self._make_membership_daemon(site_name)
         for site_name in sorted(self.federation.daemons):
@@ -567,7 +562,7 @@ class VDCE:
         daemon = MembershipDaemon(
             self.env, self.network, self.world.site(site_name),
             DirectorySync(self.repositories[site_name]),
-            config=self.federation.config, obs=self.obs, wal_log=wal_log,
+            obs=self.obs, wal_log=wal_log,
             on_quarantine=self._on_site_quarantined,
             on_rejoin=self._on_site_rejoined)
         self.federation.add(daemon)
@@ -694,14 +689,14 @@ class VDCE:
                     site=name, op="join")
         return site
 
-    def site_leave(self, name: str, poll_period_s: float = 1.0,
-                   drain_timeout_s: float = 300.0):
+    def site_leave(self, name: str, drain_timeout_s: float = 300.0):
         """Cleanly drain and detach a site; returns the drain process.
 
         The departure is announced first, so members stop scheduling
-        onto the leaver, then the process polls until no active run
-        involves the site (as coordinator or executor).  On drain
-        timeout its remaining tasks are force-re-queued elsewhere.
+        onto the leaver, then the process polls every
+        :data:`LEAVE_POLL_PERIOD_S` until no active run involves the
+        site (as coordinator or executor).  On drain timeout its
+        remaining tasks are force-re-queued elsewhere.
         Finally every daemon is stopped and the site removed from the
         world and topology.  Drive the returned process with
         :meth:`run` (or wait on it from another process).
@@ -710,21 +705,19 @@ class VDCE:
             raise ConfigurationError(
                 "enable_membership() before site_leave")
         daemon = self.federation.daemon(name)
-        if poll_period_s <= 0:
-            raise ConfigurationError("poll_period_s must be positive")
 
         def proc():
             daemon.announce_leave()
             deadline = self.now + drain_timeout_s
             while self._site_involved(name) and self.now < deadline:
-                yield self.env.timeout(poll_period_s)
+                yield self.env.timeout(LEAVE_POLL_PERIOD_S)
             if self._site_involved(name):
                 # drain timed out: force the stragglers off the leaver
                 for other in sorted(self.site_managers):
                     if other != name:
                         self.site_managers[other].waive_site_acks(name)
                 self._requeue_site_tasks(name)
-                yield self.env.timeout(poll_period_s)
+                yield self.env.timeout(LEAVE_POLL_PERIOD_S)
             daemon.stop()
             self.federation.remove(name)
             self._stop_site_daemons(name)

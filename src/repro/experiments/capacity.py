@@ -82,7 +82,7 @@ def capacity_plan(graph: ApplicationFlowGraph, deadline_s: float,
     defaults to the queue-aware walk because a capacity question is
     precisely about spreading the application's own parallelism.
     """
-    if deadline_s <= 0:
+    if not deadline_s > 0:  # NaN-safe: NaN fails it too
         raise ConfigurationError("deadline must be positive")
     if max_hosts < 1:
         raise ConfigurationError("max_hosts must be >= 1")

@@ -22,7 +22,6 @@ See ``docs/federation.md``.
 from repro.federation.catchup import DIRECTORY_KINDS, DirectorySync
 from repro.federation.membership import (
     Federation,
-    MembershipConfig,
     MembershipDaemon,
     PeerView,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "DIRECTORY_KINDS",
     "DirectorySync",
     "Federation",
-    "MembershipConfig",
     "MembershipDaemon",
     "PeerView",
 ]

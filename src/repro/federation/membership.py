@@ -57,28 +57,14 @@ QUARANTINED = "quarantined"
 LEFT = "left"
 
 
-@dataclass(frozen=True)
-class MembershipConfig:
-    """Timing of the heartbeat/suspicion protocol.
-
-    ``suspect_after_s`` is the silence horizon: a member peer not heard
-    from for longer is quarantined at the next beat.  It must exceed the
-    beat period by enough slack to absorb WAN latency; the default
-    tolerates three lost beats.
-    """
-
-    heartbeat_period_s: float = 2.0
-    suspect_after_s: float = 6.5
-    #: transfer-model size of one heartbeat message
-    heartbeat_bytes: float = 64.0
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_period_s <= 0:
-            raise ConfigurationError("heartbeat_period_s must be positive")
-        if self.suspect_after_s <= self.heartbeat_period_s:
-            raise ConfigurationError(
-                "suspect_after_s must exceed heartbeat_period_s "
-                f"({self.suspect_after_s} <= {self.heartbeat_period_s})")
+#: how often each site's daemon beats to its peers
+HEARTBEAT_PERIOD_S = 2.0
+#: the silence horizon: a member peer not heard from for longer is
+#: quarantined at the next beat.  It exceeds the beat period by enough
+#: slack to absorb WAN latency, tolerating three lost beats.
+SUSPECT_AFTER_S = 6.5
+#: transfer-model size of one heartbeat message
+HEARTBEAT_BYTES = 64.0
 
 
 @dataclass
@@ -102,7 +88,6 @@ class MembershipDaemon:
 
     def __init__(self, env: Environment, network: Network, site: Site,
                  sync: DirectorySync,
-                 config: MembershipConfig | None = None,
                  obs: Observability | None = None,
                  wal_log: Callable[[str, dict], None] | None = None,
                  on_quarantine: Callable[[str, str], None] | None = None,
@@ -112,7 +97,6 @@ class MembershipDaemon:
         self.network = network
         self.site = site
         self.sync = sync
-        self.config = config or MembershipConfig()
         self.obs = obs if obs is not None else OBS_OFF
         self.wal_log = wal_log
         self.on_quarantine = on_quarantine
@@ -156,9 +140,8 @@ class MembershipDaemon:
 
     # -- the one periodic loop ---------------------------------------------
     def _beat_loop(self):
-        period = self.config.heartbeat_period_s
         while True:
-            yield self.env.timeout(period)
+            yield self.env.timeout(HEARTBEAT_PERIOD_S)
             if not self.site.server_is_up():
                 # a dark server neither beats nor judges its peers
                 self._was_dark = True
@@ -179,8 +162,8 @@ class MembershipDaemon:
                     SITE_HEARTBEAT,
                     payload={"site": self.site.name,
                              "generation": self.sync.generation()},
-                    size_bytes=self.config.heartbeat_bytes)
-            horizon = now - self.config.suspect_after_s
+                    size_bytes=HEARTBEAT_BYTES)
+            horizon = now - SUSPECT_AFTER_S
             for name in sorted(self.peers):
                 view = self.peers[name]
                 if view.status == MEMBER and view.last_heard < horizon:
@@ -364,8 +347,7 @@ class MembershipDaemon:
 class Federation:
     """The facade-level aggregate over every site's membership daemon."""
 
-    def __init__(self, config: MembershipConfig | None = None) -> None:
-        self.config = config or MembershipConfig()
+    def __init__(self) -> None:
         self.daemons: dict[str, MembershipDaemon] = {}
 
     def add(self, daemon: MembershipDaemon) -> None:

@@ -59,8 +59,9 @@ class Prediction:
 class PerformancePredictor:
     """Evaluates Predict(task, R) against the repository view.
 
-    Evaluations are memoized per (task, input size, processors, record
-    snapshot): the key includes the record's ``version`` stamp and the
+    :meth:`predict` evaluations are memoized per (task, input size,
+    processors, record snapshot); :meth:`estimate` computes directly.
+    The memo key includes the record's ``version`` stamp and the
     task-performance DB's weight ``version``, so a monitoring update,
     status change, or weight refinement automatically invalidates the
     affected entries — rescheduling after repository updates always sees
@@ -160,33 +161,22 @@ class PerformancePredictor:
         self._cache[key] = prediction
         return prediction
 
-    def _estimate(self, definition: TaskDefinition, input_size: float,
-                  record: ResourceRecord, processors: int) -> float:
-        """The scalar estimate alone — no Prediction allocation.
-
-        Serves :meth:`best_host`'s streaming scan: hosts that cannot win
-        never get a Prediction object built for them.  Reuses a memoized
-        Prediction when one exists but does not populate the cache.
-        """
-        cached = self._cache.get(
-            self._cache_key(definition, input_size, record, processors))
-        if cached is not None:
-            return cached.estimate_s
-        base = definition.base_execution_time(input_size,
-                                              processors=processors)
-        return (base * self.weight_for(definition, record)
-                * (1.0 + self.load_forecast_for(record))
-                * self.memory_penalty_for(definition, input_size, record))
-
     def estimate(self, definition: TaskDefinition, input_size: float,
                  record: ResourceRecord, processors: int = 1) -> float:
         """Public scalar Predict(task, R): estimate without diagnostics.
 
         The incremental host-selection views score thousands of
-        candidates per delta batch; this is the allocation-free entry
-        point they use.
+        candidates per delta batch, and :meth:`best_host`'s streaming
+        scan never builds a Prediction for a host that cannot win: this
+        is the allocation-free entry point both use.  It neither reads
+        nor fills the memo (the same expression as :meth:`predict`, so
+        the same float).
         """
-        return self._estimate(definition, input_size, record, processors)
+        base = definition.base_execution_time(input_size,
+                                              processors=processors)
+        return (base * self.weight_for(definition, record)
+                * (1.0 + self.load_forecast_for(record))
+                * self.memory_penalty_for(definition, input_size, record))
 
     def best_host(self, definition: TaskDefinition, input_size: float,
                   records: list[ResourceRecord],
@@ -214,7 +204,7 @@ class PerformancePredictor:
                 diagnostics.append(p)
                 est = p.estimate_s
             else:
-                est = self._estimate(definition, input_size, rec, processors)
+                est = self.estimate(definition, input_size, rec, processors)
             if est < best_est or (est == best_est and best_rec is not None
                                   and rec.address < best_rec.address):
                 best_est = est

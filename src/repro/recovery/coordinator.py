@@ -47,6 +47,13 @@ from repro.runtime.control.site_manager import ExecutionState, SiteManager
 from repro.simcore.engine import Environment
 from repro.util.errors import ConfigurationError
 
+#: how often a protected site's server beats to its standbys
+HEARTBEAT_PERIOD_S = 2.0
+#: missed beats before a standby suspects the server
+MISS_LIMIT = 3
+#: extra silence each lower-ranked standby waits before promoting
+PROMOTE_GRACE_S = 2.0
+
 
 @dataclass
 class SiteFailoverState:
@@ -58,9 +65,6 @@ class SiteFailoverState:
     heartbeat: ServerHeartbeatDaemon
     replicas: list[StandbyReplica]
     monitors: dict[str, Any]
-    heartbeat_period_s: float
-    miss_limit: int
-    promote_grace_s: float
     promotions: int = 0
     history: list[str] = field(default_factory=list)
 
@@ -86,10 +90,7 @@ class RecoveryCoordinator:
     # -- enabling ----------------------------------------------------------
     def enable_site(self, site: Site, sm: SiteManager,
                     standby_hosts: list[str],
-                    monitors: dict[str, Any],
-                    heartbeat_period_s: float = 2.0,
-                    miss_limit: int = 3,
-                    promote_grace_s: float = 2.0) -> list[StandbyReplica]:
+                    monitors: dict[str, Any]) -> list[StandbyReplica]:
         """Protect one site with the given standby hosts.
 
         *standby_hosts* are bare host names at *site*; *monitors* maps
@@ -102,8 +103,6 @@ class RecoveryCoordinator:
         if not standby_hosts:
             raise ConfigurationError(
                 f"no standby hosts given for site {site.name!r}")
-        if miss_limit < 1:
-            raise ConfigurationError("miss_limit must be >= 1")
         replicas = []
         for host_name in sorted(standby_hosts):
             host = site.host(host_name)  # raises on unknown host
@@ -116,12 +115,10 @@ class RecoveryCoordinator:
         sm.replication = shipper
         heartbeat = ServerHeartbeatDaemon(
             self.env, self.network, site, standby_addrs,
-            period_s=heartbeat_period_s)
+            period_s=HEARTBEAT_PERIOD_S)
         state = SiteFailoverState(
             site=site, sm=sm, shipper=shipper, heartbeat=heartbeat,
-            replicas=replicas, monitors=monitors,
-            heartbeat_period_s=heartbeat_period_s, miss_limit=miss_limit,
-            promote_grace_s=promote_grace_s)
+            replicas=replicas, monitors=monitors)
         self._attach_trackers(state)
         self.sites[site.name] = state
         if self.obs.enabled:
@@ -132,12 +129,12 @@ class RecoveryCoordinator:
 
     def _attach_trackers(self, state: SiteFailoverState) -> None:
         """(Re-)rank the live standbys: lowest address gets rank 0."""
-        suspect_after = state.miss_limit * state.heartbeat_period_s
         for rank, replica in enumerate(
                 sorted(state.replicas, key=lambda r: r.address)):
             tracker = HeartbeatTracker(
-                replica, rank=rank, suspect_after_s=suspect_after,
-                promote_grace_s=state.promote_grace_s,
+                replica, rank=rank,
+                suspect_after_s=MISS_LIMIT * HEARTBEAT_PERIOD_S,
+                promote_grace_s=PROMOTE_GRACE_S,
                 on_promote=lambda rep, suspected, s=state.site.name:
                     self.promote(s, rep, suspected))
             replica.tracker = tracker
@@ -176,8 +173,7 @@ class RecoveryCoordinator:
         # stable role address means nothing else re-learns an address
         new_sm = SiteManager(
             self.env, self.network, site, replica.repository,
-            self.topology, selection_timeout_s=old_sm.selection_timeout_s,
-            obs=self.obs)
+            self.topology, obs=self.obs)
         # Group Managers re-register here, not in the facade's wiring:
         # step 5 pushes through them before on_promoted runs
         for gm in old_sm.group_managers.values():
@@ -199,7 +195,7 @@ class RecoveryCoordinator:
             start_lsn=replica.last_lsn())
         heartbeat = ServerHeartbeatDaemon(
             self.env, self.network, site, [r.address for r in survivors],
-            period_s=state.heartbeat_period_s)
+            period_s=HEARTBEAT_PERIOD_S)
         # 5. reconstruct execution state from the shipped log
         rebuilt = self._reconstruct(new_sm, old_sm, replica)
         state.sm = new_sm

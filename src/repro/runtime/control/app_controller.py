@@ -16,7 +16,7 @@ rescheduling request to the Group Manager."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.net import (
@@ -50,8 +50,6 @@ MONITOR_INTERVAL_S = 1.0
 class ControllerStats:
     tasks_executed: int = 0
     tasks_rescheduled_away: int = 0
-    overload_terminations: int = 0
-    executions_seen: set = field(default_factory=set)
 
 
 class ApplicationController:
@@ -99,54 +97,57 @@ class ApplicationController:
         while True:
             msg = yield self.mailbox.get()
             if msg.kind == EXECUTION_REQUEST:
-                self.env.process(self._handle_execution(msg.payload),
-                                 name=f"ac-exec:{self.address}")
+                if msg.payload.get("immediate"):
+                    self._run_pushed_tasks(msg.payload)
+                else:
+                    self.env.process(self._handle_execution(msg.payload),
+                                     name=f"ac-exec:{self.address}")
             elif msg.kind == START_SIGNAL:
                 ev = self._start_events.get(msg.payload["execution_id"])
                 if ev is not None and not ev.triggered:
                     ev.succeed()
             elif msg.kind == PARALLEL_OCCUPY:
-                self.env.process(self._occupy(msg.payload),
-                                 name=f"ac-occupy:{self.address}")
+                # hold this machine busy as a parallel-task participant
+                self.host.task_started(load=1.0)
+                self.env.call_later(msg.payload["duration"],
+                                    self.host.task_finished, 1.0)
+
+    def _run_pushed_tasks(self, payload: dict) -> None:
+        """Start an ``immediate`` request's tasks (a rescheduled task).
+
+        Inputs travel with the request and the execution is already
+        under way: no setup, no start signal.  Runs inside the inbox
+        loop, so nothing here may raise.
+        """
+        execution_id = payload["execution_id"]
+        coordinator = payload["coordinator"]
+        for entry in payload["entries"]:
+            if entry["hosts"][0] != self.host.address:
+                continue
+            if not self._can_source_inputs(execution_id, entry):
+                # Promotion-time re-push of a task this host never set
+                # up: no forwarded inputs, no cached aborted inputs, no
+                # open endpoints — the inputs can never arrive here, so
+                # running would die on a closed channel.  Leave it
+                # unclaimed; the rescheduling pipeline re-issues it with
+                # the inputs attached.
+                if self.obs.enabled:
+                    self.obs.trace.record(
+                        self.env.now, "ac:unsourceable-repush",
+                        self.host.address, node=entry["node_id"],
+                        execution=execution_id)
+                continue
+            if self._claim(execution_id, entry["node_id"], coordinator):
+                self.env.process(
+                    self._run_task(execution_id, coordinator, entry),
+                    name=f"retask:{entry['node_id']}@{self.host.address}")
 
     # -- execution environment setup (Figure 7 steps 1-4) ----------------------
     def _handle_execution(self, payload: dict):
         execution_id = payload["execution_id"]
         coordinator = payload["coordinator"]
-        self.stats.executions_seen.add(execution_id)
-        if payload.get("immediate"):
-            # Rescheduled task: inputs travel with the request, the
-            # execution is already under way — no setup, no start signal.
-            procs = []
-            for entry in payload["entries"]:
-                if entry["hosts"][0] != self.host.address:
-                    continue
-                if not self._can_source_inputs(execution_id, entry):
-                    # Promotion-time re-push of a task this host never
-                    # set up: no forwarded inputs, no cached aborted
-                    # inputs, no open endpoints — the inputs can never
-                    # arrive here, so running would die on a closed
-                    # channel.  Leave it unclaimed; the rescheduling
-                    # pipeline re-issues it with the inputs attached.
-                    if self.obs.enabled:
-                        self.obs.trace.record(
-                            self.env.now, "ac:unsourceable-repush",
-                            self.host.address, node=entry["node_id"],
-                            execution=execution_id)
-                    continue
-                if not self._claim(execution_id, entry["node_id"],
-                                   coordinator):
-                    continue
-                procs.append(self.env.process(
-                    self._run_task(execution_id, coordinator, entry),
-                    name=f"retask:{entry['node_id']}@{self.host.address}"))
-            if procs:
-                yield self.env.all_of(procs)
-            return
         my_entries = [e for e in payload["entries"]
                       if e["hosts"][0] == self.host.address]
-        participant_entries = [e for e in payload["entries"]
-                               if e["hosts"][0] != self.host.address]
         if execution_id not in self._acked:
             # 1-2. activate the Data Manager: open receive endpoints for
             # my tasks' inputs, then handshake outgoing channels.
@@ -174,19 +175,14 @@ class ApplicationController:
         # 5. run my tasks (each as its own process so independent tasks
         # interleave exactly as separate processes would on the machine).
         # A duplicate push re-runs only tasks that never ran here.
-        procs = []
+        # Participant entries occupy this host when the primary signals
+        # (PARALLEL_OCCUPY messages).
         for entry in my_entries:
-            if not self._claim(execution_id, entry["node_id"],
-                               coordinator, allow_aborted=False):
-                continue
-            procs.append(self.env.process(
-                self._run_task(execution_id, coordinator, entry),
-                name=f"task:{entry['node_id']}@{self.host.address}"))
-        if procs:
-            yield self.env.all_of(procs)
-        # participant entries occupy this host when the primary signals;
-        # nothing to do here (handled by PARALLEL_OCCUPY messages).
-        _ = participant_entries
+            if self._claim(execution_id, entry["node_id"], coordinator,
+                           allow_aborted=False):
+                self.env.process(
+                    self._run_task(execution_id, coordinator, entry),
+                    name=f"task:{entry['node_id']}@{self.host.address}")
 
     def _can_source_inputs(self, execution_id: str, entry: dict) -> bool:
         """May :meth:`_run_task` actually gather this entry's inputs here?
@@ -313,16 +309,16 @@ class ApplicationController:
                 parent_id=obs.spans.lookup(("app", execution_id)),
                 task=entry["task_name"])
             obs.spans.bind(("task", execution_id, node_id), task_span)
-        task_proc = self.env.active_process
-        watcher = self.env.process(
-            self._overload_watch(task_proc, overloaded),
-            name=f"watch:{node_id}")
+        finish = self.env.timeout(duration)
+        # The overload check is armed after the task's own timeout, so a
+        # task ending on a check instant completes before the check.
+        watch = [self.env.active_process, overloaded]
+        self.env.call_later(MONITOR_INTERVAL_S, self._check_overload, watch)
         try:
-            yield self.env.timeout(duration)
+            yield finish
         except Interrupt as interrupt:
-            # terminated by the overload watcher (or a failure handler)
+            # terminated by the overload check
             self.host.task_finished(load=1.0, memory_mb=memory)
-            self.stats.overload_terminations += 1
             if obs.enabled and task_span is not None:
                 obs.trace.record(self.env.now, "task-terminated",
                                  self.host.address, node=node_id,
@@ -339,8 +335,7 @@ class ApplicationController:
                                      reason=str(interrupt.cause))
             return
         finally:
-            if watcher.is_alive:
-                watcher.interrupt("task-done")
+            watch.clear()
         self.host.task_finished(load=1.0, memory_mb=memory)
         elapsed = self.env.now - started
         if obs.enabled and task_span is not None:
@@ -408,28 +403,23 @@ class ApplicationController:
                                        "node_id": entry["node_id"]},
                               size_bytes=48)
 
-    def _occupy(self, payload: dict):
-        """Hold this machine busy as a parallel-task participant."""
-        self.host.task_started(load=1.0)
-        yield self.env.timeout(payload["duration"])
-        self.host.task_finished(load=1.0)
-
     # -- overload monitoring + rescheduling ------------------------------------
-    def _overload_watch(self, task_proc, overloaded=None):
-        """Interrupt the running task when load crosses the threshold.
+    def _check_overload(self, watch: list) -> None:
+        """Terminate the running task when load crosses the threshold,
+        else check again in :data:`MONITOR_INTERVAL_S`.
 
-        Only the *background* load counts — the task's own contribution
-        must not trigger its own termination.
+        *watch* is ``[task process, overload predicate]``, emptied when
+        the task ends.  Only the *background* load counts — the task's
+        own contribution must not trigger its own termination.
         """
-        if overloaded is None:
-            overloaded = self.policy.should_reschedule
-        while True:
-            yield self.env.timeout(MONITOR_INTERVAL_S)
-            if not task_proc.is_alive:
-                return
-            if overloaded(self.host.true_load):
-                task_proc.interrupt("overload")
-                return
+        if not watch:
+            return
+        task_proc, overloaded = watch
+        if overloaded(self.host.true_load):
+            task_proc.interrupt("overload")
+        else:
+            self.env.call_later(MONITOR_INTERVAL_S, self._check_overload,
+                                watch)
 
     def _request_reschedule(self, execution_id: str, entry: dict,
                             inputs: dict, reason: str) -> None:

@@ -41,6 +41,9 @@ HOST_UP = "host-up"
 #: consecutive unanswered echo rounds before a host is declared down
 MISS_LIMIT = 2
 
+#: how long an echo round waits for replies before judging its hosts
+ECHO_TIMEOUT_S = 1.0
+
 
 @dataclass
 class GroupManagerStats:
@@ -62,11 +65,10 @@ class GroupManager:
                  member_hosts: list[str],
                  site_manager_addr: str,
                  echo_period_s: float = 5.0,
-                 echo_timeout_s: float = 1.0,
                  change_filter: ChangeFilter | None = None,
                  obs: Observability | None = None) -> None:
-        if echo_period_s <= 0 or echo_timeout_s <= 0:
-            raise ConfigurationError("echo period/timeout must be positive")
+        if echo_period_s <= 0:
+            raise ConfigurationError("echo period must be positive")
         self.env = env
         self.network = network
         self.site = site
@@ -75,7 +77,6 @@ class GroupManager:
         self.member_hosts = list(member_hosts)
         self.site_manager_addr = site_manager_addr
         self.echo_period_s = echo_period_s
-        self.echo_timeout_s = echo_timeout_s
         self.filter = change_filter or ChangeFilter()
         self.obs = obs if obs is not None else OBS_OFF
         self.stats = GroupManagerStats()
@@ -175,7 +176,7 @@ class GroupManager:
                 self.address,
                 [f"{host}/monitor" for host in self.member_hosts],
                 ECHO_REQUEST, payload=self._echo_seq, size_bytes=32)
-            yield self.env.timeout(self.echo_timeout_s)
+            yield self.env.timeout(ECHO_TIMEOUT_S)
             self._evaluate_round(sent_at)
 
     def _on_echo_reply(self, msg) -> None:

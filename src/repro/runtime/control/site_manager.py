@@ -58,6 +58,9 @@ from repro.util.errors import SchedulingError
 TASK_COMPLETED = "task-completed"
 APP_COMPLETED = "application-completed"
 
+#: how long the local site waits for remote host-selection replies
+SELECTION_TIMEOUT_S = 5.0
+
 
 @dataclass
 class PendingSchedule:
@@ -93,14 +96,12 @@ class SiteManager:
 
     def __init__(self, env: Environment, network: Network, site: Site,
                  repository: SiteRepository, topology: Topology,
-                 selection_timeout_s: float = 5.0,
                  obs: Observability | None = None) -> None:
         self.env = env
         self.network = network
         self.site = site
         self.repository = repository
         self.topology = topology
-        self.selection_timeout_s = selection_timeout_s
         self.obs = obs if obs is not None else OBS_OFF
         self.address = f"{site.name}/server/{self.SERVICE}"
         self.mailbox = network.register(self.address)
@@ -299,7 +300,7 @@ class SiteManager:
         """Process: multicast AFG, gather selections, run the site walk.
 
         Yields simulation events; returns ``(table, report)``.  Remote
-        sites that do not answer within ``selection_timeout_s`` are
+        sites that do not answer within :data:`SELECTION_TIMEOUT_S` are
         dropped from consideration (wide-area robustness).
         """
         self._request_seq += 1
@@ -325,7 +326,7 @@ class SiteManager:
                 AFG_MULTICAST,
                 payload={"request_id": request_id, "graph": graph},
                 size_bytes=256 + 128 * len(graph))
-            timeout = self.env.timeout(self.selection_timeout_s)
+            timeout = self.env.timeout(SELECTION_TIMEOUT_S)
             yield self.env.any_of([pending.done, timeout])
         del self._pending[request_id]
         table, report = scheduler.schedule(graph, dict(pending.results))

@@ -29,7 +29,7 @@ from repro.runtime.data.conversion import conversion_cost_s, convert
 from repro.runtime.data.messaging import RetryPolicy
 from repro.simcore.engine import Environment
 from repro.simcore.store import Store
-from repro.util.errors import ChannelError, DeliveryTimeoutError
+from repro.util.errors import ChannelError
 
 
 def channel_key(execution_id: str, dst_node: str, dst_port: str) -> str:
@@ -197,24 +197,17 @@ class DataManager:
         self._pending_acks.pop(spec.key, None)
         return False
 
-    def setup_channels(self, specs: list[ChannelSpec],
-                       on_failure: str = "abandon"):
+    def setup_channels(self, specs: list[ChannelSpec]):
         """Process: handshake every outgoing cross-host channel.
 
         Local (same-host) channels are opened synchronously by the
         consumer side; cross-host channels require a setup round-trip to
-        the peer Data Manager, retried per :class:`RetryPolicy`.  With
-        ``on_failure="abandon"`` (default) exhausted handshakes are
-        dropped — safe because the consumer opens its own endpoints, so
-        data still lands if the peer comes back; ``on_failure="raise"``
-        raises :class:`DeliveryTimeoutError` instead.
+        the peer Data Manager, retried per :class:`RetryPolicy`.
+        Exhausted handshakes are dropped — safe because the consumer
+        opens its own endpoints, so data still lands if the peer comes
+        back.
         """
-        if on_failure not in ("abandon", "raise"):
-            raise ChannelError(
-                f"on_failure must be 'abandon' or 'raise', got "
-                f"{on_failure!r}")
         procs = []
-        remote = []
         for spec in specs:
             if spec.src_host != self.host.address:
                 raise ChannelError(
@@ -222,16 +215,10 @@ class DataManager:
                     f"{self.host.address}")
             if not spec.crosses_hosts:
                 continue  # receiver opened it locally; no wire handshake
-            remote.append(spec)
             procs.append(self.env.process(
                 self._setup_one(spec), name=f"dm:setup:{spec.key}"))
         if procs:
-            outcomes = yield self.env.all_of(procs)
-            failed = [s.key for s, ok in zip(remote, outcomes) if not ok]
-            if failed and on_failure == "raise":
-                raise DeliveryTimeoutError(
-                    f"channel setup exhausted retries for {failed} "
-                    f"(policy: {self.retry_policy})")
+            yield self.env.all_of(procs)
         if self.obs.enabled:
             self.obs.trace.record(self.env.now, "dm:channels-ready",
                                   self.address, count=len(specs))

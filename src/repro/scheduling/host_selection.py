@@ -200,9 +200,6 @@ class HostSelector:
             elif kind == "host-removed":
                 if scores.pop(a, None) is not None:
                     changed.add(a)
-                # the satellite invalidation: drop only this host's
-                # memoized predictions, keep the rest warm
-                self.predictor.invalidate(host=a)
             elif kind == "weight" or kind == "constraint":
                 if a == task_name:
                     dirty[b] = None

@@ -74,10 +74,6 @@ class HostDownError(RuntimeSystemError):
     """An operation targeted a host marked ``down`` in the repository."""
 
 
-class DeliveryTimeoutError(RuntimeSystemError):
-    """A message exchange exhausted its retry budget without an answer."""
-
-
 class ExecutionError(RuntimeSystemError):
     """A task execution failed on its assigned resource."""
 

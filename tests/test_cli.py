@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.util.errors import SimulationError
+from repro.simcore import Environment
+from repro.util.errors import ConfigurationError, SimulationError
 
 
 class TestParser:
@@ -79,6 +80,42 @@ class TestCommands:
         # the queue from draining, so the run must refuse it up front
         with pytest.raises(SimulationError, match="until=nan"):
             main(["monitor", "--duration", "nan", "--seed", "1"])
+
+
+class TestRejectedNumbers:
+    @pytest.mark.parametrize("argv", [
+        # runs that never returned
+        ["monitor", "--duration", "inf"],
+        ["obs", "--sample-every", "0", "--idle", "--size", "40"],
+        # checks passed, or timeouts reported, without a run
+        ["analyze", "--scenario", "chaos", "--seeds", "101",
+         "--max-time", "-5"],
+        ["analyze", "--scenario", "chaos", "--seeds", "101",
+         "--max-time", "0"],
+        ["analyze", "--scenario", "chaos", "--seeds", "101",
+         "--max-time", "nan"],
+        ["obs", "--apps", "0"],
+        ["monitor", "--hosts", "0", "--duration", "5"],
+        ["solve", "--max-time", "nan"],
+        ["solve", "--max-time", "-1"],
+        ["obs", "--max-time", "nan"],
+        ["plan", "--deadline", "nan"],
+        # --size 0 used to build the default size
+        ["show", "--size", "0"],
+        ["schedule", "--size", "0"],
+        ["plan", "--size", "0", "--deadline", "100"],
+        ["local", "--size", "0"],
+        ["obs", "--size", "0"],
+        # a bare ValueError from int()
+        ["analyze", "--seeds", "abc"],
+    ], ids="_".join)
+    def test_typed_error_before_any_simulation(self, argv, monkeypatch):
+        def no_run(self, until=None):
+            raise AssertionError("a simulation started")
+
+        monkeypatch.setattr(Environment, "run", no_run)
+        with pytest.raises(ConfigurationError):
+            main(argv)
 
 
 class TestObsCommand:

@@ -25,7 +25,7 @@ from repro.resources import Host, HostSpec
 from repro.runtime.data.data_manager import ChannelSpec, DataManager
 from repro.runtime.data.messaging import RetryPolicy
 from repro.simcore import Environment
-from repro.util.errors import ConfigurationError, DeliveryTimeoutError
+from repro.util.errors import ConfigurationError
 
 
 # ---------------------------------------------------------------------------
@@ -563,15 +563,6 @@ class TestDataManagerRetry:
         assert dm1.stats.retries == 3   # 4 attempts = 3 retries
         assert not dm1._pending_acks
 
-    def test_raise_mode_surfaces_typed_error(self):
-        env, net, dm1, dm2 = make_dm_pair()
-        self.drop_setups_until(net, 1e9)
-        proc = env.process(
-            dm1.setup_channels([cross_spec()], on_failure="raise"))
-        env.run(until=60.0)
-        assert not proc.ok
-        assert isinstance(proc.exception, DeliveryTimeoutError)
-
     def test_no_retry_on_healthy_network(self):
         env, net, dm1, dm2 = make_dm_pair()
         proc = env.process(dm1.setup_channels([cross_spec()]))
@@ -589,13 +580,6 @@ class TestDataManagerRetry:
         assert proc.ok
         assert dm1.stats.setups_requested == 2
         assert dm1.stats.setups_abandoned == 1
-
-    def test_bad_on_failure_rejected(self):
-        env, net, dm1, dm2 = make_dm_pair()
-        proc = env.process(
-            dm1.setup_channels([cross_spec()], on_failure="explode"))
-        env.run(until=1.0)
-        assert not proc.ok
 
 
 # ---------------------------------------------------------------------------

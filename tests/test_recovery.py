@@ -25,6 +25,7 @@ from repro.recovery import (
     WriteAheadLog,
     replay_executions,
 )
+from repro.runtime.control.site_manager import SELECTION_TIMEOUT_S
 from repro.runtime.data.messaging import RetryPolicy
 from repro.scheduling.allocation import AllocationEntry, ResourceAllocationTable
 from repro.util.errors import ConfigurationError, NoFeasibleHostError
@@ -468,5 +469,5 @@ class TestPromotedSiteFilter:
         _, run = vdce.submit(graph, "site0", k_remote_sites=2)
         while run.table is None:
             vdce.run(until=vdce.now + 0.01)
-        assert run.scheduling_time < sm.selection_timeout_s / 10
+        assert run.scheduling_time < SELECTION_TIMEOUT_S / 10
         assert "site2" not in run.report.consulted_sites

@@ -1,9 +1,17 @@
 """Targeted Application Controller behaviours (simulated backend)."""
 
+import numpy as np
 import pytest
 
 from repro import VDCE, ATM_OC3, HostSpec
+from repro.net import EXECUTION_REQUEST
 from repro.obs import Observability
+from repro.runtime.control.app_controller import (
+    MONITOR_INTERVAL_S,
+    PARALLEL_OCCUPY,
+)
+from repro.runtime.control.site_manager import ExecutionState
+from repro.simcore import Environment
 from repro.tasklib import (
     LibraryRegistry,
     TaskDefinition,
@@ -27,6 +35,39 @@ def small_vdce(registry=None, seed=61):
         v.add_host("rome", HostSpec(name=f"h{i}", memory_mb=256))
     v.start()
     return v
+
+
+def solo_entry(**extra):
+    """One exit task for rome/h1 whose inputs travel with the request."""
+    entry = {
+        "node_id": "solo", "task_name": "matrix-inverse",
+        "site": "rome", "hosts": ["rome/h1"], "processors": 1,
+        "predicted_time_s": 1.0, "input_size": 10.0,
+        "params": {}, "is_exit": True, "in_links": [], "out_links": [],
+        "forward_inputs": {"matrix": np.eye(3) * 2.0},
+    }
+    entry.update(extra)
+    return entry
+
+
+def push_immediate(v, entry):
+    """Send *entry* to its host as an ``immediate`` execution request
+    from syracuse's Site Manager, registering a matching execution state
+    so the completion lands; returns that state."""
+    sm = v.site_managers["syracuse"]
+    state = ExecutionState(execution_id="exec-manual",
+                           application="manual",
+                           expected_acks=set(),
+                           finished=v.env.event(), total_tasks=1)
+    sm._executions["exec-manual"] = state
+    v.network.send(sm.address, f"{entry['hosts'][0]}/appctl",
+                   EXECUTION_REQUEST,
+                   payload={"application": "manual",
+                            "execution_id": "exec-manual",
+                            "entries": [entry],
+                            "coordinator": sm.address,
+                            "immediate": True})
+    return state
 
 
 class TestParallelParticipants:
@@ -125,32 +166,8 @@ class TestImmediateRescheduledExecution:
     def test_forwarded_inputs_skip_channel_setup(self):
         """A rescheduled entry executes with forwarded inputs and reports
         completion without a second handshake."""
-        from repro.net import EXECUTION_REQUEST
-        import numpy as np
         v = small_vdce()
-        sm = v.site_managers["syracuse"]
-        # craft a fake single-task immediate request aimed at rome/h1
-        d = v.registry.resolve("matrix-inverse")
-        entry = {
-            "node_id": "solo", "task_name": "matrix-inverse",
-            "site": "rome", "hosts": ["rome/h1"], "processors": 1,
-            "predicted_time_s": 1.0, "input_size": 10.0,
-            "params": {}, "is_exit": True, "in_links": [], "out_links": [],
-            "forward_inputs": {"matrix": np.eye(3) * 2.0},
-        }
-        # register a matching execution state so the completion lands
-        from repro.runtime.control.site_manager import ExecutionState
-        state = ExecutionState(execution_id="exec-manual",
-                               application="manual",
-                               expected_acks=set(),
-                               finished=v.env.event(), total_tasks=1)
-        sm._executions["exec-manual"] = state
-        v.network.send(sm.address, "rome/h1/appctl", EXECUTION_REQUEST,
-                       payload={"application": "manual",
-                                "execution_id": "exec-manual",
-                                "entries": [entry],
-                                "coordinator": sm.address,
-                                "immediate": True})
+        state = push_immediate(v, solo_entry())
         deadline = v.now + 120
         while not state.finished.triggered and v.now < deadline:
             v.env.run(until=v.now + 1.0)
@@ -160,3 +177,76 @@ class TestImmediateRescheduledExecution:
                                    np.eye(3) * 0.5)
         # no channel handshakes happened for this immediate execution
         assert v.network.stats.by_kind.get("channel-setup", 0) == 0
+
+
+class TestOneProcessPerTaskRun:
+    """The controller spawns a process only where a task waits."""
+
+    @pytest.fixture
+    def spawned(self, monkeypatch):
+        """Names of the processes started after a quiet 10 s warm-up
+        (the daemons' own loops are long-lived, so the window spawns
+        nothing by itself)."""
+        names = []
+        spawn = Environment.process
+
+        def counting(env, gen, name=None):
+            names.append(name)
+            return spawn(env, gen, name=name)
+
+        monkeypatch.setattr(Environment, "process", counting)
+        v = small_vdce()
+        v.env.run(until=10.0)
+        names.clear()
+        return v, names
+
+    def test_immediate_push_spawns_only_the_task_run(self, spawned):
+        v, names = spawned
+        state = push_immediate(v, solo_entry())
+        while not state.finished.triggered:
+            v.env.run(until=v.now + 1.0)
+        # no request handler, and no overload watcher for a task that
+        # ran to completion
+        assert names == ["retask:solo@rome/h1"]
+
+    def test_parallel_occupy_spawns_nothing(self, spawned):
+        v, names = spawned
+        participant = v.world.host("rome/h2")
+        v.network.send("rome/h1/appctl", "rome/h2/appctl", PARALLEL_OCCUPY,
+                       payload={"duration": 2.0, "node_id": "lu"},
+                       size_bytes=48)
+        v.env.run(until=11.0)
+        assert participant.running_tasks == 1
+        v.env.run(until=13.0)
+        assert participant.running_tasks == 0
+        assert names == []
+
+
+class TestOverloadCheckSameTick:
+    """A task ending on an overload-check instant completes first."""
+
+    @pytest.mark.parametrize("duration, terminated", [
+        (MONITOR_INTERVAL_S, False),
+        (3 * MONITOR_INTERVAL_S, True),
+    ])
+    def test_check_runs_after_a_task_ending_then(self, monkeypatch,
+                                                 duration, terminated):
+        v = small_vdce()
+        monkeypatch.setattr(v.model, "duration",
+                            lambda *args, **kwargs: duration)
+        host = v.world.host("rome/h1")
+        host.true_load = v.reschedule_policy.load_threshold + 1.0
+        # forced: skip the pre-start check, so only the running-task
+        # check can terminate it
+        push_immediate(v, solo_entry(forced=True))
+        v.env.run(until=1.0)
+        (start,) = v.tracer.query(category="task-start")
+        check_at = start.time + MONITOR_INTERVAL_S
+        v.env.run(until=check_at)
+        finished = [r.time for r in v.tracer.query(category="task-finish")]
+        stopped = [r.time
+                   for r in v.tracer.query(category="task-terminated")]
+        if terminated:
+            assert (finished, stopped) == ([], [check_at])
+        else:
+            assert (finished, stopped) == ([check_at], [])

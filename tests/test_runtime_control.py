@@ -8,7 +8,9 @@ from repro.net import Network, Topology
 from repro.obs import Observability
 from repro.resources.host import Host, HostSpec
 from repro.runtime.control.change_filter import ChangeFilter
+from repro.runtime.control.group_manager import ECHO_TIMEOUT_S
 from repro.runtime.control.monitor import MonitorDaemon
+from repro.runtime.control.site_manager import SELECTION_TIMEOUT_S
 from repro.simcore import Environment
 from repro.util.errors import ConfigurationError
 from repro.workloads import quiet_testbed
@@ -185,7 +187,7 @@ class TestFailureDetection:
         downs = [r for r in vdce.tracer.query(category="gm:host-down")]
         assert downs
         latency = downs[0].time - 12.0
-        budget = vdce.echo_period_s * 2 + vdce.echo_timeout_s * 2 + \
+        budget = vdce.echo_period_s * 2 + ECHO_TIMEOUT_S * 2 + \
             vdce.echo_period_s  # miss_limit=2 rounds + phase offset
         assert 0 < latency <= budget
 
@@ -204,7 +206,7 @@ class TestFailureDetection:
         gm = vdce.group_managers[("syracuse", "g0")]
         assert gm.stats.rtt_samples
         for samples in gm.stats.rtt_samples.values():
-            assert all(0 < s < vdce.echo_timeout_s for s in samples)
+            assert all(0 < s < ECHO_TIMEOUT_S for s in samples)
 
     def test_up_hosts_never_reported_down(self, vdce):
         vdce.run(until=60)
@@ -253,7 +255,7 @@ class TestSiteManagerScheduling:
         g = linear_solver_graph(vdce.registry, n=30)
         sm = vdce.site_managers["syracuse"]
         proc = vdce.env.process(sm.schedule_application(g, k_remote_sites=1))
-        vdce.run(until=sm.selection_timeout_s + 20)
+        vdce.run(until=SELECTION_TIMEOUT_S + 20)
         assert proc.triggered and proc.ok
         table, report = proc.value
         assert table.sites() == {"syracuse"}
