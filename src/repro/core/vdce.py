@@ -63,6 +63,10 @@ from repro.util.errors import (
 #: how often a leaving site's drain checks for work still involving it
 LEAVE_POLL_PERIOD_S = 1.0
 
+#: sim-time step in which :meth:`VDCE.run_application` and the workload
+#: player advance the clock while they wait for applications to finish
+RUN_STEP_S = 5.0
+
 
 class VDCE:
     """A complete simulated Virtual Distributed Computing Environment."""
@@ -374,7 +378,6 @@ class VDCE:
                         k_remote_sites: int = 1,
                         qos: QoSRequirement | None = None,
                         max_sim_time_s: float = 3600.0,
-                        step_s: float = 5.0,
                         queue_aware: bool = False) -> ApplicationRun:
         """Submit and drive the simulation until completion (or timeout).
 
@@ -387,7 +390,7 @@ class VDCE:
                                    queue_aware=queue_aware)
         deadline = self.now + max_sim_time_s
         while not process.triggered and self.now < deadline:
-            self.env.run(until=min(self.now + step_s, deadline))
+            self.env.run(until=min(self.now + RUN_STEP_S, deadline))
         if process.triggered:
             if not process.ok:
                 run.status = "rejected"

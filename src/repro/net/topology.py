@@ -12,9 +12,8 @@ Links are **mutable at runtime**: :meth:`Topology.set_link` rewrites a
 link's latency/bandwidth mid-run and :meth:`Topology.set_link_up`
 takes a link administratively down (and back up).  The fault injector's
 link faults (:mod:`repro.faults`) are the one caller that changes links
-mid-run.  Every mutation bumps :attr:`Topology.version` and
-invalidates the per-pair route cache, so cached transfer costs can
-never go stale (the INV001 contract).  :meth:`Topology.route` answers
+mid-run.  Every mutation clears the per-pair route cache, so cached
+transfer costs can never go stale.  :meth:`Topology.route` answers
 reachability and price together from that cache; when no path survives
 between two sites the pair is *unreachable*: ``route`` returns
 ``None``, :meth:`transfer_time` raises and :meth:`reachable` returns
@@ -90,25 +89,17 @@ class Topology:
     or naming an unknown site) are negatively cached as ``None`` so a
     partition does not re-run Dijkstra on every send.  *Every* mutation
     (``add_site``/``remove_site``/``connect``/``set_link``/
-    ``set_link_up``) clears the cache and bumps :attr:`version`;
-    consumers holding derived cost views can cheap-check the stamp.
+    ``set_link_up``) clears the cache.
     """
 
     def __init__(self, lan: LinkSpec = ETHERNET_10) -> None:
         self._graph = nx.Graph()
         self._lan: dict[str, LinkSpec] = {}
         self._default_lan = lan
-        self._version = 0
         self._pair_cache: dict[tuple[str, str],
                                tuple[float, float] | None] = {}
 
-    @property
-    def version(self) -> int:
-        """Monotone stamp bumped on every link/site mutation (INV001)."""
-        return self._version
-
     def _invalidate(self) -> None:
-        self._version += 1
         self._pair_cache.clear()
 
     # -- construction -----------------------------------------------------

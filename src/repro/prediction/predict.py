@@ -18,6 +18,12 @@ Each term can be disabled for the A1 ablation benchmark; the prediction
 degrades accordingly, which is the paper's implicit claim ("the core of
 the given built-in scheduling algorithms is the performance prediction
 phase").
+
+Nothing is memoized: every evaluation reads the repository view as it
+is now.  Consumers that keep derived views (the host-selection score
+views) follow repository change through the delta journal
+(:mod:`repro.repository.delta`), the repository's one change-tracking
+mechanism.
 """
 
 from __future__ import annotations
@@ -32,14 +38,6 @@ from repro.util.errors import NoFeasibleHostError
 
 #: Paging penalty slope, matching Host.slowdown's ground truth.
 MEMORY_PENALTY_SLOPE = 4.0
-
-#: (task name, input size, processors, host address, record version,
-#: task-performance version) — the full invalidation surface of one entry.
-CacheKey = tuple[str, float, int, str, int, int]
-
-#: Memoization cap: the cache is cleared wholesale when it grows past
-#: this, bounding memory during long runs with churning record versions.
-CACHE_MAX_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -59,15 +57,9 @@ class Prediction:
 class PerformancePredictor:
     """Evaluates Predict(task, R) against the repository view.
 
-    :meth:`predict` evaluations are memoized per (task, input size,
-    processors, record snapshot); :meth:`estimate` computes directly.
-    The memo key includes the record's ``version`` stamp and the
-    task-performance DB's weight ``version``, so a monitoring update,
-    status change, or weight refinement automatically invalidates the
-    affected entries — rescheduling after repository updates always sees
-    fresh loads.  Call :meth:`invalidate` after mutating records outside
-    the :class:`~repro.repository.resource_perf.ResourcePerformanceDB`
-    API (direct field writes bypass the version stamps).
+    Every evaluation reads the record and the task-performance DB as
+    they are now, so a monitoring update, status change or weight
+    refinement shows in the next call.
     """
 
     def __init__(self, task_performance: TaskPerformanceDB,
@@ -80,28 +72,6 @@ class PerformancePredictor:
         self.use_weight = use_weight
         self.use_load = use_load
         self.use_memory = use_memory
-        self._cache: dict[CacheKey, Prediction] = {}
-
-    def invalidate(self, host: str | None = None,
-                   task: str | None = None) -> None:
-        """Drop memoized evaluations, optionally targeted.
-
-        With no arguments: drop everything (out-of-band record changes
-        that bypassed the version stamps).  With *host* and/or *task*:
-        drop only the entries for that host address / task definition —
-        membership churn (a host unregistering) or a task redefinition
-        no longer flushes the whole memo table, so the surviving entries
-        keep serving the next scheduling round warm.
-        """
-        cache = self._cache
-        if host is None and task is None:
-            cache.clear()
-            return
-        dead = [key for key in cache
-                if (host is None or key[3] == host)
-                and (task is None or key[0] == task)]
-        for key in dead:
-            del cache[key]
 
     # -- components -------------------------------------------------------
     def weight_for(self, definition: TaskDefinition,
@@ -133,33 +103,20 @@ class PerformancePredictor:
         return 1.0 + MEMORY_PENALTY_SLOPE * overflow / total
 
     # -- the prediction function ------------------------------------------
-    def _cache_key(self, definition: TaskDefinition, input_size: float,
-                   record: ResourceRecord, processors: int) -> CacheKey:
-        return (definition.name, input_size, processors, record.address,
-                record.version, self.task_performance.version)
-
     def predict(self, definition: TaskDefinition, input_size: float,
                 record: ResourceRecord, processors: int = 1) -> Prediction:
-        """Evaluate Predict(task, R_j) for one host (memoized)."""
-        key = self._cache_key(definition, input_size, record, processors)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        """Evaluate Predict(task, R_j) for one host, with its factors."""
         base = definition.base_execution_time(input_size,
                                               processors=processors)
         weight = self.weight_for(definition, record)
         load = self.load_forecast_for(record)
         mem = self.memory_penalty_for(definition, input_size, record)
-        estimate = base * weight * (1.0 + load) * mem
-        prediction = Prediction(
+        return Prediction(
             task_name=definition.name, host=record.address,
-            estimate_s=estimate, base_time_s=base, weight=weight,
+            estimate_s=base * weight * (1.0 + load) * mem,
+            base_time_s=base, weight=weight,
             load_forecast=load, memory_penalty=mem,
             feasible=record.status == "up")
-        if len(self._cache) >= CACHE_MAX_ENTRIES:
-            self._cache.clear()
-        self._cache[key] = prediction
-        return prediction
 
     def estimate(self, definition: TaskDefinition, input_size: float,
                  record: ResourceRecord, processors: int = 1) -> float:
@@ -168,9 +125,8 @@ class PerformancePredictor:
         The incremental host-selection views score thousands of
         candidates per delta batch, and :meth:`best_host`'s streaming
         scan never builds a Prediction for a host that cannot win: this
-        is the allocation-free entry point both use.  It neither reads
-        nor fills the memo (the same expression as :meth:`predict`, so
-        the same float).
+        is the allocation-free entry point both use (the same expression
+        as :meth:`predict`, so the same float).
         """
         base = definition.base_execution_time(input_size,
                                               processors=processors)
@@ -180,8 +136,7 @@ class PerformancePredictor:
 
     def best_host(self, definition: TaskDefinition, input_size: float,
                   records: list[ResourceRecord],
-                  processors: int = 1,
-                  diagnostics: list[Prediction] | None = None) -> Prediction:
+                  processors: int = 1) -> Prediction:
         """The minimum-estimate feasible host among *records*.
 
         Deterministic tie-break on host address.  Raises
@@ -190,21 +145,14 @@ class PerformancePredictor:
         applied constraint filtering.
 
         The scan streams the minimum: only the winner's Prediction is
-        materialised.  Pass a *diagnostics* list to additionally receive
-        the full evaluation for every up host (the pre-streaming
-        behaviour, for callers that want to inspect the losers).
+        materialised.
         """
         best_rec: ResourceRecord | None = None
         best_est = float("inf")
         for rec in records:
             if rec.status != "up":
                 continue
-            if diagnostics is not None:
-                p = self.predict(definition, input_size, rec, processors)
-                diagnostics.append(p)
-                est = p.estimate_s
-            else:
-                est = self.estimate(definition, input_size, rec, processors)
+            est = self.estimate(definition, input_size, rec, processors)
             if est < best_est or (est == best_est and best_rec is not None
                                   and rec.address < best_rec.address):
                 best_est = est

@@ -1,17 +1,16 @@
 """The repository change journal powering incremental scheduling.
 
-PR 2's version stamps tell a consumer *that* a record changed;
-they do not tell it *which* (host, task-class) pairs a change dirties,
-so every scheduling round still re-walks the full candidate set.  The
-:class:`DeltaTracker` closes that gap: the four mutable databases of a
+This journal is the repository's one change-tracking mechanism: it
+tells a consumer *which* (host, task-class) pairs a change dirties, so
+a scheduling round need not re-walk the full candidate set.  The four
+mutable databases of a
 :class:`~repro.repository.site_repository.SiteRepository` publish every
 mutation (through their ``subscribe``/``_notify`` hooks — the INV002
-lint contract), and the tracker accumulates them as an ordered journal
-of :class:`DeltaEvent` tuples.  Incremental consumers (the
-:class:`~repro.scheduling.host_selection.HostSelector` score views,
-targeted :meth:`~repro.prediction.predict.PerformancePredictor.invalidate`
-calls) keep a cursor into the journal and re-score only what the events
-since their cursor dirty.
+lint contract), and the :class:`DeltaTracker` accumulates them as an
+ordered journal of :class:`DeltaEvent` tuples.  Incremental consumers
+(the :class:`~repro.scheduling.host_selection.HostSelector` score views,
+the federation directory catch-up) keep a cursor into the journal and
+re-score only what the events since their cursor dirty.
 
 Determinism: the journal is an ordered list — events replay in exactly
 the order the mutations happened, never in set/dict-hash order (the

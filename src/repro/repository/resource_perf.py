@@ -17,10 +17,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.repository.delta import DeltaCallback
-from repro.repository.store import Table
+from repro.repository.store import Table, record_from_row
 from repro.resources.host import HostSpec
 from repro.util.errors import NotRegisteredError
-from repro.util.versioned import versioned
 
 #: Window length for "a window of most recent workload measurements"
 #: (paper section 2.2.1) retained per host for forecasting.
@@ -47,17 +46,12 @@ class ResourceRecord:
     last_update: float = 0.0
     load_window: list[float] = field(default_factory=list)
     load_window_times: list[float] = field(default_factory=list)
-    #: Monotone snapshot stamp, bumped by the owning DB on every dynamic
-    #: update or status change.  Prediction memoization keys on it, so a
-    #: changed version is what invalidates cached Predict results.
-    version: int = 0
 
     @property
     def address(self) -> str:
         return f"{self.site}/{self.host_name}"
 
 
-@versioned("_version_clock")
 class ResourcePerformanceDB:
     """Repository table of :class:`ResourceRecord` keyed by host address."""
 
@@ -65,10 +59,6 @@ class ResourcePerformanceDB:
         self._table = Table("resource-performance")
         self._records: dict[str, ResourceRecord] = {}
         self.window = window
-        # DB-wide version clock: every mutation stamps the touched record
-        # with a fresh value, so (address, version) pairs never repeat —
-        # even across unregister/re-register of the same host.
-        self._version_clock = 0
         self._subscribers: list[DeltaCallback] = []
 
     def subscribe(self, callback: DeltaCallback) -> None:
@@ -84,11 +74,6 @@ class ResourcePerformanceDB:
         for cb in self._subscribers:
             cb(kind, a, b)
 
-    def _stamp(self, rec: ResourceRecord) -> None:
-        self._version_clock += 1
-        rec.version = self._version_clock
-        self._notify("host", rec.address)
-
     # -- registration ----------------------------------------------------
     def register_host(self, site: str, spec: HostSpec) -> ResourceRecord:
         """Store a host's static attributes (initial configuration)."""
@@ -98,7 +83,7 @@ class ResourcePerformanceDB:
             total_memory_mb=spec.memory_mb, group=spec.group,
             available_memory_mb=spec.memory_mb,
         )
-        self._stamp(rec)
+        self._notify("host", rec.address)
         self._records[rec.address] = rec
         return rec
 
@@ -107,9 +92,6 @@ class ResourcePerformanceDB:
         if address not in self._records:
             raise NotRegisteredError(f"no resource record for {address!r}")
         del self._records[address]
-        # bump the clock too: a re-registration of the same address must
-        # never reuse a (address, version) pair the removal interleaved
-        self._version_clock += 1
         self._notify("host-removed", address)
 
     # -- dynamic updates (driven by the Site Manager) ----------------------
@@ -125,21 +107,21 @@ class ResourcePerformanceDB:
         if len(rec.load_window) > self.window:
             del rec.load_window[0]
             del rec.load_window_times[0]
-        self._stamp(rec)
+        self._notify("host", address)
 
     def mark_down(self, address: str, time: float) -> None:
         """Record a detected host failure (scheduling excludes it)."""
         rec = self.get(address)
         rec.status = "down"
         rec.last_update = time
-        self._stamp(rec)
+        self._notify("host", address)
 
     def mark_up(self, address: str, time: float) -> None:
         """Record a detected host recovery."""
         rec = self.get(address)
         rec.status = "up"
         rec.last_update = time
-        self._stamp(rec)
+        self._notify("host", address)
 
     # -- queries -----------------------------------------------------------
     def get(self, address: str) -> ResourceRecord:
@@ -176,11 +158,7 @@ class ResourcePerformanceDB:
     def load(cls, path: str | Path) -> "ResourcePerformanceDB":
         db = cls()
         db._table = Table.load(path)
-        for _key, row in db._table.items():
-            rec = ResourceRecord(**row)
+        for key, row in db._table.items():
+            rec = record_from_row(ResourceRecord, row, path, key)
             db._records[rec.address] = rec
-        # resume the clock past every persisted stamp so future mutations
-        # never reuse a (address, version) pair
-        db._version_clock = max(
-            (r.version for r in db._records.values()), default=0)
         return db

@@ -9,11 +9,14 @@ repository" storage.
 
 from __future__ import annotations
 
+import inspect
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 from repro.util.errors import NotRegisteredError, RepositoryError
+
+_R = TypeVar("_R")
 
 
 class Table:
@@ -97,3 +100,24 @@ def composite_key(*parts: str) -> str:
         if "|" in p:
             raise RepositoryError(f"key component {p!r} contains '|'")
     return "|".join(parts)
+
+
+def record_from_row(factory: Callable[..., _R], row: Any,
+                    path: str | Path, key: str) -> _R:
+    """Build one record from a saved row, naming the bad row and field.
+
+    *factory* is the record class; the row must be an object holding
+    every field the class requires and no field it lacks.
+    """
+    if not isinstance(row, dict):
+        raise RepositoryError(f"{path}: row {key!r} is not an object")
+    params = inspect.signature(factory).parameters
+    for name in row:
+        if name not in params:
+            raise RepositoryError(
+                f"{path}: row {key!r} has unknown field {name!r}")
+    for name, param in params.items():
+        if param.default is param.empty and name not in row:
+            raise RepositoryError(
+                f"{path}: row {key!r} is missing field {name!r}")
+    return factory(**row)

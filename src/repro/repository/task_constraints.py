@@ -18,30 +18,21 @@ from pathlib import Path
 from repro.repository.delta import DeltaCallback
 from repro.repository.store import Table, composite_key
 from repro.util.errors import NotRegisteredError
-from repro.util.versioned import versioned
 
 
-@versioned("_version")
 class TaskConstraintsDB:
     """Maps (task, host-address) to the executable's absolute path.
 
-    Carries a version stamp like its sibling databases: constraint
-    edits gate *feasibility* rather than Predict values, so nothing
-    memoizes on the stamp, but the incremental scheduling layer needs
-    every mutation published (INV002) to keep its candidate views
-    honest when executables appear on or vanish from hosts.
+    Constraint edits gate *feasibility* rather than Predict values, but
+    the incremental scheduling layer still needs every mutation
+    published (INV002) to keep its candidate views honest when
+    executables appear on or vanish from hosts.
     """
 
     def __init__(self) -> None:
         self._table = Table("task-constraints")
         self._hosts_by_task: dict[str, set[str]] = {}
-        self._version = 0
         self._subscribers: list[DeltaCallback] = []
-
-    @property
-    def version(self) -> int:
-        """Monotone counter bumped on every constraint edit."""
-        return self._version
 
     def subscribe(self, callback: DeltaCallback) -> None:
         """Register a delta callback ``cb(kind, a, b)`` (INV002 sink)."""
@@ -56,13 +47,11 @@ class TaskConstraintsDB:
         """Record that *host* has an executable for *task* at *path*."""
         self._table.put(composite_key(task_name, host), path)
         self._hosts_by_task.setdefault(task_name, set()).add(host)
-        self._version += 1
         self._notify("constraint", task_name, host)
 
     def unregister_executable(self, task_name: str, host: str) -> None:
         self._table.delete(composite_key(task_name, host))
         self._hosts_by_task[task_name].discard(host)
-        self._version += 1
         self._notify("constraint", task_name, host)
 
     def executable_path(self, task_name: str, host: str) -> str:

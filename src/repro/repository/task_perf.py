@@ -26,9 +26,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.repository.delta import DeltaCallback
-from repro.repository.store import Table, composite_key
+from repro.repository.store import Table, composite_key, record_from_row
 from repro.util.errors import NotRegisteredError, RepositoryError
-from repro.util.versioned import versioned
 
 
 @dataclass
@@ -57,7 +56,6 @@ class ExecutionSample:
     observed_weight: float | None = None
 
 
-@versioned("_version")
 class TaskPerformanceDB:
     """Task records, per-(task, host) weights, and execution history."""
 
@@ -68,7 +66,6 @@ class TaskPerformanceDB:
         self._records: dict[str, TaskPerformanceRecord] = {}
         self._weights: dict[str, float] = {}  # key: task|host
         self._history: dict[str, list[ExecutionSample]] = {}
-        self._version = 0
         self._subscribers: list[DeltaCallback] = []
 
     def subscribe(self, callback: DeltaCallback) -> None:
@@ -78,15 +75,6 @@ class TaskPerformanceDB:
     def _notify(self, kind: str, a: str = "", b: str = "") -> None:
         for cb in self._subscribers:
             cb(kind, a, b)
-
-    @property
-    def version(self) -> int:
-        """Monotone counter bumped whenever a weight changes.
-
-        Prediction memoization keys on it so cached ``Predict`` values go
-        stale the moment calibration or EWMA refinement lands.
-        """
-        return self._version
 
     # -- task registration ----------------------------------------------
     def register_task(self, task_name: str, base_time_s: float,
@@ -103,7 +91,6 @@ class TaskPerformanceDB:
             computation_size=computation_size,
             communication_size=communication_size, memory_mb=memory_mb)
         self._records[task_name] = rec
-        self._version += 1
         self._notify("task", task_name)
         return rec
 
@@ -129,7 +116,6 @@ class TaskPerformanceDB:
             raise RepositoryError("computing-power weight must be positive")
         self.get(task_name)  # validate task exists
         self._weights[composite_key(task_name, host)] = weight
-        self._version += 1
         self._notify("weight", task_name, host)
 
     def weight(self, task_name: str, host: str,
@@ -178,7 +164,6 @@ class TaskPerformanceDB:
                 self._weights[key] = observed
             else:
                 self._weights[key] = (1 - self.ALPHA) * prev + self.ALPHA * observed
-            self._version += 1
             self._notify("weight", task_name, host)
         self._history.setdefault(task_name, []).append(sample)
 
@@ -204,8 +189,11 @@ class TaskPerformanceDB:
         table = Table.load(path)
         db = cls()
         for name, row in table.get("records").items():
-            db._records[name] = TaskPerformanceRecord(**row)
+            db._records[name] = record_from_row(
+                TaskPerformanceRecord, row, path, name)
         db._weights = dict(table.get("weights"))
         for name, rows in table.get("history").items():
-            db._history[name] = [ExecutionSample(**r) for r in rows]
+            db._history[name] = [
+                record_from_row(ExecutionSample, r, path, f"{name}[{i}]")
+                for i, r in enumerate(rows)]
         return db

@@ -103,15 +103,7 @@ class UserAccountsDB:
         self._table = Table("user-accounts")
         self._tenants = Table("tenants")
         self._next_id = 1
-        # DB-wide version clock: bumped on every account/tenant mutation so
-        # cached quota views can cheap-check staleness (INV001 pattern).
-        self._version_clock = 0
         self._subscribers: list[DeltaCallback] = []
-
-    @property
-    def version(self) -> int:
-        """Monotone stamp of the last account/tenant mutation."""
-        return self._version_clock
 
     def subscribe(self, callback: DeltaCallback) -> None:
         """Register a delta callback ``cb(kind, a, b)`` (INV002 sink).
@@ -125,10 +117,6 @@ class UserAccountsDB:
     def _notify(self, kind: str, a: str = "", b: str = "") -> None:
         for cb in self._subscribers:
             cb(kind, a, b)
-
-    def _stamp(self, kind: str, a: str = "", b: str = "") -> None:
-        self._version_clock += 1
-        self._notify(kind, a, b)
 
     # -- accounts ---------------------------------------------------------
     def add_user(self, user_name: str, password: str, priority: int = 5,
@@ -160,7 +148,7 @@ class UserAccountsDB:
         )
         self._next_id += 1
         self._table.put(user_name, account.__dict__.copy())
-        self._stamp("user", user_name, tenant)
+        self._notify("user", user_name, tenant)
         return account
 
     def authenticate(self, user_name: str, password: str) -> UserAccount:
@@ -179,7 +167,7 @@ class UserAccountsDB:
     def remove_user(self, user_name: str) -> None:
         """Delete an account."""
         self._table.delete(user_name)
-        self._stamp("user-removed", user_name)
+        self._notify("user-removed", user_name)
 
     def get(self, user_name: str) -> UserAccount:
         """Fetch an account without authenticating."""
@@ -195,13 +183,13 @@ class UserAccountsDB:
     def add_tenant(self, record: TenantRecord) -> TenantRecord:
         """Create or replace a tenant's admission contract."""
         self._tenants.put(record.name, record.__dict__.copy())
-        self._stamp("tenant", record.name)
+        self._notify("tenant", record.name)
         return record
 
     def remove_tenant(self, name: str) -> None:
         """Delete a tenant record (accounts keep their tenant label)."""
         self._tenants.delete(name)
-        self._stamp("tenant-removed", name)
+        self._notify("tenant-removed", name)
 
     def tenant(self, name: str) -> TenantRecord:
         """Fetch a tenant's admission contract.
@@ -259,20 +247,20 @@ class UserAccountsDB:
 
         Idempotent: applying a row identical to the stored one is a
         no-op that publishes no delta event, so repeated catch-ups from
-        several peers neither churn the journal nor bump the version.
+        several peers do not churn the journal.
         Returns whether anything changed.
         """
         if row is None:
             if user_name not in self._table:
                 return False
             self._table.delete(user_name)
-            self._stamp("user-removed", user_name)
+            self._notify("user-removed", user_name)
             return True
         if self._table.get_or(user_name) == row:
             return False
         self._table.put(user_name, dict(row))
         self._next_id = max(self._next_id, int(row["user_id"]) + 1)
-        self._stamp("user", user_name, row.get("tenant", DEFAULT_TENANT))
+        self._notify("user", user_name, row.get("tenant", DEFAULT_TENANT))
         return True
 
     def apply_tenant_row(self, name: str, row: dict | None) -> bool:
@@ -281,12 +269,12 @@ class UserAccountsDB:
             if name not in self._tenants:
                 return False
             self._tenants.delete(name)
-            self._stamp("tenant-removed", name)
+            self._notify("tenant-removed", name)
             return True
         if self._tenants.get_or(name) == row:
             return False
         self._tenants.put(name, dict(row))
-        self._stamp("tenant", name)
+        self._notify("tenant", name)
         return True
 
     def directory_digest(self) -> str:

@@ -30,8 +30,7 @@ from repro.repository.site_repository import SiteRepository
 from repro.util.errors import NoFeasibleHostError
 
 #: Soft cap on distinct task-class score views held per selector; the
-#: view table is cleared wholesale past this (same wholesale-reset
-#: policy as the predictor's memo cache).
+#: view table is cleared wholesale past this.
 VIEW_MAX_ENTRIES = 512
 
 

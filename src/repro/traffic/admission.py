@@ -36,6 +36,11 @@ from repro.traffic.trace import JobRequest
 REJECT_REASONS = ("unknown-tenant", "infeasible", "queue-full",
                   "throttle-exhausted")
 
+#: Throttle retry ladder: the first retry waits at least this long, and
+#: each later one doubles it up to :data:`MAX_BACKOFF_S`.
+BASE_BACKOFF_S = 0.5
+MAX_BACKOFF_S = 60.0
+
 
 @dataclass
 class QueuedJob:
@@ -69,8 +74,6 @@ class AdmissionController:
                  feasible_fn: Callable[[JobRequest, tuple[float, float]],
                                        bool] | None = None,
                  obs: Observability = OBS_OFF,
-                 base_backoff_s: float = 0.5,
-                 max_backoff_s: float = 60.0,
                  max_attempts: int = 8) -> None:
         self.env = env
         self.tenants = dict(tenants)
@@ -79,8 +82,6 @@ class AdmissionController:
         self.on_admit = on_admit
         self.feasible_fn = feasible_fn
         self.obs = obs
-        self.base_backoff_s = base_backoff_s
-        self.max_backoff_s = max_backoff_s
         self.max_attempts = max_attempts
         self.queues: dict[str, deque[QueuedJob]] = {
             name: deque() for name in sorted(self.tenants)}
@@ -156,8 +157,8 @@ class AdmissionController:
                     "traffic_throttled_total",
                     help="submissions deferred by the token bucket").inc(
                         tenant=tenant)
-            backoff = min(self.base_backoff_s * (2.0 ** (attempt - 1)),
-                          self.max_backoff_s)
+            backoff = min(BASE_BACKOFF_S * (2.0 ** (attempt - 1)),
+                          MAX_BACKOFF_S)
             self.env.call_later(max(token_wait, backoff), self._retry,
                                 (req, demand, attempt + 1))
             return "throttled"

@@ -166,10 +166,6 @@ def synthetic_alibaba_trace(rng: np.random.Generator, count: int,
                             users: int = 1000, tenants: int = 10,
                             templates: tuple[str, ...] = (),
                             mean_rate_per_s: float = ALIBABA_MEAN_RATE_PER_S,
-                            diurnal_period_s: float =
-                            ALIBABA_DIURNAL_PERIOD_S,
-                            diurnal_amplitude: float =
-                            ALIBABA_DIURNAL_AMPLITUDE,
                             start_s: float = 0.0) -> Iterator[JobRequest]:
     """Lazy Alibaba-shaped synthetic trace.
 
@@ -186,16 +182,17 @@ def synthetic_alibaba_trace(rng: np.random.Generator, count: int,
         raise TraceError("users and tenants must be >= 1")
     if not mean_rate_per_s > 0:
         raise TraceError("mean_rate_per_s must be > 0")
-    peak_rate = mean_rate_per_s * (1.0 + diurnal_amplitude)
+    peak_rate = mean_rate_per_s * (1.0 + ALIBABA_DIURNAL_AMPLITUDE)
     now = start_s
     emitted = 0
     while emitted < count:
         # thinning: candidate arrivals at the peak rate, accepted with
         # probability rate(t)/peak — an exact non-homogeneous sampler
         now += float(rng.exponential(1.0 / peak_rate))
-        phase = 2.0 * np.pi * (now % diurnal_period_s) / diurnal_period_s
+        phase = (2.0 * np.pi * (now % ALIBABA_DIURNAL_PERIOD_S)
+                 / ALIBABA_DIURNAL_PERIOD_S)
         rate = mean_rate_per_s * (
-            1.0 + diurnal_amplitude * float(np.sin(phase)))
+            1.0 + ALIBABA_DIURNAL_AMPLITUDE * float(np.sin(phase)))
         if float(rng.random()) * peak_rate > rate:
             continue
         emitted += 1

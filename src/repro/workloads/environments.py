@@ -11,7 +11,7 @@ from __future__ import annotations
 import zlib
 
 from repro.core.vdce import VDCE
-from repro.net.topology import ATM_OC3, ETHERNET_10, T1_WAN, LinkSpec
+from repro.net.topology import ATM_OC3, ETHERNET_10, T1_WAN
 from repro.resources.host import HostSpec
 from repro.scheduling.rescheduling import ReschedulePolicy
 
@@ -25,6 +25,10 @@ WORKSTATIONS = [
     dict(arch="mips", os="irix", cpu_factor=1.1, memory_mb=128),
 ]
 
+#: background-load means of the NYNET testbed's hosts, spread evenly
+#: from the first host's to the last host's
+NYNET_LOAD_MEAN_RANGE = (0.1, 0.8)
+
 
 def _populate_site(vdce: VDCE, site: str, n_hosts: int, offset: int,
                    group_size: int = 4) -> None:
@@ -36,9 +40,7 @@ def _populate_site(vdce: VDCE, site: str, n_hosts: int, offset: int,
 
 
 def nynet_testbed(seed: int = 0, hosts_per_site: int = 4,
-                  with_loads: bool = True,
-                  load_mean_range: tuple[float, float] = (0.1, 0.8),
-                  **vdce_kwargs) -> VDCE:
+                  with_loads: bool = True, **vdce_kwargs) -> VDCE:
     """The paper's two-site NYNET deployment: Syracuse <-ATM-> Rome."""
     vdce = VDCE(seed=seed, **vdce_kwargs)
     vdce.add_site("syracuse", lan=ETHERNET_10)
@@ -47,7 +49,7 @@ def nynet_testbed(seed: int = 0, hosts_per_site: int = 4,
     _populate_site(vdce, "syracuse", hosts_per_site, offset=0)
     _populate_site(vdce, "rome", hosts_per_site, offset=3)
     if with_loads:
-        lo, hi = load_mean_range
+        lo, hi = NYNET_LOAD_MEAN_RANGE
         for i, host in enumerate(vdce.world.all_hosts()):
             mean = lo + (hi - lo) * (i / max(len(vdce.world.all_hosts()) - 1,
                                              1))
@@ -58,21 +60,18 @@ def nynet_testbed(seed: int = 0, hosts_per_site: int = 4,
 
 def wide_area_testbed(n_sites: int = 4, hosts_per_site: int = 4,
                       seed: int = 0, with_loads: bool = True,
-                      ring: bool = False,
-                      wan_link: LinkSpec | None = None,
-                      **vdce_kwargs) -> VDCE:
+                      ring: bool = False, **vdce_kwargs) -> VDCE:
     """N sites on a WAN chain (or ring), heterogeneous hosts per site."""
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
     vdce = VDCE(seed=seed, **vdce_kwargs)
-    link = wan_link or T1_WAN
     names = [f"site{i}" for i in range(n_sites)]
     for name in names:
         vdce.add_site(name, lan=ETHERNET_10)
     for a, b in zip(names, names[1:]):
-        vdce.connect_sites(a, b, link)
+        vdce.connect_sites(a, b, T1_WAN)
     if ring and n_sites > 2:
-        vdce.connect_sites(names[-1], names[0], link)
+        vdce.connect_sites(names[-1], names[0], T1_WAN)
     for i, name in enumerate(names):
         _populate_site(vdce, name, hosts_per_site, offset=2 * i)
     if with_loads:

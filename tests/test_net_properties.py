@@ -153,7 +153,7 @@ def link_spec(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_route_cache_never_stale(data):
-    """INV001 for the route cache: with queries interleaved between
+    """The route cache never goes stale: with queries interleaved between
     mutations, every ordered pair (same-site pairs and departed sites
     included) answers ``route``, ``reachable`` and ``transfer_time``
     exactly as an uncached Topology of the same state does."""

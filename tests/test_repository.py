@@ -1,5 +1,8 @@
 """Tests for the site repository's four databases."""
 
+import json
+from functools import partial
+
 import pytest
 
 from repro.repository import (
@@ -337,3 +340,159 @@ class TestSiteRepository:
         assert loaded.resource_performance.get("s1/h1")
         assert loaded.task_performance.get("lu")
         assert loaded.task_constraints.is_runnable_on("lu", "s1/h1")
+
+
+def _saved_resource_db(path):
+    db = ResourcePerformanceDB()
+    db.register_host("s1", HostSpec(name="h1"))
+    db.save(path)
+    return ResourcePerformanceDB.load
+
+
+def _saved_task_db(path):
+    db = TaskPerformanceDB()
+    db.register_task("lu", 2.0)
+    db.record_execution("lu", "s1/h1", 1.0, 2.5, time=0.5)
+    db.save(path)
+    return TaskPerformanceDB.load
+
+
+#: row kind -> (saving helper, file name, row's path in the JSON
+#: document, row key the error names, one required field)
+SIDECAR_ROWS = {
+    "resource-record": (_saved_resource_db, "resource_performance.json",
+                        ("rows", "s1/h1"), "s1/h1", "cpu_factor"),
+    "task-record": (_saved_task_db, "task_performance.json",
+                    ("rows", "records", "lu"), "lu", "base_time_s"),
+    "execution-sample": (_saved_task_db, "task_performance.json",
+                         ("rows", "history", "lu", 0), "lu[0]", "elapsed_s"),
+}
+
+
+class TestSidecarRows:
+    """A malformed row in a saved sidecar fails with a typed error."""
+
+    @pytest.mark.parametrize("defect", ["not-an-object", "unknown-field",
+                                        "missing-field"])
+    @pytest.mark.parametrize("kind", sorted(SIDECAR_ROWS))
+    def test_bad_row_raises_repository_error(self, tmp_path, kind, defect):
+        save, name, where, key, required = SIDECAR_ROWS[kind]
+        path = tmp_path / name
+        load = save(path)
+        doc = json.loads(path.read_text())
+        *parents, last = where
+        holder = doc
+        for step in parents:
+            holder = holder[step]
+        if defect == "not-an-object":
+            holder[last] = ["not", "an", "object"]
+            detail = "is not an object"
+        elif defect == "unknown-field":
+            holder[last]["bogus"] = 1
+            detail = "unknown field 'bogus'"
+        else:
+            del holder[last][required]
+            detail = f"missing field {required!r}"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(RepositoryError) as err:
+            load(path)
+        message = str(err.value)
+        assert name in message
+        assert f"row {key!r}" in message
+        assert detail in message
+
+
+class TestDeltaPublication:
+    """Each mutator publishes exactly its own delta event; reads none."""
+
+    @staticmethod
+    def recorder(db):
+        events = []
+        db.subscribe(lambda kind, a, b: events.append((kind, a, b)))
+        return events
+
+    @staticmethod
+    def resource_db():
+        db = ResourcePerformanceDB()
+        db.register_host("s1", HostSpec(name="h1"))
+        return db
+
+    @staticmethod
+    def task_db(weight=None):
+        db = TaskPerformanceDB()
+        db.register_task("lu", 1.0)
+        if weight is not None:
+            db.set_weight("lu", "s1/h1", weight)
+        return db
+
+    @staticmethod
+    def constraints_db():
+        db = TaskConstraintsDB()
+        db.register_executable("lu", "s1/h1", "/bin/lu")
+        return db
+
+    @pytest.mark.parametrize("make, mutate, events", [
+        (ResourcePerformanceDB,
+         lambda db: db.register_host("s1", HostSpec(name="h2")),
+         [("host", "s1/h2", "")]),
+        (resource_db,
+         lambda db: db.update_dynamic("s1/h1", 0.5, 64.0, time=1.0),
+         [("host", "s1/h1", "")]),
+        (resource_db, lambda db: db.mark_down("s1/h1", time=1.0),
+         [("host", "s1/h1", "")]),
+        (resource_db, lambda db: db.mark_up("s1/h1", time=1.0),
+         [("host", "s1/h1", "")]),
+        (resource_db, lambda db: db.unregister_host("s1/h1"),
+         [("host-removed", "s1/h1", "")]),
+        (TaskPerformanceDB, lambda db: db.register_task("fft", 1.0),
+         [("task", "fft", "")]),
+        (task_db, lambda db: db.set_weight("lu", "s1/h1", 1.2),
+         [("weight", "lu", "s1/h1")]),
+        (task_db,
+         lambda db: db.record_execution("lu", "s1/h1", 1.0, 3.0, time=1.0,
+                                        dedicated_elapsed_s=2.0),
+         [("weight", "lu", "s1/h1")]),
+        (partial(task_db, weight=1.0),
+         lambda db: db.record_execution("lu", "s1/h1", 1.0, 3.0, time=1.0,
+                                        dedicated_elapsed_s=2.0),
+         [("weight", "lu", "s1/h1")]),
+        (task_db,
+         lambda db: db.record_execution("lu", "s1/h1", 1.0, 3.0, time=1.0),
+         []),
+        (TaskConstraintsDB,
+         lambda db: db.register_executable("lu", "s1/h1", "/bin/lu"),
+         [("constraint", "lu", "s1/h1")]),
+        (constraints_db,
+         lambda db: db.unregister_executable("lu", "s1/h1"),
+         [("constraint", "lu", "s1/h1")]),
+    ], ids=["register_host", "update_dynamic", "mark_down", "mark_up",
+            "unregister_host", "register_task", "set_weight",
+            "record_execution-first", "record_execution-ewma",
+            "record_execution-no-dedicated-time",
+            "register_executable", "unregister_executable"])
+    def test_mutator_publishes_its_event(self, make, mutate, events):
+        db = make()
+        published = self.recorder(db)
+        mutate(db)
+        assert published == events
+
+    def test_reads_publish_nothing(self):
+        resources, tasks = self.resource_db(), self.task_db(weight=1.0)
+        constraints = self.constraints_db()
+        events = [self.recorder(db)
+                  for db in (resources, tasks, constraints)]
+        resources.get("s1/h1")
+        resources.hosts_at("s1", include_down=True)
+        resources.all_records()
+        assert "s1/h1" in resources and len(resources) == 1
+        tasks.get("lu")
+        tasks.task_names()
+        tasks.weight("lu", "s1/h1")
+        tasks.has_weight("lu", "s1/h2")
+        tasks.history("lu", host="s1/h1")
+        assert "lu" in tasks
+        constraints.executable_path("lu", "s1/h1")
+        constraints.is_runnable_on("lu", "s1/h2")
+        constraints.hosts_with("lu")
+        constraints.tasks_on("s1/h1")
+        assert events == [[], [], []]

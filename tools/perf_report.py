@@ -118,8 +118,8 @@ def _prediction_fixture():
 
 
 def bench_predict_sweep(scale: int) -> int:
-    """Cold Predict(task, R) sweeps: a fresh predictor per round, so the
-    memoization cache never helps — measures the evaluation itself."""
+    """Predict(task, R) sweeps: ``best_host`` over 16 hosts, a fresh
+    predictor per round — measures the evaluation itself."""
     tp, records, definition = _prediction_fixture()
     rounds = 50 * scale
     for _ in range(rounds):

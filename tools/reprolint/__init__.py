@@ -1,21 +1,26 @@
 """reprolint — project-specific static analysis for the VDCE reproduction.
 
 The repository's headline properties — byte-identical seeded chaos runs
-and a memoized ``Predict()`` invalidated by version stamps — are
-invariants that one stray ``random`` call or unordered-``set`` iteration
-silently breaks.  reprolint is an AST-based linter that checks the code
-against the project's *own* rules, the way a generic linter never could:
+and incremental scheduling that follows every repository change through
+one delta journal — are invariants that one stray ``random`` call or
+unordered-``set`` iteration silently breaks.  reprolint is an AST-based
+linter that checks the code against the project's *own* rules, the way
+a generic linter never could:
 
 * **DET001** — nondeterminism hazards in simulation/scheduling code
   (unordered-set iteration, ``id()``/``hash()``-derived values, unseeded
   ``random``/``numpy.random`` use bypassing ``repro.util.rng``);
 * **DET002** — wall-clock leaks (``time.time`` & friends) in simulated
   code, where only ``env.now`` may be consulted;
-* **INV001** — the cache-invalidation contract: methods of ``@versioned``
-  classes that mutate data must bump the version stamp;
-* **INV002** — the delta-publication contract: repository version bumps
-  must publish a ``_notify`` delta event, and ``DeltaTracker`` journal
-  mutations must bump the ``generation`` cursor stamp;
+* **DET003** — same-tick scheduling without a tie-break (``call_later``
+  with a literal zero delay, or spawning inside a loop over an
+  unordered set);
+* **ISO001** — cross-site reach-through mutations that bypass the
+  ``Network`` message path;
+* **INV002** — the delta-publication contract: every data mutation in a
+  repository database must publish a ``_notify`` delta event, and
+  ``DeltaTracker`` journal mutations must bump the ``generation``
+  cursor stamp;
 * **SIM001** — simulation-safety: process generators must not call
   blocking/real-I/O APIs or share state through ``global``/``nonlocal``;
 * **PERF001** — every trace, metric or span record under an

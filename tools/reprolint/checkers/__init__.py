@@ -5,7 +5,6 @@ from __future__ import annotations
 from tools.reprolint.checkers.det001 import NondeterminismChecker
 from tools.reprolint.checkers.det002 import WallClockChecker
 from tools.reprolint.checkers.det003 import SameTickOrderChecker
-from tools.reprolint.checkers.inv001 import VersionStampChecker
 from tools.reprolint.checkers.inv002 import DeltaPublicationChecker
 from tools.reprolint.checkers.iso001 import IsolationChecker
 from tools.reprolint.checkers.perf001 import HotPathHygieneChecker
@@ -17,7 +16,6 @@ ALL_CHECKERS: dict[str, type[Checker]] = {
     NondeterminismChecker.rule: NondeterminismChecker,
     WallClockChecker.rule: WallClockChecker,
     SameTickOrderChecker.rule: SameTickOrderChecker,
-    VersionStampChecker.rule: VersionStampChecker,
     DeltaPublicationChecker.rule: DeltaPublicationChecker,
     IsolationChecker.rule: IsolationChecker,
     SimulationSafetyChecker.rule: SimulationSafetyChecker,
@@ -32,6 +30,5 @@ __all__ = [
     "NondeterminismChecker",
     "SameTickOrderChecker",
     "SimulationSafetyChecker",
-    "VersionStampChecker",
     "WallClockChecker",
 ]

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 #: Directories never linted (fixtures are deliberately full of findings).
 DEFAULT_EXCLUDES = ("__pycache__", "reprolint_fixtures", ".git")
 
-#: ``# reprolint: disable=DET001`` or ``disable=DET001,INV001`` or
+#: ``# reprolint: disable=DET001`` or ``disable=DET001,INV002`` or
 #: ``disable=all``; anything after ``--`` is the human justification.
 _SUPPRESS_RE = re.compile(r"#\s*reprolint:\s*disable=([A-Za-z0-9_,]+|all)")
 
