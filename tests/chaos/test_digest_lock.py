@@ -17,6 +17,10 @@ outputs the scheduling and monitoring layers feed:
 * ``bakeoff`` — the bake-off JSON of the ``site``, ``heft`` and
   ``optimal`` schedulers on ``forkjoin-small`` (the seed is the
   :class:`BakeoffConfig` seed), which pins every host-selection answer;
+* ``bakeoff-all`` — the bake-off JSON of every registered scheduler on
+  every default workload (seed 0; the bytes of ``BENCH_bakeoff.json``),
+  which pins the baselines' and the site-scheduler variants'
+  placements as well;
 * ``monitor`` — the dynamic repository records and the replication WAL
   of the monitored NYNET testbed with failover on (the seed is the
   testbed seed), which pins the Group Manager → Site Manager relay;
@@ -57,6 +61,7 @@ import pytest
 
 from repro.analysis.runner import AnalyzeConfig, report_json, run_analysis
 from repro.bakeoff import (
+    DEFAULT_WORKLOADS,
     BakeoffConfig,
     ReplayBakeoffConfig,
     run_bakeoff,
@@ -65,6 +70,7 @@ from repro.bakeoff import (
 from repro.faults import FaultPlan, HostCrash
 from repro.obs import Observability
 from repro.obs.export import trace_to_jsonl
+from repro.scheduling import available_schedulers
 from repro.traffic import ReplayConfig, run_replay
 from repro.workloads import nynet_testbed, random_layered_graph
 from tests.chaos.harness import ChaosOutcome, assert_invariants, run_chaos
@@ -83,7 +89,7 @@ LOCK_ROWS = tuple(
     [(scenario, seed)
      for scenario in ("chaos", "failover", "partition", "analyze")
      for seed in LOCK_SEEDS]
-    + [("bakeoff", 0), ("monitor", 5)]
+    + [("bakeoff", 0), ("bakeoff-all", 0), ("monitor", 5)]
     + [("reschedule", seed) for seed in LOCK_SEEDS]
     + [("replay", seed) for seed in LOCK_SEEDS]
     + [("replay-bakeoff", 7)])
@@ -143,6 +149,10 @@ def _artifacts(scenario: str, seed: int) -> dict[str, str]:
     if scenario == "bakeoff":
         config = BakeoffConfig(schedulers=BAKEOFF_SCHEDULERS,
                                workloads=("forkjoin-small",), seed=seed)
+        return {"result": run_bakeoff(config).to_json()}
+    if scenario == "bakeoff-all":
+        config = BakeoffConfig(schedulers=tuple(available_schedulers()),
+                               workloads=tuple(DEFAULT_WORKLOADS), seed=seed)
         return {"result": run_bakeoff(config).to_json()}
     if scenario == "monitor":
         vdce = run_monitored(failover=True)
@@ -266,6 +276,10 @@ DIGESTS: dict[tuple[str, int], dict[str, str]] = {
     ('bakeoff', 0): {
         'result':
             '9337416b835495836ca6b30ad2e2dbe3485b38a566248db9ef86cf3d61594421',
+    },
+    ('bakeoff-all', 0): {
+        'result':
+            'f45cd41ec99f063f59fe8f64ddc4b85e8b845b12442fc8eb052cc3bb7f611c5e',
     },
     ('monitor', 5): {
         'probes':
