@@ -77,8 +77,7 @@ class GraphBuilder:
         """Access a node on the graph under construction."""
         return self.graph.node(node_id)
 
-    def build(self, validate: bool = True) -> ApplicationFlowGraph:
-        """Finish construction; validates by default."""
-        if validate:
-            self.graph.validate()
+    def build(self) -> ApplicationFlowGraph:
+        """Finish construction: validate and return the graph."""
+        self.graph.validate()
         return self.graph

@@ -23,7 +23,7 @@ per-scheduler ``bakeoff_rounds_total`` counter.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 from repro.afg.graph import ApplicationFlowGraph
@@ -199,12 +199,9 @@ def _inject_loads(fed: Federation, config: BakeoffConfig,
 
 def run_bakeoff(config: BakeoffConfig,
                 registry: LibraryRegistry | None = None,
-                workload_builders: Mapping[str, WorkloadBuilder]
-                | None = None,
                 obs: Observability | None = None) -> BakeoffResult:
     """Run every requested scheduler over every requested workload."""
     registry = registry or standard_registry()
-    builders = dict(workload_builders or DEFAULT_WORKLOADS)
     obs = obs if obs is not None else OBS_OFF
     rng = RngRegistry(config.seed)
     fed = build_federation(site_names=config.sites,
@@ -216,11 +213,11 @@ def run_bakeoff(config: BakeoffConfig,
     round_clock = 0.0
     for workload in config.workloads:
         try:
-            builder = builders[workload]
+            builder = DEFAULT_WORKLOADS[workload]
         except KeyError:
             raise ConfigurationError(
                 f"unknown workload {workload!r}; available: "
-                f"{', '.join(sorted(builders))}") from None
+                f"{', '.join(sorted(DEFAULT_WORKLOADS))}") from None
         graph = builder(registry)
         # -- the ground-truth reference (small AFGs only) ----------------
         optimal_table = None

@@ -108,16 +108,10 @@ def cmd_schedule(args) -> int:
     vdce.start()
     if not args.idle:
         vdce.warm_up(30.0)
-    from repro.scheduling import (
-        HostSelector,
-        SiteScheduler,
-        predicted_schedule_length,
-    )
-    selectors = {s: HostSelector(r)
-                 for s, r in vdce.repositories.items()}
+    from repro.scheduling import SiteScheduler, predicted_schedule_length
     sched = SiteScheduler("syracuse", vdce.topology, k_remote_sites=args.k,
                           queue_aware=args.queue_aware)
-    table, report = sched.schedule_with_selectors(graph, selectors)
+    table, report = sched.schedule_with_selectors(graph, vdce.selectors)
     print(f"application     : {graph.name} ({len(graph)} tasks)")
     print(f"consulted sites : {', '.join(report.consulted_sites)}")
     print(f"predicted length: "

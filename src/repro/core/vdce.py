@@ -35,7 +35,7 @@ from repro.federation import (
 )
 from repro.net.topology import LinkSpec
 from repro.obs import OBS_OFF, Observability
-from repro.prediction.calibration import calibrate_weights
+from repro.prediction.calibration import provision_site
 from repro.recovery import RecoveryCoordinator
 from repro.repository.site_repository import SiteRepository
 from repro.resources.groundtruth import ExecutionModel
@@ -48,6 +48,7 @@ from repro.runtime.control.group_manager import GroupManager
 from repro.runtime.control.monitor import MonitorDaemon
 from repro.runtime.control.site_manager import SiteManager
 from repro.runtime.data.data_manager import DataManager
+from repro.scheduling.host_selection import HostSelector
 from repro.scheduling.qos import QoSRequirement, require_admission
 from repro.scheduling.rescheduling import ReschedulePolicy, Rescheduler
 from repro.simcore.trace import Tracer
@@ -96,7 +97,10 @@ class VDCE:
         #: federation membership view, created by :meth:`enable_membership`
         self.federation: Federation | None = None
         self.repositories: dict[str, SiteRepository] = {}
-        self.rescheduler = Rescheduler(self.repositories)
+        #: each site's one host-selection view: its Site Manager's
+        #: selector, which scheduling rounds and reschedules both read
+        self.selectors: dict[str, HostSelector] = {}
+        self.rescheduler = Rescheduler(self.selectors)
         self.site_managers: dict[str, SiteManager] = {}
         self.group_managers: dict[tuple[str, str], GroupManager] = {}
         self.monitors: dict[str, MonitorDaemon] = {}
@@ -208,20 +212,10 @@ class VDCE:
                                ) -> SiteRepository:
         """Populate one site's repository (start() and site_join share it)."""
         repo = SiteRepository(site_name)
-        hosts = list(site.hosts.values())
-        for host in hosts:
-            repo.resource_performance.register_host(site_name, host.spec)
-        calibrate_weights(
-            repo.task_performance, definitions, hosts, self.model,
-            coverage=calibration_coverage,
+        provision_site(
+            repo, list(site.hosts.values()), definitions, self.model,
+            constrain=constrain, coverage=calibration_coverage,
             rng=self.world.rng.stream(f"calibration:{site_name}"))
-        for d in definitions:
-            for host in hosts:
-                allowed = constrain.get(d.name) if constrain else None
-                if allowed is not None and host.address not in allowed:
-                    continue
-                repo.task_constraints.register_executable(
-                    d.name, host.address, f"/usr/vdce/bin/{d.name}")
         if add_default_user:
             repo.user_accounts.add_user("vdce", "vdce",
                                         access_domain="multi-site")
@@ -239,7 +233,8 @@ class VDCE:
         """Make *sm* the manager of *site_name* and install the facade hooks.
 
         The one place a Site Manager gets its hooks, whether it was
-        brought up, joined membership, or promoted by a failover.
+        brought up, joined membership, or promoted by a failover; its
+        selector becomes the site's entry in :attr:`selectors`.
         """
         sm.on_reschedule_request = self._handle_reschedule_request
         # host-down hook: reroute lost tasks of active executions
@@ -247,6 +242,7 @@ class VDCE:
         if self.federation is not None:
             sm.site_filter = self.federation.usable_filter(site_name)
         self.site_managers[site_name] = sm
+        self.selectors[site_name] = sm.selector
 
     def _start_site_daemons(self, site_name: str, site, sm: SiteManager
                             ) -> None:
@@ -500,9 +496,10 @@ class VDCE:
                             new_sm: SiteManager) -> None:
         """Swap the facade's manager and repository maps, heal in-flight work.
 
-        Rescheduling then prices the site from the promoted replica,
-        which the live Site Manager keeps current, and each run this
-        site coordinates reads its completions from the rebuilt state.
+        Rescheduling then prices the site from the promoted manager's
+        selector over its replica, which the live Site Manager keeps
+        current, and each run this site coordinates reads its
+        completions from the rebuilt state.
 
         The coordinator already re-pushed the WAL's original
         allocations; here every incomplete task of this site's active
@@ -725,6 +722,7 @@ class VDCE:
             self.federation.remove(name)
             self._stop_site_daemons(name)
             del self.site_managers[name]
+            del self.selectors[name]
             del self.repositories[name]
             self.topology.remove_site(name)
             del self.world.sites[name]

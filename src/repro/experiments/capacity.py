@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.afg.graph import ApplicationFlowGraph
 from repro.net.topology import Topology
-from repro.prediction.calibration import calibrate_weights
+from repro.prediction.calibration import provision_site
 from repro.repository.site_repository import SiteRepository
 from repro.resources.groundtruth import ExecutionModel
 from repro.resources.host import Host, HostSpec
@@ -44,18 +44,10 @@ def _predicted_at(graph: ApplicationFlowGraph, n_hosts: int,
     topology = Topology()
     topology.add_site("plan")
     repo = SiteRepository("plan")
-    model = ExecutionModel(seed=seed)
-    hosts = []
-    for i in range(n_hosts):
-        spec = HostSpec(name=f"h{i}", **template)
-        hosts.append(Host(spec=spec, site="plan"))
-        repo.resource_performance.register_host("plan", spec)
-    calibrate_weights(repo.task_performance, graph_definitions(graph),
-                      hosts, model)
-    for node in graph.nodes.values():
-        for host in hosts:
-            repo.task_constraints.register_executable(
-                node.task_name, host.address, f"/bin/{node.task_name}")
+    hosts = [Host(spec=HostSpec(name=f"h{i}", **template), site="plan")
+             for i in range(n_hosts)]
+    provision_site(repo, hosts, graph_definitions(graph),
+                   ExecutionModel(seed=seed))
     scheduler = SiteScheduler("plan", topology, k_remote_sites=0,
                               queue_aware=queue_aware)
     table, _ = scheduler.schedule_with_selectors(

@@ -83,8 +83,7 @@ def _vdce_schedule(vdce, graph, k=1, queue_aware=False,
 
 
 def scheduler_comparison(seeds=(1, 2, 3), families=None,
-                         hosts_per_site: int = 4,
-                         include_heft: bool = True) -> ExperimentResult:
+                         hosts_per_site: int = 4) -> ExperimentResult:
     """F4/A5: realized makespan per scheduler, per DAG family."""
     families = families or DEFAULT_FAMILIES
     rows = []
@@ -104,10 +103,9 @@ def scheduler_comparison(seeds=(1, 2, 3), families=None,
                 "random": RandomScheduler(
                     vdce.repositories,
                     np.random.default_rng(seed)).schedule(graph),
+                "heft": HeftScheduler(
+                    vdce.repositories, vdce.topology).schedule(graph),
             }
-            if include_heft:
-                tables["heft"] = HeftScheduler(
-                    vdce.repositories, vdce.topology).schedule(graph)
             for name, table in tables.items():
                 samples.setdefault(name, []).append(
                     realized_makespan(vdce, graph, table))

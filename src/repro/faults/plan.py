@@ -233,6 +233,13 @@ SPEC_TYPES: dict[str, type] = {
                 LinkDegrade, MessageFaults)
 }
 
+#: message kinds a :meth:`FaultPlan.random` drop/duplicate window
+#: targets: the loss-tolerant monitoring traffic
+RANDOM_MESSAGE_KINDS = ("load-report", "echo-request", "echo-reply")
+
+#: chance that a host or server crash of :meth:`FaultPlan.random` recovers
+RECOVER_FRACTION = 0.7
+
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -327,19 +334,17 @@ class FaultPlan:
     @classmethod
     def random(cls, rng: np.random.Generator, hosts: list[str],
                sites: list[str] = (), horizon_s: float = 300.0, *,
-               n_host_crashes: int = 2, recover_fraction: float = 0.7,
+               n_host_crashes: int = 2,
                n_message_windows: int = 2, n_partitions: int = 1,
-               message_kinds: tuple[str, ...] = (
-                   "load-report", "echo-request", "echo-reply"),
                n_server_crashes: int = 0,
                n_link_flaps: int = 0,
                ) -> "FaultPlan":
         """A randomised-but-seeded plan for chaos testing.
 
         Every draw comes from *rng*, so the same generator state yields
-        the same plan.  Drop/duplicate windows default to the
-        loss-tolerant monitoring kinds; pass ``message_kinds=None`` to
-        target every message kind (expect more timeouts).
+        the same plan.  Drop/duplicate windows target the loss-tolerant
+        monitoring kinds (:data:`RANDOM_MESSAGE_KINDS`); a crashed host or
+        server recovers with probability :data:`RECOVER_FRACTION`.
 
         ``n_partitions`` draws :class:`LinkDown` windows over *sites*
         pairs; each pair must share a direct link, since installing the
@@ -365,7 +370,7 @@ class FaultPlan:
             victims = rng.choice(len(hosts), size=count, replace=False)
             for index in victims:
                 recover = (float(rng.uniform(10.0, 0.25 * horizon_s))
-                           if rng.random() < recover_fraction else None)
+                           if rng.random() < RECOVER_FRACTION else None)
                 events.append(HostCrash(
                     host=hosts[int(index)],
                     at=float(rng.uniform(0.05, 0.6) * horizon_s),
@@ -378,8 +383,7 @@ class FaultPlan:
                 dup_prob=float(rng.uniform(0.0, 0.2)),
                 delay_prob=float(rng.uniform(0.05, 0.4)),
                 delay_s=float(rng.uniform(0.1, 1.5)),
-                kinds=(tuple(message_kinds)
-                       if message_kinds is not None else None)))
+                kinds=RANDOM_MESSAGE_KINDS))
         sites = list(sites)
         if len(sites) >= 2 and n_partitions > 0:
             for _ in range(n_partitions):
@@ -394,7 +398,7 @@ class FaultPlan:
             for _ in range(n_server_crashes):
                 site = sites[int(rng.integers(len(sites)))]
                 recover = (float(rng.uniform(10.0, 0.25 * horizon_s))
-                           if rng.random() < recover_fraction else None)
+                           if rng.random() < RECOVER_FRACTION else None)
                 events.append(ServerCrash(
                     site=site,
                     at=float(rng.uniform(0.05, 0.6) * horizon_s),

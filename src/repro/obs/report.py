@@ -58,13 +58,11 @@ def schedule_latencies(spans: SpanTracker) -> list[float]:
     return [s.duration_s() for s in spans.finished("schedule-round")]
 
 
-def latency_percentiles(
-        latencies: list[float],
-        qs: tuple[float, ...] = REPORT_PERCENTILES) -> dict[float, float]:
-    """Exact percentiles over raw latency samples."""
+def latency_percentiles(latencies: list[float]) -> dict[float, float]:
+    """Exact :data:`REPORT_PERCENTILES` over raw latency samples."""
     if not latencies:
         return {}
-    return {q: percentile(latencies, q) for q in qs}
+    return {q: percentile(latencies, q) for q in REPORT_PERCENTILES}
 
 
 def sample_queue_depths(obs: Any, vdce: Any) -> dict[str, int]:

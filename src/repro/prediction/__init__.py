@@ -1,6 +1,10 @@
 """Performance prediction: forecasting, Predict(task, R), calibration."""
 
-from repro.prediction.calibration import calibrate_weights, register_tasks
+from repro.prediction.calibration import (
+    calibrate_weights,
+    provision_site,
+    register_tasks,
+)
 from repro.prediction.forecasting import (
     FORECASTERS,
     AdaptiveForecaster,
@@ -30,5 +34,6 @@ __all__ = [
     "TrendForecaster",
     "calibrate_weights",
     "make_forecaster",
+    "provision_site",
     "register_tasks",
 ]

@@ -9,12 +9,16 @@ database with the implied weight.
 ``coverage`` < 1.0 calibrates only a subset of (task, host) pairs —
 the realistic regime where the predictor must fall back to the host's
 general cpu_factor for unmeasured pairs, which experiment F5 sweeps.
+
+:func:`provision_site` is the one site-repository bring-up: host
+registration, these trial runs and executable installation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.repository.site_repository import SiteRepository
 from repro.repository.task_perf import TaskPerformanceDB
 from repro.resources.groundtruth import ExecutionModel
 from repro.resources.host import Host
@@ -61,3 +65,30 @@ def calibrate_weights(task_performance: TaskPerformanceDB,
                                         measured / base)
             seeded += 1
     return seeded
+
+
+def provision_site(repository: SiteRepository, hosts: list[Host],
+                   definitions: list[TaskDefinition],
+                   model: ExecutionModel,
+                   constrain: dict[str, set[str]] | None = None,
+                   coverage: float = 1.0,
+                   rng: np.random.Generator | None = None) -> None:
+    """Populate one site's repository as the initial configuration does.
+
+    Registers every host's static attributes, runs the calibration trial
+    runs (:func:`calibrate_weights`, with *coverage* and *rng*) and
+    installs each task's executable under ``/usr/vdce/bin/``.
+    *constrain* optionally maps task name -> host addresses holding its
+    executable (default: every task on every host).
+    """
+    resources = repository.resource_performance
+    for host in hosts:
+        resources.register_host(repository.site, host.spec)
+    calibrate_weights(repository.task_performance, definitions, hosts,
+                      model, coverage=coverage, rng=rng)
+    for d in definitions:
+        allowed = constrain.get(d.name) if constrain else None
+        for host in hosts:
+            if allowed is None or host.address in allowed:
+                repository.task_constraints.register_executable(
+                    d.name, host.address, f"/usr/vdce/bin/{d.name}")

@@ -19,7 +19,7 @@ from pathlib import Path
 from repro.repository.delta import DeltaCallback
 from repro.repository.store import Table, record_from_row
 from repro.resources.host import HostSpec
-from repro.util.errors import NotRegisteredError
+from repro.util.errors import NotRegisteredError, RepositoryError
 
 #: Window length for "a window of most recent workload measurements"
 #: (paper section 2.2.1) retained per host for forecasting.
@@ -138,11 +138,11 @@ class ResourcePerformanceDB:
     def __len__(self) -> int:
         return len(self._records)
 
-    def hosts_at(self, site: str, include_down: bool = False
-                 ) -> list[ResourceRecord]:
-        """All (by default: up) hosts registered for *site*."""
+    def hosts_at(self, site: str) -> list[ResourceRecord]:
+        """The up hosts registered for *site* (:meth:`all_records` also
+        lists the down ones)."""
         return [r for r in self._records.values()
-                if r.site == site and (include_down or r.status == "up")]
+                if r.site == site and r.status == "up"]
 
     def all_records(self) -> list[ResourceRecord]:
         """Every registered host's record (up and down)."""
@@ -160,5 +160,9 @@ class ResourcePerformanceDB:
         db._table = Table.load(path)
         for key, row in db._table.items():
             rec = record_from_row(ResourceRecord, row, path, key)
-            db._records[rec.address] = rec
+            if rec.address != key:
+                raise RepositoryError(
+                    f"{path}: row {key!r} has site/host_name "
+                    f"{rec.address!r}, not its key")
+            db._records[key] = rec
         return db

@@ -90,7 +90,7 @@ class Table:
         if not isinstance(doc, dict) or "table" not in doc or "rows" not in doc:
             raise RepositoryError(f"{path} is not a saved table")
         table = cls(doc["table"])
-        table._rows = dict(doc["rows"])
+        table._rows = dict(require_object(doc["rows"], path, "section 'rows'"))
         return table
 
 
@@ -102,6 +102,15 @@ def composite_key(*parts: str) -> str:
     return "|".join(parts)
 
 
+def require_object(value: Any, path: str | Path,
+                   where: str) -> dict[str, Any]:
+    """*value* when it is a JSON object; else a :class:`RepositoryError`
+    naming the file and *where* in it (a section or a row)."""
+    if not isinstance(value, dict):
+        raise RepositoryError(f"{path}: {where} is not an object")
+    return value
+
+
 def record_from_row(factory: Callable[..., _R], row: Any,
                     path: str | Path, key: str) -> _R:
     """Build one record from a saved row, naming the bad row and field.
@@ -109,8 +118,7 @@ def record_from_row(factory: Callable[..., _R], row: Any,
     *factory* is the record class; the row must be an object holding
     every field the class requires and no field it lacks.
     """
-    if not isinstance(row, dict):
-        raise RepositoryError(f"{path}: row {key!r} is not an object")
+    require_object(row, path, f"row {key!r}")
     params = inspect.signature(factory).parameters
     for name in row:
         if name not in params:

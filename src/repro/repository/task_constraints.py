@@ -17,7 +17,7 @@ from pathlib import Path
 
 from repro.repository.delta import DeltaCallback
 from repro.repository.store import Table, composite_key
-from repro.util.errors import NotRegisteredError
+from repro.util.errors import NotRegisteredError, RepositoryError
 
 
 class TaskConstraintsDB:
@@ -85,6 +85,9 @@ class TaskConstraintsDB:
         db = cls()
         db._table = Table.load(path)
         for key in db._table.keys():
-            task, host = key.split("|", 1)
+            task, sep, host = key.partition("|")
+            if not sep:
+                raise RepositoryError(
+                    f"{path}: row {key!r} is not keyed 'task|host'")
             db._hosts_by_task.setdefault(task, set()).add(host)
         return db

@@ -24,9 +24,15 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Any
 
 from repro.repository.delta import DeltaCallback
-from repro.repository.store import Table, composite_key, record_from_row
+from repro.repository.store import (
+    Table,
+    composite_key,
+    record_from_row,
+    require_object,
+)
 from repro.util.errors import NotRegisteredError, RepositoryError
 
 
@@ -188,11 +194,19 @@ class TaskPerformanceDB:
     def load(cls, path: str | Path) -> "TaskPerformanceDB":
         table = Table.load(path)
         db = cls()
-        for name, row in table.get("records").items():
+
+        def section(name: str) -> dict[str, Any]:
+            return require_object(table.get_or(name), path,
+                                  f"section {name!r}")
+
+        for name, row in section("records").items():
             db._records[name] = record_from_row(
                 TaskPerformanceRecord, row, path, name)
-        db._weights = dict(table.get("weights"))
-        for name, rows in table.get("history").items():
+        db._weights = dict(section("weights"))
+        for name, rows in section("history").items():
+            if not isinstance(rows, list):
+                raise RepositoryError(
+                    f"{path}: section 'history' row {name!r} is not a list")
             db._history[name] = [
                 record_from_row(ExecutionSample, r, path, f"{name}[{i}]")
                 for i, r in enumerate(rows)]

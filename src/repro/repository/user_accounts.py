@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.repository.delta import DeltaCallback
-from repro.repository.store import Table
+from repro.repository.store import Table, record_from_row
 from repro.util.errors import AuthenticationError, RepositoryError
 
 #: Access-domain types: which parts of the VDCE a user may reach.
@@ -305,8 +305,11 @@ class UserAccountsDB:
         tenants_file = cls._tenants_path(path)
         if tenants_file.exists():
             db._tenants = Table.load(tenants_file)
-        # pre-tenancy persisted rows carry no tenant column
-        for _key, row in db._table.items():
+        for key, row in db._tenants.items():
+            record_from_row(TenantRecord, row, tenants_file, key)
+        for key, row in db._table.items():
+            record_from_row(UserAccount, row, path, key)
+            # pre-tenancy persisted rows carry no tenant column
             row.setdefault("tenant", DEFAULT_TENANT)
         ids = [row["user_id"] for _k, row in db._table.items()]
         db._next_id = max(ids, default=0) + 1

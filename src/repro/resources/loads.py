@@ -158,7 +158,6 @@ class TraceLoad(LoadModel):
 
 def diurnal_trace(peak_load: float = 1.5, base_load: float = 0.1,
                   day_s: float = 3600.0, samples: int = 48,
-                  phase: float = 0.0,
                   rng: np.random.Generator | None = None,
                   noise: float = 0.05) -> list[tuple[float, float]]:
     """A synthetic daily usage pattern (one 'day' compressed to *day_s*).
@@ -172,7 +171,7 @@ def diurnal_trace(peak_load: float = 1.5, base_load: float = 0.1,
     out = []
     for i in range(samples):
         t = day_s * i / samples
-        cycle = 0.5 * (1.0 - np.cos(2 * np.pi * (i / samples) + phase))
+        cycle = 0.5 * (1.0 - np.cos(2 * np.pi * (i / samples)))
         load = base_load + (peak_load - base_load) * cycle
         if noise:
             load += noise * float(rng.standard_normal())

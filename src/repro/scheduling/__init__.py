@@ -19,11 +19,7 @@ from repro.scheduling.makespan import (
     evaluate_schedule,
     predicted_schedule_length,
 )
-from repro.scheduling.optimal import (
-    OptimalScheduler,
-    SearchStats,
-    brute_force_search,
-)
+from repro.scheduling.optimal import OptimalScheduler, SearchStats
 from repro.scheduling.qos import (
     QoSAssessment,
     QoSRequirement,
@@ -71,7 +67,6 @@ __all__ = [
     "Timeline",
     "assess_schedule",
     "available_schedulers",
-    "brute_force_search",
     "compute_levels",
     "create_scheduler",
     "create_schedulers",

@@ -14,7 +14,8 @@ progressively less of the paper's machinery:
 * local-only VDCE — :class:`SiteScheduler` with ``k = 0``.
 
 All baselines honour hard feasibility (task-constraints DB, up/down,
-machine-type preference) — otherwise they would simply crash, not lose.
+machine-type preference: :func:`~repro.scheduling.host_selection.runnable`)
+— otherwise they would simply crash, not lose.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.scheduling.allocation import (
     AllocationEntry,
     ResourceAllocationTable,
 )
+from repro.scheduling.host_selection import runnable
 from repro.scheduling.registry import SchedulerContext, register_scheduler
 from repro.util.errors import NoFeasibleHostError
 from repro.util.rng import RngRegistry
@@ -46,18 +48,9 @@ class BaselineScheduler:
 
     def _feasible(self, node: TaskNode) -> list[ResourceRecord]:
         """All feasible (site, record) candidates across every site."""
-        out: list[ResourceRecord] = []
-        for site, repo in sorted(self.repositories.items()):
-            for rec in repo.resource_performance.hosts_at(site):
-                if rec.status != "up":
-                    continue
-                if node.properties.machine_type is not None and \
-                        rec.arch != node.properties.machine_type:
-                    continue
-                if not repo.task_constraints.is_runnable_on(
-                        node.task_name, rec.address):
-                    continue
-                out.append(rec)
+        out = [rec for site, repo in sorted(self.repositories.items())
+               for rec in repo.resource_performance.hosts_at(site)
+               if runnable(repo, node, rec)]
         if not out:
             raise NoFeasibleHostError(
                 f"no feasible host anywhere for {node.node_id!r} "

@@ -15,23 +15,24 @@ HEFT differs from the paper's site scheduler in two ways:
    idle gap between two already-scheduled tasks on a host.
 
 This implementation runs against the same repository view as every other
-scheduler (predicted times via ``Predict``; no ground-truth peeking).
+scheduler: each site's candidates and predicted times come from one
+:class:`~repro.scheduling.host_selection.HostSelector` per site
+(``Predict``; no ground-truth peeking).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.afg.graph import ApplicationFlowGraph, TaskNode
 from repro.net.topology import Topology
 from repro.obs import OBS_OFF, Observability
-from repro.prediction.predict import PerformancePredictor
 from repro.repository.site_repository import SiteRepository
 from repro.scheduling.allocation import (
     AllocationEntry,
     ResourceAllocationTable,
 )
+from repro.scheduling.host_selection import HostSelector
 from repro.scheduling.registry import SchedulerContext, register_scheduler
 from repro.util.errors import NoFeasibleHostError
 
@@ -63,33 +64,19 @@ class HeftScheduler:
 
     def __init__(self, repositories: dict[str, SiteRepository],
                  topology: Topology,
-                 predictor_factory: Callable[
-                     [SiteRepository], PerformancePredictor] | None = None,
                  obs: Observability | None = None) -> None:
         self.repositories = repositories
         self.topology = topology
-        self._predictor_factory = predictor_factory or (
-            lambda repo: PerformancePredictor(repo.task_performance))
+        self._selectors = {site: HostSelector(repo)
+                           for site, repo in sorted(repositories.items())}
         self.obs = obs if obs is not None else OBS_OFF
 
     # -- candidate costs ------------------------------------------------------
     def _candidates(self, node: TaskNode) -> list[tuple[str, str, float]]:
-        """(site, host, predicted_time) for every feasible host."""
-        out: list[tuple[str, str, float]] = []
-        for site, repo in sorted(self.repositories.items()):
-            predictor = self._predictor_factory(repo)
-            for rec in repo.resource_performance.hosts_at(site):
-                if rec.status != "up":
-                    continue
-                if node.properties.machine_type is not None and \
-                        rec.arch != node.properties.machine_type:
-                    continue
-                if not repo.task_constraints.is_runnable_on(
-                        node.task_name, rec.address):
-                    continue
-                p = predictor.predict(node.definition,
-                                      node.properties.input_size, rec)
-                out.append((site, rec.address, p.estimate_s))
+        """(site, host, predicted_time) for every runnable host."""
+        out = [(site, addr, est)
+               for site, selector in self._selectors.items()
+               for addr, est in selector.priced(node)]
         if not out:
             raise NoFeasibleHostError(
                 f"HEFT: no feasible host for {node.node_id!r}")

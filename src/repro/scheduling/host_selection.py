@@ -34,6 +34,21 @@ from repro.util.errors import NoFeasibleHostError
 VIEW_MAX_ENTRIES = 512
 
 
+def runnable(repository: SiteRepository, node: TaskNode,
+             record: ResourceRecord) -> bool:
+    """May *record*'s host run *node*?  The one feasibility rule.
+
+    True for an up host of the repository's site that matches the
+    node's machine-type preference (when one is set) and holds the
+    task's executable in the task-constraints database.
+    """
+    machine_type = node.properties.machine_type
+    return (record.site == repository.site and record.status == "up"
+            and (machine_type is None or record.arch == machine_type)
+            and repository.task_constraints.is_runnable_on(
+                node.task_name, record.address))
+
+
 def _score_key(entry: tuple[str, float]) -> tuple[float, str]:
     """(estimate, address) — the full path's deterministic tie-break."""
     return (entry[1], entry[0])
@@ -133,41 +148,25 @@ class HostSelector:
 
     # -- candidate filtering ---------------------------------------------
     def feasible_records(self, node: TaskNode) -> list[ResourceRecord]:
-        """Site resources that satisfy the task's hard constraints."""
-        records = self.repository.resource_performance.hosts_at(
-            self.repository.site)
-        out = []
-        constraints = self.repository.task_constraints
-        machine_type = node.properties.machine_type
-        for rec in records:
-            if machine_type is not None and rec.arch != machine_type:
-                continue
-            if not constraints.is_runnable_on(node.task_name, rec.address):
-                continue
-            out.append(rec)
-        return out
+        """Site resources that may run the task (:func:`runnable`)."""
+        repo = self.repository
+        return [rec for rec in repo.resource_performance.hosts_at(repo.site)
+                if runnable(repo, node, rec)]
 
     # -- candidate score views ---------------------------------------------
     def _feasible_estimate(self, node: TaskNode, processors: int,
                            addr: str) -> float | None:
         """Current Predict estimate for *addr*, or None when infeasible.
 
-        Re-evaluates the exact filter chain of :meth:`feasible_records`
-        (site membership, up status, machine type, constraints) against
-        the repository's *current* state, so replaying a stale journal
-        entry always converges on the live answer.
+        Applies :func:`runnable`, the rule :meth:`feasible_records`
+        filters by, to the repository's *current* state, so replaying a
+        stale journal entry always converges on the live answer.
         """
         rp = self.repository.resource_performance
         if addr not in rp:
             return None
         rec = rp.get(addr)
-        if rec.site != self.repository.site or rec.status != "up":
-            return None
-        machine_type = node.properties.machine_type
-        if machine_type is not None and rec.arch != machine_type:
-            return None
-        if not self.repository.task_constraints.is_runnable_on(
-                node.task_name, addr):
+        if not runnable(self.repository, node, rec):
             return None
         return self.predictor.estimate(
             node.definition, node.properties.input_size, rec, processors)
@@ -289,6 +288,17 @@ class HostSelector:
             top = tuple(nsmallest(n, view.scores.items(), key=_score_key))
             view.top[n] = top
         return top
+
+    def priced(self, node: TaskNode, processors: int = 1
+               ) -> list[tuple[str, float]]:
+        """Every runnable host's ``(address, estimate)``, in view order.
+
+        The pricing path of the schedulers that weigh every candidate
+        (HEFT, the optimal reference).  A fresh view lists hosts in
+        ``hosts_at`` order; the pairs are deliberately left unsorted.
+        Like :meth:`best_excluding`, it makes no sanitizer note.
+        """
+        return list(self._view_for(node, processors).scores.items())
 
     # -- per-task selection -------------------------------------------------
     def select_ranked(self, node: TaskNode,

@@ -20,26 +20,24 @@ accidental use on large graphs — exhaustive search is exponential and
 meant for ground truth on ≲10-task AFGs (ISSUE/ROADMAP item 2;
 cf. the FlexDAR branch-and-bound comparator in SNIPPETS.md Snippet 3).
 
-:func:`brute_force_search` enumerates the entire space without pruning;
-the differential tests assert it agrees with the branch-and-bound on
-tiny graphs.
+The differential tests hold the branch-and-bound to an exhaustive
+enumeration without pruning (``tests/reference_optimal.py``) on tiny
+graphs.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.afg.graph import ApplicationFlowGraph, TaskNode
 from repro.net.topology import Topology
 from repro.obs import OBS_OFF, Observability
-from repro.prediction.predict import PerformancePredictor
 from repro.repository.site_repository import SiteRepository
 from repro.scheduling.allocation import (
     AllocationEntry,
     ResourceAllocationTable,
 )
+from repro.scheduling.host_selection import HostSelector
 from repro.scheduling.levels import ReadySet, compute_levels
 from repro.scheduling.registry import (
     SchedulerContext,
@@ -66,8 +64,9 @@ class SearchStats:
 class OptimalScheduler:
     """Exhaustive (branch-and-bound) schedule-length minimiser.
 
-    Same federation view as every other scheduler: predicted durations
-    via ``Predict`` against the repositories — no ground-truth peeking.
+    Same federation view as every other scheduler: candidates and
+    predicted durations from one :class:`HostSelector` per site — no
+    ground-truth peeking.
     ``node_budget`` bounds the number of partial schedules expanded; the
     search raises :class:`SchedulingError` when exceeded rather than
     silently returning a non-optimal table.
@@ -77,56 +76,31 @@ class OptimalScheduler:
 
     def __init__(self, repositories: dict[str, SiteRepository],
                  topology: Topology,
-                 predictor_factory: Callable[
-                     [SiteRepository], PerformancePredictor] | None = None,
                  node_budget: int = 2_000_000,
                  obs: Observability | None = None) -> None:
         if node_budget < 1:
             raise SchedulingError("node_budget must be >= 1")
         self.repositories = repositories
         self.topology = topology
-        self._predictor_factory = predictor_factory or (
-            lambda repo: PerformancePredictor(repo.task_performance))
+        self._selectors = {site: HostSelector(repo)
+                           for site, repo in sorted(repositories.items())}
         self.node_budget = node_budget
         self.obs = obs if obs is not None else OBS_OFF
 
     # -- candidate generation ---------------------------------------------
-    def _site_candidates(self, node: TaskNode, site: str,
-                         repo: SiteRepository) -> list[Candidate]:
+    @staticmethod
+    def _site_candidates(node: TaskNode, site: str,
+                         selector: HostSelector) -> list[Candidate]:
         """Feasible candidates at one site (one per host; parallel tasks
         get the site's single best multi-host pick, like Figure 5)."""
-        predictor = self._predictor_factory(repo)
-        records = []
-        for rec in repo.resource_performance.hosts_at(site):
-            if rec.status != "up":
-                continue
-            if node.properties.machine_type is not None and \
-                    rec.arch != node.properties.machine_type:
-                continue
-            if not repo.task_constraints.is_runnable_on(
-                    node.task_name, rec.address):
-                continue
-            records.append(rec)
         props = node.properties
-        processors = (props.processors
-                      if props.computation_mode == "parallel" else 1)
-        if processors > 1:
-            if len(records) < processors:
-                return []
-            preds = sorted(
-                (predictor.predict(node.definition, props.input_size, rec,
-                                   processors=processors)
-                 for rec in records),
-                key=lambda p: (p.estimate_s, p.host))
-            chosen = preds[:processors]
-            return [(site, tuple(p.host for p in chosen),
-                     max(p.estimate_s for p in chosen))]
-        return [
-            (site, (rec.address,),
-             predictor.predict(node.definition, props.input_size,
-                               rec).estimate_s)
-            for rec in records
-        ]
+        if props.computation_mode == "parallel" and props.processors > 1:
+            try:
+                gang = selector.select_ranked(node, 1)[0]
+            except NoFeasibleHostError:
+                return []  # the site offers no candidate
+            return [(site, gang.hosts, gang.predicted_time_s)]
+        return [(site, (addr,), est) for addr, est in selector.priced(node)]
 
     def candidates_for(self, graph: ApplicationFlowGraph
                        ) -> dict[str, list[Candidate]]:
@@ -139,8 +113,8 @@ class OptimalScheduler:
         for nid in graph.topological_order():
             node = graph.node(nid)
             per_site: dict[str, list[Candidate]] = {}
-            for site, repo in sorted(self.repositories.items()):
-                cands = self._site_candidates(node, site, repo)
+            for site, selector in self._selectors.items():
+                cands = self._site_candidates(node, site, selector)
                 if cands:
                     per_site[site] = cands
             preferred = node.properties.preferred_site
@@ -288,46 +262,6 @@ def _table_from_assignment(graph: ApplicationFlowGraph,
             hosts=hosts, predicted_time_s=duration,
             processors=len(hosts)))
     return table
-
-
-def brute_force_search(
-    graph: ApplicationFlowGraph,
-    repositories: dict[str, SiteRepository],
-    topology: Topology,
-    predictor_factory: Callable[
-        [SiteRepository], PerformancePredictor] | None = None,
-    max_combinations: int = 500_000,
-) -> tuple[ResourceAllocationTable, float]:
-    """Enumerate *every* assignment and return the best (no pruning).
-
-    The differential oracle for :class:`OptimalScheduler`: O(hosts^tasks)
-    and guarded by *max_combinations*, so only for tiny AFGs.
-    """
-    from repro.scheduling.makespan import evaluate_schedule
-
-    reference = OptimalScheduler(repositories, topology,
-                                 predictor_factory=predictor_factory)
-    candidates = reference.candidates_for(graph)
-    node_ids = graph.topological_order()
-    total = 1
-    for nid in node_ids:
-        total *= len(candidates[nid])
-        if total > max_combinations:
-            raise SchedulingError(
-                f"brute force would enumerate > {max_combinations} "
-                f"assignments for {graph.name!r}")
-    best_table: ResourceAllocationTable | None = None
-    best_makespan = float("inf")
-    for combo in itertools.product(*(candidates[nid] for nid in node_ids)):
-        table = _table_from_assignment(
-            graph, dict(zip(node_ids, combo)))
-        makespan = evaluate_schedule(graph, table, topology).makespan
-        if makespan < best_makespan:
-            best_makespan = makespan
-            best_table = table
-    if best_table is None:  # pragma: no cover - candidates never empty
-        raise SchedulingError("brute force found no assignment")
-    return best_table, best_makespan
 
 
 @register_scheduler("optimal")

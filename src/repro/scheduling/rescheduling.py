@@ -9,7 +9,9 @@ is rescheduled and the host excluded.
 
 The :class:`Rescheduler` re-runs host selection for a single task against
 the *current* repository view, excluding the hosts that triggered the
-request, from the same delta-aware score views as the Site Scheduler.
+request.  In a started VDCE it reads the Site Managers' own selectors
+(``VDCE.selectors``), so scheduling rounds and reschedules share one set
+of delta-aware score views per site.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.afg.graph import TaskNode
-from repro.repository.site_repository import SiteRepository
 from repro.scheduling.allocation import AllocationEntry
 from repro.scheduling.host_selection import HostSelector
 from repro.util.errors import ConfigurationError, NoFeasibleHostError
@@ -48,11 +49,15 @@ class ReschedulePolicy:
 
 class Rescheduler:
     """Pick a replacement host for one task, excluding bad hosts, from one
-    :class:`HostSelector` per site (rebuilt on a rejoin or promotion)."""
+    :class:`HostSelector` per site.
 
-    def __init__(self, repositories: dict[str, SiteRepository]) -> None:
-        self.repositories = repositories
-        self._selectors: dict[str, HostSelector] = {}
+    *selectors* is read at every request, so a caller that rebinds a
+    site's entry (a join, a departure, a failover promotion) is followed
+    without a rebuild here.
+    """
+
+    def __init__(self, selectors: dict[str, HostSelector]) -> None:
+        self.selectors = selectors
 
     def reschedule(self, node: TaskNode, current: AllocationEntry,
                    exclude_hosts: set[str] | None = None,
@@ -73,12 +78,9 @@ class Rescheduler:
         exclude = set(exclude_hosts or ()) | set(current.hosts)
         skip_sites = exclude_sites or set()
         best: AllocationEntry | None = None
-        for site, repo in sorted(self.repositories.items()):
+        for site, selector in sorted(self.selectors.items()):
             if site in skip_sites:
                 continue
-            selector = self._selectors.get(site)
-            if selector is None or selector.repository is not repo:
-                selector = self._selectors[site] = HostSelector(repo)
             choice = selector.best_excluding(node, exclude)
             if choice is not None and (
                     best is None

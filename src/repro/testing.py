@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.net.topology import ATM_OC3, Topology
-from repro.prediction.calibration import calibrate_weights
+from repro.prediction.calibration import provision_site
 from repro.repository.site_repository import SiteRepository
 from repro.resources.groundtruth import ExecutionModel
 from repro.resources.host import Host, HostSpec
@@ -68,7 +68,6 @@ def build_federation(site_names=("syracuse", "rome"), hosts_per_site=3,
                      repositories={}, model=model)
     definitions = registry.all_tasks()
     for si, site in enumerate(site_names):
-        repo = SiteRepository(site)
         site_hosts = []
         for hi in range(hosts_per_site):
             template = templates[(si * hosts_per_site + hi)
@@ -77,15 +76,8 @@ def build_federation(site_names=("syracuse", "rome"), hosts_per_site=3,
             host = Host(spec=spec, site=site)
             fed.hosts[host.address] = host
             site_hosts.append(host)
-            repo.resource_performance.register_host(site, spec)
-        calibrate_weights(repo.task_performance, definitions, site_hosts,
-                          model)
-        for d in definitions:
-            for host in site_hosts:
-                allowed = constrain.get(d.name) if constrain else None
-                if allowed is not None and host.address not in allowed:
-                    continue
-                repo.task_constraints.register_executable(
-                    d.name, host.address, f"/usr/vdce/bin/{d.name}")
+        repo = SiteRepository(site)
+        provision_site(repo, site_hosts, definitions, model,
+                       constrain=constrain)
         fed.repositories[site] = repo
     return fed

@@ -25,17 +25,20 @@ WORKSTATIONS = [
     dict(arch="mips", os="irix", cpu_factor=1.1, memory_mb=128),
 ]
 
+#: hosts per group (one Group Manager each) in the populated testbeds
+GROUP_SIZE = 4
+
 #: background-load means of the NYNET testbed's hosts, spread evenly
 #: from the first host's to the last host's
 NYNET_LOAD_MEAN_RANGE = (0.1, 0.8)
 
 
-def _populate_site(vdce: VDCE, site: str, n_hosts: int, offset: int,
-                   group_size: int = 4) -> None:
+def _populate_site(vdce: VDCE, site: str, n_hosts: int,
+                   offset: int) -> None:
     for i in range(n_hosts):
         template = WORKSTATIONS[(offset + i) % len(WORKSTATIONS)]
         vdce.add_host(site, HostSpec(name=f"h{i}",
-                                     group=f"g{i // group_size}",
+                                     group=f"g{i // GROUP_SIZE}",
                                      **template))
 
 

@@ -22,7 +22,6 @@ from repro.bakeoff import repository_predicted_durations
 from repro.scheduling import (
     OptimalScheduler,
     SchedulerContext,
-    brute_force_search,
     create_scheduler,
 )
 from repro.scheduling.makespan import evaluate_schedule
@@ -31,6 +30,7 @@ from repro.util.rng import RngRegistry
 from repro.workloads import fork_join_graph, fourier_pipeline_graph
 
 from .conftest import build_federation
+from .reference_optimal import brute_force_search
 
 #: the bound HEFT/site must beat on these graphs (measured ~0.14 worst)
 HEURISTIC_GAP_BOUND = 0.5

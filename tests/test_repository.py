@@ -11,6 +11,7 @@ from repro.repository import (
     Table,
     TaskConstraintsDB,
     TaskPerformanceDB,
+    TenantRecord,
     UserAccountsDB,
     composite_key,
 )
@@ -179,7 +180,7 @@ class TestResourcePerformance:
         db.mark_down("s1/h1", time=5.0)
         assert db.get("s1/h1").status == "down"
         assert db.hosts_at("s1") == []
-        assert len(db.hosts_at("s1", include_down=True)) == 1
+        assert len(db.all_records()) == 1
         db.mark_up("s1/h1", time=9.0)
         assert db.get("s1/h1").status == "up"
 
@@ -402,6 +403,104 @@ class TestSidecarRows:
         assert detail in message
 
 
+def _saved_constraints_db(path):
+    db = TaskConstraintsDB()
+    db.register_executable("lu", "s1/h1", "/bin/lu")
+    db.save(path)
+    return TaskConstraintsDB.load
+
+
+def _saved_accounts_db(path):
+    db = UserAccountsDB()
+    db.add_tenant(TenantRecord(name="lab", weight=2.0))
+    db.add_user("alice", "pw", tenant="lab")
+    db.save(path)
+    return UserAccountsDB.load
+
+
+def _set(*where, value):
+    """Edit: replace the JSON value at *where* with *value*."""
+    def edit(doc):
+        *parents, last = where
+        for step in parents:
+            doc = doc[step]
+        doc[last] = value
+    return edit
+
+
+def _drop(*where):
+    """Edit: delete the JSON entry at *where*."""
+    def edit(doc):
+        *parents, last = where
+        for step in parents:
+            doc = doc[step]
+        del doc[last]
+    return edit
+
+
+def _rekey(old, new):
+    """Edit: move row *old* under the key *new*."""
+    def edit(doc):
+        doc["rows"][new] = doc["rows"].pop(old)
+    return edit
+
+
+#: case -> (saving helper, saved file, file the edit and error name,
+#: edit, the section or row the error names)
+SIDECAR_DEFECTS = {
+    "table-rows-list": (
+        _saved_constraints_db, "task_constraints.json", None,
+        _set("rows", value=["lu|s1/h1"]), "section 'rows'"),
+    "records-list": (
+        _saved_task_db, "task_performance.json", None,
+        _set("rows", "records", value=[]), "section 'records'"),
+    "weights-list": (
+        _saved_task_db, "task_performance.json", None,
+        _set("rows", "weights", value=["lu|s1/h1"]), "section 'weights'"),
+    "weights-missing": (
+        _saved_task_db, "task_performance.json", None,
+        _drop("rows", "weights"), "section 'weights'"),
+    "history-list": (
+        _saved_task_db, "task_performance.json", None,
+        _set("rows", "history", value=[]), "section 'history'"),
+    "history-row-number": (
+        _saved_task_db, "task_performance.json", None,
+        _set("rows", "history", "lu", value=3), "section 'history' row 'lu'"),
+    "constraint-key-without-bar": (
+        _saved_constraints_db, "task_constraints.json", None,
+        _rekey("lu|s1/h1", "lu"), "row 'lu'"),
+    "account-row-number": (
+        _saved_accounts_db, "accounts.json", None,
+        _set("rows", "alice", value=7), "row 'alice'"),
+    "tenant-row-number": (
+        _saved_accounts_db, "accounts.json", "accounts_tenants.json",
+        _set("rows", "lab", value=7), "row 'lab'"),
+    "resource-row-renamed": (
+        _saved_resource_db, "resource_performance.json", None,
+        _rekey("s1/h1", "s1/h9"), "row 's1/h9'"),
+}
+
+
+class TestSidecarDefects:
+    """A malformed sidecar fails with a RepositoryError naming the file
+    and the section or row, never a bare Python error or a silent
+    mis-load."""
+
+    @pytest.mark.parametrize("case", sorted(SIDECAR_DEFECTS))
+    def test_defect_raises_repository_error(self, tmp_path, case):
+        save, saved, edited, edit, where = SIDECAR_DEFECTS[case]
+        load = save(tmp_path / saved)
+        path = tmp_path / (edited or saved)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(RepositoryError) as err:
+            load(tmp_path / saved)
+        message = str(err.value)
+        assert path.name in message
+        assert where in message
+
+
 class TestDeltaPublication:
     """Each mutator publishes exactly its own delta event; reads none."""
 
@@ -482,7 +581,7 @@ class TestDeltaPublication:
         events = [self.recorder(db)
                   for db in (resources, tasks, constraints)]
         resources.get("s1/h1")
-        resources.hosts_at("s1", include_down=True)
+        resources.hosts_at("s1")
         resources.all_records()
         assert "s1/h1" in resources and len(resources) == 1
         tasks.get("lu")

@@ -1,7 +1,8 @@
 """Reschedule answers from the score views equal the per-request re-walk.
 
 :class:`~repro.scheduling.Rescheduler` answers from one long-lived
-:class:`~repro.scheduling.HostSelector` per site.  The oracle is
+:class:`~repro.scheduling.HostSelector` per site (in a VDCE, the Site
+Managers' own selectors).  The oracle is
 :func:`tests.reference_selection.reference_reschedule`, which builds a
 fresh predictor per site on every call and runs ``best_host`` over the
 filtered records.  Seeded sequences interleave repository mutations —
@@ -13,7 +14,9 @@ site exclusions, and demand identical entries (exact floats) or the same
 :class:`NoFeasibleHostError`.
 
 The work-count tests pin what the views save: a catch-up prices each
-dirtied host once, and a reschedule never builds a ``Prediction``.
+dirtied host once, and a reschedule never builds a ``Prediction``.  A
+started VDCE holds exactly one selector per site, its Site Manager's,
+through start, failover promotion, join and leave.
 """
 
 from __future__ import annotations
@@ -23,11 +26,14 @@ import copy
 import pytest
 
 from repro.afg import GraphBuilder
+from repro.faults import FaultPlan, ServerCrash
+from repro.net.topology import T1_WAN
 from repro.prediction.predict import PerformancePredictor
 from repro.resources.host import HostSpec
 from repro.scheduling import AllocationEntry, HostSelector, Rescheduler
 from repro.util.errors import NoFeasibleHostError
 from repro.util.rng import RngRegistry
+from repro.workloads import nynet_testbed, quiet_testbed
 
 from .conftest import build_federation
 from .reference_selection import reference_reschedule
@@ -110,16 +116,20 @@ class TestRescheduleOracle:
         tasks = sorted({graph.node(n).task_name for n in graph.nodes})
         for repo in fed.repositories.values():
             repo.delta.max_journal = 16
-        rescheduler = Rescheduler(fed.repositories)
+        selectors = {site: HostSelector(repo)
+                     for site, repo in fed.repositories.items()}
+        rescheduler = Rescheduler(selectors)
         rng = RngRegistry(seed).stream("reschedule-oracle")
         removed: dict[str, list[HostSpec]] = {s: [] for s in SITES}
         outcomes = set()
         for step in range(300):
             site = SITES[int(rng.integers(len(SITES)))]
             if rng.random() < 0.02:
-                # a failover promotion: the site's entry now names a copy
+                # a failover promotion: the site's entry now names a copy,
+                # read through the promoted manager's new selector
                 fed.repositories[site] = copy.deepcopy(
                     fed.repositories[site])
+                selectors[site] = HostSelector(fed.repositories[site])
             for _ in range(int(rng.integers(3))):
                 mutate(fed.repositories[site], rng, removed[site], tasks,
                        float(step + 1))
@@ -174,7 +184,8 @@ class TestViewWork:
         current = AllocationEntry(
             node_id=node.node_id, task_name=node.task_name,
             site="syracuse", hosts=("syracuse/h0",), predicted_time_s=1.0)
-        rescheduler = Rescheduler(fed.repositories)
+        rescheduler = Rescheduler({site: HostSelector(repo)
+                                   for site, repo in fed.repositories.items()})
         first = rescheduler.reschedule(node, current)
         calls = {name: count_calls(monkeypatch, name)
                  for name in ("estimate", "predict", "best_host")}
@@ -187,3 +198,50 @@ class TestViewWork:
             {"estimate": 1, "predict": 0, "best_host": 0}
         assert second == reference_reschedule(fed.repositories, node,
                                                current)
+
+
+def assert_one_selector_per_site(vdce):
+    """Every site's entry is its live Site Manager's own selector."""
+    assert sorted(vdce.selectors) == sorted(vdce.site_managers)
+    for site, sm in vdce.site_managers.items():
+        assert vdce.selectors[site] is sm.selector
+        assert sm.selector.repository is vdce.repositories[site]
+
+
+class TestOneSelectorPerSite:
+    def test_start_shares_the_site_managers_selectors(self):
+        vdce = quiet_testbed(seed=1)
+        vdce.start()
+        assert_one_selector_per_site(vdce)
+        assert vdce.rescheduler.selectors is vdce.selectors
+
+    def test_promotion_names_the_promoted_managers_selector(self):
+        vdce = nynet_testbed(seed=3, hosts_per_site=8)
+        vdce.start()
+        vdce.enable_failover("syracuse", ["h1", "h2"])
+        vdce.warm_up(10.0)
+        before = vdce.selectors["syracuse"]
+        vdce.apply_fault_plan(FaultPlan((
+            ServerCrash("syracuse", at=vdce.now + 5.0),)))
+        vdce.run(until=vdce.now + 40.0)
+        assert vdce.recovery.failovers == 1
+        assert vdce.selectors["syracuse"] is not before
+        assert_one_selector_per_site(vdce)
+
+    def test_join_adds_and_leave_removes_an_entry(self):
+        vdce = quiet_testbed(seed=2)
+        vdce.start()
+        vdce.enable_membership()
+        vdce.run(until=5.0)
+        vdce.site_join("geneva", hosts=[
+            HostSpec(name="h0", arch="x86", os="linux", cpu_factor=1.2,
+                     memory_mb=64, group="g0")],
+            links={"syracuse": T1_WAN, "rome": T1_WAN})
+        assert "geneva" in vdce.selectors
+        assert_one_selector_per_site(vdce)
+        proc = vdce.site_leave("rome")
+        while not proc.triggered and vdce.now < 120.0:
+            vdce.run(until=vdce.now + 5.0)
+        assert proc.triggered
+        assert "rome" not in vdce.selectors
+        assert_one_selector_per_site(vdce)

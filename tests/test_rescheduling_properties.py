@@ -15,6 +15,7 @@ import pytest
 from repro.faults import FaultPlan, HostCrash
 from repro.obs import Observability
 from repro.scheduling.allocation import AllocationEntry
+from repro.scheduling.host_selection import HostSelector
 from repro.scheduling.rescheduling import Rescheduler
 from repro.util.errors import NoFeasibleHostError
 from repro.workloads import linear_solver_graph, quiet_testbed
@@ -31,13 +32,19 @@ def world():
     return v, graph
 
 
+def rescheduler_for(v):
+    """A Rescheduler over one fresh selector per site of *v*."""
+    return Rescheduler({site: HostSelector(repo)
+                        for site, repo in v.repositories.items()})
+
+
 class TestReschedulerProperties:
     def test_replacement_never_on_failed_or_current_host(self, world):
         v, graph = world
         hosts = sorted(h.address for h in v.world.all_hosts())
         nodes = list(graph.nodes)
         rng = np.random.default_rng(2024)
-        rescheduler = Rescheduler(v.repositories)
+        rescheduler = rescheduler_for(v)
         for _ in range(N_TRIALS):
             node = graph.node(nodes[int(rng.integers(len(nodes)))])
             current_host = hosts[int(rng.integers(len(hosts)))]
@@ -57,7 +64,7 @@ class TestReschedulerProperties:
         v, graph = world
         hosts = sorted(h.address for h in v.world.all_hosts())
         rng = np.random.default_rng(7)
-        rescheduler = Rescheduler(v.repositories)
+        rescheduler = rescheduler_for(v)
         node = graph.node("lu")
         for _ in range(20):
             survivor = hosts[int(rng.integers(len(hosts)))]
@@ -79,7 +86,7 @@ class TestReschedulerProperties:
             site="syracuse", hosts=(sorted(hosts)[0],),
             predicted_time_s=1.0)
         with pytest.raises(NoFeasibleHostError):
-            node_entry = Rescheduler(v.repositories).reschedule(
+            node_entry = rescheduler_for(v).reschedule(
                 node, current, exclude_hosts=hosts)
             del node_entry
 

@@ -12,7 +12,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.afg import GraphBuilder
+from repro.prediction.predict import PerformancePredictor
 from repro.scheduling import (
+    BaselineScheduler,
+    HeftScheduler,
+    HostSelector,
+    OptimalScheduler,
     ResourceAllocationTable,
     Scheduler,
     SchedulerContext,
@@ -109,6 +115,61 @@ class TestSchedulerContract:
         # constrained sink landed inside its allowed set
         assert down not in table.hosts()
         assert set(table.get("sink").hosts) <= allowed
+
+
+class TestOneSchedulingView:
+    """Every scheduler reads one runnable-host rule and one pricing path."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_schedulers_name_the_same_candidate_hosts(self, registry, seed):
+        fed, graph, sites, down, allowed = make_scenario(registry, seed)
+        repos = fed.repositories
+        heft = HeftScheduler(repos, fed.topology)
+        optimal = OptimalScheduler(repos, fed.topology).candidates_for(graph)
+        baseline = BaselineScheduler(repos)
+        selectors = {site: HostSelector(repo) for site, repo in repos.items()}
+        for nid, node in graph.nodes.items():
+            want = sorted(rec.address for selector in selectors.values()
+                          for rec in selector.feasible_records(node))
+            assert want and down not in want
+            assert sorted(h for _s, h, _e in heft._candidates(node)) == want
+            assert sorted(h for _s, hosts, _e in optimal[nid]
+                          for h in hosts) == want
+            assert sorted(r.address for r in baseline._feasible(node)) == want
+        assert set(want_for(selectors, graph, "sink")) <= allowed
+        assert {repos[a.split("/")[0]].resource_performance.get(a).arch
+                for a in want_for(selectors, graph, "fft")} == {"alpha"}
+
+    @pytest.mark.parametrize("name", ["heft", "optimal"])
+    def test_each_host_priced_once_per_task_class(self, registry,
+                                                  monkeypatch, name):
+        fed = build_federation(registry=registry, hosts_per_site=3)
+        b = GraphBuilder(registry, name="repeated-class")
+        for i in range(4):
+            b.task("matrix-generate", f"gen{i}", input_size=50)
+        graph = b.build()
+        calls = {"estimate": 0, "predict": 0}
+        for method in calls:
+            original = getattr(PerformancePredictor, method)
+
+            def counted(self, *args, _m=method, _f=original, **kwargs):
+                calls[_m] += 1
+                return _f(self, *args, **kwargs)
+
+            monkeypatch.setattr(PerformancePredictor, method, counted)
+        scheduler = create_scheduler(
+            name, make_context(fed, ("syracuse", "rome"), seed=0))
+        table = scheduler.schedule(graph)
+        assert len(table) == len(graph)
+        # one class, six hosts: one price per (site, host, class)
+        assert calls == {"estimate": 6, "predict": 0}
+
+
+def want_for(selectors, graph, node_id):
+    """Every site's runnable hosts for one node of *graph*."""
+    node = graph.node(node_id)
+    return [rec.address for selector in selectors.values()
+            for rec in selector.feasible_records(node)]
 
 
 class TestRegistry:

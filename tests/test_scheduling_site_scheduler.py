@@ -342,6 +342,12 @@ class TestBaselines:
             assert len({h.split("/")[0] for h in entry.hosts}) == 1
 
 
+def rescheduler_for(fed):
+    """A Rescheduler over one fresh selector per site of *fed*."""
+    return Rescheduler({site: HostSelector(repo)
+                        for site, repo in fed.repositories.items()})
+
+
 class TestRescheduler:
     def test_excludes_current_host(self, registry, federation):
         g = solver_graph(registry)
@@ -349,7 +355,7 @@ class TestRescheduler:
         current = AllocationEntry(
             node_id="lu", task_name="lu-decomposition", site="syracuse",
             hosts=("syracuse/h0",), predicted_time_s=5.0)
-        resched = Rescheduler(federation.repositories)
+        resched = rescheduler_for(federation)
         new = resched.reschedule(node, current)
         assert new.hosts[0] != "syracuse/h0"
 
@@ -361,7 +367,7 @@ class TestRescheduler:
             hosts=("syracuse/h0",), predicted_time_s=5.0)
         all_hosts = set(federation.hosts)
         exclude = all_hosts - {"rome/h2"}
-        new = Rescheduler(federation.repositories).reschedule(
+        new = rescheduler_for(federation).reschedule(
             node, current, exclude_hosts=exclude)
         assert new.hosts == ("rome/h2",)
 
@@ -372,7 +378,7 @@ class TestRescheduler:
             node_id="lu", task_name="lu-decomposition", site="syracuse",
             hosts=("syracuse/h0",), predicted_time_s=5.0)
         with pytest.raises(NoFeasibleHostError):
-            Rescheduler(federation.repositories).reschedule(
+            rescheduler_for(federation).reschedule(
                 node, current, exclude_hosts=set(federation.hosts))
 
     def test_policy_threshold(self):
