@@ -289,16 +289,17 @@ class HostSelector:
             view.top[n] = top
         return top
 
-    def priced(self, node: TaskNode, processors: int = 1
-               ) -> list[tuple[str, float]]:
+    def priced(self, node: TaskNode) -> list[tuple[str, float]]:
         """Every runnable host's ``(address, estimate)``, in view order.
 
-        The pricing path of the schedulers that weigh every candidate
-        (HEFT, the optimal reference).  A fresh view lists hosts in
-        ``hosts_at`` order; the pairs are deliberately left unsorted.
-        Like :meth:`best_excluding`, it makes no sanitizer note.
+        The pricing path of the schedulers that weigh every single-host
+        candidate (HEFT, the optimal reference): the processors = 1
+        view, as :meth:`best_excluding` reads it.  A fresh view lists
+        hosts in ``hosts_at`` order; the pairs are deliberately left
+        unsorted.  Like :meth:`best_excluding`, it makes no sanitizer
+        note.
         """
-        return list(self._view_for(node, processors).scores.items())
+        return list(self._view_for(node, 1).scores.items())
 
     # -- per-task selection -------------------------------------------------
     def select_ranked(self, node: TaskNode,

@@ -128,17 +128,20 @@ class TestOneSchedulingView:
         optimal = OptimalScheduler(repos, fed.topology).candidates_for(graph)
         baseline = BaselineScheduler(repos)
         selectors = {site: HostSelector(repo) for site, repo in repos.items()}
+        wants = {}
         for nid, node in graph.nodes.items():
-            want = sorted(rec.address for selector in selectors.values()
-                          for rec in selector.feasible_records(node))
+            want = wants[nid] = sorted(
+                rec.address for selector in selectors.values()
+                for rec in selector.feasible_records(node))
             assert want and down not in want
             assert sorted(h for _s, h, _e in heft._candidates(node)) == want
             assert sorted(h for _s, hosts, _e in optimal[nid]
                           for h in hosts) == want
             assert sorted(r.address for r in baseline._feasible(node)) == want
-        assert set(want_for(selectors, graph, "sink")) <= allowed
+        # the hazards bit: the constrained sink and the alpha-only fft
+        assert set(wants["sink"]) <= allowed
         assert {repos[a.split("/")[0]].resource_performance.get(a).arch
-                for a in want_for(selectors, graph, "fft")} == {"alpha"}
+                for a in wants["fft"]} == {"alpha"}
 
     @pytest.mark.parametrize("name", ["heft", "optimal"])
     def test_each_host_priced_once_per_task_class(self, registry,
@@ -163,13 +166,6 @@ class TestOneSchedulingView:
         assert len(table) == len(graph)
         # one class, six hosts: one price per (site, host, class)
         assert calls == {"estimate": 6, "predict": 0}
-
-
-def want_for(selectors, graph, node_id):
-    """Every site's runnable hosts for one node of *graph*."""
-    node = graph.node(node_id)
-    return [rec.address for selector in selectors.values()
-            for rec in selector.feasible_records(node)]
 
 
 class TestRegistry:
