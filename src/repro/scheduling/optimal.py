@@ -80,7 +80,6 @@ class OptimalScheduler:
                  obs: Observability | None = None) -> None:
         if node_budget < 1:
             raise SchedulingError("node_budget must be >= 1")
-        self.repositories = repositories
         self.topology = topology
         self._selectors = {site: HostSelector(repo)
                            for site, repo in sorted(repositories.items())}

@@ -6,6 +6,9 @@ complete allocation that honours the repository's ground rules on any
 federation: the task-constraints DB (executables only where installed),
 per-task machine-type preferences, and host up/down status.  One
 parametrized test, all schedulers, several seeded randomized scenarios.
+The schedulers also share one scheduling view: they name the same
+candidate hosts for every node, and HEFT and the optimal reference
+price each (site, host, task class) once.
 """
 
 from __future__ import annotations
