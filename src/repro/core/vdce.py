@@ -724,8 +724,7 @@ class VDCE:
             del self.site_managers[name]
             del self.selectors[name]
             del self.repositories[name]
-            self.topology.remove_site(name)
-            del self.world.sites[name]
+            self.world.remove_site(name)
             if self.obs.enabled:
                 self.obs.trace.record(self.now, "vdce:site-leave",
                                       f"{name}/server")

@@ -20,6 +20,7 @@ from collections import defaultdict
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Any
 
 from repro.analysis import hooks
 from repro.net.message import Message
@@ -47,6 +48,19 @@ def split_address(addr: str) -> tuple[str, str]:
     if len(parts) == 1:
         return parts[0], parts[0]
     return parts[0], f"{parts[0]}/{parts[1]}"
+
+
+class _AlwaysUp:
+    """The liveness of a host key nothing else answers for."""
+
+    __slots__ = ()
+
+    up = True
+
+
+#: liveness every host key resolves to unless a resolver installed with
+#: :meth:`Network.set_liveness` says otherwise
+ALWAYS_UP = _AlwaysUp()
 
 
 @dataclass(frozen=True)
@@ -82,8 +96,8 @@ class Network:
     """Latency/bandwidth-modelled message delivery between endpoints."""
 
     __slots__ = ("env", "topology",
-                 "stats", "_endpoints", "is_up", "fault_hook", "obs",
-                 "_m_messages", "_m_bytes", "_m_dropped", "_m_delay")
+                 "stats", "_endpoints", "_live", "_resolve", "fault_hook",
+                 "obs", "_m_messages", "_m_bytes", "_m_dropped", "_m_delay")
 
     #: software cost every message pays on top of the wire time
     per_message_overhead_s = 1e-4
@@ -94,9 +108,11 @@ class Network:
         self.stats = TrafficStats()
         #: address -> (mailbox, site, host), resolved once at register
         self._endpoints: dict[str, tuple[Store, str, str]] = {}
-        #: predicate deciding whether the *host* owning an address is up;
-        #: installed by the failure-injection layer.
-        self.is_up: Callable[[str], bool] = lambda host: True
+        #: host key (``site/host``) -> its liveness: an object whose
+        #: ``up`` flag is read on every check, resolved once per key by
+        #: the resolver :meth:`set_liveness` installs
+        self._live: dict[str, Any] = {}
+        self._resolve: Callable[[str], Any] = lambda host: ALWAYS_UP
         #: optional per-message fault hook returning a
         #: :class:`FaultAction` (or None for no fault); installed by
         #: :class:`repro.faults.FaultInjector`.
@@ -122,6 +138,34 @@ class Network:
         self._m_delay = metrics.histogram(
             "net_delivery_delay_seconds",
             help="modelled delivery delay, by kind")
+
+    # -- liveness ---------------------------------------------------------
+    def set_liveness(self, resolve: Callable[[str], Any]) -> None:
+        """Install how a host key resolves to its liveness.
+
+        *resolve* maps a host key (``site/host``, or a bare site-level
+        address) to an object with a boolean ``up`` attribute, which every
+        check reads; each key is resolved on its first check and kept
+        until :meth:`forget_liveness` (installing drops them too).
+        :class:`~repro.resources.site.VDCEnvironment` installs the
+        resolver over its sites; until then every host is up.
+        """
+        self._resolve = resolve
+        self._live.clear()
+
+    def forget_liveness(self) -> None:
+        """Drop every resolved key (a site or host was added or removed)."""
+        self._live.clear()
+
+    def _liveness(self, host: str) -> Any:
+        live = self._live.get(host)
+        if live is None:
+            live = self._live[host] = self._resolve(host)
+        return live
+
+    def is_up(self, host: str) -> bool:
+        """Whether the host owning host key *host* is up."""
+        return self._liveness(host).up
 
     # -- endpoints --------------------------------------------------------
     def register(self, addr: str) -> Store:
@@ -167,9 +211,12 @@ class Network:
         host that went down mid-flight loses its messages (each copy
         counts as one drop).
         """
-        is_up = self.is_up
+        live = self._live
         for box, msg, dst_host in entries:
-            if is_up(dst_host):
+            dst_live = live.get(dst_host)
+            if dst_live is None:
+                dst_live = self._liveness(dst_host)
+            if dst_live.up:
                 box.put(msg)
             else:
                 self.stats.dropped += 1
@@ -222,11 +269,11 @@ class Network:
         stats = self.stats
         obs = self.obs
         fault_hook = self.fault_hook
-        is_up = self.is_up
+        live = self._live
         route = self.topology.route
         overhead = self.per_message_overhead_s
         src_site, src_host = split_address(src)
-        src_up = is_up(src_host)
+        src_up = self._liveness(src_host).up
         hb = hooks.HB
         messages: list[Message] = []
         # the open run: consecutive messages with the same delay share it
@@ -250,7 +297,10 @@ class Network:
                                  bytes=nbytes)
                 self._m_messages.inc(kind=kind)
                 self._m_bytes.inc(nbytes, kind=kind)
-            if not (is_up(dst_host) and src_up):
+            dst_live = live.get(dst_host)
+            if dst_live is None:
+                dst_live = self._liveness(dst_host)
+            if not (dst_live.up and src_up):
                 stats.dropped += 1
                 if obs.enabled:
                     obs.trace.record(now, "net:dropped", src, dst=dst,

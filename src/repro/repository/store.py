@@ -111,19 +111,42 @@ def require_object(value: Any, path: str | Path,
     return value
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: a record field's annotation -> whether a JSON value fits it (JSON
+#: writes whole floats as ints, so a float field takes an int; no
+#: number field takes a bool)
+_FIELD_CHECKS: dict[str, Callable[[Any], bool]] = {
+    "str": lambda v: isinstance(v, str),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": _is_number,
+    "float | None": lambda v: v is None or _is_number(v),
+    "list[float]": lambda v: isinstance(v, list)
+    and all(_is_number(x) for x in v),
+}
+
+
 def record_from_row(factory: Callable[..., _R], row: Any,
                     path: str | Path, key: str) -> _R:
     """Build one record from a saved row, naming the bad row and field.
 
     *factory* is the record class; the row must be an object holding
-    every field the class requires and no field it lacks.
+    every field the class requires, no field it lacks, and each value of
+    its field's type.
     """
     require_object(row, path, f"row {key!r}")
     params = inspect.signature(factory).parameters
-    for name in row:
-        if name not in params:
+    for name, value in row.items():
+        param = params.get(name)
+        if param is None:
             raise RepositoryError(
                 f"{path}: row {key!r} has unknown field {name!r}")
+        if not _FIELD_CHECKS[param.annotation](value):
+            raise RepositoryError(
+                f"{path}: row {key!r} field {name!r} is not "
+                f"{param.annotation}: {value!r}")
     for name, param in params.items():
         if param.default is param.empty and name not in row:
             raise RepositoryError(

@@ -6,14 +6,19 @@ forecasting.  These simulated load processes mutate ``host.true_load``
 over time so monitors have something real to sample and predictions have
 something real to be wrong about.
 
-Three models, all running as simcore processes:
+Four models:
 
 * :class:`RandomWalkLoad` — mean-reverting random walk (Ornstein-
-  Uhlenbeck-like), the classic "Unix load average" shape.
+  Uhlenbeck-like), the classic "Unix load average" shape.  The walks
+  attached in one batch share one :class:`WalkClock` process, which
+  steps them every :data:`WALK_INTERVAL_S` in attach order.
 * :class:`OnOffLoad` — bursty interactive users: exponential on/off
   periods with a fixed load while on.
 * :class:`SpikeLoad` — scheduled load spikes, used by the rescheduling
   experiment (A2) to trigger the Application Controller's overload path.
+* :class:`TraceLoad` — a recorded load trace, replayed.
+
+The last three run as one simcore process per model.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.resources.host import Host
-from repro.simcore.engine import Environment
+from repro.simcore.engine import Environment, Process
 from repro.util.errors import ConfigurationError
 
 #: sim seconds between two steps of a random walk
@@ -38,7 +43,11 @@ class LoadModel:
         self.env = env
         self.host = host
         self.rng = rng
-        self.process = env.process(self._run(), name=f"load:{host.address}")
+        self.process = self._start()
+
+    def _start(self) -> Process:
+        """Launch the process that drives this model."""
+        return self.env.process(self._run(), name=f"load:{self.host.address}")
 
     def _run(self):
         raise NotImplementedError
@@ -50,7 +59,12 @@ class LoadModel:
 
 
 class RandomWalkLoad(LoadModel):
-    """Mean-reverting random walk: ``L += theta*(mu - L) + sigma*N(0,1)``."""
+    """Mean-reverting random walk: ``L += theta*(mu - L) + sigma*N(0,1)``.
+
+    The walk draws its first load when its :class:`WalkClock` starts and
+    steps on that clock's ticks; :attr:`process` is the clock's process,
+    shared with the other walks of its batch.
+    """
 
     def __init__(self, env: Environment, host: Host,
                  rng: np.random.Generator, mean: float = 0.5,
@@ -61,15 +75,85 @@ class RandomWalkLoad(LoadModel):
         self.volatility = volatility
         super().__init__(env, host, rng)
 
-    def _run(self):
+    def _start(self) -> Process:
+        self._clock = WalkClock.attach(self)
+        return self._clock.process
+
+    def _begin(self) -> None:
         self.host.true_load = max(0.0, self.mean
                                   + self.volatility * self.rng.standard_normal())
-        while True:
+
+    def _step(self) -> None:
+        load = self.host.true_load
+        load += WALK_REVERSION * (self.mean - load)
+        load += self.volatility * self.rng.standard_normal()
+        self.host.true_load = max(0.0, load)
+
+    def stop(self) -> None:
+        """Stop stepping this walk; its clock ends with its last walk."""
+        walks = self._clock.walks
+        if self in walks:
+            walks.remove(self)
+
+
+class WalkClock:
+    """One process that steps a batch of random walks in attach order.
+
+    Walks attached one after another, with nothing scheduled in between,
+    form a batch.  Had each run its own process, their bootstrap entries
+    would sit next to each other in the event queue, so each walk would
+    draw and step right after the previous one at every tick.  One process
+    at the first walk's place does the same draws in the same order, and
+    every other queue entry keeps its order.  A walk attached later, or
+    after anything else was scheduled, starts a new clock.  A walk stopped
+    before its clock starts still draws its first load there, as its own
+    process would have; a clock whose walks have all stopped ends at its
+    next tick, so a drain still ends.
+
+    The environment holds the clock a next walk may join
+    (``Environment._walk_clock``).
+    """
+
+    __slots__ = ("env", "batch", "walks", "process", "_seq")
+
+    def __init__(self, env: Environment, first: RandomWalkLoad) -> None:
+        self.env = env
+        #: every walk attached, in attach order (drawn once, at the start)
+        self.batch: list[RandomWalkLoad] = []
+        #: the walks still stepping
+        self.walks: list[RandomWalkLoad] = []
+        self.process = env.process(self._run(),
+                                   name=f"load:{first.host.address}")
+        #: the last queue sequence number the clock took; a walk whose own
+        #: bootstrap entry would take the next one joins
+        self._seq = 0
+
+    @staticmethod
+    def attach(walk: RandomWalkLoad) -> "WalkClock":
+        """Add *walk* to the environment's open clock, or start a new one."""
+        env = walk.env
+        # the number the walk's own bootstrap entry would have taken; a
+        # sequence number only breaks ties, so skipping one reorders
+        # nothing
+        seq = next(env._seq)
+        clock = env._walk_clock
+        if clock is None or clock._seq != seq - 1:
+            clock = env._walk_clock = WalkClock(env, walk)
+            seq = next(env._seq)
+        clock._seq = seq
+        clock.batch.append(walk)
+        clock.walks.append(walk)
+        return clock
+
+    def _run(self):
+        for walk in self.batch:
+            walk._begin()
+        self.batch = []
+        walks = self.walks
+        while walks:
             yield self.env.timeout(WALK_INTERVAL_S)
-            load = self.host.true_load
-            load += WALK_REVERSION * (self.mean - load)
-            load += self.volatility * self.rng.standard_normal()
-            self.host.true_load = max(0.0, load)
+            for walk in walks:
+                walk._step()
 
 
 class OnOffLoad(LoadModel):

@@ -10,14 +10,27 @@ examples construct first.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
-from repro.net.network import Network
+from repro.net.network import ALWAYS_UP, Network
 from repro.net.topology import LinkSpec, Topology
 from repro.resources.host import Host, HostSpec
 from repro.simcore.engine import Environment
 from repro.util.errors import ConfigurationError, NotRegisteredError
 from repro.util.rng import RngRegistry
+
+
+class ServerRole:
+    """The liveness of a site's server role, whichever machine holds it."""
+
+    __slots__ = ("site",)
+
+    def __init__(self, site: "Site") -> None:
+        self.site = site
+
+    @property
+    def up(self) -> bool:
+        return self.site.server_is_up()
 
 
 class Site:
@@ -27,6 +40,10 @@ class Site:
         if "/" in name or not name:
             raise ConfigurationError(f"invalid site name {name!r}")
         self.name = name
+        #: called after a host is added or removed; the
+        #: :class:`VDCEnvironment` owning the site drops its network's
+        #: liveness resolutions there
+        self._on_change: Callable[[], None] = lambda: None
         self.hosts: dict[str, Host] = {}
         self._groups: dict[str, list[str]] = {}
         #: liveness of the dedicated VDCE server machine (ServerCrash
@@ -35,6 +52,8 @@ class Site:
         #: after a failover the server *role* moves onto a standby host;
         #: None means the dedicated server machine still holds it
         self.server_role_host: str | None = None
+        #: what ``site/server`` addresses' liveness follows
+        self.server_role = ServerRole(self)
 
     # -- construction -------------------------------------------------------
     def add_host(self, spec: HostSpec) -> Host:
@@ -45,6 +64,7 @@ class Site:
         host = Host(spec=spec, site=self.name)
         self.hosts[spec.name] = host
         self._groups.setdefault(spec.group, []).append(spec.name)
+        self._on_change()
         return host
 
     def remove_host(self, name: str) -> Host:
@@ -55,6 +75,7 @@ class Site:
         members.remove(name)
         if not members:
             del self._groups[host.spec.group]
+        self._on_change()
         return host
 
     # -- queries --------------------------------------------------------------
@@ -122,7 +143,7 @@ class VDCEnvironment:
         self.network = Network(self.env, self.topology)
         self.rng = RngRegistry(seed)
         self.sites: dict[str, Site] = {}
-        self.network.is_up = self._host_is_up
+        self.network.set_liveness(self._resolve_liveness)
 
     # -- construction -------------------------------------------------------
     def add_site(self, name: str, lan: LinkSpec | None = None) -> Site:
@@ -131,7 +152,17 @@ class VDCEnvironment:
             raise ConfigurationError(f"site {name!r} already exists")
         self.topology.add_site(name, lan=lan)
         site = Site(name)
+        site._on_change = self.network.forget_liveness
         self.sites[name] = site
+        self.network.forget_liveness()
+        return site
+
+    def remove_site(self, name: str) -> Site:
+        """Remove a departed site from the environment and the topology."""
+        site = self.site(name)
+        self.topology.remove_site(name)
+        del self.sites[name]
+        self.network.forget_liveness()
         return site
 
     def connect_sites(self, a: str, b: str, link: LinkSpec) -> None:
@@ -165,23 +196,22 @@ class VDCEnvironment:
         """Every host across every site."""
         return [h for s in self.sites.values() for h in s.hosts.values()]
 
-    def _host_is_up(self, host_addr: str) -> bool:
-        """Network up/down predicate.
+    def _resolve_liveness(self, host_addr: str):
+        """What the network reads to tell whether a host key is up.
 
-        ``site/server`` endpoints follow the site's server-liveness model
-        (the dedicated server flag, or — after a failover — the standby
-        host now holding the role); unknown addresses default to up.
+        A ``site/host`` key resolves to its :class:`Host`, and
+        ``site/server`` to the site's :class:`ServerRole` (the dedicated
+        server's flag, or after a failover the standby host holding the
+        role).  A key with no ``/``, or naming an unknown site or host,
+        is always up.
         """
         site_name, _, host_name = host_addr.partition("/")
-        if not host_name:
-            return True
         site = self.sites.get(site_name)
-        if site is None:
-            return True
+        if not host_name or site is None:
+            return ALWAYS_UP
         if host_name == "server":
-            return site.server_is_up()
-        host = site.hosts.get(host_name)
-        return host.up if host is not None else True
+            return site.server_role
+        return site.hosts.get(host_name, ALWAYS_UP)
 
     # -- convenience ---------------------------------------------------------
     @property

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.util.errors import ConfigurationError
-from repro.util.stats import confidence_interval
+from repro.util.stats import half_width
 
 POLICIES = ("always", "ci", "threshold")
 
@@ -47,20 +47,20 @@ class ChangeFilter:
 
     def observe(self, host: str, value: float) -> bool:
         """Record a measurement; return True when it should be forwarded."""
-        history = self._history.setdefault(
-            host, deque(maxlen=self.window))
+        history = self._history.get(host)
+        if history is None:
+            history = self._history[host] = deque(maxlen=self.window)
         history.append(value)
-        if host not in self._last_sent:
+        last = self._last_sent.get(host)
+        if last is None:
             send = True  # always forward the first measurement
         elif self.policy == "always":
             send = True
         elif self.policy == "threshold":
-            send = abs(value - self._last_sent[host]) > self.threshold
+            send = abs(value - last) > self.threshold
         else:  # "ci": the paper's rule
-            ci = confidence_interval(list(history), self.confidence)
-            last = self._last_sent[host]
-            send = value > last + ci.half_width or \
-                value < last - ci.half_width
+            hw = half_width(history, self.confidence)
+            send = value > last + hw or value < last - hw
         if send:
             self._last_sent[host] = value
         return send

@@ -80,9 +80,11 @@ class GroupManager:
         self.filter = change_filter or ChangeFilter()
         self.obs = obs if obs is not None else OBS_OFF
         self.stats = GroupManagerStats()
-        #: same-tick forwarded monitor samples, shipped as one batched
-        #: WORKLOAD_UPDATE (the Site Manager applies and WALs per sample,
-        #: in order)
+        #: forwarded monitor samples waiting for the flush entry, shipped
+        #: as one WORKLOAD_UPDATE (the Site Manager applies and WALs per
+        #: sample, in order).  The flush runs before the inbox takes the
+        #: next report of the same instant, so each flush ships one
+        #: sample; see :meth:`_on_load_report`.
         self._pending_updates: list[dict] = []
         self._flush_scheduled = False
         self.address = f"{site}/{leader_host}/{self.SERVICE}"
@@ -134,15 +136,20 @@ class GroupManager:
             self._pending_updates.append(sample)
             if not self._flush_scheduled:
                 self._flush_scheduled = True
-                # the group's monitors share one period, so their
-                # reports land on the same tick; one flush entry
-                # coalesces the whole round.  Safe same-tick use:
+                # The group's monitors share one period, so their
+                # reports land on the same tick, but this entry does not
+                # coalesce them: the mailbox hands the next buffered
+                # report to the inbox's new getter through a later
+                # same-instant entry, so the flush runs first and ships
+                # this one sample.  Draining the mailbox in this resume
+                # would batch the round, and reorders the Site Manager's
+                # same-tick work (ROADMAP item 3).  Safe same-tick use:
                 # NORMAL-priority callback, append order preserved.
-                # reprolint: disable=DET003 -- same-tick coalescing flush, arrival-ordered
+                # reprolint: disable=DET003 -- same-tick flush, arrival-ordered
                 self.env.call_later(0.0, self._flush_updates)
 
     def _flush_updates(self, _arg=None) -> None:
-        """Ship the tick's forwarded samples as one batched update."""
+        """Ship the pending forwarded samples as one update."""
         self._flush_scheduled = False
         samples, self._pending_updates = self._pending_updates, []
         if not samples:

@@ -505,7 +505,7 @@ class Environment:
     """The simulation environment: clock + event queue + process factory."""
 
     __slots__ = ("_now", "_queue", "_seq", "_active_process",
-                 "failed_processes", "_hb")
+                 "failed_processes", "_hb", "_walk_clock")
 
     def __init__(self) -> None:
         self._now = 0.0
@@ -520,6 +520,10 @@ class Environment:
         #: an unhandled exception — inspect after a run to catch silent
         #: daemon crashes.
         self.failed_processes: list[tuple[float, str, Exception]] = []
+        #: The random-walk load clock (``repro.resources.loads``) that a
+        #: walk attached next may join; kept here so it lives and dies
+        #: with this simulation.
+        self._walk_clock: Any = None
 
     @property
     def now(self) -> float:

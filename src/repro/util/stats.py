@@ -9,7 +9,7 @@ schedulers summarise replicated experiment results.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 
@@ -88,23 +88,32 @@ class ConfidenceInterval:
         return self.low <= x <= self.high
 
 
-def confidence_interval(
-    xs: Sequence[float], confidence: float = 0.95
-) -> ConfidenceInterval:
-    """Student-t confidence interval for the mean of *xs*.
+def half_width(xs: Collection[float], confidence: float = 0.95) -> float:
+    """Half-width of the Student-t confidence interval for the mean of *xs*.
 
-    With a single sample the half-width is zero (no spread information),
-    matching the Group Manager's behaviour of always forwarding the first
-    measurement.
+    One sample gives zero (no spread information), matching the Group
+    Manager's behaviour of always forwarding the first measurement.
+    *xs* is read where it lies (the Group Manager passes its window
+    deque), never copied.
     """
     n = len(xs)
     if n == 0:
-        raise ValueError("confidence_interval() of empty sequence")
-    m = mean(xs)
+        raise ValueError("half_width() of empty sequence")
     if n == 1:
-        return ConfidenceInterval(m, 0.0, confidence)
-    hw = t_critical(n - 1, confidence) * stddev(xs) / math.sqrt(n)
-    return ConfidenceInterval(m, hw, confidence)
+        return 0.0
+    m = float(sum(xs)) / n
+    var = sum((x - m) ** 2 for x in xs) / (n - 1)
+    return t_critical(n - 1, confidence) * math.sqrt(var) / math.sqrt(n)
+
+
+def confidence_interval(
+    xs: Sequence[float], confidence: float = 0.95
+) -> ConfidenceInterval:
+    """Student-t confidence interval for the mean of *xs*."""
+    if len(xs) == 0:
+        raise ValueError("confidence_interval() of empty sequence")
+    return ConfidenceInterval(mean(xs), half_width(xs, confidence),
+                              confidence)
 
 
 def geometric_mean(xs: Sequence[float]) -> float:

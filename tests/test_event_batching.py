@@ -12,10 +12,12 @@ the loop of ``send`` calls it replaces.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.net import ATM_OC3, Network, Topology
-from repro.net.network import FaultAction
+from repro.net.network import ALWAYS_UP, FaultAction
 from repro.simcore import Environment
 from repro.simcore.store import Store
 from repro.util.errors import (
@@ -122,6 +124,15 @@ def make_net() -> tuple[Environment, Network]:
     topo.add_site("s2")
     topo.connect("s1", "s2", ATM_OC3)
     return env, Network(env, topo)
+
+
+#: liveness of a host a test takes down
+DOWN = SimpleNamespace(up=False)
+
+
+def down(*hosts: str):
+    """A liveness resolver reading *hosts* as down, every other key up."""
+    return lambda key: DOWN if key in hosts else ALWAYS_UP
 
 
 def drain(box) -> list:
@@ -238,7 +249,7 @@ class TestBatchSemantics:
         net.register("s1/h0/src")
         boxes = {f"s1/h{i}/svc": net.register(f"s1/h{i}/svc")
                  for i in (1, 2)}
-        net.is_up = lambda host: host != "s1/h1"
+        net.set_liveness(down("s1/h1"))
         net.send_batch("s1/h0/src", list(boxes), "ping")
         env.run()
         assert net.stats.dropped == 1
@@ -250,7 +261,7 @@ class TestBatchSemantics:
         net.register("s1/h0/src")
         box = net.register("s1/h1/svc")
         net.send_batch("s1/h0/src", ["s1/h1/svc"], "ping")
-        net.is_up = lambda host: host != "s1/h1"  # dies mid-flight
+        net.set_liveness(down("s1/h1"))  # dies mid-flight
         env.run()
         assert net.stats.dropped == 1
         assert drain(box) == []

@@ -21,6 +21,7 @@ from repro.faults import (
     SiteOutage,
 )
 from repro.net import ATM_OC3, LinkSpec, Message, Network, Topology
+from repro.net.network import ALWAYS_UP
 from repro.resources import Host, HostSpec
 from repro.runtime.data.data_manager import ChannelSpec, DataManager
 from repro.runtime.data.messaging import RetryPolicy
@@ -287,7 +288,7 @@ def make_world():
         "a/h1": Host(spec=HostSpec(name="h1"), site="a"),
         "b/h1": Host(spec=HostSpec(name="h1"), site="b"),
     }
-    net.is_up = lambda addr: hosts[addr].up if addr in hosts else True
+    net.set_liveness(lambda addr: hosts.get(addr, ALWAYS_UP))
     injector = FaultInjector(
         env, net, rng=np.random.default_rng(0),
         host_resolver=lambda addr: hosts[addr],

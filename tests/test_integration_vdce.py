@@ -1,6 +1,9 @@
 """End-to-end integration tests: the full Editor -> Scheduler -> Runtime
 pipeline over the simulated NYNET testbed."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,18 @@ def vdce():
 
 
 class TestLifecycleGuards:
+    def test_finished_simulation_is_collectable(self):
+        # no module-level state (caches, registries of clocks or
+        # environments) may keep a dropped simulation alive
+        v = nynet_testbed(seed=1, hosts_per_site=2)
+        v.start()
+        graph = linear_solver_graph(v.registry, n=20)
+        assert v.run_application(graph, "syracuse").status == "completed"
+        ref = weakref.ref(v)
+        del v
+        gc.collect()
+        assert ref() is None
+
     def test_submit_before_start_rejected(self):
         v = quiet_testbed(seed=1)
         with pytest.raises(ConfigurationError):

@@ -1,9 +1,11 @@
 """Tests for the simulated message network."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.net import ATM_OC3, Message, Network, Topology, split_address
-from repro.net.network import FaultAction
+from repro.net.network import ALWAYS_UP, FaultAction
 from repro.simcore import Environment
 from repro.util.errors import ChannelError, ConfigurationError
 
@@ -15,6 +17,15 @@ def make_net() -> tuple[Environment, Network]:
     topo.add_site("s2")
     topo.connect("s1", "s2", ATM_OC3)
     return env, Network(env, topo)
+
+
+#: liveness of a host a test takes down
+DOWN = SimpleNamespace(up=False)
+
+
+def down(*hosts: str):
+    """A liveness resolver reading *hosts* as down, every other key up."""
+    return lambda key: DOWN if key in hosts else ALWAYS_UP
 
 
 def routed_delay(net: Network, src_site: str, dst_site: str,
@@ -111,7 +122,7 @@ class TestFailureDrops:
     def test_down_host_drops_message(self):
         env, net = make_net()
         box = net.register("s2/h1")
-        net.is_up = lambda host: host != "s2/h1"
+        net.set_liveness(down("s2/h1"))
         net.send("s1/h1", "s2/h1", "ping")
         env.run()
         assert box.try_get() is None
@@ -120,7 +131,7 @@ class TestFailureDrops:
     def test_down_sender_drops_message(self):
         env, net = make_net()
         box = net.register("s2/h1")
-        net.is_up = lambda host: host != "s1/h1"
+        net.set_liveness(down("s1/h1"))
         net.send("s1/h1", "s2/h1", "ping")
         env.run()
         assert box.try_get() is None
@@ -128,12 +139,12 @@ class TestFailureDrops:
     def test_mid_flight_crash_loses_message(self):
         env, net = make_net()
         box = net.register("s2/h1")
-        up = {"s2/h1": True}
-        net.is_up = lambda host: up.get(host, True)
+        h1 = SimpleNamespace(up=True)
+        net.set_liveness(lambda key: h1 if key == "s2/h1" else ALWAYS_UP)
 
         def crash(env):
             yield env.timeout(ATM_OC3.latency_s / 2)
-            up["s2/h1"] = False
+            h1.up = False
 
         net.send("s1/h1", "s2/h1", "ping", size_bytes=0)
         env.process(crash(env))
@@ -179,7 +190,7 @@ class TestSingleDeliveryPath:
         box = net.register("s2/h1")
         net.fault_hook = lambda msg: FaultAction(duplicates=2)
         net.send("s1/h1", "s2/h1", "ping")
-        net.is_up = lambda host: host != "s2/h1"  # dies mid-flight
+        net.set_liveness(down("s2/h1"))  # dies mid-flight
         env.run()
         assert box.try_get() is None
         assert net.stats.messages == 1
@@ -277,7 +288,7 @@ class TestTrafficStats:
     def test_dropped_messages_still_accounted_as_sent(self):
         env, net = make_net()
         net.register("s2/h1")
-        net.is_up = lambda host: host != "s2/h1"
+        net.set_liveness(down("s2/h1"))
         net.send("s1/h1", "s2/h1", "a", size_bytes=10)
         assert net.stats.messages == 1
         assert net.stats.dropped == 1
@@ -330,7 +341,7 @@ class TestFaultHook:
         env, net = make_net()
         calls = []
         net.register("s2/h1")
-        net.is_up = lambda host: host != "s2/h1"
+        net.set_liveness(down("s2/h1"))
         net.fault_hook = lambda msg: calls.append(msg)
         net.send("s1/h1", "s2/h1", "ping")
         assert calls == []  # natural drop wins before injection

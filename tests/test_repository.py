@@ -478,6 +478,26 @@ SIDECAR_DEFECTS = {
     "resource-row-renamed": (
         _saved_resource_db, "resource_performance.json", None,
         _rekey("s1/h1", "s1/h9"), "row 's1/h9'"),
+    "resource-cpu-factor-string": (
+        _saved_resource_db, "resource_performance.json", None,
+        _set("rows", "s1/h1", "cpu_factor", value="fast"),
+        "row 's1/h1' field 'cpu_factor'"),
+    "resource-load-window-string": (
+        _saved_resource_db, "resource_performance.json", None,
+        _set("rows", "s1/h1", "load_window", value=[0.5, "high"]),
+        "row 's1/h1' field 'load_window'"),
+    "account-user-id-string": (
+        _saved_accounts_db, "accounts.json", None,
+        _set("rows", "alice", "user_id", value="seven"),
+        "row 'alice' field 'user_id'"),
+    "tenant-weight-bool": (
+        _saved_accounts_db, "accounts.json", "accounts_tenants.json",
+        _set("rows", "lab", "weight", value=True),
+        "row 'lab' field 'weight'"),
+    "sample-weight-string": (
+        _saved_task_db, "task_performance.json", None,
+        _set("rows", "history", "lu", 0, "observed_weight", value="x"),
+        "row 'lu[0]' field 'observed_weight'"),
 }
 
 
