@@ -264,8 +264,6 @@ class VDCE:
                     period_s=self.monitor_period_s, obs=self.obs)
                 dm = DataManager(self.env, self.network, host,
                                  byte_orders=self._byte_orders,
-                                 retry_rng=self.world.rng.stream(
-                                     "retry-jitter"),
                                  obs=self.obs)
                 self.data_managers[host.address] = dm
                 self.app_controllers[host.address] = ApplicationController(
@@ -697,9 +695,10 @@ class VDCE:
         :data:`LEAVE_POLL_PERIOD_S` until no active run involves the
         site (as coordinator or executor).  On drain timeout its
         remaining tasks are force-re-queued elsewhere.
-        Finally every daemon is stopped and the site removed from the
-        world and topology.  Drive the returned process with
-        :meth:`run` (or wait on it from another process).
+        Finally every process of the site is stopped, as :meth:`stop`
+        stops it, and the site is removed from the facade, the failover
+        coordinator, the world and the topology.  Drive the returned
+        process with :meth:`run` (or wait on it from another process).
         """
         if self.federation is None:
             raise ConfigurationError(
@@ -718,9 +717,19 @@ class VDCE:
                         self.site_managers[other].waive_site_acks(name)
                 self._requeue_site_tasks(name)
                 yield self.env.timeout(LEAVE_POLL_PERIOD_S)
-            daemon.stop()
+            self._stop_site(name)
             self.federation.remove(name)
-            self._stop_site_daemons(name)
+            prefix = f"{name}/"
+            for mapping in (self.monitors, self.data_managers,
+                            self.app_controllers):
+                for addr in [a for a in mapping if a.startswith(prefix)]:
+                    del mapping[addr]
+            for key in [k for k in self.group_managers if k[0] == name]:
+                del self.group_managers[key]
+            self.load_models[:] = [m for m in self.load_models
+                                   if m.host.site != name]
+            if self.recovery is not None:
+                self.recovery.sites.pop(name, None)
             del self.site_managers[name]
             del self.selectors[name]
             del self.repositories[name]
@@ -767,19 +776,32 @@ class VDCE:
                 if site is None or entry.site == site:
                     yield run, entry
 
-    def _stop_site_daemons(self, site_name: str) -> None:
-        """Stop and drop every daemon of one site (site_leave teardown)."""
-        prefix = f"{site_name}/"
+    def _stop_site(self, name: str) -> None:
+        """Stop every process of site *name* (:meth:`stop` and
+        :meth:`site_leave` share it): its Monitors, Data Managers,
+        Application Controllers, Group Managers and Site Manager, its
+        membership daemon, its hosts' load models, and, when failover
+        protects it, its server heartbeat and standbys."""
+        prefix = f"{name}/"
         for mapping in (self.monitors, self.data_managers,
                         self.app_controllers):
             for addr in sorted(a for a in mapping if a.startswith(prefix)):
-                mapping.pop(addr).stop()
-        for key in sorted(k for k in self.group_managers
-                          if k[0] == site_name):
-            self.group_managers.pop(key).stop()
-        sm = self.site_managers.get(site_name)
+                mapping[addr].stop()
+        for key in sorted(k for k in self.group_managers if k[0] == name):
+            self.group_managers[key].stop()
+        sm = self.site_managers.get(name)
         if sm is not None:
             sm.stop()
+        if self.federation is not None and name in self.federation.daemons:
+            self.federation.daemons[name].stop()
+        if self.recovery is not None and name in self.recovery.sites:
+            protected = self.recovery.sites[name]
+            protected.heartbeat.stop()
+            for replica in protected.replicas:
+                replica.stop()
+        for model in self.load_models:
+            if model.host.site == name:
+                model.stop()
 
     # -- fault injection ---------------------------------------------------------
     def apply_fault_plan(self, plan: FaultPlan) -> FaultInjector:
@@ -815,18 +837,5 @@ class VDCE:
         VDCE instance is embedded in a longer-lived simulation and must
         release its periodic processes.
         """
-        for collection in (self.monitors, self.data_managers,
-                           self.app_controllers):
-            for daemon in collection.values():
-                daemon.stop()
-        for gm in self.group_managers.values():
-            gm.stop()
-        for sm in self.site_managers.values():
-            sm.stop()
-        if self.recovery is not None:
-            self.recovery.stop()
-        if self.federation is not None:
-            for daemon in self.federation.daemons.values():
-                daemon.stop()
-        for model in self.load_models:
-            model.stop()
+        for name in sorted(self.world.sites):
+            self._stop_site(name)

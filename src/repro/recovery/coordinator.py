@@ -39,7 +39,11 @@ from repro.net import SERVER_PROMOTED
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.obs import OBS_OFF, Observability
-from repro.recovery.failover import HeartbeatTracker, ServerHeartbeatDaemon
+from repro.recovery.failover import (
+    HEARTBEAT_PERIOD_S,
+    HeartbeatTracker,
+    ServerHeartbeatDaemon,
+)
 from repro.recovery.replication import ReplicationShipper, StandbyReplica
 from repro.recovery.wal import replay_executions
 from repro.resources.site import Site
@@ -47,8 +51,6 @@ from repro.runtime.control.site_manager import ExecutionState, SiteManager
 from repro.simcore.engine import Environment
 from repro.util.errors import ConfigurationError
 
-#: how often a protected site's server beats to its standbys
-HEARTBEAT_PERIOD_S = 2.0
 #: missed beats before a standby suspects the server
 MISS_LIMIT = 3
 #: extra silence each lower-ranked standby waits before promoting
@@ -114,8 +116,7 @@ class RecoveryCoordinator:
                                      standby_addrs)
         sm.replication = shipper
         heartbeat = ServerHeartbeatDaemon(
-            self.env, self.network, site, standby_addrs,
-            period_s=HEARTBEAT_PERIOD_S)
+            self.env, self.network, site, standby_addrs)
         state = SiteFailoverState(
             site=site, sm=sm, shipper=shipper, heartbeat=heartbeat,
             replicas=replicas, monitors=monitors)
@@ -194,8 +195,7 @@ class RecoveryCoordinator:
             [r.address for r in survivors],
             start_lsn=replica.last_lsn())
         heartbeat = ServerHeartbeatDaemon(
-            self.env, self.network, site, [r.address for r in survivors],
-            period_s=HEARTBEAT_PERIOD_S)
+            self.env, self.network, site, [r.address for r in survivors])
         # 5. reconstruct execution state from the shipped log
         rebuilt = self._reconstruct(new_sm, old_sm, replica)
         state.sm = new_sm
@@ -256,12 +256,11 @@ class RecoveryCoordinator:
             # waive acks of hosts the replica already knows are down
             # (their Group Manager will not re-report an old failure)
             if not state.started:
-                for host in sorted(state.expected_acks
-                                   - state.received_acks):
-                    if host in resource_perf and \
-                            resource_perf.get(host).status == "down":
-                        state.expected_acks.discard(host)
-                        state.controllers.discard(f"{host}/appctl")
+                state.waive(
+                    host for host in sorted(state.expected_acks
+                                            - state.received_acks)
+                    if host in resource_perf
+                    and resource_perf.get(host).status == "down")
             # re-push every portion; the Application Controllers dedup
             # by (execution, node), so completed or running tasks are
             # not re-executed and lost pushes are healed
@@ -299,11 +298,3 @@ class RecoveryCoordinator:
             shipper.log("start", {"execution_id": state.execution_id})
         for node_id in sorted(state.completed_tasks):
             shipper.log("task-completed", state.completed_tasks[node_id])
-
-    # -- teardown -----------------------------------------------------------
-    def stop(self) -> None:
-        """Terminate heartbeats and standby daemons (simulation teardown)."""
-        for state in self.sites.values():
-            state.heartbeat.stop()
-            for replica in state.replicas:
-                replica.stop()

@@ -30,36 +30,33 @@ from repro.util.errors import ConfigurationError
 
 #: service suffix of the heartbeat source endpoint on the server machine
 HEARTBEAT_SERVICE = "heartbeat"
+#: how often a protected site's server beats to its standbys
+HEARTBEAT_PERIOD_S = 2.0
 
 
 class ServerHeartbeatDaemon:
     """Periodic I-am-alive beat from the active server to its standbys."""
 
     def __init__(self, env: Environment, network: Network, site: Site,
-                 standby_addrs: list[str], period_s: float = 2.0) -> None:
-        if period_s <= 0:
-            raise ConfigurationError("heartbeat period must be positive")
+                 standby_addrs: list[str]) -> None:
         self.env = env
         self.network = network
         self.site = site
         self.standby_addrs = sorted(standby_addrs)
-        self.period_s = period_s
         self.address = f"{site.name}/server/{HEARTBEAT_SERVICE}"
-        self.beats_sent = 0
         self._proc = env.process(self._beat_loop(),
                                  name=f"hb:{self.address}")
 
     def _beat_loop(self):
         seq = 0
         while True:
-            yield self.env.timeout(self.period_s)
+            yield self.env.timeout(HEARTBEAT_PERIOD_S)
             seq += 1
             # a down server's sends are dropped by the network layer;
             # keeping the loop alive models the machine, not the role
             self.network.send_batch(
                 self.address, self.standby_addrs, SERVER_HEARTBEAT,
                 payload={"site": self.site.name, "seq": seq}, size_bytes=32)
-            self.beats_sent += 1
 
     def stop(self) -> None:
         """Terminate the beat process (teardown or role hand-off)."""

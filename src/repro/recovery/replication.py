@@ -13,9 +13,10 @@ tolerate.
 The :class:`StandbyReplica` daemon runs on a standby *host* (so it dies
 with the host, like any other daemon).  It applies repository-kind
 records eagerly to its own :class:`SiteRepository` copy (seeded from a
-snapshot when failover was enabled), buffers execution-kind records for
-replay at promotion, and tracks the server heartbeat for the failure
-detector in :mod:`repro.recovery.failover`.
+snapshot when failover was enabled) through
+:meth:`SiteRepository.apply`, the server's own write path, buffers
+execution-kind records for replay at promotion, and tracks the server
+heartbeat for the failure detector in :mod:`repro.recovery.failover`.
 """
 
 from __future__ import annotations
@@ -106,50 +107,48 @@ class StandbyReplica:
                 self.last_heartbeat = self.env.now
 
     def _on_wal_append(self, payload: dict[str, Any]) -> None:
-        record = WalRecord(lsn=payload["lsn"], t=payload["t"],
-                           kind=payload["kind"], payload=payload["data"])
-        known = record.lsn in self.records
+        self._install(WalRecord(lsn=payload["lsn"], t=payload["t"],
+                                kind=payload["kind"],
+                                payload=payload["data"]))
+
+    def _install(self, record: WalRecord) -> bool:
+        """Hold *record* at its LSN and apply it unless that LSN was
+        already held (a duplicate from a message fault or a state
+        transfer is applied once); True when it was new.
+
+        The newest copy is the one held: a promoted server's shipper
+        starts after the promoting replica's last LSN, so it can reuse an
+        LSN this replica got from the old server, and the log a second
+        failover replays must be the new server's.
+        """
+        new = record.lsn not in self.records
         self.records[record.lsn] = record
-        if not known:
+        if new:
             self.apply_record(record)
+        return new
 
     # -- eager application --------------------------------------------------
     def apply_record(self, record: WalRecord) -> None:
         """Roll the replica repository forward by one record.
 
-        Execution-kind records only buffer (they are replayed at
-        promotion); repository-kind records and the task-performance
-        half of ``task-completed`` mutate the replica's databases so a
-        promoted server schedules from fresh data.
+        :meth:`SiteRepository.apply` gives each record its repository
+        effect, as at the live server; the execution-state records only
+        buffer (they are replayed at promotion).  A ``task-completed``
+        record's task-performance effect is applied once per
+        ``(execution_id, node_id)``, so a re-logged completion after a
+        promotion is not counted twice.
         """
         if hooks.HB is not None:
             hooks.HB.write(self.site.name, f"replica:{self.host.address}",
                            record.kind)
         payload = record.payload
-        rp = self.repository.resource_performance
-        if record.kind == "workload-update":
-            if payload["host"] in rp:
-                rp.update_dynamic(
-                    payload["host"], cpu_load=payload["cpu_load"],
-                    available_memory_mb=payload["available_memory_mb"],
-                    time=payload["time"])
-        elif record.kind == "host-down":
-            if payload["host"] in rp:
-                rp.mark_down(payload["host"], payload["time"])
-        elif record.kind == "host-up":
-            if payload["host"] in rp:
-                rp.mark_up(payload["host"], payload["time"])
-        elif record.kind == "task-completed":
-            key = (payload["execution_id"], payload["node_id"])
-            tp = self.repository.task_performance
-            if key not in self._perf_applied and payload["task_name"] in tp:
-                self._perf_applied.add(key)
-                tp.record_execution(
-                    payload["task_name"], payload["host"],
-                    input_size=payload["input_size"],
-                    elapsed_s=payload["elapsed_s"], time=record.t,
-                    dedicated_elapsed_s=payload.get("dedicated_elapsed_s"),
-                    base_time_at_size_s=payload.get("base_time_at_size_s"))
+        if record.kind != "task-completed":
+            self.repository.apply(record.kind, payload, record.t)
+            return
+        key = (payload["execution_id"], payload["node_id"])
+        if key not in self._perf_applied and \
+                self.repository.apply(record.kind, payload, record.t):
+            self._perf_applied.add(key)
 
     # -- promotion-time views ------------------------------------------------
     def ordered_records(self) -> list[WalRecord]:
@@ -168,14 +167,8 @@ class StandbyReplica:
         missing record is applied exactly as if it had been shipped.
         Returns how many records were new.
         """
-        added = 0
-        for record in sorted(records, key=lambda r: r.lsn):
-            if record.lsn in self.records:
-                continue
-            self.records[record.lsn] = record
-            self.apply_record(record)
-            added += 1
-        return added
+        return sum(self._install(record)
+                   for record in sorted(records, key=lambda r: r.lsn))
 
     def stop(self) -> None:
         """Terminate the replica's inbox process (teardown/promotion)."""

@@ -10,6 +10,7 @@ the Site Manager (Figure 2).
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Any
 
 from repro.repository.delta import DeltaTracker
 from repro.repository.resource_perf import ResourcePerformanceDB
@@ -41,6 +42,41 @@ class SiteRepository:
         self.resource_performance.subscribe(self.delta.record)
         self.task_performance.subscribe(self.delta.record)
         self.task_constraints.subscribe(self.delta.record)
+
+    # -- logged mutations ------------------------------------------------
+    def apply(self, kind: str, payload: dict[str, Any], t: float) -> bool:
+        """Apply one logged mutation's effect; True when it changed this
+        repository.
+
+        The one definition of what a ``workload-update``, ``host-down``
+        or ``host-up`` record, or the task-performance half of a
+        ``task-completed`` record (stamped *t*), does to a repository:
+        the Site Manager applies each mutation it logs through here, and
+        a standby each shipped record.  Every other kind, and a record
+        naming a host or task this repository does not hold, changes
+        nothing.
+        """
+        rp = self.resource_performance
+        tp = self.task_performance
+        if kind == "workload-update" and payload["host"] in rp:
+            rp.update_dynamic(
+                payload["host"], cpu_load=payload["cpu_load"],
+                available_memory_mb=payload["available_memory_mb"],
+                time=payload["time"])
+        elif kind == "host-down" and payload["host"] in rp:
+            rp.mark_down(payload["host"], payload["time"])
+        elif kind == "host-up" and payload["host"] in rp:
+            rp.mark_up(payload["host"], payload["time"])
+        elif kind == "task-completed" and payload["task_name"] in tp:
+            tp.record_execution(
+                payload["task_name"], payload["host"],
+                input_size=payload["input_size"],
+                elapsed_s=payload["elapsed_s"], time=t,
+                dedicated_elapsed_s=payload.get("dedicated_elapsed_s"),
+                base_time_at_size_s=payload.get("base_time_at_size_s"))
+        else:
+            return False
+        return True
 
     # -- persistence -----------------------------------------------------
     _FILES = {

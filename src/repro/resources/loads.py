@@ -106,21 +106,19 @@ class WalkClock:
     at the first walk's place does the same draws in the same order, and
     every other queue entry keeps its order.  A walk attached later, or
     after anything else was scheduled, starts a new clock.  A walk stopped
-    before its clock starts still draws its first load there, as its own
-    process would have; a clock whose walks have all stopped ends at its
-    next tick, so a drain still ends.
+    before its clock starts never draws, as its own process, interrupted
+    before its first step, would never have run; a clock whose walks have
+    all stopped ends at its next tick, so a drain still ends.
 
     The environment holds the clock a next walk may join
     (``Environment._walk_clock``).
     """
 
-    __slots__ = ("env", "batch", "walks", "process", "_seq")
+    __slots__ = ("env", "walks", "process", "_seq")
 
     def __init__(self, env: Environment, first: RandomWalkLoad) -> None:
         self.env = env
-        #: every walk attached, in attach order (drawn once, at the start)
-        self.batch: list[RandomWalkLoad] = []
-        #: the walks still stepping
+        #: the walks still stepping, in attach order
         self.walks: list[RandomWalkLoad] = []
         self.process = env.process(self._run(),
                                    name=f"load:{first.host.address}")
@@ -141,15 +139,13 @@ class WalkClock:
             clock = env._walk_clock = WalkClock(env, walk)
             seq = next(env._seq)
         clock._seq = seq
-        clock.batch.append(walk)
         clock.walks.append(walk)
         return clock
 
     def _run(self):
-        for walk in self.batch:
-            walk._begin()
-        self.batch = []
         walks = self.walks
+        for walk in walks:
+            walk._begin()
         while walks:
             yield self.env.timeout(WALK_INTERVAL_S)
             for walk in walks:

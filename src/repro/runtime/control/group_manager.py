@@ -80,13 +80,6 @@ class GroupManager:
         self.filter = change_filter or ChangeFilter()
         self.obs = obs if obs is not None else OBS_OFF
         self.stats = GroupManagerStats()
-        #: forwarded monitor samples waiting for the flush entry, shipped
-        #: as one WORKLOAD_UPDATE (the Site Manager applies and WALs per
-        #: sample, in order).  The flush runs before the inbox takes the
-        #: next report of the same instant, so each flush ships one
-        #: sample; see :meth:`_on_load_report`.
-        self._pending_updates: list[dict] = []
-        self._flush_scheduled = False
         self.address = f"{site}/{leader_host}/{self.SERVICE}"
         self.mailbox = network.register(self.address)
         self._echo_seq = 0
@@ -133,35 +126,17 @@ class GroupManager:
                     outcome="forwarded" if forwarded else "suppressed")
         if forwarded:
             self.stats.updates_forwarded += 1
-            self._pending_updates.append(sample)
-            if not self._flush_scheduled:
-                self._flush_scheduled = True
-                # The group's monitors share one period, so their
-                # reports land on the same tick, but this entry does not
-                # coalesce them: the mailbox hands the next buffered
-                # report to the inbox's new getter through a later
-                # same-instant entry, so the flush runs first and ships
-                # this one sample.  Draining the mailbox in this resume
-                # would batch the round, and reorders the Site Manager's
-                # same-tick work (ROADMAP item 3).  Safe same-tick use:
-                # NORMAL-priority callback, append order preserved.
-                # reprolint: disable=DET003 -- same-tick flush, arrival-ordered
-                self.env.call_later(0.0, self._flush_updates)
+            # Relayed from its own entry, not from this resume: sending
+            # here reorders the Site Manager's same-tick work (ROADMAP
+            # item 3).  Safe same-tick use: NORMAL-priority callback,
+            # one per sample, in arrival order.
+            # reprolint: disable=DET003 -- same-tick relay, arrival-ordered
+            self.env.call_later(0.0, self._relay, sample)
 
-    def _flush_updates(self, _arg=None) -> None:
-        """Ship the pending forwarded samples as one update."""
-        self._flush_scheduled = False
-        samples, self._pending_updates = self._pending_updates, []
-        if not samples:
-            return
+    def _relay(self, sample: dict) -> None:
+        """Forward one significant sample to the Site Manager."""
         self.network.send(self.address, self.site_manager_addr,
-                          WORKLOAD_UPDATE, payload={"samples": samples},
-                          size_bytes=64.0 * len(samples))
-        if self.obs.enabled:
-            self.obs.metrics.counter(
-                "gm_update_batches_total",
-                help="coalesced workload-update batches shipped").inc(
-                    group=self.group)
+                          WORKLOAD_UPDATE, payload=sample, size_bytes=64.0)
 
     # -- echo / failure detection -----------------------------------------
     def _echo_loop(self):

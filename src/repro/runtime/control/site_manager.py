@@ -25,7 +25,7 @@ Concretely it:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.afg.graph import ApplicationFlowGraph
 from repro.analysis import hooks
@@ -87,6 +87,14 @@ class ExecutionState:
     completed_tasks: dict[str, dict] = field(default_factory=dict)
     finished: Event | None = None
     total_tasks: int = 0
+
+    def waive(self, hosts: Iterable[str]) -> None:
+        """Stop waiting on *hosts*: drop their channel acks, expected or
+        received, and their controllers from the start signal."""
+        for host in hosts:
+            self.expected_acks.discard(host)
+            self.received_acks.discard(host)
+            self.controllers.discard(f"{host}/appctl")
 
 
 class SiteManager:
@@ -168,30 +176,27 @@ class SiteManager:
 
     # -- repository updates -----------------------------------------------
     def _on_workload_update(self, msg) -> None:
-        # A Group Manager ships one tick's forwarded samples as
-        # {"samples": [...]}; each is applied (and WAL-logged) in
-        # arrival order.
-        for sample in msg.payload["samples"]:
-            self._log("workload-update", dict(sample))
-            self.repository.resource_performance.update_dynamic(
-                sample["host"], cpu_load=sample["cpu_load"],
-                available_memory_mb=sample["available_memory_mb"],
-                time=sample["time"])
-            self.updates_applied += 1
-            if self.obs.enabled:
-                self.obs.trace.record(
-                    self.env.now, "sm:db-update", self.address,
-                    host=sample["host"], load=sample["cpu_load"])
-                self.obs.metrics.counter(
-                    "sm_db_updates_total",
-                    help="repository workload updates applied").inc(
-                        site=self.site.name)
+        # one forwarded monitor sample, relayed by a Group Manager
+        sample = msg.payload
+        self._log("workload-update", dict(sample))
+        if not self.repository.apply("workload-update", sample,
+                                     self.env.now):
+            return
+        self.updates_applied += 1
+        if self.obs.enabled:
+            self.obs.trace.record(
+                self.env.now, "sm:db-update", self.address,
+                host=sample["host"], load=sample["cpu_load"])
+            self.obs.metrics.counter(
+                "sm_db_updates_total",
+                help="repository workload updates applied").inc(
+                    site=self.site.name)
 
     def _on_host_down(self, msg) -> None:
         host = msg.payload["host"]
-        self._log("host-down", {"host": host, "time": self.env.now})
-        if host in self.repository.resource_performance:
-            self.repository.resource_performance.mark_down(host, self.env.now)
+        change = {"host": host, "time": self.env.now}
+        self._log("host-down", change)
+        self.repository.apply("host-down", change, self.env.now)
         if self.obs.enabled:
             self.obs.trace.record(self.env.now, "sm:host-down", self.address,
                                   host=host)
@@ -207,9 +212,7 @@ class SiteManager:
                 continue
             if hooks.HB is not None:
                 self._hb_exec(f"ack-waive:{state.execution_id}")
-            state.expected_acks.discard(host)
-            state.received_acks.discard(host)
-            state.controllers.discard(f"{host}/appctl")
+            state.waive((host,))
             if self.obs.enabled:
                 self.obs.trace.record(
                     self.env.now, "sm:ack-waived", self.address,
@@ -236,10 +239,7 @@ class SiteManager:
                 continue
             if hooks.HB is not None:
                 self._hb_exec(f"ack-waive:{state.execution_id}")
-            for host in stale:
-                state.expected_acks.discard(host)
-                state.received_acks.discard(host)
-                state.controllers.discard(f"{host}/appctl")
+            state.waive(stale)
             if self.obs.enabled:
                 self.obs.trace.record(
                     self.env.now, "sm:site-acks-waived", self.address,
@@ -249,9 +249,9 @@ class SiteManager:
 
     def _on_host_up(self, msg) -> None:
         host = msg.payload["host"]
-        self._log("host-up", {"host": host, "time": self.env.now})
-        if host in self.repository.resource_performance:
-            self.repository.resource_performance.mark_up(host, self.env.now)
+        change = {"host": host, "time": self.env.now}
+        self._log("host-up", change)
+        self.repository.apply("host-up", change, self.env.now)
         if self.obs.enabled:
             self.obs.trace.record(self.env.now, "sm:host-up", self.address,
                                   host=host)
@@ -512,9 +512,7 @@ class SiteManager:
         state.started = True
         state.start_signal_time = self.env.now
         self._log("start", {"execution_id": state.execution_id})
-        self.network.send_batch(
-            self.address, sorted(state.controllers), START_SIGNAL,
-            payload={"execution_id": state.execution_id}, size_bytes=32)
+        self._send_start(state)
         if self.obs.enabled:
             self.obs.trace.record(self.env.now, "sm:start-signal",
                                   self.address, execution=state.execution_id)
@@ -544,14 +542,7 @@ class SiteManager:
                     site=self.site.name)
         # Paper: newly measured execution times go into the task-
         # performance database after the application completes.
-        tp = self.repository.task_performance
-        if payload["task_name"] in tp:
-            tp.record_execution(
-                payload["task_name"], payload["host"],
-                input_size=payload["input_size"],
-                elapsed_s=payload["elapsed_s"], time=self.env.now,
-                dedicated_elapsed_s=payload.get("dedicated_elapsed_s"),
-                base_time_at_size_s=payload.get("base_time_at_size_s"))
+        self.repository.apply("task-completed", payload, self.env.now)
         if len(state.completed_tasks) >= state.total_tasks and \
                 state.finished is not None and not state.finished.triggered:
             self._log("exec-finished",
@@ -570,12 +561,16 @@ class SiteManager:
         start event stays triggered), while re-pushed controllers need
         one to run tasks the log shows as not yet completed.
         """
-        self.network.send_batch(
-            self.address, sorted(state.controllers), START_SIGNAL,
-            payload={"execution_id": state.execution_id}, size_bytes=32)
+        self._send_start(state)
         if self.obs.enabled:
             self.obs.trace.record(self.env.now, "sm:start-resent",
                                   self.address, execution=state.execution_id)
+
+    def _send_start(self, state: ExecutionState) -> None:
+        """Send *state*'s start signal to each of its controllers."""
+        self.network.send_batch(
+            self.address, sorted(state.controllers), START_SIGNAL,
+            payload={"execution_id": state.execution_id}, size_bytes=32)
 
     def execution_state(self, execution_id: str) -> ExecutionState:
         """Bookkeeping for one distributed execution (acks, completions)."""

@@ -77,16 +77,11 @@ class DataManager:
     def __init__(self, env: Environment, network: Network, host: Host,
                  byte_orders: dict[str, str] | None = None,
                  retry_policy: RetryPolicy | None = None,
-                 retry_rng=None,
                  obs: Observability | None = None) -> None:
         self.env = env
         self.network = network
         self.host = host
         self.retry_policy = retry_policy or RetryPolicy()
-        #: seeded generator for retry-timeout jitter (the facade wires
-        #: the shared named stream ``rng.stream("retry-jitter")``); None
-        #: keeps the plain deterministic backoff ladder
-        self.retry_rng = retry_rng
         self.obs = obs if obs is not None else OBS_OFF
         self.address = f"{host.address}/{self.SERVICE}"
         self.mailbox = network.register(self.address)
@@ -162,8 +157,7 @@ class DataManager:
                 payload={"spec": spec, "reply_to": self.address},
                 size_bytes=96)
             index, _ = yield self.env.any_of(
-                [ack, self.env.timeout(
-                    policy.timeout_for(attempt, rng=self.retry_rng))])
+                [ack, self.env.timeout(policy.timeout_for(attempt))])
             if index == 0:
                 return True
             if attempt < policy.max_attempts:

@@ -32,7 +32,7 @@ _KIND_JSON = 2
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Per-message timeout with bounded exponential backoff and jitter.
+    """Per-message timeout with bounded exponential backoff.
 
     Attempt *n* (1-based) waits ``min(timeout_s * backoff_factor**(n-1),
     max_timeout_s)`` for an answer before resending; after
@@ -40,21 +40,12 @@ class RetryPolicy:
     defaults give a ~15 s total budget (1 + 2 + 4 + 8), sized so a
     handshake can ride out the short link partitions chaos plans inject
     (see ``docs/faults.md``).
-
-    *jitter* desynchronises retry storms: when non-zero, each timeout is
-    stretched by up to ``jitter`` of its capped value, with the draw
-    taken from the generator passed to :meth:`timeout_for` — the VDCE
-    facade wires the named ``rng.stream("retry-jitter")`` stream, so two
-    same-seed runs produce identical retry timings (the determinism
-    contract; a regression test asserts it).  With ``jitter=0`` (the
-    default) or no generator the ladder is the plain deterministic one.
     """
 
     timeout_s: float = 1.0
     max_attempts: int = 4
     backoff_factor: float = 2.0
     max_timeout_s: float = 30.0
-    jitter: float = 0.0
 
     def __post_init__(self) -> None:
         if self.timeout_s <= 0:
@@ -70,27 +61,16 @@ class RetryPolicy:
             raise ConfigurationError(
                 "max_timeout_s must be >= timeout_s "
                 f"({self.max_timeout_s} < {self.timeout_s})")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ConfigurationError(
-                f"jitter must be in [0, 1), got {self.jitter}")
 
-    def timeout_for(self, attempt: int, rng: Any = None) -> float:
-        """Wait budget for the *attempt*-th send (1-based).
-
-        With a *rng* (``numpy.random.Generator``) and a non-zero
-        ``jitter``, the capped backoff is stretched by a seeded draw in
-        ``[0, jitter)`` of its value.
-        """
+    def timeout_for(self, attempt: int) -> float:
+        """Wait budget for the *attempt*-th send (1-based)."""
         if attempt < 1:
             raise ConfigurationError(f"attempt is 1-based, got {attempt}")
-        base = min(self.timeout_s * self.backoff_factor ** (attempt - 1),
+        return min(self.timeout_s * self.backoff_factor ** (attempt - 1),
                    self.max_timeout_s)
-        if self.jitter and rng is not None:
-            base += base * self.jitter * float(rng.random())
-        return base
 
     def schedule(self) -> list[float]:
-        """The jitter-free timeout ladder, one entry per attempt."""
+        """The timeout ladder, one entry per attempt."""
         return [self.timeout_for(n) for n in
                 range(1, self.max_attempts + 1)]
 

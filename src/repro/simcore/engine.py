@@ -287,16 +287,18 @@ class Process(Event):
         super().__init__(env)
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        self._target: Event | _Resume | None = None
         # Per-resume allocations cached once: the generator's send/throw
         # and this process's own resume callback (a fresh bound method
         # per yield would be the kernel's largest remaining allocation).
         self._send = gen.send
         self._throw = gen.throw
         self._resume_cb = self._resume
-        # Bootstrap: resume the generator as soon as the env runs.
-        heappush(env._queue, (env._now, URGENT, next(env._seq),
-                              _Resume(self, _INIT)))
+        # Bootstrap: resume the generator as soon as the env runs.  It is
+        # the first pending resume, so an interrupt before it runs
+        # cancels it and the body never starts.
+        boot = _Resume(self, _INIT)
+        self._target: Event | _Resume | None = boot
+        heappush(env._queue, (env._now, URGENT, next(env._seq), boot))
         hb = env._hb
         if hb is not None:
             hb.on_spawn(self)

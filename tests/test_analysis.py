@@ -10,12 +10,14 @@ job pins, and the ``repro analyze`` CLI surface.
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
 
 from repro.analysis import AnalysisSession, AnalyzeConfig, run_analysis
 from repro.analysis import hooks
+from repro.analysis.hb import HBRecorder
 from repro.analysis.runner import (
     Suppression,
     apply_suppressions,
@@ -201,11 +203,32 @@ class TestSessionLifecycle:
             with pytest.raises(RuntimeError):
                 AnalysisSession(env2).attach()
 
-    def test_detach_restores_plain_dispatch(self):
+    def test_detach_restores_plain_dispatch(self, monkeypatch):
         env = Environment()
         with AnalysisSession(env):
             assert env._hb is not None
             assert hooks.HB is not None
+        # after detach a ping-pong run makes no recorder call at all
+        calls: list[str] = []
+        for name, method in list(vars(HBRecorder).items()):
+            if name.startswith("__") or not inspect.isfunction(method):
+                continue
+
+            def counted(*args, _name=name, _method=method, **kwargs):
+                calls.append(_name)
+                return _method(*args, **kwargs)
+
+            monkeypatch.setattr(HBRecorder, name, counted)
+
+        def ponger(env):
+            for _ in range(100):
+                yield env.timeout(1.0)
+
+        for _ in range(10):
+            env.process(ponger(env))
+        env.run()
+        assert env.now == 100.0
+        assert calls == []
         assert env._hb is None
         assert hooks.HB is None
 

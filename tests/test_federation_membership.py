@@ -14,6 +14,7 @@ import pytest
 
 from repro.faults import FaultPlan, LinkDown
 from repro.federation.membership import HEARTBEAT_PERIOD_S, SUSPECT_AFTER_S
+from repro.net import SERVER_HEARTBEAT
 from repro.net.topology import T1_WAN
 from repro.resources.host import HostSpec
 from repro.util.errors import ConfigurationError
@@ -175,6 +176,28 @@ class TestElasticOperations:
         assert run.status == "completed"
         assert len(run.completions) == len(graph)
         assert "rome" not in vdce.world.sites
+        assert vdce.env.failed_processes == []
+
+    def test_leave_stops_every_process_of_the_leaver(self):
+        vdce = wide_area_testbed(n_sites=3, hosts_per_site=4, seed=3)
+        vdce.start()
+        vdce.enable_membership()
+        vdce.enable_failover("site2", ["h1", "h2"])
+        vdce.warm_up(20.0)
+        hosts = list(vdce.world.site("site2").hosts.values())
+        replicas = list(vdce.recovery.sites["site2"].replicas)
+        proc = vdce.site_leave("site2")
+        vdce.run(until=proc)
+        loads = [host.true_load for host in hosts]
+        beats = vdce.network.stats.by_kind[SERVER_HEARTBEAT]
+        vdce.run(until=vdce.now + 20.0)
+        # the departed hosts' walks stopped with their site
+        assert [host.true_load for host in hosts] == loads
+        assert all(m.host.site != "site2" for m in vdce.load_models)
+        # and so did its server heartbeat and its standbys
+        assert vdce.network.stats.by_kind[SERVER_HEARTBEAT] == beats
+        assert not any(r.active for r in replicas)
+        assert "site2" not in vdce.recovery.sites
         assert vdce.env.failed_processes == []
 
 

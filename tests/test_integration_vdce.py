@@ -314,3 +314,12 @@ class TestFacadeTeardown:
         # with every daemon stopped the queue drains without a horizon
         v.env.run()
         assert v.env.peek() == float("inf")
+
+    def test_stop_before_the_first_step_ends_every_process_cleanly(self):
+        # every daemon is stopped before its process ran once
+        v = quiet_testbed(seed=1)
+        v.start()
+        v.stop()
+        v.env.run()
+        assert v.env.failed_processes == []
+        assert v.env.peek() == float("inf")

@@ -4,8 +4,8 @@ Chaos-grade end-to-end failover runs live in
 ``tests/chaos/test_server_failover.py``; this module covers the units —
 the WAL and its replay fold, the rank-staggered failure detector, the
 standby replica's record application, ``ServerCrash`` plan plumbing,
-retry jitter determinism, monotone allocation versions, and a fast
-in-process flapping scenario for the rescheduling pipeline.
+monotone allocation versions, and a fast in-process flapping scenario
+for the rescheduling pipeline.
 """
 
 import json
@@ -26,7 +26,6 @@ from repro.recovery import (
     replay_executions,
 )
 from repro.runtime.control.site_manager import SELECTION_TIMEOUT_S
-from repro.runtime.data.messaging import RetryPolicy
 from repro.scheduling.allocation import AllocationEntry, ResourceAllocationTable
 from repro.util.errors import ConfigurationError, NoFeasibleHostError
 from repro.util.rng import RngRegistry
@@ -34,6 +33,7 @@ from repro.workloads import (
     linear_solver_graph,
     nynet_testbed,
     quiet_testbed,
+    random_layered_graph,
     wide_area_testbed,
 )
 
@@ -132,6 +132,71 @@ class TestReplayExecutions:
         records = [WalRecord(1, 0.0, "host-down",
                              {"host": "s/h0", "time": 0.0})]
         assert replay_executions(records) == {}
+
+
+# ---------------------------------------------------------------------------
+# Standby roll-forward
+# ---------------------------------------------------------------------------
+
+def _dynamic_records(repo):
+    return [(rec.address, rec.cpu_load, rec.available_memory_mb,
+             rec.status, rec.last_update, tuple(rec.load_window),
+             tuple(rec.load_window_times))
+            for rec in repo.resource_performance.all_records()]
+
+
+def _task_performance(repo):
+    tp = repo.task_performance
+    return tp._records, tp._weights, tp._history
+
+
+class TestStandbyMatchesLive:
+    """Each shipped record leaves a standby's repository equal to the
+    live server's, for every repository kind the WAL carries."""
+
+    def test_standbys_equal_the_live_repository(self):
+        vdce = nynet_testbed(seed=5, hosts_per_site=4)
+        vdce.start()
+        vdce.enable_failover("syracuse", ["h2", "h3"])
+        vdce.warm_up(10.0)
+        vdce.apply_fault_plan(FaultPlan((
+            HostCrash("syracuse/h1", at=vdce.now + 2.0,
+                      recover_after=20.0),)))
+        graph = random_layered_graph(vdce.registry, layers=3, width=3,
+                                     size=512)
+        run = vdce.run_application(graph, "syracuse")
+        assert run.status == "completed"
+        vdce.run(until=vdce.now + 30.0)
+        live = vdce.site_managers["syracuse"]
+        kinds = {rec.kind for rec in live.replication.wal}
+        assert kinds >= {"workload-update", "task-completed", "host-down",
+                         "host-up"}
+        assert any(live.repository.task_performance._history.values())
+        replicas = vdce.recovery.sites["syracuse"].replicas
+        assert len(replicas) == 2
+        for replica in replicas:
+            assert _dynamic_records(replica.repository) == \
+                _dynamic_records(live.repository)
+            assert _task_performance(replica.repository) == \
+                _task_performance(live.repository)
+
+    def test_a_held_lsn_is_installed_once(self):
+        vdce = quiet_testbed(seed=5)
+        vdce.start()
+        vdce.enable_failover("syracuse", ["h1", "h2"])
+        replica = vdce.recovery.sites["syracuse"].replicas[0]
+        sample = {"host": "syracuse/h0", "cpu_load": 0.5,
+                  "available_memory_mb": 32.0, "time": 0.0}
+        records = [WalRecord(lsn=1, t=0.0, kind="workload-update",
+                             payload=sample),
+                   WalRecord(lsn=2, t=0.0, kind="host-down",
+                             payload={"host": "syracuse/h0", "time": 0.0})]
+        assert replica.absorb(records) == 2
+        assert replica.absorb(records) == 0
+        rec = replica.repository.resource_performance.get("syracuse/h0")
+        assert rec.load_window == [0.5]
+        assert rec.status == "down"
+        assert replica.last_lsn() == 2
 
 
 # ---------------------------------------------------------------------------
@@ -245,49 +310,6 @@ class TestServerCrashSpec:
         # the server draws happen after all other draws, so the rest of
         # the plan is byte-identical to the plan without server crashes
         assert others == base.to_dicts()
-
-
-# ---------------------------------------------------------------------------
-# Retry jitter (deterministic backoff desynchronisation)
-# ---------------------------------------------------------------------------
-
-class TestRetryJitter:
-    def test_jitter_bounds_validated(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(jitter=-0.1)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(jitter=1.0)
-
-    def test_zero_jitter_keeps_the_plain_ladder(self):
-        policy = RetryPolicy(timeout_s=1.0, max_attempts=4,
-                             backoff_factor=2.0)
-        rng = RngRegistry(1).stream("retry-jitter")
-        assert [policy.timeout_for(n, rng=rng) for n in range(1, 5)] == \
-            [1.0, 2.0, 4.0, 8.0]
-        assert policy.schedule() == [1.0, 2.0, 4.0, 8.0]
-
-    def test_jitter_stretches_within_bounds(self):
-        policy = RetryPolicy(timeout_s=1.0, jitter=0.25)
-        rng = RngRegistry(7).stream("retry-jitter")
-        for attempt in range(1, 5):
-            base = RetryPolicy(timeout_s=1.0).timeout_for(attempt)
-            got = policy.timeout_for(attempt, rng=rng)
-            assert base <= got < base * 1.25
-
-    def test_same_seed_same_jitter_sequence(self):
-        policy = RetryPolicy(timeout_s=1.0, jitter=0.3)
-
-        def sequence(seed):
-            rng = RngRegistry(seed).stream("retry-jitter")
-            return [policy.timeout_for(1 + i % 3, rng=rng)
-                    for i in range(16)]
-
-        assert sequence(42) == sequence(42)
-        assert sequence(42) != sequence(43)
-
-    def test_no_rng_means_no_jitter(self):
-        policy = RetryPolicy(timeout_s=1.0, jitter=0.5)
-        assert policy.timeout_for(1) == 1.0
 
 
 # ---------------------------------------------------------------------------

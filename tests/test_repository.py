@@ -343,6 +343,63 @@ class TestSiteRepository:
         assert loaded.task_constraints.is_runnable_on("lu", "s1/h1")
 
 
+def _applying_repo():
+    repo = SiteRepository("s1")
+    repo.resource_performance.register_host("s1", HostSpec(name="h1"))
+    repo.task_performance.register_task("lu", 2.0)
+    return repo
+
+
+class TestApply:
+    """``SiteRepository.apply``: each logged mutation's one effect."""
+
+    def test_workload_update(self):
+        repo = _applying_repo()
+        assert repo.apply("workload-update",
+                          {"host": "s1/h1", "cpu_load": 0.7,
+                           "available_memory_mb": 40.0, "time": 3.0},
+                          t=3.5)
+        rec = repo.resource_performance.get("s1/h1")
+        assert (rec.cpu_load, rec.available_memory_mb, rec.last_update,
+                rec.load_window) == (0.7, 40.0, 3.0, [0.7])
+
+    def test_host_down_then_up(self):
+        repo = _applying_repo()
+        rec = repo.resource_performance.get("s1/h1")
+        assert repo.apply("host-down", {"host": "s1/h1", "time": 4.0}, 4.0)
+        assert (rec.status, rec.last_update) == ("down", 4.0)
+        assert repo.apply("host-up", {"host": "s1/h1", "time": 9.0}, 9.0)
+        assert (rec.status, rec.last_update) == ("up", 9.0)
+
+    def test_task_completed_records_the_execution_at_t(self):
+        repo = _applying_repo()
+        assert repo.apply("task-completed",
+                          {"execution_id": "e1", "node_id": "n1",
+                           "task_name": "lu", "host": "s1/h1",
+                           "input_size": 1.0, "elapsed_s": 2.5,
+                           "dedicated_elapsed_s": 2.0}, t=7.0)
+        [sample] = repo.task_performance.history("lu")
+        assert (sample.host, sample.elapsed_s, sample.time) == \
+            ("s1/h1", 2.5, 7.0)
+        assert repo.task_performance.has_weight("lu", "s1/h1")
+
+    @pytest.mark.parametrize("kind, payload", [
+        ("workload-update", {"host": "s1/h9", "cpu_load": 0.7,
+                             "available_memory_mb": 40.0, "time": 3.0}),
+        ("host-down", {"host": "s1/h9", "time": 4.0}),
+        ("host-up", {"host": "s1/h9", "time": 4.0}),
+        ("task-completed", {"task_name": "fft", "host": "s1/h1"}),
+        ("ack", {"execution_id": "e1", "host": "s1/h1"}),
+        ("site-quarantine", {"peer": "s2", "time": 4.0}),
+    ])
+    def test_other_records_change_nothing(self, kind, payload):
+        repo = _applying_repo()
+        generation = repo.delta.generation
+        assert not repo.apply(kind, payload, 4.0)
+        assert repo.delta.generation == generation
+        assert repo.task_performance.history("lu") == []
+
+
 def _saved_resource_db(path):
     db = ResourcePerformanceDB()
     db.register_host("s1", HostSpec(name="h1"))

@@ -10,7 +10,10 @@ from repro.resources.host import Host, HostSpec
 from repro.runtime.control.change_filter import ChangeFilter
 from repro.runtime.control.group_manager import ECHO_TIMEOUT_S
 from repro.runtime.control.monitor import MonitorDaemon
-from repro.runtime.control.site_manager import SELECTION_TIMEOUT_S
+from repro.runtime.control.site_manager import (
+    SELECTION_TIMEOUT_S,
+    ExecutionState,
+)
 from repro.simcore import Environment
 from repro.util.errors import ConfigurationError
 from repro.workloads import quiet_testbed
@@ -211,6 +214,19 @@ class TestFailureDetection:
     def test_up_hosts_never_reported_down(self, vdce):
         vdce.run(until=60)
         assert vdce.tracer.count("gm:host-down") == 0
+
+
+class TestAckWaiver:
+    def test_waive_forgets_the_hosts_acks_and_controllers(self):
+        state = ExecutionState(
+            execution_id="e1", application="app",
+            expected_acks={"s/h1", "s/h2", "s/h3"},
+            received_acks={"s/h1", "s/h2"},
+            controllers={"s/h1/appctl", "s/h2/appctl", "s/h3/appctl"})
+        state.waive(["s/h2", "s/h3"])
+        assert state.expected_acks == {"s/h1"}
+        assert state.received_acks == {"s/h1"}
+        assert state.controllers == {"s/h1/appctl"}
 
 
 class TestSiteManagerScheduling:

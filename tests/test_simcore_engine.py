@@ -231,6 +231,23 @@ class TestInterrupts:
         with pytest.raises(SimulationError):
             p.interrupt()
 
+    def test_interrupt_before_first_step_cancels_the_body(self):
+        env = Environment()
+        ran = []
+
+        def body(env):
+            ran.append(env.now)
+            yield env.timeout(1.0)
+            ran.append(env.now)
+
+        p = env.process(body(env))
+        p.interrupt("stop")
+        env.run()
+        assert ran == []
+        assert not p.is_alive
+        assert p.ok
+        assert env.failed_processes == []
+
 
 class TestCompositeEvents:
     def test_all_of_collects_values(self):

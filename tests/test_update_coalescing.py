@@ -1,22 +1,22 @@
-"""Monitor-update coalescing: one relay message per group per tick.
+"""The monitoring relay: one repository update per significant sample.
 
-The Group Manager batches the monitor samples it forwards in one tick
-into a single ``{"samples": [...]}`` repository-update message, and the
-Site Manager applies (and WAL-logs) them per sample in arrival order.
-The probes below read every repository and WAL byte that relay
-touches; ``tests/chaos/test_digest_lock.py`` hashes them for the
+A Group Manager relays each monitor sample its change filter passes as
+its own ``workload-update`` message, and the Site Manager logs and
+applies it.  The probes below read every repository and WAL byte that
+relay touches; ``tests/chaos/test_digest_lock.py`` hashes them for the
 monitored testbed (its ``monitor`` row), so a change to what the relay
 delivers, or in which order, moves a committed digest.
 """
 
 from __future__ import annotations
 
+from repro.net import WORKLOAD_UPDATE
 from repro.obs import Observability
 from repro.workloads import nynet_testbed
 
 
 def dynamic_probe(vdce) -> dict:
-    """Every dynamic repository byte the coalescing path may touch."""
+    """Every dynamic repository byte the relay may touch."""
     probe: dict = {}
     for site_name in sorted(vdce.repositories):
         db = vdce.repositories[site_name].resource_performance
@@ -53,9 +53,10 @@ def run_monitored(*, failover: bool = False,
     return vdce
 
 
-class TestCoalescingIdentity:
-    def test_coalescing_actually_batches(self):
-        obs = Observability()
-        run_monitored(obs=obs)
-        counter = obs.metrics.counter("gm_update_batches_total")
-        assert counter.total() > 0
+class TestRelay:
+    def test_one_update_per_forwarded_sample(self):
+        vdce = run_monitored()
+        forwarded = sum(gm.stats.updates_forwarded
+                        for gm in vdce.group_managers.values())
+        assert forwarded > 0
+        assert vdce.network.stats.by_kind[WORKLOAD_UPDATE] == forwarded
