@@ -552,15 +552,10 @@ class VDCE:
     def _make_membership_daemon(self, site_name: str) -> MembershipDaemon:
         """Build, register, and wire one site's membership daemon."""
         assert self.federation is not None
-
-        def wal_log(kind: str, payload: dict, _site=site_name) -> None:
-            # late-bound so the shipper follows a failover promotion
-            self.site_managers[_site]._log(kind, payload)
-
         daemon = MembershipDaemon(
             self.env, self.network, self.world.site(site_name),
             DirectorySync(self.repositories[site_name]),
-            obs=self.obs, wal_log=wal_log,
+            obs=self.obs,
             on_quarantine=self._on_site_quarantined,
             on_rejoin=self._on_site_rejoined)
         self.federation.add(daemon)

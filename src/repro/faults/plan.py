@@ -19,6 +19,8 @@ exact fault sequence, byte for byte (see ``docs/faults.md``).
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any, ClassVar
@@ -38,6 +40,33 @@ def _check_prob(value: float, name: str) -> None:
     _require(0.0 <= value <= 1.0, f"{name} must be in [0, 1], got {value}")
 
 
+#: what a spec field must hold, by its annotated type
+_FIELD_TYPES = {"float": "a finite number", "int": "an integer",
+                "str": "a non-empty string",
+                "tuple[str, ...]": "a list of strings"}
+
+
+def _check_fields(spec: Any) -> None:
+    """Each field of *spec* holds its annotated type (a bool is no
+    number); ``None`` only where the annotation allows it."""
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        name, _, optional = f.type.partition(" | ")
+        if value is None and optional:
+            continue
+        if name == "float":
+            ok = isinstance(value, numbers.Real) and math.isfinite(value)
+        elif name == "int":
+            ok = isinstance(value, numbers.Integral)
+        elif name == "str":
+            ok = isinstance(value, str) and (value != "" or bool(optional))
+        else:
+            ok = isinstance(value, tuple) and \
+                all(isinstance(item, str) for item in value)
+        _require(ok and not isinstance(value, bool),
+                 f"{f.name} must be {_FIELD_TYPES[name]}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HostCrash:
     """Crash one host at time *at*; optionally recover *recover_after*
@@ -52,7 +81,7 @@ class HostCrash:
     recover_after: float | None = None
 
     def validate(self) -> None:
-        _require(bool(self.host), "host-crash requires a host address")
+        _check_fields(self)
         _require(self.at >= 0, f"fault time must be >= 0, got {self.at}")
         _require(self.recover_after is None or self.recover_after > 0,
                  "recover_after must be positive when given")
@@ -70,7 +99,7 @@ class SiteOutage:
     recover_after: float | None = None
 
     def validate(self) -> None:
-        _require(bool(self.site), "site-outage requires a site name")
+        _check_fields(self)
         _require(self.at >= 0, f"fault time must be >= 0, got {self.at}")
         _require(self.recover_after is None or self.recover_after > 0,
                  "recover_after must be positive when given")
@@ -94,7 +123,7 @@ class ServerCrash:
     recover_after: float | None = None
 
     def validate(self) -> None:
-        _require(bool(self.site), "server-crash requires a site name")
+        _check_fields(self)
         _require(self.at >= 0, f"fault time must be >= 0, got {self.at}")
         _require(self.recover_after is None or self.recover_after > 0,
                  "recover_after must be positive when given")
@@ -119,6 +148,7 @@ class LinkDown:
     restore_after: float | None = None
 
     def validate(self) -> None:
+        _check_fields(self)
         _require(self.site_a != self.site_b,
                  "link endpoints must be two different sites")
         _require(self.at >= 0, f"fault time must be >= 0, got {self.at}")
@@ -143,6 +173,7 @@ class LinkFlap:
     cycles: int = 3
 
     def validate(self) -> None:
+        _check_fields(self)
         _require(self.site_a != self.site_b,
                  "link endpoints must be two different sites")
         _require(self.at >= 0, f"fault time must be >= 0, got {self.at}")
@@ -170,6 +201,7 @@ class LinkDegrade:
     latency_factor: float = 5.0
 
     def validate(self) -> None:
+        _check_fields(self)
         _require(self.site_a != self.site_b,
                  "link endpoints must be two different sites")
         _require(self.at >= 0, f"fault time must be >= 0, got {self.at}")
@@ -201,6 +233,7 @@ class MessageFaults:
     dst_prefix: str | None = None
 
     def validate(self) -> None:
+        _check_fields(self)
         _require(self.at >= 0, f"fault time must be >= 0, got {self.at}")
         _require(self.duration > 0, "fault window duration must be positive")
         for prob, name in ((self.drop_prob, "drop_prob"),
@@ -320,7 +353,8 @@ class FaultPlan:
                     f"fault plan entry {index}: unknown fault kind {kind!r}; "
                     f"expected one of {sorted(SPEC_TYPES)}")
             try:
-                if spec_cls is MessageFaults and doc.get("kinds") is not None:
+                if spec_cls is MessageFaults and \
+                        isinstance(doc.get("kinds"), list):
                     doc["kinds"] = tuple(doc["kinds"])
                 spec = spec_cls(**doc)
                 spec.validate()

@@ -25,9 +25,8 @@ journal still covers the cursor, full snapshot otherwise.
 Every transition is appended to a ledger whose canonical JSON
 (:meth:`MembershipDaemon.ledger_json`) is byte-identical across
 same-seed runs — the determinism contract the chaos partition suite
-asserts — and write-ahead-logged through the site's replication shipper
-when failover is enabled (``MEMBERSHIP_KINDS`` in
-:mod:`repro.recovery.wal`).
+asserts.  Transitions are not written to the replication WAL: a
+promoted server rebuilds nothing from them.
 """
 
 from __future__ import annotations
@@ -89,7 +88,6 @@ class MembershipDaemon:
     def __init__(self, env: Environment, network: Network, site: Site,
                  sync: DirectorySync,
                  obs: Observability | None = None,
-                 wal_log: Callable[[str, dict], None] | None = None,
                  on_quarantine: Callable[[str, str], None] | None = None,
                  on_rejoin: Callable[[str, str], None] | None = None
                  ) -> None:
@@ -98,7 +96,6 @@ class MembershipDaemon:
         self.site = site
         self.sync = sync
         self.obs = obs if obs is not None else OBS_OFF
-        self.wal_log = wal_log
         self.on_quarantine = on_quarantine
         self.on_rejoin = on_rejoin
         self.address = f"{site.name}/server/{self.SERVICE}"
@@ -244,7 +241,7 @@ class MembershipDaemon:
 
     # -- transitions --------------------------------------------------------
     def _transition(self, event: str, peer: str, **detail: Any) -> None:
-        """Ledger + trace record + counter + WAL for one membership event."""
+        """Ledger + trace record + counter for one membership event."""
         self.events.append({"t": self.env.now, "site": self.site.name,
                             "event": event, "peer": peer, **detail})
         if self.obs.enabled:
@@ -254,11 +251,6 @@ class MembershipDaemon:
                 "membership_transitions_total",
                 help="membership state transitions observed").inc(
                     site=self.site.name, event=event)
-        if self.wal_log is not None and event in ("join", "leave",
-                                                  "quarantine", "rejoin"):
-            self.wal_log(f"site-{event}",
-                         {"site": self.site.name, "peer": peer,
-                          "time": self.env.now})
 
     def _admit(self, peer: str, via: str) -> PeerView:
         view = self.seed_peer(peer)

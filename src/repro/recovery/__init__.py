@@ -2,14 +2,13 @@
 
 Layers (bottom-up):
 
-- :mod:`repro.recovery.wal` — the deterministic write-ahead log and the
-  execution-state replay fold;
+- :mod:`repro.recovery.wal` — the deterministic write-ahead log;
 - :mod:`repro.recovery.replication` — the active server's log shipper
   and the standby-host replica daemon;
 - :mod:`repro.recovery.failover` — server heartbeats and the
   rank-staggered lowest-address-wins failure detector;
-- :mod:`repro.recovery.coordinator` — promotion orchestration and
-  execution-state reconstruction.
+- :mod:`repro.recovery.coordinator` — promotion orchestration: the
+  two-way log transfer and the execution-state fold.
 
 Entry point for applications is ``VDCE.enable_failover`` on the facade.
 """
@@ -19,17 +18,14 @@ from repro.recovery.failover import HeartbeatTracker, ServerHeartbeatDaemon
 from repro.recovery.replication import ReplicationShipper, StandbyReplica
 from repro.recovery.wal import (
     EXECUTION_KINDS,
-    MEMBERSHIP_KINDS,
     REPOSITORY_KINDS,
     WAL_KINDS,
     WalRecord,
     WriteAheadLog,
-    replay_executions,
 )
 
 __all__ = [
     "EXECUTION_KINDS",
-    "MEMBERSHIP_KINDS",
     "REPOSITORY_KINDS",
     "WAL_KINDS",
     "HeartbeatTracker",
@@ -40,5 +36,4 @@ __all__ = [
     "StandbyReplica",
     "WalRecord",
     "WriteAheadLog",
-    "replay_executions",
 ]

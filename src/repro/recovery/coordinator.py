@@ -16,17 +16,17 @@ simulated instant the winning detector fires:
 2. **move the role** — ``site.server_role_host`` points at the standby,
    so the stable ``site/server/...`` addresses now route liveness to it
    (clients and daemons keep their addressing);
-3. **rebuild** — a fresh Site Manager over the replica repository,
-   with execution state reconstructed from the shipped WAL
-   (:func:`~repro.recovery.wal.replay_executions`): pending acks,
-   start signals and completions are restored, acks of dead hosts
-   waived, allocation portions re-pushed (the Application Controllers
-   deduplicate, so re-pushes are idempotent and tasks run exactly
-   once), and the client's completion future re-attached;
-4. **re-arm** — surviving standbys absorb any records they missed
-   (snapshot state transfer), get a new shipper/heartbeat from the
-   promoted server, and re-rank so a second failover works the same
-   way.
+3. **rebuild** — the standby takes the records it lacks from each
+   survivor, then a fresh Site Manager runs over its repository, with
+   execution state folded from that union of the shipped logs
+   (:meth:`~repro.runtime.control.site_manager.ExecutionState.fold`):
+   pending acks, start signals and completions are restored, acks of
+   dead hosts waived, allocation portions re-pushed (the Application
+   Controllers deduplicate, so re-pushes are idempotent and tasks run
+   exactly once), and the client's completion future re-attached;
+4. **re-arm** — surviving standbys take the union, get a new shipper
+   (continuing the site's LSN sequence) and heartbeat from the
+   promoted server, and re-rank so a second failover works the same.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from repro.recovery.failover import (
     ServerHeartbeatDaemon,
 )
 from repro.recovery.replication import ReplicationShipper, StandbyReplica
-from repro.recovery.wal import replay_executions
+from repro.recovery.wal import WalRecord
 from repro.resources.site import Site
 from repro.runtime.control.site_manager import ExecutionState, SiteManager
 from repro.simcore.engine import Environment
@@ -63,11 +63,10 @@ class SiteFailoverState:
 
     site: Site
     sm: SiteManager
-    shipper: ReplicationShipper
     heartbeat: ServerHeartbeatDaemon
     replicas: list[StandbyReplica]
     monitors: dict[str, Any]
-    promotions: int = 0
+    #: the host address of each promoted standby, in order
     history: list[str] = field(default_factory=list)
 
 
@@ -110,16 +109,15 @@ class RecoveryCoordinator:
             host = site.host(host_name)  # raises on unknown host
             replicas.append(StandbyReplica(
                 self.env, self.network, host, site,
-                repository=copy.deepcopy(sm.repository), obs=self.obs))
+                repository=copy.deepcopy(sm.repository)))
         standby_addrs = [r.address for r in replicas]
-        shipper = ReplicationShipper(self.env, self.network, sm.address,
-                                     standby_addrs)
-        sm.replication = shipper
+        sm.replication = ReplicationShipper(self.env, self.network,
+                                            sm.address, standby_addrs)
         heartbeat = ServerHeartbeatDaemon(
             self.env, self.network, site, standby_addrs)
         state = SiteFailoverState(
-            site=site, sm=sm, shipper=shipper, heartbeat=heartbeat,
-            replicas=replicas, monitors=monitors)
+            site=site, sm=sm, heartbeat=heartbeat, replicas=replicas,
+            monitors=monitors)
         self._attach_trackers(state)
         self.sites[site.name] = state
         if self.obs.enabled:
@@ -138,7 +136,6 @@ class RecoveryCoordinator:
                 promote_grace_s=PROMOTE_GRACE_S,
                 on_promote=lambda rep, suspected, s=state.site.name:
                     self.promote(s, rep, suspected))
-            replica.tracker = tracker
             monitor = state.monitors.get(replica.host.address)
             if monitor is not None:
                 monitor.watch_server(tracker)
@@ -170,8 +167,13 @@ class RecoveryCoordinator:
         replica.stop()  # this standby daemon becomes the server
         # 2. move the server role onto the standby host
         site.server_role_host = replica.host.name
-        # 3. rebuild the Site Manager over the replica repository; the
+        # 3. take what the survivors hold and this replica missed, then
+        # rebuild the Site Manager over the replica repository; the
         # stable role address means nothing else re-learns an address
+        survivors = [r for r in state.replicas
+                     if r is not replica and r.active]
+        for peer in survivors:
+            replica.absorb(peer.ordered_records())
         new_sm = SiteManager(
             self.env, self.network, site, replica.repository,
             self.topology, obs=self.obs)
@@ -179,9 +181,8 @@ class RecoveryCoordinator:
         # step 5 pushes through them before on_promoted runs
         for gm in old_sm.group_managers.values():
             new_sm.register_group_manager(gm)
-        # 4. re-arm the survivors: state transfer, new shipper + beat
-        survivors = [r for r in state.replicas
-                     if r is not replica and r.active]
+        # 4. re-arm the survivors: the union of the logs, then a shipper
+        # continuing the site's LSN sequence after its highest LSN
         records = replica.ordered_records()
         for peer in survivors:
             peer.absorb(records)
@@ -197,13 +198,11 @@ class RecoveryCoordinator:
         heartbeat = ServerHeartbeatDaemon(
             self.env, self.network, site, [r.address for r in survivors])
         # 5. reconstruct execution state from the shipped log
-        rebuilt = self._reconstruct(new_sm, old_sm, replica)
+        rebuilt = self._reconstruct(new_sm, old_sm, records)
         state.sm = new_sm
-        state.shipper = new_sm.replication
         state.heartbeat = heartbeat
         state.replicas = survivors
         self._attach_trackers(state)
-        state.promotions += 1
         state.history.append(replica.host.address)
         self.failovers += 1
         obs = self.obs
@@ -225,33 +224,26 @@ class RecoveryCoordinator:
         return new_sm
 
     def _reconstruct(self, new_sm: SiteManager, old_sm: SiteManager,
-                     replica: StandbyReplica) -> list[ExecutionState]:
-        """Rebuild unfinished executions from the replica's WAL copy."""
-        recovered = replay_executions(replica.ordered_records())
+                     records: list[WalRecord]) -> list[ExecutionState]:
+        """Rebuild the unfinished executions *records* fold to."""
+        executions = ExecutionState.fold(records)
+        begins = {record.payload["execution_id"]: record.payload
+                  for record in records if record.kind == "exec-begin"}
         resource_perf = new_sm.repository.resource_performance
         rebuilt: list[ExecutionState] = []
-        for execution_id in sorted(recovered):
-            info = recovered[execution_id]
-            if info["finished"]:
+        for execution_id in sorted(executions):
+            state = executions[execution_id]
+            if state.closed:
                 continue
-            begin = info["begin"]
-            state = ExecutionState(
-                execution_id=execution_id,
-                application=begin["application"],
-                expected_acks=set(begin["expected_acks"]),
-                received_acks=set(info["acks"]),
-                controllers=set(begin["controllers"]),
-                started=info["started"],
-                start_signal_time=info["start_time"],
-                completed_tasks=dict(info["completed"]),
-                finished=self.env.event(),
-                total_tasks=begin["total_tasks"])
             old_state = old_sm._executions.get(execution_id)
             if old_state is not None and old_state.finished is not None \
                     and not old_state.finished.triggered:
                 # the submitting client re-attaches its completion future
                 state.finished = old_state.finished
+            else:
+                state.finished = self.env.event()
             new_sm._executions[execution_id] = state
+            begin = begins[execution_id]
             self._relog(new_sm, begin, state)
             # waive acks of hosts the replica already knows are down
             # (their Group Manager will not re-report an old failure)
@@ -288,8 +280,6 @@ class RecoveryCoordinator:
         replays this execution exactly like the first one did.
         """
         shipper = new_sm.replication
-        if shipper is None:
-            return
         shipper.log("exec-begin", begin)
         for host in sorted(state.received_acks):
             shipper.log("ack", {"execution_id": state.execution_id,

@@ -14,19 +14,22 @@ The :class:`StandbyReplica` daemon runs on a standby *host* (so it dies
 with the host, like any other daemon).  It applies repository-kind
 records eagerly to its own :class:`SiteRepository` copy (seeded from a
 snapshot when failover was enabled) through
-:meth:`SiteRepository.apply`, the server's own write path, buffers
-execution-kind records for replay at promotion, and tracks the server
-heartbeat for the failure detector in :mod:`repro.recovery.failover`.
+:meth:`SiteRepository.apply`, the server's own write path, holds
+execution-kind records until a promotion folds them through
+:meth:`~repro.runtime.control.site_manager.ExecutionState.fold`, and
+tracks the server heartbeat for the failure detector in
+:mod:`repro.recovery.failover`.
 """
 
 from __future__ import annotations
 
+import copy
+from collections.abc import Iterable
 from typing import Any
 
 from repro.analysis import hooks
 from repro.net import SERVER_HEARTBEAT, SERVER_PROMOTED, WAL_APPEND
 from repro.net.network import Network
-from repro.obs import OBS_OFF, Observability
 from repro.recovery.wal import WalRecord, WriteAheadLog
 from repro.repository.site_repository import SiteRepository
 from repro.resources.host import Host
@@ -61,35 +64,35 @@ class ReplicationShipper:
 
 
 class StandbyReplica:
-    """Standby-host side: replica repository + buffered execution log."""
+    """Standby-host side: replica repository + held log records."""
 
     SERVICE = "standby"
 
     def __init__(self, env: Environment, network: Network, host: Host,
-                 site: Site, repository: SiteRepository,
-                 obs: Observability | None = None) -> None:
+                 site: Site, repository: SiteRepository) -> None:
         self.env = env
-        self.network = network
         self.host = host
         self.site = site
         #: this standby's own repository copy (snapshot at enable time,
-        #: then rolled forward by shipped repository-kind records)
+        #: then rolled forward by the held records in LSN order)
         self.repository = repository
-        self.obs = obs if obs is not None else OBS_OFF
         self.address = f"{host.address}/{self.SERVICE}"
         self.mailbox = network.register(self.address)
         #: shipped records by LSN (a dict, not a list: duplicates from
         #: message faults overwrite idempotently, gaps stay visible)
         self.records: dict[int, WalRecord] = {}
+        #: highest LSN held (0 when nothing arrived)
+        self._last_lsn = 0
         #: (execution_id, node_id) pairs whose task-performance effect
         #: was already applied — replays and duplicates are skipped
         self._perf_applied: set[tuple[str, str]] = set()
+        #: (repository, applied pairs, LSN) when the first gap in the
+        #: held LSNs opened: a record filling a gap is folded in from here
+        self._checkpoint: tuple[SiteRepository, set, int] | None = None
         #: simulated time the last server heartbeat arrived
         self.last_heartbeat = env.now
         #: set False once this replica (or a peer) was promoted
         self.active = True
-        #: failure-detector state, attached by the coordinator
-        self.tracker: Any = None
         self._inbox_proc = env.process(self._inbox_loop(),
                                        name=f"standby:{self.address}")
 
@@ -107,24 +110,43 @@ class StandbyReplica:
                 self.last_heartbeat = self.env.now
 
     def _on_wal_append(self, payload: dict[str, Any]) -> None:
-        self._install(WalRecord(lsn=payload["lsn"], t=payload["t"],
-                                kind=payload["kind"],
-                                payload=payload["data"]))
+        self.absorb((WalRecord(lsn=payload["lsn"], t=payload["t"],
+                               kind=payload["kind"],
+                               payload=payload["data"]),))
 
-    def _install(self, record: WalRecord) -> bool:
-        """Hold *record* at its LSN and apply it unless that LSN was
-        already held (a duplicate from a message fault or a state
-        transfer is applied once); True when it was new.
-
-        The newest copy is the one held: a promoted server's shipper
-        starts after the promoting replica's last LSN, so it can reuse an
-        LSN this replica got from the old server, and the log a second
-        failover replays must be the new server's.
-        """
-        new = record.lsn not in self.records
-        self.records[record.lsn] = record
-        if new:
-            self.apply_record(record)
+    def absorb(self, records: Iterable[WalRecord]) -> int:
+        """Install shipped records or a promotion's state transfer: hold
+        each at its LSN and apply the new ones; returns how many were
+        new.  A copy of a held LSN is the same record, since a promoted
+        server continues the site's LSN sequence.  A record filling a
+        gap would reorder load windows and host status if applied after
+        its successors, so the records after the checkpoint are folded
+        again, in LSN order."""
+        new = 0
+        gap_filled = False
+        for record in records:
+            if record.lsn not in self.records:
+                new += 1
+                if record.lsn < self._last_lsn:
+                    gap_filled = True
+                elif not gap_filled:
+                    if record.lsn > self._last_lsn + 1 and \
+                            self._checkpoint is None:
+                        self._checkpoint = (copy.deepcopy(self.repository),
+                                            set(self._perf_applied),
+                                            self._last_lsn)
+                    self.apply_record(record)
+                    self._last_lsn = record.lsn
+            self.records[record.lsn] = record
+        if gap_filled:
+            # the checkpoint was taken when the filled gap opened
+            repository, perf_applied, checkpoint_lsn = self._checkpoint
+            self.repository = copy.deepcopy(repository)
+            self._perf_applied = set(perf_applied)
+            for record in self.ordered_records():
+                if record.lsn > checkpoint_lsn:
+                    self.apply_record(record)
+            self._last_lsn = max(self.records)
         return new
 
     # -- eager application --------------------------------------------------
@@ -132,8 +154,8 @@ class StandbyReplica:
         """Roll the replica repository forward by one record.
 
         :meth:`SiteRepository.apply` gives each record its repository
-        effect, as at the live server; the execution-state records only
-        buffer (they are replayed at promotion).  A ``task-completed``
+        effect, as at the live server; the execution-state records are
+        only held (a promotion folds them).  A ``task-completed``
         record's task-performance effect is applied once per
         ``(execution_id, node_id)``, so a re-logged completion after a
         promotion is not counted twice.
@@ -157,18 +179,7 @@ class StandbyReplica:
 
     def last_lsn(self) -> int:
         """Highest LSN seen (0 when nothing arrived)."""
-        return max(self.records) if self.records else 0
-
-    def absorb(self, records: list[WalRecord]) -> int:
-        """Install records this replica missed (promotion state transfer).
-
-        The promoting standby hands its surviving peers the records they
-        lack so a *second* failover starts from a consistent log; each
-        missing record is applied exactly as if it had been shipped.
-        Returns how many records were new.
-        """
-        return sum(self._install(record)
-                   for record in sorted(records, key=lambda r: r.lsn))
+        return self._last_lsn
 
     def stop(self) -> None:
         """Terminate the replica's inbox process (teardown/promotion)."""

@@ -6,7 +6,7 @@ at the active server appends one :class:`WalRecord` here *before* the
 effect is considered durable; the shipper in
 :mod:`repro.recovery.replication` forwards each record over the
 simulated network to the site's standby hosts.  On promotion a standby
-replays its copy of the log to reconstruct the server's execution state
+folds its copy of the log to reconstruct the server's execution state
 (see ``docs/recovery.md`` for the record catalogue).
 
 Determinism: records are appended in simulation order with a per-log
@@ -26,18 +26,13 @@ from typing import Any
 from repro.util.errors import ConfigurationError
 
 #: the record catalogue; repository records mutate the replica's
-#: databases eagerly, execution records are replayed at promotion
+#: databases eagerly, execution records are folded at promotion
 #: ("task-completed" does both: its task-performance effect is applied
-#: eagerly and its execution-state effect is replayed)
+#: eagerly and its execution-state effect is folded)
 REPOSITORY_KINDS = ("workload-update", "host-down", "host-up")
 EXECUTION_KINDS = ("exec-begin", "ack", "start", "task-completed",
                    "exec-finished")
-#: federation membership transitions (repro.federation): observational —
-#: standbys buffer them for post-mortem but apply no eager effect; a
-#: promoted server rebuilds its membership view from live heartbeats.
-MEMBERSHIP_KINDS = ("site-join", "site-leave", "site-quarantine",
-                    "site-rejoin")
-WAL_KINDS = REPOSITORY_KINDS + EXECUTION_KINDS + MEMBERSHIP_KINDS
+WAL_KINDS = REPOSITORY_KINDS + EXECUTION_KINDS
 
 #: payload fields quoted in the canonical summary (when present)
 _SUMMARY_FIELDS = ("execution_id", "host", "node_id")
@@ -105,42 +100,3 @@ class WriteAheadLog:
         return json.dumps(self.summary_rows(), sort_keys=True,
                           separators=(",", ":"))
 
-
-def replay_executions(records: list[WalRecord]) -> dict[str, dict[str, Any]]:
-    """Fold execution-kind records into per-execution reconstruction state.
-
-    Returns ``execution_id -> {"begin": exec-begin payload, "acks": set,
-    "started": bool, "start_time": float | None, "completed": {node_id:
-    report}, "finished": bool}``, the exact shape the promotion
-    coordinator rebuilds ``ExecutionState`` objects from.  Records whose
-    execution was never announced by an ``exec-begin`` (a replication
-    gap: the standby was down when the record shipped) are skipped —
-    the promoted server cannot resurrect what it never heard of.
-    """
-    executions: dict[str, dict[str, Any]] = {}
-    for record in sorted(records, key=lambda r: r.lsn):
-        if record.kind not in EXECUTION_KINDS:
-            continue
-        payload = record.payload
-        execution_id = payload.get("execution_id")
-        if execution_id is None:
-            continue
-        if record.kind == "exec-begin":
-            executions[execution_id] = {
-                "begin": payload, "acks": set(), "started": False,
-                "start_time": None, "completed": {}, "finished": False,
-            }
-            continue
-        info = executions.get(execution_id)
-        if info is None:
-            continue  # replication gap: no exec-begin seen
-        if record.kind == "ack":
-            info["acks"].add(payload["host"])
-        elif record.kind == "start":
-            info["started"] = True
-            info["start_time"] = record.t
-        elif record.kind == "task-completed":
-            info["completed"][payload["node_id"]] = payload
-        elif record.kind == "exec-finished":
-            info["finished"] = True
-    return executions

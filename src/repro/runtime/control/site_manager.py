@@ -75,7 +75,11 @@ class PendingSchedule:
 
 @dataclass
 class ExecutionState:
-    """Per-execution bookkeeping at the local Site Manager."""
+    """Per-execution bookkeeping at the local Site Manager.
+
+    :meth:`from_begin` and :meth:`apply` define what each execution
+    record of the WAL does, for the live Site Manager and for the fold
+    a promotion runs (:meth:`fold`)."""
 
     execution_id: str
     application: str
@@ -87,6 +91,51 @@ class ExecutionState:
     completed_tasks: dict[str, dict] = field(default_factory=dict)
     finished: Event | None = None
     total_tasks: int = 0
+    #: ``exec-finished`` was applied: every task completed
+    closed: bool = field(default=False, init=False)
+
+    @classmethod
+    def from_begin(cls, payload: dict[str, Any],
+                   finished: Event | None = None) -> "ExecutionState":
+        """The execution an ``exec-begin`` record opens."""
+        return cls(execution_id=payload["execution_id"],
+                   application=payload["application"],
+                   expected_acks=set(payload["expected_acks"]),
+                   controllers=set(payload["controllers"]),
+                   finished=finished, total_tasks=payload["total_tasks"])
+
+    def apply(self, kind: str, payload: dict[str, Any], t: float) -> None:
+        """Give one ``ack``, ``start``, ``task-completed`` or
+        ``exec-finished`` record, logged at *t*, its effect; other kinds
+        change nothing.  ``exec-finished`` also hands the completions to
+        the client's ``finished`` future, when one waits."""
+        if kind == "ack":
+            self.received_acks.add(payload["host"])
+        elif kind == "start":
+            self.started = True
+            self.start_signal_time = t
+        elif kind == "task-completed":
+            self.completed_tasks[payload["node_id"]] = payload
+        elif kind == "exec-finished":
+            self.closed = True
+            if self.finished is not None and not self.finished.triggered:
+                self.finished.succeed(dict(self.completed_tasks))
+
+    @classmethod
+    def fold(cls, records: Iterable[Any]) -> dict[str, "ExecutionState"]:
+        """The executions :class:`~repro.recovery.wal.WalRecord` rows
+        build, applied in LSN order.  A record of an execution no
+        ``exec-begin`` opened (a replication gap) and a repository-kind
+        record change nothing."""
+        executions: dict[str, ExecutionState] = {}
+        for record in sorted(records, key=lambda r: r.lsn):
+            execution_id = record.payload.get("execution_id")
+            if record.kind == "exec-begin":
+                executions[execution_id] = cls.from_begin(record.payload)
+            elif execution_id in executions:
+                executions[execution_id].apply(record.kind, record.payload,
+                                               record.t)
+        return executions
 
     def waive(self, hosts: Iterable[str]) -> None:
         """Stop waiting on *hosts*: drop their channel acks, expected or
@@ -351,17 +400,9 @@ class SiteManager:
         enriched with the communication information (peer hosts, port
         wiring, transfer sizes) the Data Managers need for channel setup.
         """
-        state = ExecutionState(
-            execution_id=execution_id, application=table.application,
-            expected_acks=set(table.hosts()),
-            # reprolint: disable=DET001 -- membership-only set, no order escapes
-            controllers={f"{h}/appctl" for h in table.hosts()},
-            finished=self.env.event(), total_tasks=len(table))
-        if hooks.HB is not None:
-            self._hb_exec(f"begin:{execution_id}")
-        self._executions[execution_id] = state
+        hosts = sorted(table.hosts())
         by_site: dict[str, dict[str, list]] = {}
-        for host in sorted(table.hosts()):
+        for host in hosts:
             site = host.split("/")[0]
             portion = []
             for e in table.portion_for_host(host):
@@ -373,14 +414,19 @@ class SiteManager:
                     payload["max_host_load"] = max_host_load
                 portion.append(payload)
             by_site.setdefault(site, {})[host] = portion
+        begin = {
+            "execution_id": execution_id, "application": table.application,
+            "expected_acks": hosts,
+            "controllers": sorted(f"{h}/appctl" for h in hosts),
+            "total_tasks": len(table),
+            "coordinator": self.address, "by_site": by_site}
+        if hooks.HB is not None:
+            self._hb_exec(f"begin:{execution_id}")
+        state = ExecutionState.from_begin(begin, finished=self.env.event())
+        self._executions[execution_id] = state
         # WAL first (write-ahead): a standby must learn the execution
         # exists before any push effect can race ahead of the log
-        self._log("exec-begin", {
-            "execution_id": execution_id, "application": table.application,
-            "expected_acks": sorted(state.expected_acks),
-            "controllers": sorted(state.controllers),
-            "total_tasks": state.total_tasks,
-            "coordinator": self.address, "by_site": by_site})
+        self._log("exec-begin", begin)
         self.push_portions(by_site, table.application, execution_id)
         return state
 
@@ -495,12 +541,13 @@ class SiteManager:
         state = self._executions.get(payload["execution_id"])
         if state is None or state.started:
             return
-        if payload["host"] not in state.received_acks:
-            self._log("ack", {"execution_id": payload["execution_id"],
-                              "host": payload["host"]})
+        ack = {"execution_id": payload["execution_id"],
+               "host": payload["host"]}
+        if ack["host"] not in state.received_acks:
+            self._log("ack", ack)
         if hooks.HB is not None:
             self._hb_exec(f"ack:{payload['execution_id']}")
-        state.received_acks.add(payload["host"])
+        state.apply("ack", ack, self.env.now)
         self._maybe_start(state)
 
     def _maybe_start(self, state: ExecutionState) -> None:
@@ -509,9 +556,9 @@ class SiteManager:
             return
         if hooks.HB is not None:
             self._hb_exec(f"start:{state.execution_id}")
-        state.started = True
-        state.start_signal_time = self.env.now
-        self._log("start", {"execution_id": state.execution_id})
+        start = {"execution_id": state.execution_id}
+        self._log("start", start)
+        state.apply("start", start, self.env.now)
         self._send_start(state)
         if self.obs.enabled:
             self.obs.trace.record(self.env.now, "sm:start-signal",
@@ -534,7 +581,7 @@ class SiteManager:
         self._log("task-completed", payload)
         if hooks.HB is not None:
             self._hb_exec(f"completed:{payload['execution_id']}")
-        state.completed_tasks[payload["node_id"]] = payload
+        state.apply("task-completed", payload, self.env.now)
         if self.obs.enabled:
             self.obs.metrics.counter(
                 "sm_tasks_completed_total",
@@ -545,9 +592,9 @@ class SiteManager:
         self.repository.apply("task-completed", payload, self.env.now)
         if len(state.completed_tasks) >= state.total_tasks and \
                 state.finished is not None and not state.finished.triggered:
-            self._log("exec-finished",
-                      {"execution_id": state.execution_id})
-            state.finished.succeed(dict(state.completed_tasks))
+            finish = {"execution_id": state.execution_id}
+            self._log("exec-finished", finish)
+            state.apply("exec-finished", finish, self.env.now)
             if self.obs.enabled:
                 self.obs.trace.record(
                     self.env.now, "sm:app-completed", self.address,

@@ -121,6 +121,14 @@ class Event:
     def exception(self) -> BaseException | None:
         return self._exception
 
+    def add_callback(self, callback: Callable[["Event"], None]) -> None:
+        """Call ``callback(self)`` when the event is processed, after the
+        waiters attached before it: fire-and-forget work on an outcome,
+        without a process to wait for it."""
+        if self.callbacks is None:
+            raise SimulationError("event already processed")
+        _attach(self, callback)
+
     # -- triggering -----------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with *value* (now)."""

@@ -10,7 +10,7 @@ post-mortem archive read the trace.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -35,41 +35,16 @@ class TraceRecord:
 
 
 class Tracer:
-    """Append-only trace with filtered queries and live subscribers."""
+    """Append-only trace with filtered queries."""
 
     def __init__(self) -> None:
         self.records: list[TraceRecord] = []
-        self._subscribers: list[Callable[[TraceRecord], None]] = []
 
     def record(self, time: float, category: str, actor: str,
                **detail: Any) -> None:
-        """Append a record and hand it to every subscriber."""
-        rec = TraceRecord(time=time, category=category, actor=actor,
-                          detail=detail)
-        self.records.append(rec)
-        for sub in self._subscribers:
-            sub(rec)
-
-    def subscribe(self, callback: Callable[[TraceRecord], None]) -> None:
-        """Register a live callback invoked on every new record."""
-        self._subscribers.append(callback)
-
-    def unsubscribe(self, callback: Callable[[TraceRecord], None]) -> None:
-        """Remove a previously subscribed callback (no-op if absent).
-
-        Without this, consumers sharing one tracer across runs (e.g. a
-        view re-attached per run) accumulate subscribers forever — every
-        record fans out to every stale callback of every earlier run.
-        """
-        try:
-            self._subscribers.remove(callback)
-        except ValueError:
-            pass
-
-    @property
-    def subscriber_count(self) -> int:
-        """Number of live subscribers (leak probe for reused tracers)."""
-        return len(self._subscribers)
+        """Append one record."""
+        self.records.append(TraceRecord(time=time, category=category,
+                                        actor=actor, detail=detail))
 
     def query(self, category: str | None = None,
               actor: str | None = None,
@@ -92,13 +67,6 @@ class Tracer:
             out[rec.category] = out.get(rec.category, 0) + 1
         return out
 
-    def clear(self, subscribers: bool = False) -> None:
-        """Drop every record; with ``subscribers=True`` also drop those.
-
-        ``clear(subscribers=True)`` is the full reset for a tracer shared
-        across runs: records and the subscriber list both go, so a new
-        run starts with no stale fan-out targets.
-        """
+    def clear(self) -> None:
+        """Drop every record."""
         self.records.clear()
-        if subscribers:
-            self._subscribers.clear()

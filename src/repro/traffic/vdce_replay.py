@@ -16,6 +16,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.vdce import VDCE, ApplicationRun
+from repro.simcore.engine import Event
 from repro.traffic.templates import template_by_name
 from repro.traffic.trace import JobRequest
 
@@ -73,12 +74,14 @@ class VdceReplayBackend:
             graph, site, k_remote_sites=self.k_remote_sites)
         self.runs.append(ReplayedRun(req=req, run=run))
 
-        def watch(env):  # type: ignore[no-untyped-def]
-            yield process
-            self.in_flight -= 1
-            on_complete()
+        def finish(done: Event) -> None:
+            # a failed submit keeps its slot: the kernel already records
+            # the failure in ``env.failed_processes``
+            if done.ok:
+                self.in_flight -= 1
+                on_complete()
 
-        self.vdce.env.process(watch(self.vdce.env))
+        process.add_callback(finish)
 
     # -- chaos assertions --------------------------------------------------
     def completions_by_tenant(self) -> dict[str, int]:

@@ -1,8 +1,8 @@
 """Post-mortem visualization: persist a run + trace, reload, and render.
 
 Paper section 2.3.2: "The VDCE visualization service provides both
-real-time and post-mortem visualizations."  Real-time views subscribe to
-the live tracer; this module is the post-mortem half — a JSON archive of
+real-time and post-mortem visualizations."  Real-time views read the
+live tracer; this module is the post-mortem half — a JSON archive of
 one application run (allocation, completions, trace slice, environment
 summary) that can be reloaded later and fed to the same view classes.
 """

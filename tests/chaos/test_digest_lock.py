@@ -24,6 +24,12 @@ outputs the scheduling and monitoring layers feed:
 * ``monitor`` — the dynamic repository records and the replication WAL
   of the monitored NYNET testbed with failover on (the seed is the
   testbed seed), which pins the Group Manager → Site Manager relay;
+* ``failover-lag`` — the dynamic repository records of the live server
+  and of the surviving standby, and the promoted server's WAL digest,
+  after a failover whose promoting standby missed 27 shipments
+  (:func:`tests.test_recovery.lagging_failover` at its defaults; the
+  seed is the testbed seed), which pins the promotion's two-way state
+  transfer and the LSN sequence it continues;
 * ``reschedule`` — the flat trace log and the final allocation table
   (node, host, predicted time) of a 123-task layered DAG on the loaded
   eight-host NYNET testbed, with one host crash mid-run, seeds
@@ -76,6 +82,7 @@ from repro.workloads import nynet_testbed, random_layered_graph
 from tests.chaos.harness import ChaosOutcome, assert_invariants, run_chaos
 from tests.chaos.test_partition import run_partition_chaos
 from tests.chaos.test_server_failover import SERVER_CRASH_PLAN, STANDBYS
+from tests.test_recovery import dynamic_records, lagging_failover
 from tests.test_update_coalescing import (
     dynamic_probe,
     run_monitored,
@@ -89,7 +96,8 @@ LOCK_ROWS = tuple(
     [(scenario, seed)
      for scenario in ("chaos", "failover", "partition", "analyze")
      for seed in LOCK_SEEDS]
-    + [("bakeoff", 0), ("bakeoff-all", 0), ("monitor", 5)]
+    + [("bakeoff", 0), ("bakeoff-all", 0), ("monitor", 5),
+       ("failover-lag", 5)]
     + [("reschedule", seed) for seed in LOCK_SEEDS]
     + [("replay", seed) for seed in LOCK_SEEDS]
     + [("replay-bakeoff", 7)])
@@ -158,6 +166,14 @@ def _artifacts(scenario: str, seed: int) -> dict[str, str]:
         vdce = run_monitored(failover=True)
         probes = {"dynamic": dynamic_probe(vdce), "wal": wal_probe(vdce)}
         return {"probes": json.dumps(probes, sort_keys=True)}
+    if scenario == "failover-lag":
+        vdce, _, _ = lagging_failover()
+        live = vdce.site_managers["syracuse"]
+        records = {"live": dynamic_records(live.repository)}
+        for replica in vdce.recovery.sites["syracuse"].replicas:
+            records[replica.address] = dynamic_records(replica.repository)
+        return {"replicas": json.dumps(records, sort_keys=True),
+                "wal": live.replication.wal.summary_json()}
     if scenario == "reschedule":
         return run_rescheduling(seed)
     if scenario == "replay":
@@ -284,6 +300,12 @@ DIGESTS: dict[tuple[str, int], dict[str, str]] = {
     ('monitor', 5): {
         'probes':
             '797186ef7ee8df2d4d042a6b0d8cfdfdac2a0a3ed8f9aca92d5a6014892e3faa',
+    },
+    ('failover-lag', 5): {
+        'replicas':
+            'c664dfb4147229e6760143ec79090ad5aaa9ee1a92b968941164cd4dddf34ffd',
+        'wal':
+            'bb12031ba7362cf2093a131c5ea5e095258dac452ef5324cb15dab5cc8785651',
     },
     ('reschedule', 101): {
         'trace':

@@ -169,6 +169,31 @@ MALFORMED_PLAN_ENTRIES = (
     {"kind": "host-crash", "at": 1.0},
     {"kind": "host-crash", "host": "a/h", "at": "5"},
     "host-crash",
+    # a bare string would become a tuple of one-letter kinds
+    {"kind": "message-faults", "at": 1.0, "duration": 5.0,
+     "drop_prob": 1.0, "kinds": "load-report"},
+    {"kind": "message-faults", "at": 1.0, "duration": 5.0,
+     "drop_prob": 1.0, "kinds": ["load-report", 7]},
+    {"kind": "link-flap", "site_a": "a", "site_b": "b", "at": 1.0,
+     "cycles": 2.5},
+    {"kind": "link-flap", "site_a": "a", "site_b": "b", "at": 1.0,
+     "cycles": True},
+    {"kind": "host-crash", "host": 123, "at": 1.0},
+    {"kind": "server-crash", "site": ["a"], "at": 1.0},
+    {"kind": "link-down", "site_a": 1, "site_b": 2, "at": 1.0},
+    {"kind": "host-crash", "host": "a/h", "at": float("nan")},
+    {"kind": "host-crash", "host": "a/h", "at": float("inf")},
+    {"kind": "host-crash", "host": "a/h", "at": True},
+    {"kind": "host-crash", "host": "a/h", "at": 1.0,
+     "recover_after": float("inf")},
+    {"kind": "message-faults", "at": 1.0, "duration": float("inf"),
+     "drop_prob": 1.0},
+    {"kind": "message-faults", "at": 1.0, "duration": 5.0,
+     "delay_prob": 1.0, "delay_s": float("nan")},
+    {"kind": "message-faults", "at": 1.0, "duration": 5.0,
+     "drop_prob": 1.0, "dst_prefix": 5},
+    {"kind": "link-degrade", "site_a": "a", "site_b": "b", "at": 1.0,
+     "duration": 5.0, "latency_factor": float("inf")},
 )
 
 

@@ -2,30 +2,35 @@
 
 Chaos-grade end-to-end failover runs live in
 ``tests/chaos/test_server_failover.py``; this module covers the units —
-the WAL and its replay fold, the rank-staggered failure detector, the
-standby replica's record application, ``ServerCrash`` plan plumbing,
-monotone allocation versions, and a fast in-process flapping scenario
-for the rescheduling pipeline.
+the WAL and the execution-state fold, the rank-staggered failure
+detector, the standby replica's record application, promotions of a
+standby that missed shipments, ``ServerCrash`` plan plumbing, monotone
+allocation versions, and a fast in-process flapping scenario for the
+rescheduling pipeline.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.faults import FaultPlan, HostCrash, ServerCrash
-from repro.net import HOST_DOWN
+from repro.faults import FaultPlan, HostCrash, MessageFaults, ServerCrash
+from repro.net import HOST_DOWN, WAL_APPEND
 from repro.recovery import (
     EXECUTION_KINDS,
-    MEMBERSHIP_KINDS,
     REPOSITORY_KINDS,
     WAL_KINDS,
     HeartbeatTracker,
     WalRecord,
     WriteAheadLog,
-    replay_executions,
 )
-from repro.runtime.control.site_manager import SELECTION_TIMEOUT_S
+from repro.runtime.control.site_manager import (
+    SELECTION_TIMEOUT_S,
+    ExecutionState,
+)
 from repro.scheduling.allocation import AllocationEntry, ResourceAllocationTable
 from repro.util.errors import ConfigurationError, NoFeasibleHostError
 from repro.util.rng import RngRegistry
@@ -64,12 +69,11 @@ class TestWriteAheadLog:
             WriteAheadLog().append("made-up", {}, t=0.0)
 
     def test_kind_catalogue_is_partitioned(self):
+        # the log carries only what a promotion reads: repository and
+        # execution records
         assert set(REPOSITORY_KINDS).isdisjoint(EXECUTION_KINDS)
-        assert set(MEMBERSHIP_KINDS).isdisjoint(
-            set(REPOSITORY_KINDS) | set(EXECUTION_KINDS))
         assert set(WAL_KINDS) == (set(REPOSITORY_KINDS)
-                                  | set(EXECUTION_KINDS)
-                                  | set(MEMBERSHIP_KINDS))
+                                  | set(EXECUTION_KINDS))
 
     def test_summary_json_is_canonical_and_json_safe(self):
         wal = WriteAheadLog()
@@ -86,6 +90,9 @@ class TestWriteAheadLog:
 
 
 class TestReplayExecutions:
+    """``ExecutionState.fold``: the promotion-time replay of a log copy
+    through the live Site Manager's own apply."""
+
     def _begin(self, lsn, eid):
         return WalRecord(lsn=lsn, t=0.0, kind="exec-begin", payload={
             "execution_id": eid, "application": "app",
@@ -106,19 +113,23 @@ class TestReplayExecutions:
                       {"execution_id": "e1", "node_id": "n2"}),
             WalRecord(7, 9.0, "exec-finished", {"execution_id": "e1"}),
         ]
-        info = replay_executions(records)["e1"]
-        assert info["acks"] == {"s/h0", "s/h1"}
-        assert info["started"] is True
-        assert info["start_time"] == 1.2
-        assert sorted(info["completed"]) == ["n1", "n2"]
-        assert info["finished"] is True
+        state = ExecutionState.fold(records)["e1"]
+        assert state.expected_acks == {"s/h0", "s/h1"}
+        assert state.controllers == {"s/h0/appctl", "s/h1/appctl"}
+        assert state.total_tasks == 2
+        assert state.received_acks == {"s/h0", "s/h1"}
+        assert state.started is True
+        assert state.start_signal_time == 1.2
+        assert sorted(state.completed_tasks) == ["n1", "n2"]
+        assert state.closed is True
+        assert state.finished is None
 
     def test_replays_in_lsn_order_regardless_of_input_order(self):
         records = [
             WalRecord(2, 1.0, "ack", {"execution_id": "e1", "host": "s/h0"}),
             self._begin(1, "e1"),
         ]
-        assert replay_executions(records)["e1"]["acks"] == {"s/h0"}
+        assert ExecutionState.fold(records)["e1"].received_acks == {"s/h0"}
 
     def test_gap_executions_without_begin_are_skipped(self):
         records = [
@@ -126,19 +137,39 @@ class TestReplayExecutions:
                                       "host": "s/h0"}),
             WalRecord(10, 1.0, "start", {"execution_id": "ghost"}),
         ]
-        assert replay_executions(records) == {}
+        assert ExecutionState.fold(records) == {}
 
     def test_repository_kinds_do_not_create_executions(self):
         records = [WalRecord(1, 0.0, "host-down",
                              {"host": "s/h0", "time": 0.0})]
-        assert replay_executions(records) == {}
+        assert ExecutionState.fold(records) == {}
+
+    def test_live_manager_and_fold_agree(self):
+        # the state a live Site Manager holds after a run equals the
+        # fold of the records it logged
+        vdce = quiet_testbed(seed=5)
+        vdce.start()
+        vdce.enable_failover("syracuse", ["h1", "h2"])
+        graph = linear_solver_graph(vdce.registry, n=16)
+        run = vdce.run_application(graph, "syracuse")
+        assert run.status == "completed"
+        live = vdce.site_managers["syracuse"]
+        [folded] = ExecutionState.fold(live.replication.wal).values()
+        state = live.execution_state(run.execution_id)
+        assert folded.closed and state.closed
+        for name in ("execution_id", "application", "expected_acks",
+                     "received_acks", "controllers", "started",
+                     "start_signal_time", "completed_tasks",
+                     "total_tasks", "closed"):
+            assert getattr(folded, name) == getattr(state, name), name
 
 
 # ---------------------------------------------------------------------------
 # Standby roll-forward
 # ---------------------------------------------------------------------------
 
-def _dynamic_records(repo):
+def dynamic_records(repo):
+    """Every dynamic field of a repository's resource records."""
     return [(rec.address, rec.cpu_load, rec.available_memory_mb,
              rec.status, rec.last_update, tuple(rec.load_window),
              tuple(rec.load_window_times))
@@ -175,8 +206,8 @@ class TestStandbyMatchesLive:
         replicas = vdce.recovery.sites["syracuse"].replicas
         assert len(replicas) == 2
         for replica in replicas:
-            assert _dynamic_records(replica.repository) == \
-                _dynamic_records(live.repository)
+            assert dynamic_records(replica.repository) == \
+                dynamic_records(live.repository)
             assert _task_performance(replica.repository) == \
                 _task_performance(live.repository)
 
@@ -197,6 +228,126 @@ class TestStandbyMatchesLive:
         assert rec.load_window == [0.5]
         assert rec.status == "down"
         assert replica.last_lsn() == 2
+
+    def test_a_gap_filled_late_is_applied_in_lsn_order(self):
+        vdce = quiet_testbed(seed=5)
+        vdce.start()
+        vdce.enable_failover("syracuse", ["h1", "h2"])
+        early, late = vdce.recovery.sites["syracuse"].replicas
+        records = [WalRecord(lsn=lsn, t=float(lsn), kind="workload-update",
+                             payload={"host": "syracuse/h0",
+                                      "cpu_load": lsn / 10,
+                                      "available_memory_mb": 32.0,
+                                      "time": float(lsn)})
+                   for lsn in (1, 2, 3)]
+        assert early.absorb(records) == 3
+        assert late.absorb([records[0], records[2]]) == 2
+        assert late.absorb([records[1]]) == 1
+        for replica in (early, late):
+            rec = replica.repository.resource_performance.get("syracuse/h0")
+            assert rec.load_window == [0.1, 0.2, 0.3]
+            assert rec.load_window_times == [1.0, 2.0, 3.0]
+        assert dynamic_records(late.repository) == \
+            dynamic_records(early.repository)
+        assert late.last_lsn() == 3
+
+
+def lagging_failover(lagging="h1", window_at=5.5, window_s=30.0,
+                     crash_at=35.0, submit_at=None, until=70.0):
+    """A failover whose standbys disagree on what they were shipped.
+
+    NYNET (seed 5, four hosts a site) with syracuse's server protected
+    by standbys h1 and h2: the *lagging* standby misses every
+    ``wal-append`` from *window_at* for *window_s* seconds, and the
+    server crashes at *crash_at*; h1 (rank 0) promotes.  With
+    *submit_at* set, a small layered application is submitted at
+    syracuse then.  Runs to *until*; returns the facade, the highest
+    LSN each standby held once the promotion's state transfer was done
+    (before the promoted server shipped anything), and the run (None
+    without an application).
+    """
+    vdce = nynet_testbed(seed=5, hosts_per_site=4)
+    vdce.start()
+    recovery = vdce.enable_failover("syracuse", ["h1", "h2"])
+    vdce.apply_fault_plan(FaultPlan((
+        MessageFaults(at=window_at, duration=window_s, drop_prob=1.0,
+                      kinds=(WAL_APPEND,),
+                      dst_prefix=f"syracuse/{lagging}/"),
+        ServerCrash("syracuse", at=crash_at))))
+    standbys = list(recovery.sites["syracuse"].replicas)
+    held: dict[str, int] = {}
+    rewire = recovery.on_promoted
+
+    def on_promoted(site_name, old_sm, new_sm):
+        held.update((r.host.name, r.last_lsn()) for r in standbys)
+        rewire(site_name, old_sm, new_sm)
+
+    recovery.on_promoted = on_promoted
+    run = None
+    if submit_at is not None:
+        vdce.run(until=submit_at)
+        graph = random_layered_graph(vdce.registry, layers=3, width=3,
+                                     size=512)
+        _, run = vdce.submit(graph, "syracuse")
+    vdce.run(until=until)
+    return vdce, held, run
+
+
+@st.composite
+def lagging_failovers(draw):
+    """(lagging standby, window start, window length, crash time)."""
+    lagging = draw(st.sampled_from(("h1", "h2")))
+    window_at = draw(st.integers(1, 30)) / 2
+    crash_at = window_at + draw(st.integers(2, 30))
+    # h1 promotes, so its window may outlast the crash; h2 must hear
+    # every shipment of the promoted server, so its window closes by then
+    longest = 40 if lagging == "h1" else int(crash_at - window_at)
+    window_s = float(draw(st.integers(1, longest)))
+    return lagging, window_at, window_s, crash_at
+
+
+class TestLaggingPromotion:
+    """A standby that missed shipments promotes from the union of what
+    every standby holds, and the promoted server's WAL continues the
+    site's LSN sequence, so each replica stays equal to the live
+    repository."""
+
+    def test_lagging_standby_promotes_from_the_union(self):
+        # before the crash h1 held LSNs 1-4 and h2 1-31: the promoted
+        # server's WAL must not reuse LSNs 5-31
+        vdce, held, _ = lagging_failover()
+        state = vdce.recovery.sites["syracuse"]
+        assert state.history == ["syracuse/h1"]
+        assert held == {"h1": 31, "h2": 31}
+        live = vdce.site_managers["syracuse"]
+        assert live.replication.wal.records[0].lsn == 32
+        [survivor] = state.replicas
+        assert survivor.last_lsn() == live.replication.wal.last_lsn
+        assert dynamic_records(survivor.repository) == \
+            dynamic_records(live.repository)
+        assert _task_performance(survivor.repository) == \
+            _task_performance(live.repository)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(lagging_failovers())
+    def test_replicas_equal_the_live_repository(self, case):
+        lagging, window_at, window_s, crash_at = case
+        # stop half-way between two load reports, with none in flight
+        vdce, held, run = lagging_failover(
+            lagging, window_at, window_s, crash_at, submit_at=1.0,
+            until=math.floor(crash_at) + 30.5)
+        state = vdce.recovery.sites["syracuse"]
+        assert state.history == ["syracuse/h1"]
+        assert run.status == "completed"
+        live = vdce.site_managers["syracuse"]
+        wal = live.replication.wal
+        assert wal.records[0].lsn > max(held.values())
+        for replica in state.replicas:
+            assert replica.last_lsn() == wal.last_lsn
+            assert dynamic_records(replica.repository) == \
+                dynamic_records(live.repository)
+            assert _task_performance(replica.repository) == \
+                _task_performance(live.repository)
 
 
 # ---------------------------------------------------------------------------

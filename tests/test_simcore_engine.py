@@ -322,6 +322,42 @@ class TestEventSemantics:
         env.run()
         assert got == [(7.0, "go")]
 
+    def test_add_callback_runs_after_the_earlier_waiters(self):
+        env = Environment()
+        flag = env.event()
+        got = []
+
+        def waiter(env):
+            got.append(("process", (yield flag)))
+
+        env.process(waiter(env))
+        env.run()  # the waiter attaches first
+        flag.add_callback(lambda ev: got.append(("callback", ev.value)))
+        flag.succeed("go")
+        env.run()
+        assert got == [("process", "go"), ("callback", "go")]
+
+    def test_add_callback_needs_no_process(self):
+        env = Environment()
+        got = []
+
+        def work(env):
+            yield env.timeout(3.0)
+            return "done"
+
+        proc = env.process(work(env))
+        proc.add_callback(lambda ev: got.append((env.now, ev.value)))
+        env.run()
+        assert got == [(3.0, "done")]
+
+    def test_add_callback_to_a_processed_event_rejected(self):
+        env = Environment()
+        ev = env.event()
+        ev.succeed()
+        env.run()
+        with pytest.raises(SimulationError):
+            ev.add_callback(lambda ev: None)
+
     def test_step_empty_queue_raises(self):
         env = Environment()
         env.run()

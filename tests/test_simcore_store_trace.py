@@ -272,14 +272,6 @@ class TestTracer:
         recs = list(tr.query(category="tick", actor="a", since=3.0, until=7.0))
         assert [r.time for r in recs] == [3.0, 5.0, 7.0]
 
-    def test_subscribe(self):
-        tr = Tracer()
-        seen = []
-        tr.subscribe(lambda rec: seen.append(rec.category))
-        tr.record(0.0, "alpha", "x")
-        tr.record(1.0, "beta", "x")
-        assert seen == ["alpha", "beta"]
-
     def test_categories_histogram(self):
         tr = Tracer()
         tr.record(0.0, "a", "x")
@@ -292,55 +284,6 @@ class TestTracer:
         tr.record(0.0, "a", "x")
         tr.clear()
         assert tr.count() == 0
-
-    def test_unsubscribe_stops_delivery(self):
-        tr = Tracer()
-        seen = []
-        cb = seen.append
-        tr.subscribe(cb)
-        tr.record(0.0, "a", "x")
-        tr.unsubscribe(cb)
-        tr.record(1.0, "b", "x")
-        assert [r.category for r in seen] == ["a"]
-        assert tr.subscriber_count == 0
-
-    def test_unsubscribe_unknown_callback_is_noop(self):
-        tr = Tracer()
-        tr.unsubscribe(lambda rec: None)  # never subscribed
-        assert tr.subscriber_count == 0
-
-    def test_clear_keeps_subscribers_by_default(self):
-        tr = Tracer()
-        seen = []
-        tr.subscribe(lambda rec: seen.append(rec.category))
-        tr.record(0.0, "a", "x")
-        tr.clear()
-        tr.record(1.0, "b", "x")
-        assert seen == ["a", "b"]
-        assert tr.subscriber_count == 1
-
-    def test_clear_with_subscribers_is_full_reset(self):
-        tr = Tracer()
-        seen = []
-        tr.subscribe(lambda rec: seen.append(rec.category))
-        tr.clear(subscribers=True)
-        tr.record(0.0, "a", "x")
-        assert seen == []
-        assert tr.subscriber_count == 0
-        assert tr.count() == 1
-
-    def test_resubscribing_per_run_no_longer_leaks(self):
-        # the leak unsubscribe() exists to prevent: one consumer
-        # re-attached across runs must not fan out N times
-        tr = Tracer()
-        seen = []
-        for _run in range(3):
-            cb = seen.append
-            tr.subscribe(cb)
-            tr.record(0.0, "tick", "x")
-            tr.unsubscribe(cb)
-        assert len(seen) == 3
-        assert tr.subscriber_count == 0
 
     def test_detail_payload(self):
         tr = Tracer()

@@ -29,8 +29,10 @@ from repro.traffic import (
 )
 from repro.traffic.generators import OpenLoopGenerator
 from repro.traffic.templates import TEMPLATE_NAMES
+from repro.traffic.vdce_replay import VdceReplayBackend
 from repro.util.errors import ConfigurationError, RepositoryError
 from repro.util.rng import RngRegistry
+from repro.workloads import quiet_testbed
 
 SMALL = dict(arrivals=1500, users=100, tenants=5, rate_per_s=30.0)
 
@@ -267,3 +269,31 @@ class TestReplayBakeoff:
         assert doc["kind"] == "replay-bakeoff"
         assert len(doc["rows"]) == 2
         assert "replay bake-off" in capsys.readouterr().out
+
+
+class TestVdceReplayBackend:
+    def test_a_job_costs_only_its_submit_process(self, monkeypatch):
+        vdce = quiet_testbed(seed=1)
+        vdce.start()
+        backend = VdceReplayBackend(vdce, sites=("syracuse",))
+        spawned = []
+        spawn = Environment.process
+
+        def counting(env, gen, name=None):
+            spawned.append(name)
+            return spawn(env, gen, name=name)
+
+        monkeypatch.setattr(Environment, "process", counting)
+        done = []
+        req = JobRequest(job="j1", nproc=1, submit_time_s=0.0,
+                         duration_s=1.0, user="u0001",
+                         template=TEMPLATE_NAMES[0])
+        backend.start(req, lambda: done.append(vdce.now))
+        assert [name.split(":")[0] for name in spawned] == ["submit"]
+        assert backend.in_flight == 1
+        while not done and vdce.now < 600.0:
+            vdce.env.run(until=vdce.now + 5.0)
+        [run] = [item.run for item in backend.runs]
+        assert run.status == "completed"
+        assert done == [run.finished_at]
+        assert backend.in_flight == 0
