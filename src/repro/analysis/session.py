@@ -125,7 +125,8 @@ class AnalysisSession:
             for site, state in recovery.sites.items():
                 self.tag_daemon(state.heartbeat, site)
                 for replica in state.replicas:
-                    # Replica repository copies report through the
+                    # A standby holds only the shipped log; the
+                    # promotion's roll-forward reports through the
                     # dedicated replica cells in recovery/replication.py
                     # (distinct from the primary's DB cells), so only
                     # the processes need tagging here.

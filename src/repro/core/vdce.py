@@ -495,8 +495,9 @@ class VDCE:
         """Swap the facade's manager and repository maps, heal in-flight work.
 
         Rescheduling then prices the site from the promoted manager's
-        selector over its replica, which the live Site Manager keeps
-        current, and each run this site coordinates reads its
+        selector over its repository (the site's snapshot rolled forward
+        at promotion), which the live Site Manager keeps current, and
+        each run this site coordinates reads its
         completions from the rebuilt state.
 
         The coordinator already re-pushed the WAL's original

@@ -2,9 +2,10 @@
 
 One :class:`RecoveryCoordinator` per federation (owned by the VDCE
 facade).  :meth:`enable_site` turns a site's control plane
-self-healing: it snapshots the server's repository onto standby hosts,
-attaches the WAL shipper to the live Site Manager, starts the server
-heartbeat, and registers rank-staggered
+self-healing: it takes one snapshot of the server's repository, starts
+a standby replica (a held log) on each standby host, attaches the WAL
+shipper to the live Site Manager, starts the server heartbeat, and
+registers rank-staggered
 :class:`~repro.recovery.failover.HeartbeatTracker` detectors with the
 standby hosts' monitors.
 
@@ -17,8 +18,10 @@ simulated instant the winning detector fires:
    so the stable ``site/server/...`` addresses now route liveness to it
    (clients and daemons keep their addressing);
 3. **rebuild** — the standby takes the records it lacks from each
-   survivor, then a fresh Site Manager runs over its repository, with
-   execution state folded from that union of the shipped logs
+   survivor, a copy of the site's snapshot is rolled forward over that
+   union of the shipped logs (:func:`~repro.recovery.replication.roll_forward`),
+   and a fresh Site Manager runs over it, with execution state folded
+   from the same union
    (:meth:`~repro.runtime.control.site_manager.ExecutionState.fold`):
    pending acks, start signals and completions are restored, acks of
    dead hosts waived, allocation portions re-pushed (the Application
@@ -44,8 +47,13 @@ from repro.recovery.failover import (
     HeartbeatTracker,
     ServerHeartbeatDaemon,
 )
-from repro.recovery.replication import ReplicationShipper, StandbyReplica
+from repro.recovery.replication import (
+    ReplicationShipper,
+    StandbyReplica,
+    roll_forward,
+)
 from repro.recovery.wal import WalRecord
+from repro.repository.site_repository import SiteRepository
 from repro.resources.site import Site
 from repro.runtime.control.site_manager import ExecutionState, SiteManager
 from repro.simcore.engine import Environment
@@ -66,6 +74,9 @@ class SiteFailoverState:
     heartbeat: ServerHeartbeatDaemon
     replicas: list[StandbyReplica]
     monitors: dict[str, Any]
+    #: the server's repository as failover was enabled, never mutated:
+    #: every promotion rolls a copy of it forward over the held log
+    snapshot: SiteRepository
     #: the host address of each promoted standby, in order
     history: list[str] = field(default_factory=list)
 
@@ -104,12 +115,9 @@ class RecoveryCoordinator:
         if not standby_hosts:
             raise ConfigurationError(
                 f"no standby hosts given for site {site.name!r}")
-        replicas = []
-        for host_name in sorted(standby_hosts):
-            host = site.host(host_name)  # raises on unknown host
-            replicas.append(StandbyReplica(
-                self.env, self.network, host, site,
-                repository=copy.deepcopy(sm.repository)))
+        replicas = [StandbyReplica(self.env, self.network,
+                                   site.host(host_name), site)
+                    for host_name in sorted(standby_hosts)]
         standby_addrs = [r.address for r in replicas]
         sm.replication = ReplicationShipper(self.env, self.network,
                                             sm.address, standby_addrs)
@@ -117,7 +125,7 @@ class RecoveryCoordinator:
             self.env, self.network, site, standby_addrs)
         state = SiteFailoverState(
             site=site, sm=sm, heartbeat=heartbeat, replicas=replicas,
-            monitors=monitors)
+            monitors=monitors, snapshot=copy.deepcopy(sm.repository))
         self._attach_trackers(state)
         self.sites[site.name] = state
         if self.obs.enabled:
@@ -167,23 +175,25 @@ class RecoveryCoordinator:
         replica.stop()  # this standby daemon becomes the server
         # 2. move the server role onto the standby host
         site.server_role_host = replica.host.name
-        # 3. take what the survivors hold and this replica missed, then
-        # rebuild the Site Manager over the replica repository; the
-        # stable role address means nothing else re-learns an address
+        # 3. take what the survivors hold and this replica missed, roll
+        # a copy of the snapshot forward over that union, and rebuild
+        # the Site Manager on it; the stable role address means nothing
+        # else re-learns an address
         survivors = [r for r in state.replicas
                      if r is not replica and r.active]
         for peer in survivors:
             replica.absorb(peer.ordered_records())
-        new_sm = SiteManager(
-            self.env, self.network, site, replica.repository,
-            self.topology, obs=self.obs)
+        records = replica.ordered_records()
+        repository = roll_forward(copy.deepcopy(state.snapshot), records,
+                                  replica.host.address)
+        new_sm = SiteManager(self.env, self.network, site, repository,
+                             self.topology, obs=self.obs)
         # Group Managers re-register here, not in the facade's wiring:
         # step 5 pushes through them before on_promoted runs
         for gm in old_sm.group_managers.values():
             new_sm.register_group_manager(gm)
         # 4. re-arm the survivors: the union of the logs, then a shipper
         # continuing the site's LSN sequence after its highest LSN
-        records = replica.ordered_records()
         for peer in survivors:
             peer.absorb(records)
             self.network.send(new_sm.address, peer.address,

@@ -11,19 +11,18 @@ all traffic — which is exactly the failure semantics the standbys must
 tolerate.
 
 The :class:`StandbyReplica` daemon runs on a standby *host* (so it dies
-with the host, like any other daemon).  It applies repository-kind
-records eagerly to its own :class:`SiteRepository` copy (seeded from a
-snapshot when failover was enabled) through
-:meth:`SiteRepository.apply`, the server's own write path, holds
-execution-kind records until a promotion folds them through
-:meth:`~repro.runtime.control.site_manager.ExecutionState.fold`, and
-tracks the server heartbeat for the failure detector in
-:mod:`repro.recovery.failover`.
+with the host, like any other daemon).  It holds the records it was
+shipped, keyed by LSN, and tracks the server heartbeat for the failure
+detector in :mod:`repro.recovery.failover`; it applies nothing.  Only a
+promotion reads the held log: :func:`roll_forward` gives the records
+their repository effect, through :meth:`SiteRepository.apply`, the
+server's own write path, on a copy of the site's snapshot, and
+:meth:`~repro.runtime.control.site_manager.ExecutionState.fold` their
+execution effect.
 """
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Iterable
 from typing import Any
 
@@ -64,31 +63,20 @@ class ReplicationShipper:
 
 
 class StandbyReplica:
-    """Standby-host side: replica repository + held log records."""
+    """Standby-host side: the shipped log, held for a promotion."""
 
     SERVICE = "standby"
 
     def __init__(self, env: Environment, network: Network, host: Host,
-                 site: Site, repository: SiteRepository) -> None:
+                 site: Site) -> None:
         self.env = env
         self.host = host
         self.site = site
-        #: this standby's own repository copy (snapshot at enable time,
-        #: then rolled forward by the held records in LSN order)
-        self.repository = repository
         self.address = f"{host.address}/{self.SERVICE}"
         self.mailbox = network.register(self.address)
         #: shipped records by LSN (a dict, not a list: duplicates from
-        #: message faults overwrite idempotently, gaps stay visible)
+        #: message faults are held once, gaps stay visible)
         self.records: dict[int, WalRecord] = {}
-        #: highest LSN held (0 when nothing arrived)
-        self._last_lsn = 0
-        #: (execution_id, node_id) pairs whose task-performance effect
-        #: was already applied — replays and duplicates are skipped
-        self._perf_applied: set[tuple[str, str]] = set()
-        #: (repository, applied pairs, LSN) when the first gap in the
-        #: held LSNs opened: a record filling a gap is folded in from here
-        self._checkpoint: tuple[SiteRepository, set, int] | None = None
         #: simulated time the last server heartbeat arrived
         self.last_heartbeat = env.now
         #: set False once this replica (or a peer) was promoted
@@ -115,62 +103,16 @@ class StandbyReplica:
                                payload=payload["data"]),))
 
     def absorb(self, records: Iterable[WalRecord]) -> int:
-        """Install shipped records or a promotion's state transfer: hold
-        each at its LSN and apply the new ones; returns how many were
-        new.  A copy of a held LSN is the same record, since a promoted
-        server continues the site's LSN sequence.  A record filling a
-        gap would reorder load windows and host status if applied after
-        its successors, so the records after the checkpoint are folded
-        again, in LSN order."""
+        """Hold shipped records or a promotion's state transfer, each at
+        its LSN; returns how many were new.  A copy of a held LSN is the
+        same record, since a promoted server continues the site's LSN
+        sequence, so the held one is kept."""
         new = 0
-        gap_filled = False
         for record in records:
             if record.lsn not in self.records:
+                self.records[record.lsn] = record
                 new += 1
-                if record.lsn < self._last_lsn:
-                    gap_filled = True
-                elif not gap_filled:
-                    if record.lsn > self._last_lsn + 1 and \
-                            self._checkpoint is None:
-                        self._checkpoint = (copy.deepcopy(self.repository),
-                                            set(self._perf_applied),
-                                            self._last_lsn)
-                    self.apply_record(record)
-                    self._last_lsn = record.lsn
-            self.records[record.lsn] = record
-        if gap_filled:
-            # the checkpoint was taken when the filled gap opened
-            repository, perf_applied, checkpoint_lsn = self._checkpoint
-            self.repository = copy.deepcopy(repository)
-            self._perf_applied = set(perf_applied)
-            for record in self.ordered_records():
-                if record.lsn > checkpoint_lsn:
-                    self.apply_record(record)
-            self._last_lsn = max(self.records)
         return new
-
-    # -- eager application --------------------------------------------------
-    def apply_record(self, record: WalRecord) -> None:
-        """Roll the replica repository forward by one record.
-
-        :meth:`SiteRepository.apply` gives each record its repository
-        effect, as at the live server; the execution-state records are
-        only held (a promotion folds them).  A ``task-completed``
-        record's task-performance effect is applied once per
-        ``(execution_id, node_id)``, so a re-logged completion after a
-        promotion is not counted twice.
-        """
-        if hooks.HB is not None:
-            hooks.HB.write(self.site.name, f"replica:{self.host.address}",
-                           record.kind)
-        payload = record.payload
-        if record.kind != "task-completed":
-            self.repository.apply(record.kind, payload, record.t)
-            return
-        key = (payload["execution_id"], payload["node_id"])
-        if key not in self._perf_applied and \
-                self.repository.apply(record.kind, payload, record.t):
-            self._perf_applied.add(key)
 
     # -- promotion-time views ------------------------------------------------
     def ordered_records(self) -> list[WalRecord]:
@@ -178,11 +120,39 @@ class StandbyReplica:
         return [self.records[lsn] for lsn in sorted(self.records)]
 
     def last_lsn(self) -> int:
-        """Highest LSN seen (0 when nothing arrived)."""
-        return self._last_lsn
+        """Highest LSN held (0 when nothing arrived)."""
+        return max(self.records, default=0)
 
     def stop(self) -> None:
         """Terminate the replica's inbox process (teardown/promotion)."""
         self.active = False
         if self._inbox_proc.is_alive:
             self._inbox_proc.interrupt("stop")
+
+
+def roll_forward(repository: SiteRepository, records: Iterable[WalRecord],
+                 replica_address: str) -> SiteRepository:
+    """Give *records* their repository effect, in the order given (LSN
+    order), on *repository*, and return it.
+
+    :meth:`SiteRepository.apply` applies each record, as at the live
+    server; execution-kind records change nothing here (a promotion
+    folds them).  A ``task-completed`` record's task-performance effect
+    is applied once per ``(execution_id, node_id)``, so a completion
+    that an earlier promotion re-logged is not counted twice.  Each
+    record is one sanitizer write on the ``replica:<host>`` cell of the
+    standby at *replica_address*.
+    """
+    cell = f"replica:{replica_address}"
+    applied: set[tuple[str, str]] = set()
+    for record in records:
+        if hooks.HB is not None:
+            hooks.HB.write(repository.site, cell, record.kind)
+        payload = record.payload
+        if record.kind == "task-completed":
+            key = (payload["execution_id"], payload["node_id"])
+            if key in applied:
+                continue
+            applied.add(key)
+        repository.apply(record.kind, payload, record.t)
+    return repository

@@ -5,9 +5,11 @@ or :class:`~repro.runtime.control.site_manager.ExecutionState` operation
 at the active server appends one :class:`WalRecord` here *before* the
 effect is considered durable; the shipper in
 :mod:`repro.recovery.replication` forwards each record over the
-simulated network to the site's standby hosts.  On promotion a standby
-folds its copy of the log to reconstruct the server's execution state
-(see ``docs/recovery.md`` for the record catalogue).
+simulated network to the site's standby hosts, which only hold it.  On
+promotion the standby's copy of the log is read twice: rolled forward
+over the site's repository snapshot, and folded to reconstruct the
+server's execution state (see ``docs/recovery.md`` for the record
+catalogue).
 
 Determinism: records are appended in simulation order with a per-log
 monotone LSN, and :meth:`WriteAheadLog.summary_json` renders a canonical
@@ -25,10 +27,10 @@ from typing import Any
 
 from repro.util.errors import ConfigurationError
 
-#: the record catalogue; repository records mutate the replica's
-#: databases eagerly, execution records are folded at promotion
-#: ("task-completed" does both: its task-performance effect is applied
-#: eagerly and its execution-state effect is folded)
+#: the record catalogue; at promotion, repository records are rolled
+#: forward over the site's repository snapshot and execution records
+#: are folded ("task-completed" does both: its task-performance effect
+#: is rolled forward and its execution-state effect is folded)
 REPOSITORY_KINDS = ("workload-update", "host-down", "host-up")
 EXECUTION_KINDS = ("exec-begin", "ack", "start", "task-completed",
                    "exec-finished")

@@ -52,7 +52,8 @@ class SiteRepository:
         or ``host-up`` record, or the task-performance half of a
         ``task-completed`` record (stamped *t*), does to a repository:
         the Site Manager applies each mutation it logs through here, and
-        a standby each shipped record.  Every other kind, and a record
+        a promotion each record the standbys hold, rolled forward over
+        the site's snapshot.  Every other kind, and a record
         naming a host or task this repository does not hold, changes
         nothing.
         """

@@ -25,7 +25,8 @@ outputs the scheduling and monitoring layers feed:
   of the monitored NYNET testbed with failover on (the seed is the
   testbed seed), which pins the Group Manager → Site Manager relay;
 * ``failover-lag`` — the dynamic repository records of the live server
-  and of the surviving standby, and the promoted server's WAL digest,
+  and of the surviving standby's roll-forward, and the promoted
+  server's WAL digest,
   after a failover whose promoting standby missed 27 shipments
   (:func:`tests.test_recovery.lagging_failover` at its defaults; the
   seed is the testbed seed), which pins the promotion's two-way state
@@ -82,7 +83,11 @@ from repro.workloads import nynet_testbed, random_layered_graph
 from tests.chaos.harness import ChaosOutcome, assert_invariants, run_chaos
 from tests.chaos.test_partition import run_partition_chaos
 from tests.chaos.test_server_failover import SERVER_CRASH_PLAN, STANDBYS
-from tests.test_recovery import dynamic_records, lagging_failover
+from tests.test_recovery import (
+    dynamic_records,
+    lagging_failover,
+    rolled_forward,
+)
 from tests.test_update_coalescing import (
     dynamic_probe,
     run_monitored,
@@ -170,8 +175,10 @@ def _artifacts(scenario: str, seed: int) -> dict[str, str]:
         vdce, _, _ = lagging_failover()
         live = vdce.site_managers["syracuse"]
         records = {"live": dynamic_records(live.repository)}
-        for replica in vdce.recovery.sites["syracuse"].replicas:
-            records[replica.address] = dynamic_records(replica.repository)
+        state = vdce.recovery.sites["syracuse"]
+        for replica in state.replicas:
+            records[replica.address] = dynamic_records(
+                rolled_forward(state, replica))
         return {"replicas": json.dumps(records, sort_keys=True),
                 "wal": live.replication.wal.summary_json()}
     if scenario == "reschedule":

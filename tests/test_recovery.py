@@ -3,12 +3,14 @@
 Chaos-grade end-to-end failover runs live in
 ``tests/chaos/test_server_failover.py``; this module covers the units —
 the WAL and the execution-state fold, the rank-staggered failure
-detector, the standby replica's record application, promotions of a
-standby that missed shipments, ``ServerCrash`` plan plumbing, monotone
+detector, the standby replica's held log and its roll-forward,
+promotions of a standby that missed shipments, ``ServerCrash`` plan
+plumbing, monotone
 allocation versions, and a fast in-process flapping scenario for the
 rescheduling pipeline.
 """
 
+import copy
 import json
 import math
 
@@ -24,9 +26,12 @@ from repro.recovery import (
     REPOSITORY_KINDS,
     WAL_KINDS,
     HeartbeatTracker,
+    RecoveryCoordinator,
     WalRecord,
     WriteAheadLog,
+    roll_forward,
 )
+from repro.repository.resource_perf import ResourcePerformanceDB
 from repro.runtime.control.site_manager import (
     SELECTION_TIMEOUT_S,
     ExecutionState,
@@ -41,6 +46,7 @@ from repro.workloads import (
     random_layered_graph,
     wide_area_testbed,
 )
+from tests.test_update_coalescing import run_monitored
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +187,16 @@ def _task_performance(repo):
     return tp._records, tp._weights, tp._history
 
 
+def rolled_forward(state, replica):
+    """The repository *replica* would promote on: a copy of the site's
+    snapshot rolled forward over the records it holds."""
+    return roll_forward(copy.deepcopy(state.snapshot),
+                        replica.ordered_records(), replica.host.address)
+
+
 class TestStandbyMatchesLive:
-    """Each shipped record leaves a standby's repository equal to the
-    live server's, for every repository kind the WAL carries."""
+    """A standby's roll-forward equals the live server's repository, for
+    every repository kind the WAL carries."""
 
     def test_standbys_equal_the_live_repository(self):
         vdce = nynet_testbed(seed=5, hosts_per_site=4)
@@ -203,19 +216,21 @@ class TestStandbyMatchesLive:
         assert kinds >= {"workload-update", "task-completed", "host-down",
                          "host-up"}
         assert any(live.repository.task_performance._history.values())
-        replicas = vdce.recovery.sites["syracuse"].replicas
-        assert len(replicas) == 2
-        for replica in replicas:
-            assert dynamic_records(replica.repository) == \
+        state = vdce.recovery.sites["syracuse"]
+        assert len(state.replicas) == 2
+        for replica in state.replicas:
+            repository = rolled_forward(state, replica)
+            assert dynamic_records(repository) == \
                 dynamic_records(live.repository)
-            assert _task_performance(replica.repository) == \
+            assert _task_performance(repository) == \
                 _task_performance(live.repository)
 
     def test_a_held_lsn_is_installed_once(self):
         vdce = quiet_testbed(seed=5)
         vdce.start()
         vdce.enable_failover("syracuse", ["h1", "h2"])
-        replica = vdce.recovery.sites["syracuse"].replicas[0]
+        state = vdce.recovery.sites["syracuse"]
+        replica = state.replicas[0]
         sample = {"host": "syracuse/h0", "cpu_load": 0.5,
                   "available_memory_mb": 32.0, "time": 0.0}
         records = [WalRecord(lsn=1, t=0.0, kind="workload-update",
@@ -224,7 +239,8 @@ class TestStandbyMatchesLive:
                              payload={"host": "syracuse/h0", "time": 0.0})]
         assert replica.absorb(records) == 2
         assert replica.absorb(records) == 0
-        rec = replica.repository.resource_performance.get("syracuse/h0")
+        rec = rolled_forward(state, replica).resource_performance.get(
+            "syracuse/h0")
         assert rec.load_window == [0.5]
         assert rec.status == "down"
         assert replica.last_lsn() == 2
@@ -233,7 +249,8 @@ class TestStandbyMatchesLive:
         vdce = quiet_testbed(seed=5)
         vdce.start()
         vdce.enable_failover("syracuse", ["h1", "h2"])
-        early, late = vdce.recovery.sites["syracuse"].replicas
+        state = vdce.recovery.sites["syracuse"]
+        early, late = state.replicas
         records = [WalRecord(lsn=lsn, t=float(lsn), kind="workload-update",
                              payload={"host": "syracuse/h0",
                                       "cpu_load": lsn / 10,
@@ -244,11 +261,12 @@ class TestStandbyMatchesLive:
         assert late.absorb([records[0], records[2]]) == 2
         assert late.absorb([records[1]]) == 1
         for replica in (early, late):
-            rec = replica.repository.resource_performance.get("syracuse/h0")
+            rec = rolled_forward(state, replica).resource_performance.get(
+                "syracuse/h0")
             assert rec.load_window == [0.1, 0.2, 0.3]
             assert rec.load_window_times == [1.0, 2.0, 3.0]
-        assert dynamic_records(late.repository) == \
-            dynamic_records(early.repository)
+        assert dynamic_records(rolled_forward(state, late)) == \
+            dynamic_records(rolled_forward(state, early))
         assert late.last_lsn() == 3
 
 
@@ -323,9 +341,9 @@ class TestLaggingPromotion:
         assert live.replication.wal.records[0].lsn == 32
         [survivor] = state.replicas
         assert survivor.last_lsn() == live.replication.wal.last_lsn
-        assert dynamic_records(survivor.repository) == \
-            dynamic_records(live.repository)
-        assert _task_performance(survivor.repository) == \
+        repository = rolled_forward(state, survivor)
+        assert dynamic_records(repository) == dynamic_records(live.repository)
+        assert _task_performance(repository) == \
             _task_performance(live.repository)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -344,10 +362,89 @@ class TestLaggingPromotion:
         assert wal.records[0].lsn > max(held.values())
         for replica in state.replicas:
             assert replica.last_lsn() == wal.last_lsn
-            assert dynamic_records(replica.repository) == \
+            repository = rolled_forward(state, replica)
+            assert dynamic_records(repository) == \
                 dynamic_records(live.repository)
-            assert _task_performance(replica.repository) == \
+            assert _task_performance(repository) == \
                 _task_performance(live.repository)
+
+
+class TestStandbyHoldsTheLog:
+    """Until a promotion a standby only holds what it was shipped: the
+    live Site Manager is the one writer of repository state, and the
+    site's snapshot stays as failover found it."""
+
+    def test_no_repository_work_before_a_promotion(self, monkeypatch):
+        updated = []
+        update_dynamic = ResourcePerformanceDB.update_dynamic
+
+        def counted(db, *args, **kwargs):
+            updated.append(db)
+            return update_dynamic(db, *args, **kwargs)
+
+        monkeypatch.setattr(ResourcePerformanceDB, "update_dynamic",
+                            counted)
+        enabled = {}
+        enable_site = RecoveryCoordinator.enable_site
+
+        def remembered(coordinator, site, sm, *args, **kwargs):
+            enabled[site.name] = dynamic_records(sm.repository)
+            return enable_site(coordinator, site, sm, *args, **kwargs)
+
+        monkeypatch.setattr(RecoveryCoordinator, "enable_site", remembered)
+        vdce = run_monitored(failover=True)
+        state = vdce.recovery.sites["syracuse"]
+        assert state.history == []
+        shipped = [r for r in state.replicas[0].ordered_records()
+                   if r.kind == "workload-update"]
+        assert shipped
+        applied = sum(sm.updates_applied
+                      for sm in vdce.site_managers.values())
+        assert len(updated) == applied > 0
+        assert dynamic_records(state.snapshot) == enabled["syracuse"]
+        assert dynamic_records(vdce.repositories["syracuse"]) != \
+            enabled["syracuse"]
+
+
+class TestEveryPromotionRollsTheSnapshot:
+    """Each promotion rolls a copy of the site's snapshot forward over
+    everything the standbys hold, re-logged completions included."""
+
+    def test_each_promotion_starts_from_the_failed_servers_repository(
+            self):
+        vdce = quiet_testbed(seed=5)
+        vdce.start()
+        recovery = vdce.enable_failover("syracuse", ["h1", "h2"])
+        vdce.apply_fault_plan(FaultPlan((
+            ServerCrash("syracuse", at=10.0, recover_after=40.0),
+            HostCrash("syracuse/h1", at=45.0))))
+        promotions = []
+        rewire = recovery.on_promoted
+
+        def on_promoted(site_name, old_sm, new_sm):
+            promotions.append((
+                vdce.now, old_sm.replication.wal,
+                dynamic_records(new_sm.repository)
+                == dynamic_records(old_sm.repository),
+                _task_performance(new_sm.repository)
+                == _task_performance(old_sm.repository)))
+            rewire(site_name, old_sm, new_sm)
+
+        recovery.on_promoted = on_promoted
+        # large enough to be running when the first server crashes
+        graph = linear_solver_graph(vdce.registry, n=200)
+        _, run = vdce.submit(graph, "syracuse")
+        vdce.run(until=90.0)
+        assert run.status == "completed"
+        assert recovery.sites["syracuse"].history == \
+            ["syracuse/h1", "syracuse/h2"]
+        assert [same for _, _, *same in promotions] == [[True, True]] * 2
+        # the first promoted server re-logged completions the second
+        # promotion rolled forward again
+        first, second = ({(r.payload["execution_id"], r.payload["node_id"])
+                          for r in wal if r.kind == "task-completed"}
+                         for _, wal, _, _ in promotions)
+        assert first & second
 
 
 # ---------------------------------------------------------------------------
