@@ -286,15 +286,15 @@ DIGESTS: dict[tuple[str, int], dict[str, str]] = {
     },
     ('analyze', 101): {
         'report':
-            'd10d6dd805a1721915eceb2b866cf5b4b26651a155a3ca20269b115a6237b100',
+            'c9f64544a2c24a3dfb2f8b837ffd7404ec3a29e223a6b09eb62945938a2584ea',
     },
     ('analyze', 202): {
         'report':
-            '32462efdf35e9d0c1685c16ff711bbdc583035b8c9afc91d7dd0e2ad615e67de',
+            '03ffd893edf5ff69395097a01d225e3ee8dfcb802752084cb154710e9cfcbadf',
     },
     ('analyze', 303): {
         'report':
-            'eca685ac8ed132e5d634cf7321ad1c844574a24248b9c185afdb629e63a6173a',
+            'bc0329ee444cd04eec97ca2f9b6f6956190c471f4ec19d5441160c42fe2975b9',
     },
     ('bakeoff', 0): {
         'result':
