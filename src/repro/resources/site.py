@@ -109,9 +109,6 @@ class Site:
         """Address of the VDCE server machine (Site Manager endpoint)."""
         return f"{self.name}/server"
 
-    def scheduler_address(self) -> str:
-        return f"{self.name}/server/scheduler"
-
     def server_is_up(self) -> bool:
         """Liveness of whatever machine currently holds the server role."""
         if self.server_role_host is not None:

@@ -309,14 +309,6 @@ class SiteManager:
                 help="host down/up notifications handled").inc(
                     site=self.site.name, kind="up")
 
-    # -- resource add/remove ("whenever a resource is added or removed") -----
-    def resource_added(self, spec) -> None:
-        self.repository.resource_performance.register_host(self.site.name,
-                                                           spec)
-
-    def resource_removed(self, address: str) -> None:
-        self.repository.resource_performance.unregister_host(address)
-
     # -- remote-site role: answer AFG multicasts -----------------------------
     def _on_afg_multicast(self, msg) -> None:
         payload = msg.payload

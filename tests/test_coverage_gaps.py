@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.resources import HostSpec
 from repro.scheduling import HostSelector, SiteScheduler
 from repro.scheduling.makespan import evaluate_schedule
 from repro.simcore import Environment
@@ -64,20 +63,6 @@ class TestSchedulerEdgeCases:
             g, selectors)
         tl = evaluate_schedule(g, table, fed.topology)
         assert tl.total_transfer() > 0  # gen-A -> lu crosses sites
-
-
-class TestSiteManagerResourceChanges:
-    def test_resource_added_and_removed(self):
-        v = quiet_testbed(seed=73)
-        v.start()
-        sm = v.site_managers["syracuse"]
-        repo = v.repositories["syracuse"].resource_performance
-        before = len(repo)
-        sm.resource_added(HostSpec(name="newbie"))
-        assert len(repo) == before + 1
-        assert "syracuse/newbie" in repo
-        sm.resource_removed("syracuse/newbie")
-        assert len(repo) == before
 
 
 class TestSimcoreEdges:

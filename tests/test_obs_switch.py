@@ -4,14 +4,16 @@ A VDCE built without an enabled :class:`~repro.obs.Observability`
 records nothing: every trace, span and metric record site sits behind
 one ``if obs.enabled:`` guard, so an unobserved run makes zero calls
 into the recorders and the shared :data:`~repro.obs.OBS_OFF` handle
-stays empty.  Reading the trace of such a run is a configuration error
-rather than an empty log.
+stays empty, through failover and membership churn as well.  Reading
+the trace of such a run is a configuration error rather than an empty
+log.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.faults import FaultPlan, LinkFlap, ServerCrash
 from repro.obs import OBS_OFF, Observability
 from repro.obs.metrics import Counter, Gauge, Histogram
 from repro.obs.spans import SpanTracker
@@ -44,23 +46,44 @@ def record_calls(monkeypatch):
     return calls
 
 
-def solve(vdce) -> None:
-    """Run a cross-site linear solver to completion."""
+def solve(vdce, churn: bool = False) -> None:
+    """Run a cross-site linear solver to completion.
+
+    With *churn*, membership and failover are on for both sites, the
+    submitting site's server crashes while the solver runs and the WAN
+    link flaps once afterwards, so a promotion with its execution
+    rebuild, quarantines and rejoins run too.
+    """
     vdce.start()
-    graph = linear_solver_graph(vdce.registry, n=60)
     sites = sorted(vdce.world.sites)
+    if churn:
+        vdce.enable_membership()
+        for site in sites:
+            vdce.enable_failover(site, ["h1", "h2"])
+        vdce.apply_fault_plan(FaultPlan((
+            ServerCrash(sites[0], at=0.5),
+            LinkFlap(sites[0], sites[1], at=20.0, down_s=10.0, cycles=1))))
+    graph = linear_solver_graph(vdce.registry, n=60)
     for i, nid in enumerate(graph.nodes):
         graph.node(nid).properties.preferred_site = sites[i % len(sites)]
     run = vdce.run_application(graph, sites[0], k_remote_sites=1,
                                max_sim_time_s=600)
     assert run.status == "completed"
+    if churn:
+        vdce.run(until=50.0)
+        assert vdce.recovery.failovers == 1
+        events = [event["event"] for daemon in vdce.federation.daemons.values()
+                  for event in daemon.events]
+        assert "quarantine" in events and "rejoin" in events
 
 
 class TestUnobservedRun:
-    def test_records_nothing(self, record_calls):
+    @pytest.mark.parametrize("churn", [False, True],
+                             ids=["quiet", "failover-and-flap"])
+    def test_records_nothing(self, record_calls, churn):
         vdce = quiet_testbed(seed=3)
         assert vdce.obs is OBS_OFF
-        solve(vdce)
+        solve(vdce, churn)
         assert vdce.network.stats.messages > 0
         assert record_calls == dict.fromkeys(record_calls, 0)
 
