@@ -115,8 +115,9 @@ class RecoveryCoordinator:
         if not standby_hosts:
             raise ConfigurationError(
                 f"no standby hosts given for site {site.name!r}")
+        # site.host raises on an unknown host
         replicas = [StandbyReplica(self.env, self.network,
-                                   site.host(host_name), site)
+                                   site.host(host_name))
                     for host_name in sorted(standby_hosts)]
         standby_addrs = [r.address for r in replicas]
         sm.replication = ReplicationShipper(self.env, self.network,

@@ -32,7 +32,6 @@ from repro.net.network import Network
 from repro.recovery.wal import WalRecord, WriteAheadLog
 from repro.repository.site_repository import SiteRepository
 from repro.resources.host import Host
-from repro.resources.site import Site
 from repro.simcore.engine import Environment
 
 
@@ -67,11 +66,10 @@ class StandbyReplica:
 
     SERVICE = "standby"
 
-    def __init__(self, env: Environment, network: Network, host: Host,
-                 site: Site) -> None:
+    def __init__(self, env: Environment, network: Network,
+                 host: Host) -> None:
         self.env = env
         self.host = host
-        self.site = site
         self.address = f"{host.address}/{self.SERVICE}"
         self.mailbox = network.register(self.address)
         #: shipped records by LSN (a dict, not a list: duplicates from
@@ -131,7 +129,7 @@ class StandbyReplica:
 
 
 def roll_forward(repository: SiteRepository, records: Iterable[WalRecord],
-                 replica_address: str) -> SiteRepository:
+                 host_address: str) -> SiteRepository:
     """Give *records* their repository effect, in the order given (LSN
     order), on *repository*, and return it.
 
@@ -141,9 +139,9 @@ def roll_forward(repository: SiteRepository, records: Iterable[WalRecord],
     is applied once per ``(execution_id, node_id)``, so a completion
     that an earlier promotion re-logged is not counted twice.  Each
     record is one sanitizer write on the ``replica:<host>`` cell of the
-    standby at *replica_address*.
+    standby host at *host_address*.
     """
-    cell = f"replica:{replica_address}"
+    cell = f"replica:{host_address}"
     applied: set[tuple[str, str]] = set()
     for record in records:
         if hooks.HB is not None:
