@@ -19,10 +19,10 @@ simulated instant the winning detector fires:
    (clients and daemons keep their addressing);
 3. **rebuild** — the standby takes the records it lacks from each
    survivor, a copy of the site's snapshot is rolled forward over that
-   union of the shipped logs (:func:`~repro.recovery.replication.roll_forward`),
-   and a fresh Site Manager runs over it, with execution state folded
-   from the same union
-   (:meth:`~repro.runtime.control.site_manager.ExecutionState.fold`):
+   union of the shipped logs
+   (:func:`~repro.recovery.replication.roll_forward`), and a fresh Site
+   Manager runs over it, with execution state folded from the same
+   union (:meth:`~repro.runtime.control.site_manager.ExecutionState.fold`):
    pending acks, start signals and completions are restored, acks of
    dead hosts waived, allocation portions re-pushed (the Application
    Controllers deduplicate, so re-pushes are idempotent and tasks run

@@ -26,11 +26,10 @@ outputs the scheduling and monitoring layers feed:
   testbed seed), which pins the Group Manager → Site Manager relay;
 * ``failover-lag`` — the dynamic repository records of the live server
   and of the surviving standby's roll-forward, and the promoted
-  server's WAL digest,
-  after a failover whose promoting standby missed 27 shipments
-  (:func:`tests.test_recovery.lagging_failover` at its defaults; the
-  seed is the testbed seed), which pins the promotion's two-way state
-  transfer and the LSN sequence it continues;
+  server's WAL digest, after a failover whose promoting standby missed
+  27 shipments (:func:`tests.test_recovery.lagging_failover` at its
+  defaults; the seed is the testbed seed), which pins the promotion's
+  two-way state transfer and the LSN sequence it continues;
 * ``reschedule`` — the flat trace log and the final allocation table
   (node, host, predicted time) of a 123-task layered DAG on the loaded
   eight-host NYNET testbed, with one host crash mid-run, seeds
