@@ -30,7 +30,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ExecutionError
 
 # -- complexity classes -----------------------------------------------------
 
@@ -163,7 +163,9 @@ class TaskDefinition:
 
         *inputs* maps input-port names to values; the return maps
         output-port names to values.  Missing or extra ports are errors —
-        the editor's link validation should have prevented them.
+        the editor's link validation should have prevented them.  Any
+        exception the implementation raises reaches the caller as an
+        :class:`~repro.util.errors.ExecutionError` naming the task.
         """
         if self.impl is None:
             raise ConfigurationError(
@@ -174,7 +176,14 @@ class TaskDefinition:
             raise ConfigurationError(
                 f"task {self.name!r} expects inputs {sorted(expected)}, "
                 f"got {sorted(got)}")
-        result = self.impl(inputs, params or {})
+        try:
+            result = self.impl(inputs, params or {})
+        except ExecutionError:
+            raise
+        except Exception as exc:
+            raise ExecutionError(
+                f"task {self.name!r} failed: {type(exc).__name__}: "
+                f"{exc}") from exc
         if set(result) != set(self.signature.outputs):
             raise ConfigurationError(
                 f"task {self.name!r} must produce outputs "

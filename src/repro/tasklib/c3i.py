@@ -15,6 +15,9 @@ Data convention: a *track set* is an ``(m, 5)`` float array with columns
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro.tasklib.base import TaskDefinition, TaskSignature
@@ -33,6 +36,26 @@ def _as_tracks(value, task: str, port: str) -> np.ndarray:
     return arr
 
 
+def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First row and row count of each run of equal values in sorted *keys*."""
+    first = np.empty(keys.shape[0], dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return starts, np.diff(starts, append=keys.shape[0])
+
+
+def _later_rows(rows: np.ndarray, starts: np.ndarray, counts: np.ndarray
+                ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For each position after the first in every group: which groups
+    reach it (an ``(m, 1)`` mask) and each group's row of *rows* there,
+    or its last row once the group has ended."""
+    offsets = np.arange(1, counts.max(initial=0))[:, None]
+    reach = (counts > offsets)[..., None]
+    at = rows[np.minimum(starts + offsets, starts + counts - 1)]
+    return zip(reach, at)
+
+
 def _impl_radar_scan(inputs: dict, params: dict) -> dict:
     """Noisy radar returns for a set of constant-velocity targets."""
     n_targets = int(params.get("targets", 20))
@@ -42,17 +65,21 @@ def _impl_radar_scan(inputs: dict, params: dict) -> dict:
     rng = np.random.default_rng(seed)
     pos = rng.uniform(-5e4, 5e4, size=(n_targets, 2))
     vel = rng.uniform(-300, 300, size=(n_targets, 2))
-    frames = []
-    for t in range(steps):
-        observed = pos + vel * t + rng.normal(0, noise, size=pos.shape)
-        ids = np.arange(n_targets, dtype=float).reshape(-1, 1)
-        frames.append(np.hstack([np.full((n_targets, 1), float(t)), ids,
-                                 observed]))
-    return {"scans": np.vstack(frames)}  # columns: t, id, x, y
+    t = np.arange(steps, dtype=float)[:, None]
+    scans = np.empty((steps, n_targets, 4))  # columns: t, id, x, y
+    scans[..., 0] = t
+    scans[..., 1] = np.arange(n_targets)
+    scans[..., 2:] = (pos + vel * t[..., None]
+                      + rng.normal(0, noise, size=(steps, n_targets, 2)))
+    return {"scans": scans.reshape(-1, 4)}
 
 
 def _impl_track_filter(inputs: dict, params: dict) -> dict:
-    """Alpha-beta filter per target over the scan sequence."""
+    """Alpha-beta filter per target over the scan sequence.
+
+    All targets advance together, one scan step at a time; a target
+    whose scans have run out keeps its last state.
+    """
     scans = np.asarray(inputs["scans"], dtype=float)
     if scans.ndim != 2 or scans.shape[1] != 4:
         raise ExecutionError(
@@ -60,30 +87,41 @@ def _impl_track_filter(inputs: dict, params: dict) -> dict:
     alpha = float(params.get("alpha", 0.85))
     beta = float(params.get("beta", 0.005))
     dt = float(params.get("dt", 1.0))
-    tracks = []
-    for tid in np.unique(scans[:, 1]):
-        obs = scans[scans[:, 1] == tid]
-        obs = obs[np.argsort(obs[:, 0])]
-        x = obs[0, 2:4].copy()
-        v = np.zeros(2)
-        for row in obs[1:]:
-            pred = x + v * dt
-            resid = row[2:4] - pred
-            x = pred + alpha * resid
-            v = v + (beta / dt) * resid
-        tracks.append([tid, x[0], x[1], v[0], v[1]])
-    return {"tracks": np.asarray(tracks, dtype=float)}
+    if not (math.isfinite(dt) and dt > 0):
+        raise ExecutionError(
+            f"track-filter: dt must be positive and finite, got {dt}")
+    rows = scans[np.lexsort((scans[:, 0], scans[:, 1]))]  # by id, then t
+    starts, counts = _groups(rows[:, 1])
+    x = rows[starts, 2:4]
+    v = np.zeros_like(x)
+    for live, obs in _later_rows(rows[:, 2:4], starts, counts):
+        pred = x + v * dt
+        resid = obs - pred
+        x = np.where(live, pred + alpha * resid, x)
+        v = np.where(live, v + (beta / dt) * resid, v)
+    tracks = np.empty((starts.shape[0], 5))
+    tracks[:, 0] = rows[starts, 1]
+    tracks[:, 1:3] = x
+    tracks[:, 3:5] = v
+    return {"tracks": tracks}
 
 
 def _impl_fusion(inputs: dict, params: dict) -> dict:
-    """Fuse two sensors' track sets: average tracks with matching ids."""
+    """Fuse two sensors' track sets: average tracks with matching ids.
+
+    Each group's rows are summed one after another in input order,
+    starting from +0.0, then divided by the group's size: the sum and
+    division ``np.mean`` does, down to the sign of a zero.
+    """
     a = _as_tracks(inputs["tracks_a"], "data-fusion", "tracks_a")
     b = _as_tracks(inputs["tracks_b"], "data-fusion", "tracks_b")
-    by_id: dict[float, list[np.ndarray]] = {}
-    for row in np.vstack([a, b]):
-        by_id.setdefault(row[0], []).append(row)
-    fused = [np.mean(rows, axis=0) for _tid, rows in sorted(by_id.items())]
-    return {"fused": np.asarray(fused, dtype=float)}
+    rows = np.vstack([a, b])
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    starts, counts = _groups(rows[:, 0])
+    total = 0.0 + rows[starts]
+    for live, row in _later_rows(rows, starts, counts):
+        total = np.where(live, total + row, total)
+    return {"fused": total / counts[:, None]}
 
 
 def _impl_threat_assessment(inputs: dict, params: dict) -> dict:
@@ -98,7 +136,7 @@ def _impl_threat_assessment(inputs: dict, params: dict) -> dict:
     dist = np.where(dist < 1e-9, 1e-9, dist)
     closing = np.einsum("ij,ij->i", vel, rel) / dist  # +ve = approaching
     score = closing / np.sqrt(dist)
-    order = np.argsort(score)[::-1]
+    order = np.argsort(score, kind="stable")[::-1]
     ranked = np.hstack([tracks[order], score[order].reshape(-1, 1)])
     return {"threats": ranked}  # columns: id, x, y, vx, vy, score
 
@@ -114,9 +152,10 @@ def _impl_engagement_plan(inputs: dict, params: dict) -> dict:
     top_k = int(params.get("top_k", min(8, threats.shape[0])))
     if batteries < 1:
         raise ExecutionError("engagement-plan: batteries must be >= 1")
-    plan = [[threats[i, 0], float(i % batteries), threats[i, 5]]
-            for i in range(min(top_k, threats.shape[0]))]
-    return {"plan": np.asarray(plan, dtype=float)}
+    ranks = np.arange(min(top_k, threats.shape[0]))
+    plan = np.column_stack([threats[ranks, 0], ranks % batteries,
+                            threats[ranks, 5]])
+    return {"plan": plan}  # columns: id, battery, score
 
 
 def build_c3i_library() -> TaskLibrary:

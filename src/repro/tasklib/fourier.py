@@ -8,6 +8,8 @@ test signals so example applications have verifiable outputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.tasklib.base import TaskDefinition, TaskSignature
@@ -51,16 +53,46 @@ def _impl_ifft(inputs: dict, params: dict) -> dict:
     return {"signal": np.fft.ifft(spectrum).real}
 
 
+def _passband(bins: int, step: float, cutoff: float) -> int:
+    """How many of ``k = 0, 1, ..., bins - 1`` have ``k * step <= cutoff``.
+
+    ``k * step`` never falls as ``k`` grows, so those ``k`` are a prefix.
+    ``cutoff / step`` estimates its length, and the walks settle it on
+    the same products ``np.fft.fftfreq`` forms, so no edge bin moves.
+    """
+    count = bins if cutoff >= bins * step else int(cutoff / step)
+    while count < bins and count * step <= cutoff:
+        count += 1
+    while count and not (count - 1) * step <= cutoff:
+        count -= 1
+    return count
+
+
 def _impl_lowpass(inputs: dict, params: dict) -> dict:
-    """Brick-wall low-pass in the frequency domain."""
+    """Brick-wall low-pass in the frequency domain.
+
+    Bin ``k`` of an ``n``-point spectrum sits at ``k * step`` Hz for
+    ``k < (n + 1) // 2`` and at ``(k - n) * step`` Hz above, so the bins
+    that pass are one slice at each end.
+    """
     spectrum = _as_signal(inputs["spectrum"], "lowpass-filter", "spectrum")
     cutoff = float(params.get("cutoff_hz", 100.0))
     sample_rate = float(params.get("sample_rate", 1000.0))
-    if cutoff <= 0:
-        raise ExecutionError("lowpass-filter: cutoff must be positive")
+    if not (math.isfinite(cutoff) and cutoff > 0):
+        raise ExecutionError(
+            f"lowpass-filter: cutoff must be positive and finite, got "
+            f"{cutoff}")
+    if not (math.isfinite(sample_rate) and sample_rate > 0):
+        raise ExecutionError(
+            f"lowpass-filter: sample_rate must be positive and finite, got "
+            f"{sample_rate}")
     n = spectrum.shape[0]
-    freqs = np.fft.fftfreq(n, d=1.0 / sample_rate)
-    out = np.where(np.abs(freqs) <= cutoff, spectrum, 0.0)
+    step = 1.0 / (n * (1.0 / sample_rate))
+    passed = _passband(n // 2 + 1, step, cutoff)  # |k| < passed pass
+    low, high = min(passed, (n + 1) // 2), max(passed - 1, 0)
+    out = np.zeros(n, dtype=np.result_type(spectrum, 0.0))
+    out[:low] = spectrum[:low]
+    out[n - high:] = spectrum[n - high:]
     return {"spectrum": out}
 
 
@@ -76,7 +108,7 @@ def _impl_peak_detect(inputs: dict, params: dict) -> dict:
     sample_rate = float(params.get("sample_rate", 1000.0))
     n = power.shape[0]
     half = power[: n // 2].astype(float)
-    order = np.argsort(half)[::-1][:count]
+    order = np.argsort(half, kind="stable")[::-1][:count]
     freqs = order * sample_rate / n
     return {"peaks": np.sort(freqs)}
 

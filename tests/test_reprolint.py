@@ -52,6 +52,7 @@ def run_rule(rule: str, path: Path) -> list[Finding]:
 
 @pytest.mark.parametrize("rule, fixture", [
     ("DET001", "det001_fixture.py"),
+    ("DET001", "det001_argsort_fixture.py"),
     ("DET002", "det002_fixture.py"),
     ("DET003", "det003_fixture.py"),
     ("INV002", "inv002_fixture.py"),
@@ -110,6 +111,7 @@ def test_cli_nonzero_with_correct_rule_ids_on_fixtures() -> None:
     found = {(Path(f["path"]).name, f["line"], f["rule"])
              for f in doc["findings"]}
     for rule, fixture in [("DET001", "det001_fixture.py"),
+                          ("DET001", "det001_argsort_fixture.py"),
                           ("DET002", "det002_fixture.py"),
                           ("DET003", "det003_fixture.py"),
                           ("INV002", "inv002_fixture.py"),
@@ -216,6 +218,21 @@ def test_path_filters_scope_rules(tmp_path: Path) -> None:
     checker = ALL_CHECKERS["DET002"]()
     result = LintRunner([checker], excludes=()).run([tmp_path])
     assert {Path(f.path).name for f in result.findings} == {"network.py"}
+
+
+def test_det001_covers_the_task_library(tmp_path: Path) -> None:
+    # a task kernel's argsort feeds an output, so its tie order must not
+    # depend on the CPU; code outside DET001's scope stays unchecked
+    hazard = "import numpy as np\norder = np.argsort([2, 1, 2])\n"
+    for rel in ("repro/tasklib/c3i.py", "tooling.py"):
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(hazard)
+    result = LintRunner([ALL_CHECKERS["DET001"]()],
+                        excludes=()).run([tmp_path])
+    found = {(Path(f.path).relative_to(tmp_path).as_posix(), f.line)
+             for f in result.findings}
+    assert found == {("repro/tasklib/c3i.py", 2)}
 
 
 def test_perf001_scope(tmp_path: Path) -> None:

@@ -161,6 +161,43 @@ class TestNumericErrorHandling:
         assert run.completions["boom"]["outputs"]["out"] is None
         assert v.tracer.count("task-numeric-error") == 1
 
+    #: (feeding chain, failing task, its params): a kernel that raises
+    #: something other than ExecutionError, or would compute NaNs
+    #: from a non-finite parameter
+    KERNEL_FAULTS = {
+        "track-filter-dt-zero": (
+            ("radar-scan",), "track-filter", {"dt": 0.0}),
+        "track-filter-dt-nan": (
+            ("radar-scan",), "track-filter", {"dt": float("nan")}),
+        "lowpass-sample-rate-zero": (
+            ("signal-generate", "fft-1d"), "lowpass-filter",
+            {"sample_rate": 0.0}),
+        "lowpass-cutoff-nan": (
+            ("signal-generate", "fft-1d"), "lowpass-filter",
+            {"cutoff_hz": float("nan")}),
+        "radar-scan-negative-noise": ((), "radar-scan", {"noise": -1.0}),
+        "signal-generate-negative-n": ((), "signal-generate", {"n": -1}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_FAULTS))
+    def test_kernel_failure_is_intercepted(self, case):
+        from repro.afg import GraphBuilder
+        feeders, task, params = self.KERNEL_FAULTS[case]
+        v = small_vdce()
+        b = GraphBuilder(v.registry, name=case)
+        chain = [b.task(name, f"n{i}", input_size=16)
+                 for i, name in enumerate(feeders)]
+        chain.append(b.task(task, "faulty", input_size=16, params=params))
+        b.chain(*chain)
+        run = v.run_application(b.build(), "syracuse", k_remote_sites=0,
+                                max_sim_time_s=300)
+        assert run.status == "completed"
+        outputs = run.completions["faulty"]["outputs"]
+        assert set(outputs) == set(v.registry.resolve(task).signature.outputs)
+        assert all(value is None for value in outputs.values())
+        assert v.tracer.count("task-numeric-error") == 1
+        assert v.env.failed_processes == []
+
 
 class TestImmediateRescheduledExecution:
     def test_forwarded_inputs_skip_channel_setup(self):

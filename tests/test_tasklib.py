@@ -362,3 +362,20 @@ class TestC3ILibrary:
         assert plan.shape == (5, 3)
         scores = threats[:, 5]
         assert (np.diff(scores) <= 1e-9).all()  # descending
+
+    @pytest.mark.parametrize("scan", [{"targets": 0, "steps": 8},
+                                      {"targets": 16, "steps": 0}],
+                             ids=["no-targets", "no-steps"])
+    def test_empty_scan_keeps_every_shape(self, lib, scan):
+        """A scan with no returns flows through the whole chain, each
+        stage answering an empty array of its own column count."""
+        scans = lib.get("radar-scan").execute({}, scan)["scans"]
+        tracks = lib.get("track-filter").execute({"scans": scans})["tracks"]
+        fused = lib.get("data-fusion").execute(
+            {"tracks_a": tracks, "tracks_b": tracks})["fused"]
+        threats = lib.get("threat-assessment").execute(
+            {"tracks": fused})["threats"]
+        plan = lib.get("engagement-plan").execute(
+            {"threats": threats}, {"batteries": 4, "top_k": 8})["plan"]
+        assert [scans.shape, tracks.shape, fused.shape, threats.shape,
+                plan.shape] == [(0, 4), (0, 5), (0, 5), (0, 6), (0, 3)]

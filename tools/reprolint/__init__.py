@@ -7,9 +7,10 @@ unordered-``set`` iteration silently breaks.  reprolint is an AST-based
 linter that checks the code against the project's *own* rules, the way
 a generic linter never could:
 
-* **DET001** — nondeterminism hazards in simulation/scheduling code
-  (unordered-set iteration, ``id()``/``hash()``-derived values, unseeded
-  ``random``/``numpy.random`` use bypassing ``repro.util.rng``);
+* **DET001** — nondeterminism hazards in simulation, scheduling and
+  task-library code (unordered-set iteration, ``id()``/``hash()``-derived
+  values, unseeded ``random``/``numpy.random`` use bypassing
+  ``repro.util.rng``, argsorts without ``kind="stable"``);
 * **DET002** — wall-clock leaks (``time.time`` & friends) in simulated
   code, where only ``env.now`` may be consulted;
 * **DET003** — same-tick scheduling without a tie-break (``call_later``

@@ -11,7 +11,9 @@ byte-identical-chaos-run guarantee:
   processes;
 * deriving values from ``id()`` or the salted builtin ``hash()``;
 * drawing randomness outside ``repro.util.rng``: any ``random.*`` call,
-  ``numpy.random`` legacy API, or an *unseeded* ``default_rng()``.
+  ``numpy.random`` legacy API, or an *unseeded* ``default_rng()``;
+* ``np.argsort(...)`` or ``.argsort(...)`` without ``kind="stable"``:
+  the default sort orders equal keys differently on different CPUs.
 """
 
 from __future__ import annotations
@@ -32,14 +34,19 @@ _ALLOWED_NP_RANDOM = (
 )
 
 
+#: the ``kind`` values ``np.argsort`` documents as stable
+_STABLE_SORT_KINDS = ("stable", "mergesort")
+
+
 class NondeterminismChecker(Checker):
     rule = "DET001"
     description = ("unordered-set iteration, id()/hash() derived values, "
-                   "or randomness bypassing repro.util.rng")
+                   "randomness bypassing repro.util.rng, or an argsort "
+                   "without kind=\"stable\"")
     path_filters = (
         "repro/simcore", "repro/scheduling", "repro/faults", "repro/net",
         "repro/runtime", "repro/workloads", "repro/resources",
-        "repro/repository",
+        "repro/repository", "repro/tasklib",
     )
     default_config: dict[str, object] = {
         "set_returning_methods": _SET_RETURNING_METHODS,
@@ -143,6 +150,10 @@ class NondeterminismChecker(Checker):
     def _check_attribute_call(self, node: ast.Call,
                               func: ast.Attribute) -> None:
         value = func.value
+        if func.attr == "argsort":
+            self._check_argsort(node, isinstance(value, ast.Name)
+                                and value.id in self._numpy_aliases)
+            return
         # random.<anything>(...)
         if isinstance(value, ast.Name) and value.id in self._random_aliases:
             self.report(node, (
@@ -167,3 +178,14 @@ class NondeterminismChecker(Checker):
                 self.report(node, (
                     "default_rng() without a seed is entropy-seeded; pass "
                     "an explicit seed (or use repro.util.rng)"))
+
+    def _check_argsort(self, node: ast.Call, function_form: bool) -> None:
+        # np.argsort(a, axis, kind) or a.argsort(axis, kind)
+        kind_at = 2 if function_form else 1
+        kinds = [kw.value for kw in node.keywords if kw.arg == "kind"]
+        kinds += node.args[kind_at:kind_at + 1]
+        if not any(isinstance(k, ast.Constant)
+                   and k.value in _STABLE_SORT_KINDS for k in kinds):
+            self.report(node, (
+                "argsort without kind=\"stable\" orders equal keys "
+                "differently on different CPUs; pass kind=\"stable\""))
