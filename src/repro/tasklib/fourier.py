@@ -88,7 +88,7 @@ def _impl_lowpass(inputs: dict, params: dict) -> dict:
             f"{sample_rate}")
     n = spectrum.shape[0]
     step = 1.0 / (n * (1.0 / sample_rate))
-    passed = _passband(n // 2 + 1, step, cutoff)  # |k| < passed pass
+    passed = _passband(n // 2 + 1, step, cutoff)  # bins with |k| < passed pass
     low, high = min(passed, (n + 1) // 2), max(passed - 1, 0)
     out = np.zeros(n, dtype=np.result_type(spectrum, 0.0))
     out[:low] = spectrum[:low]
