@@ -399,11 +399,11 @@ class VDCE:
         run = self._active_runs.get(execution_id)
         if run is None or run.table is None:
             return
-        entry_payload = dict(payload["entry"])
-        node_id = entry_payload["node_id"]
+        entry = payload["entry"]
+        node_id = entry["node_id"]
         if node_id in run.completions:
             return  # completed elsewhere in the meantime
-        attempt = entry_payload.get("attempt", 0) + 1
+        attempt = entry.get("attempt", 0) + 1
         node = run.graph.node(node_id)
         current = run.table.get(node_id)
         exclude = {payload["host"]}

@@ -17,7 +17,7 @@ rescheduling request to the Group Manager."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.net import (
     CHANNEL_ACK,
@@ -36,7 +36,7 @@ from repro.runtime.data.data_manager import (
     channel_key,
 )
 from repro.scheduling.rescheduling import ReschedulePolicy
-from repro.simcore.engine import Environment, Interrupt
+from repro.simcore.engine import Environment, Event, Interrupt
 from repro.tasklib.registry import LibraryRegistry
 from repro.util.errors import ExecutionError
 
@@ -118,6 +118,13 @@ class ApplicationController:
         Inputs travel with the request and the execution is already
         under way: no setup, no start signal.  Runs inside the inbox
         loop, so nothing here may raise.
+
+        An entry whose inputs travel with it takes the pre-start checks
+        here, and only a task that starts gets a process.  The inbox
+        resumes on a NORMAL queue entry, so no URGENT entry is pending
+        at ``now``: a task run spawned here would start next, and its
+        checks would see this state and send the same request at the
+        same place in the queue.
         """
         execution_id = payload["execution_id"]
         coordinator = payload["coordinator"]
@@ -137,10 +144,14 @@ class ApplicationController:
                         self.host.address, node=entry["node_id"],
                         execution=execution_id)
                 continue
-            if self._claim(execution_id, entry["node_id"], coordinator):
-                self.env.process(
-                    self._run_task(execution_id, coordinator, entry),
-                    name=f"retask:{entry['node_id']}@{self.host.address}")
+            if not self._claim(execution_id, entry["node_id"], coordinator):
+                continue
+            if "forward_inputs" in entry and self._bounced(
+                    execution_id, entry, dict(entry["forward_inputs"])):
+                continue
+            self.env.process(
+                self._run_task(execution_id, coordinator, entry),
+                name=f"retask:{entry['node_id']}@{self.host.address}")
 
     # -- execution environment setup (Figure 7 steps 1-4) ----------------------
     def _handle_execution(self, payload: dict):
@@ -159,8 +170,8 @@ class ApplicationController:
                 for link in entry["out_links"]:
                     out_specs.append(
                         self._out_spec(execution_id, entry, link))
-            yield self.env.process(
-                self.data_manager.setup_channels(out_specs))
+            yield from self.data_manager.setup_channels(out_specs)
+            yield self._queue_turn()
             self._acked.add(execution_id)
         # (else: duplicate push from a promoted server — channels are
         # already set up, but the new coordinator still needs the ack)
@@ -272,25 +283,9 @@ class ApplicationController:
                 payload = yield self.data_manager.receive(
                     execution_id, node_id, link["dst_port"])
                 inputs[link["dst_port"]] = payload["value"]
-        if not self.host.up:
-            # a crashed host silently does nothing; release the dedup
-            # slot so a post-recovery re-push may run the task here
-            self._node_status[(execution_id, node_id)] = "aborted"
-            self._aborted_inputs[(execution_id, node_id)] = inputs
+        if self._bounced(execution_id, entry, inputs):
             return
-        # overload check before starting (QoS management); the per-
-        # application QoS ceiling overrides the site-wide policy; a
-        # forced rescheduled task (attempts exhausted) runs regardless
-        qos_ceiling = entry.get("max_host_load")
-        overloaded = ((lambda load: load > qos_ceiling)
-                      if qos_ceiling is not None
-                      else self.policy.should_reschedule)
-        if not entry.get("forced") and overloaded(self.host.cpu_load):
-            self._node_status[(execution_id, node_id)] = "aborted"
-            self._aborted_inputs[(execution_id, node_id)] = inputs
-            self._request_reschedule(execution_id, entry, inputs,
-                                     reason="overload-before-start")
-            return
+        overloaded = self._overload_test(entry)
         memory = definition.memory_required_mb(input_size)
         duration = self.model.duration(definition, input_size, self.host,
                                        processors=processors)
@@ -352,8 +347,9 @@ class ApplicationController:
         for link in entry["out_links"]:
             spec = self._out_spec(execution_id, entry, link)
             value = outputs.get(link["src_port"])
-            yield self.env.process(self.data_manager.send_output(
-                spec, value, link["size_bytes"]))
+            yield from self.data_manager.send_output(
+                spec, value, link["size_bytes"])
+            yield self._queue_turn()
         self.stats.tasks_executed += 1
         if obs.enabled:
             obs.trace.record(self.env.now, "task-finish", self.host.address,
@@ -375,6 +371,42 @@ class ApplicationController:
             report
         self.network.send(self.address, coordinator, TASK_COMPLETED,
                           payload=report, size_bytes=128)
+
+    def _overload_test(self, entry: dict) -> Callable[[float], bool]:
+        """The entry's overload predicate on a host load: the per-
+        application QoS ceiling when one travels with the entry, else
+        the site-wide policy."""
+        qos_ceiling = entry.get("max_host_load")
+        if qos_ceiling is None:
+            return self.policy.should_reschedule
+        return lambda load: load > qos_ceiling
+
+    def _bounced(self, execution_id: str, entry: dict, inputs: dict) -> bool:
+        """The pre-start checks: True when the task may not start here.
+
+        A crashed host silently does nothing.  An overloaded one asks
+        for a reschedule, unless the entry is ``forced`` (its attempts
+        are exhausted).  Either way the dedup slot is released, so a
+        later push may run the task here, and *inputs* are kept for it.
+        """
+        up = self.host.up
+        if up and (entry.get("forced")
+                   or not self._overload_test(entry)(self.host.cpu_load)):
+            return False
+        key = (execution_id, entry["node_id"])
+        self._node_status[key] = "aborted"
+        self._aborted_inputs[key] = inputs
+        if up:
+            self._request_reschedule(execution_id, entry, inputs,
+                                     reason="overload-before-start")
+        return True
+
+    def _queue_turn(self) -> Event:
+        """An event already succeeded: yielding it lets the NORMAL
+        entries queued for ``now`` run first, so same-tick work
+        interleaves with a task's hand-offs.  (A zero timeout would do
+        the same, but spend a kernel timer.)"""
+        return self.env.event().succeed()
 
     def _compute_outputs(self, definition, inputs: dict,
                          entry: dict) -> dict:

@@ -499,30 +499,37 @@ class SiteManager:
     @staticmethod
     def _entry_payload(entry, graph: ApplicationFlowGraph,
                        table: ResourceAllocationTable) -> dict[str, Any]:
-        """One RAT entry plus the communication info the runtime needs."""
-        node = graph.node(entry.node_id)
+        """One RAT entry plus the communication info the runtime needs.
+
+        Every link names a node of *graph* (``add_link`` checks both
+        ends), so producers are read from ``graph.nodes`` directly."""
+        node_id = entry.node_id
+        node = graph.node(node_id)
+        nodes = graph.nodes
         in_links = [
             {"src_node": link.src, "src_port": link.src_port,
              "dst_port": link.dst_port,
              "src_host": table.get(link.src).host,
-             "size_bytes": graph.node(link.src).output_bytes()}
-            for link in graph.in_links(entry.node_id)
+             "size_bytes": nodes[link.src].output_bytes()}
+            for link in graph.in_links(node_id)
         ]
+        size_bytes = node.output_bytes()
         out_links = [
             {"dst_node": link.dst, "dst_port": link.dst_port,
              "src_port": link.src_port,
              "dst_host": table.get(link.dst).host,
-             "size_bytes": node.output_bytes()}
-            for link in graph.out_links(entry.node_id)
+             "size_bytes": size_bytes}
+            for link in graph.out_links(node_id)
         ]
+        props = node.properties
         return {
-            "node_id": entry.node_id, "task_name": entry.task_name,
+            "node_id": node_id, "task_name": entry.task_name,
             "site": entry.site, "hosts": list(entry.hosts),
             "predicted_time_s": entry.predicted_time_s,
             "processors": entry.processors,
-            "input_size": node.properties.input_size,
-            "params": dict(node.properties.params),
-            "is_exit": not graph.out_links(entry.node_id),
+            "input_size": props.input_size,
+            "params": dict(props.params),
+            "is_exit": not out_links,
             "in_links": in_links,
             "out_links": out_links,
         }

@@ -192,7 +192,8 @@ class DataManager:
         return False
 
     def setup_channels(self, specs: list[ChannelSpec]):
-        """Process: handshake every outgoing cross-host channel.
+        """Generator: handshake every outgoing cross-host channel; the
+        caller runs it inline with ``yield from``.
 
         Local (same-host) channels are opened synchronously by the
         consumer side; cross-host channels require a setup round-trip to
@@ -237,7 +238,8 @@ class DataManager:
 
     # -- data transfer ----------------------------------------------------
     def send_output(self, spec: ChannelSpec, value, size_bytes: float):
-        """Process: ship one output along a channel (with conversion).
+        """Generator: ship one output along a channel (with conversion);
+        the caller runs it inline with ``yield from``.
 
         The sender pays the conversion cost before the wire transfer when
         the two hosts' byte orders differ — the paper's heterogeneous

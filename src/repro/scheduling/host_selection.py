@@ -352,17 +352,16 @@ class HostSelector:
         return self.select_ranked(node, 1)[0]
 
     def best_excluding(self, node: TaskNode,
-                       exclude: set[str]) -> HostChoice | None:
-        """The minimum-``Predict`` single host outside *exclude*, or None.
+                       exclude: set[str]) -> tuple[str, float] | None:
+        """The minimum-``Predict`` single host outside *exclude*, as
+        ``(address, estimate)``, or None.
 
         A reschedule request's answer (section 2.3.1): the first
         non-excluded entry of the processors = 1 view's
         ``len(exclude) + 1`` best, by (estimate, address)."""
-        view = self._view_for(node, 1)
-        for addr, est in self._top_n(view, len(exclude) + 1):
-            if addr not in exclude:
-                return HostChoice(node.node_id, self.repository.site,
-                                  (addr,), est)
+        for best in self._top_n(self._view_for(node, 1), len(exclude) + 1):
+            if best[0] not in exclude:
+                return best
         return None
 
     # -- whole-graph selection (the figure's task_queue loop) -------------------

@@ -75,22 +75,20 @@ class Rescheduler:
         multi-host gang mid-flight is out of the prototype's scope, as
         it is in the paper's.
         """
-        exclude = set(exclude_hosts or ()) | set(current.hosts)
+        exclude = {*current.hosts, *(exclude_hosts or ())}
         skip_sites = exclude_sites or set()
-        best: AllocationEntry | None = None
+        best_site = ""
+        best: tuple[str, float] | None = None
         for site, selector in sorted(self.selectors.items()):
             if site in skip_sites:
                 continue
             choice = selector.best_excluding(node, exclude)
-            if choice is not None and (
-                    best is None
-                    or choice.predicted_time_s < best.predicted_time_s):
-                best = AllocationEntry(
-                    node_id=node.node_id, task_name=node.task_name,
-                    site=site, hosts=choice.hosts,
-                    predicted_time_s=choice.predicted_time_s)
+            if choice is not None and (best is None or choice[1] < best[1]):
+                best_site, best = site, choice
         if best is None:
             raise NoFeasibleHostError(
                 f"no replacement host for task {node.node_id!r} "
                 f"(excluded: {sorted(exclude)})")
-        return best
+        return AllocationEntry(node_id=node.node_id, task_name=node.task_name,
+                               site=best_site, hosts=(best[0],),
+                               predicted_time_s=best[1])

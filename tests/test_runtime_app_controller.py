@@ -1,5 +1,7 @@
 """Targeted Application Controller behaviours (simulated backend)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.tasklib import (
 )
 from repro.util.errors import ExecutionError
 from repro.workloads import linear_solver_graph, quiet_testbed
+from tests.chaos.test_digest_lock import run_rescheduling
 
 
 def small_vdce(registry=None, seed=61):
@@ -50,23 +53,35 @@ def solo_entry(**extra):
     return entry
 
 
-def push_immediate(v, entry):
+def fan_out(k):
+    """*k* out-links from ``solo`` to consumers on syracuse's hosts."""
+    return [{"dst_node": f"sink{i}", "dst_port": "matrix",
+             "src_port": "inverse", "dst_host": f"syracuse/h{i}",
+             "size_bytes": 800.0} for i in range(k)]
+
+
+def push_immediate(v, entry, immediate=True):
     """Send *entry* to its host as an ``immediate`` execution request
     from syracuse's Site Manager, registering a matching execution state
-    so the completion lands; returns that state."""
+    so the completion lands; returns that state.  With *immediate*
+    false it is an allocation: the host sets up its channels and acks,
+    and the state sends the start signal."""
     sm = v.site_managers["syracuse"]
+    host = entry["hosts"][0]
     state = ExecutionState(execution_id="exec-manual",
                            application="manual",
-                           expected_acks=set(),
+                           expected_acks=set() if immediate else {host},
+                           controllers=set() if immediate
+                           else {f"{host}/appctl"},
                            finished=v.env.event(), total_tasks=1)
     sm._executions["exec-manual"] = state
-    v.network.send(sm.address, f"{entry['hosts'][0]}/appctl",
+    v.network.send(sm.address, f"{host}/appctl",
                    EXECUTION_REQUEST,
                    payload={"application": "manual",
                             "execution_id": "exec-manual",
                             "entries": [entry],
                             "coordinator": sm.address,
-                            "immediate": True})
+                            "immediate": immediate})
     return state
 
 
@@ -246,6 +261,55 @@ class TestOneProcessPerTaskRun:
         # ran to completion
         assert names == ["retask:solo@rome/h1"]
 
+    def test_overloaded_push_bounces_without_a_process(self, spawned):
+        """A pushed task with its inputs on an overloaded host goes back
+        to the Group Manager from the inbox loop itself."""
+        v, names = spawned
+        v.world.host("rome/h1").true_load = \
+            v.reschedule_policy.load_threshold + 1.0
+        push_immediate(v, solo_entry(out_links=fan_out(2), is_exit=False))
+        v.env.run(until=15.0)
+        controller = v.app_controllers["rome/h1"]
+        assert v.tracer.count("net:reschedule-request",
+                              actor="rome/h1/appctl") == 1
+        assert controller._node_status[("exec-manual", "solo")] == "aborted"
+        assert names == []
+
+    @pytest.mark.parametrize("overloaded, forced", [(False, False),
+                                                    (True, True)],
+                             ids=["idle", "forced"])
+    def test_started_push_ships_outputs_in_its_own_process(
+            self, spawned, overloaded, forced):
+        """A pushed task that starts runs in one process, which also
+        ships its outputs: no process per out-link."""
+        v, names = spawned
+        if overloaded:
+            v.world.host("rome/h1").true_load = \
+                v.reschedule_policy.load_threshold + 1.0
+        state = push_immediate(v, solo_entry(out_links=fan_out(2),
+                                             is_exit=False, forced=forced))
+        while not state.finished.triggered:
+            v.env.run(until=v.now + 1.0)
+        assert v.tracer.count("task-finish", actor="rome/h1") == 1
+        assert v.tracer.count("net:task-data", actor="rome/h1/datamgr") == 2
+        assert names == ["retask:solo@rome/h1"]
+
+    def test_allocation_sets_up_channels_without_a_process(self, spawned):
+        """An allocation's request handler handshakes its channels
+        inline: one process per cross-host handshake, none around
+        them, and none per shipped output."""
+        v, names = spawned
+        state = push_immediate(v, solo_entry(out_links=fan_out(2),
+                                             is_exit=False),
+                               immediate=False)
+        while not state.finished.triggered:
+            v.env.run(until=v.now + 1.0)
+        assert v.tracer.count("net:task-data", actor="rome/h1/datamgr") == 2
+        assert names == ["ac-exec:rome/h1/appctl",
+                         "dm:setup:exec-manual:sink0:matrix",
+                         "dm:setup:exec-manual:sink1:matrix",
+                         "task:solo@rome/h1"]
+
     def test_parallel_occupy_spawns_nothing(self, spawned):
         v, names = spawned
         participant = v.world.host("rome/h2")
@@ -257,6 +321,44 @@ class TestOneProcessPerTaskRun:
         v.env.run(until=13.0)
         assert participant.running_tasks == 0
         assert names == []
+
+
+def spawn_prefix(name):
+    """``dm:setup`` for a channel handshake, else the part of a process
+    name before its first colon."""
+    if name.startswith("dm:setup:"):
+        return "dm:setup"
+    return name.split(":", 1)[0]
+
+
+#: processes the ``reschedule`` digest scenario (seed 101) spawns, by
+#: name prefix: one run per allocated task, one per re-issued task
+#: that starts (the other reschedules bounce inside the inbox loop),
+#: one request handler (the whole allocation lands on one host, so no
+#: channel needs a handshake), and the daemons
+RESCHEDULE_SPAWNS = {
+    "task": 123, "retask": 116, "ac-exec": 1, "dm:setup": 0, "submit": 1,
+    "ac": 16, "dm": 16, "mon": 16, "mon-echo": 16, "gm": 4, "gm-echo": 4,
+    "sm": 2, "load": 1, "fault": 1,
+}
+
+
+class TestRunSpawns:
+    def test_reschedule_scenario_spawns_the_recorded_processes(
+            self, monkeypatch):
+        names = []
+        spawn = Environment.process
+
+        def counting(env, gen, name=None):
+            names.append(name)
+            return spawn(env, gen, name=name)
+
+        monkeypatch.setattr(Environment, "process", counting)
+        run_rescheduling(101)
+        assert None not in names
+        counts = Counter(map(spawn_prefix, names))
+        assert {p: counts[p] for p in RESCHEDULE_SPAWNS} == RESCHEDULE_SPAWNS
+        assert len(names) == sum(RESCHEDULE_SPAWNS.values())
 
 
 class TestOverloadCheckSameTick:
