@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.util.errors import ConfigurationError
-from repro.util.stats import half_width
+from repro.util.stats import CONFIDENCE_LEVELS, half_width
 
 POLICIES = ("always", "ci", "threshold")
 
@@ -34,10 +34,17 @@ class ChangeFilter:
             raise ConfigurationError(
                 f"unknown filter policy {policy!r}; expected one of "
                 f"{POLICIES}")
-        if window < 2:
-            raise ConfigurationError("window must be >= 2")
-        if threshold <= 0:
-            raise ConfigurationError("threshold must be positive")
+        if not isinstance(window, int) or window < 2:
+            raise ConfigurationError(
+                f"window must be an int >= 2, got {window!r}")
+        if confidence not in CONFIDENCE_LEVELS:
+            raise ConfigurationError(
+                f"confidence must be one of {CONFIDENCE_LEVELS}, got "
+                f"{confidence!r}")
+        # NaN-safe: a NaN threshold would never forward again
+        if not threshold > 0:
+            raise ConfigurationError(
+                f"threshold must be positive, got {threshold!r}")
         self.policy = policy
         self.window = window
         self.confidence = confidence

@@ -45,11 +45,15 @@ def _impl_signal_generate(inputs: dict, params: dict) -> dict:
 
 def _impl_fft(inputs: dict, params: dict) -> dict:
     x = _as_signal(inputs["signal"], "fft-1d", "signal")
+    if x.size == 0:  # numpy's FFT rejects zero points
+        return {"spectrum": np.zeros(0, dtype=np.complex128)}
     return {"spectrum": np.fft.fft(x)}
 
 
 def _impl_ifft(inputs: dict, params: dict) -> dict:
     spectrum = _as_signal(inputs["spectrum"], "ifft-1d", "spectrum")
+    if spectrum.size == 0:  # numpy's FFT rejects zero points
+        return {"signal": np.zeros(0, dtype=np.float64)}
     return {"signal": np.fft.ifft(spectrum).real}
 
 
@@ -87,10 +91,12 @@ def _impl_lowpass(inputs: dict, params: dict) -> dict:
             f"lowpass-filter: sample_rate must be positive and finite, got "
             f"{sample_rate}")
     n = spectrum.shape[0]
+    out = np.zeros(n, dtype=np.result_type(spectrum, 0.0))
+    if n == 0:  # no bins, and no bin step to divide by
+        return {"spectrum": out}
     step = 1.0 / (n * (1.0 / sample_rate))
     passed = _passband(n // 2 + 1, step, cutoff)  # bins with |k| < passed pass
     low, high = min(passed, (n + 1) // 2), max(passed - 1, 0)
-    out = np.zeros(n, dtype=np.result_type(spectrum, 0.0))
     out[:low] = spectrum[:low]
     out[n - high:] = spectrum[n - high:]
     return {"spectrum": out}

@@ -53,6 +53,9 @@ _T_TABLE = {
 }
 _Z_VALUES = {0.90: 1.645, 0.95: 1.960, 0.99: 2.576}
 
+#: the confidence levels :func:`t_critical` has critical values for
+CONFIDENCE_LEVELS = tuple(sorted(_T_TABLE))
+
 
 def t_critical(df: int, confidence: float = 0.95) -> float:
     """Two-sided Student-t critical value for *df* degrees of freedom."""

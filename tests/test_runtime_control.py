@@ -73,6 +73,20 @@ class TestChangeFilter:
         with pytest.raises(ConfigurationError):
             ChangeFilter(threshold=0)
 
+    @pytest.mark.parametrize("settings", [
+        {"threshold": float("nan")},
+        {"confidence": 0.8},
+        {"confidence": float("nan")},
+        {"window": 2.5},
+        {"window": "8"},
+    ], ids=["nan-threshold", "untabled-confidence", "nan-confidence",
+            "fractional-window", "string-window"])
+    def test_disabling_settings_rejected(self, settings):
+        """Settings that would stop forwarding or crash the Group
+        Manager's first ``observe`` fail at construction."""
+        with pytest.raises(ConfigurationError):
+            ChangeFilter(**settings)
+
 
 @pytest.fixture
 def vdce():

@@ -300,6 +300,32 @@ class TestFourierLibrary:
             lib.get("lowpass-filter").execute(
                 {"spectrum": np.ones(8, dtype=complex)}, {"cutoff_hz": -1})
 
+    #: chains fed by ``signal-generate``; each stage's one output feeds
+    #: the next stage's one input
+    EMPTY_CHAINS = {
+        "filter": ("fft-1d", "lowpass-filter", "ifft-1d"),
+        "peaks": ("fft-1d", "power-spectrum", "peak-detect"),
+    }
+
+    @pytest.mark.parametrize("chain", sorted(EMPTY_CHAINS))
+    def test_empty_signal_flows_through_every_chain(self, lib, chain):
+        """A zero-length signal passes through each stage as an empty
+        array of the dtype a one-sample signal gives it."""
+        def outputs(n):
+            value = lib.get("signal-generate").execute(
+                {}, {"n": n})["signal"]
+            got = [value]
+            for name in self.EMPTY_CHAINS[chain]:
+                task = lib.get(name)
+                (port,) = task.signature.inputs
+                (value,) = task.execute({port: value}).values()
+                got.append(value)
+            return got
+
+        empty, one = outputs(0), outputs(1)
+        assert [v.shape for v in empty] == [(0,)] * len(empty)
+        assert [v.dtype for v in empty] == [v.dtype for v in one]
+
     def test_convolve_length(self, lib):
         out = lib.get("convolve").execute(
             {"a": np.ones(4), "b": np.ones(3)})["result"]
