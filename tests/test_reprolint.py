@@ -1,4 +1,4 @@
-"""Fixture tests for the reprolint framework and its seven checkers.
+"""Fixture tests for the reprolint framework and its eight checkers.
 
 Each fixture file under ``tests/reprolint_fixtures/`` annotates every
 line that must be reported with ``# expect: RULE``.  The tests compare
@@ -60,6 +60,7 @@ def run_rule(rule: str, path: Path) -> list[Finding]:
     ("SIM001", "sim001_fixture.py"),
     ("PERF001", "perf001_fixture.py"),
     ("PERF001", "perf001_obs_fixture.py"),
+    ("PERF002", "perf002_fixture.py"),
 ])
 def test_fixture_findings_exact(rule: str, fixture: str) -> None:
     path = FIXTURES / fixture
@@ -118,7 +119,8 @@ def test_cli_nonzero_with_correct_rule_ids_on_fixtures() -> None:
                           ("ISO001", "iso001_fixture.py"),
                           ("SIM001", "sim001_fixture.py"),
                           ("PERF001", "perf001_fixture.py"),
-                          ("PERF001", "perf001_obs_fixture.py")]:
+                          ("PERF001", "perf001_obs_fixture.py"),
+                          ("PERF002", "perf002_fixture.py")]:
         for line in expectations(FIXTURES / fixture, rule):
             assert (fixture, line, rule) in found, (
                 f"CLI missed {rule} at {fixture}:{line}")
@@ -134,7 +136,7 @@ def test_cli_select_and_list_rules() -> None:
     proc = run_cli("--list-rules")
     assert proc.returncode == 0
     for rule in ("DET001", "DET002", "DET003", "INV002", "ISO001",
-                 "SIM001", "PERF001"):
+                 "SIM001", "PERF001", "PERF002"):
         assert rule in proc.stdout
     proc = run_cli("tests/reprolint_fixtures", "--no-path-filter",
                    "--no-default-excludes", "--select", "PERF001",

@@ -25,7 +25,9 @@ a generic linter never could:
 * **SIM001** — simulation-safety: process generators must not call
   blocking/real-I/O APIs or share state through ``global``/``nonlocal``;
 * **PERF001** — every trace, metric or span record under an
-  ``obs.enabled`` guard, and ``__slots__`` parity on the hot paths.
+  ``obs.enabled`` guard, and ``__slots__`` parity on the hot paths;
+* **PERF002** — no process spawned only to be awaited
+  (``yield env.process(gen)``): run the generator with ``yield from``.
 
 Run ``python -m tools.reprolint src/ tests/`` from the repository root.
 Suppress a finding with ``# reprolint: disable=RULE  -- justification``

@@ -8,6 +8,7 @@ from tools.reprolint.checkers.det003 import SameTickOrderChecker
 from tools.reprolint.checkers.inv002 import DeltaPublicationChecker
 from tools.reprolint.checkers.iso001 import IsolationChecker
 from tools.reprolint.checkers.perf001 import HotPathHygieneChecker
+from tools.reprolint.checkers.perf002 import AwaitedSpawnChecker
 from tools.reprolint.checkers.sim001 import SimulationSafetyChecker
 from tools.reprolint.core import Checker
 
@@ -20,10 +21,12 @@ ALL_CHECKERS: dict[str, type[Checker]] = {
     IsolationChecker.rule: IsolationChecker,
     SimulationSafetyChecker.rule: SimulationSafetyChecker,
     HotPathHygieneChecker.rule: HotPathHygieneChecker,
+    AwaitedSpawnChecker.rule: AwaitedSpawnChecker,
 }
 
 __all__ = [
     "ALL_CHECKERS",
+    "AwaitedSpawnChecker",
     "DeltaPublicationChecker",
     "HotPathHygieneChecker",
     "IsolationChecker",
