@@ -53,6 +53,20 @@ def solo_entry(**extra):
     return entry
 
 
+def record_spawns(monkeypatch):
+    """The names passed to every ``Environment.process`` call from now
+    on, in call order."""
+    names = []
+    spawn = Environment.process
+
+    def counting(env, gen, name=None):
+        names.append(name)
+        return spawn(env, gen, name=name)
+
+    monkeypatch.setattr(Environment, "process", counting)
+    return names
+
+
 def fan_out(k):
     """*k* out-links from ``solo`` to consumers on syracuse's hosts."""
     return [{"dst_node": f"sink{i}", "dst_port": "matrix",
@@ -60,12 +74,12 @@ def fan_out(k):
              "size_bytes": 800.0} for i in range(k)]
 
 
-def push_immediate(v, entry, immediate=True):
+def push_request(v, entry, immediate=True):
     """Send *entry* to its host as an ``immediate`` execution request
     from syracuse's Site Manager, registering a matching execution state
     so the completion lands; returns that state.  With *immediate*
-    false it is an allocation: the host sets up its channels and acks,
-    and the state sends the start signal."""
+    false the request is an allocation: the host sets up its channels
+    and acks, and the state sends the start signal."""
     sm = v.site_managers["syracuse"]
     host = entry["hosts"][0]
     state = ExecutionState(execution_id="exec-manual",
@@ -219,7 +233,7 @@ class TestImmediateRescheduledExecution:
         """A rescheduled entry executes with forwarded inputs and reports
         completion without a second handshake."""
         v = small_vdce()
-        state = push_immediate(v, solo_entry())
+        state = push_request(v, solo_entry())
         deadline = v.now + 120
         while not state.finished.triggered and v.now < deadline:
             v.env.run(until=v.now + 1.0)
@@ -239,14 +253,7 @@ class TestOneProcessPerTaskRun:
         """Names of the processes started after a quiet 10 s warm-up
         (the daemons' own loops are long-lived, so the window spawns
         nothing by itself)."""
-        names = []
-        spawn = Environment.process
-
-        def counting(env, gen, name=None):
-            names.append(name)
-            return spawn(env, gen, name=name)
-
-        monkeypatch.setattr(Environment, "process", counting)
+        names = record_spawns(monkeypatch)
         v = small_vdce()
         v.env.run(until=10.0)
         names.clear()
@@ -254,7 +261,7 @@ class TestOneProcessPerTaskRun:
 
     def test_immediate_push_spawns_only_the_task_run(self, spawned):
         v, names = spawned
-        state = push_immediate(v, solo_entry())
+        state = push_request(v, solo_entry())
         while not state.finished.triggered:
             v.env.run(until=v.now + 1.0)
         # no request handler, and no overload watcher for a task that
@@ -267,7 +274,7 @@ class TestOneProcessPerTaskRun:
         v, names = spawned
         v.world.host("rome/h1").true_load = \
             v.reschedule_policy.load_threshold + 1.0
-        push_immediate(v, solo_entry(out_links=fan_out(2), is_exit=False))
+        push_request(v, solo_entry(out_links=fan_out(2), is_exit=False))
         v.env.run(until=15.0)
         controller = v.app_controllers["rome/h1"]
         assert v.tracer.count("net:reschedule-request",
@@ -286,7 +293,7 @@ class TestOneProcessPerTaskRun:
         if overloaded:
             v.world.host("rome/h1").true_load = \
                 v.reschedule_policy.load_threshold + 1.0
-        state = push_immediate(v, solo_entry(out_links=fan_out(2),
+        state = push_request(v, solo_entry(out_links=fan_out(2),
                                              is_exit=False, forced=forced))
         while not state.finished.triggered:
             v.env.run(until=v.now + 1.0)
@@ -299,7 +306,7 @@ class TestOneProcessPerTaskRun:
         inline: one process per cross-host handshake, none around
         them, and none per shipped output."""
         v, names = spawned
-        state = push_immediate(v, solo_entry(out_links=fan_out(2),
+        state = push_request(v, solo_entry(out_links=fan_out(2),
                                              is_exit=False),
                                immediate=False)
         while not state.finished.triggered:
@@ -346,14 +353,7 @@ RESCHEDULE_SPAWNS = {
 class TestRunSpawns:
     def test_reschedule_scenario_spawns_the_recorded_processes(
             self, monkeypatch):
-        names = []
-        spawn = Environment.process
-
-        def counting(env, gen, name=None):
-            names.append(name)
-            return spawn(env, gen, name=name)
-
-        monkeypatch.setattr(Environment, "process", counting)
+        names = record_spawns(monkeypatch)
         run_rescheduling(101)
         assert None not in names
         counts = Counter(map(spawn_prefix, names))
@@ -377,7 +377,7 @@ class TestOverloadCheckSameTick:
         host.true_load = v.reschedule_policy.load_threshold + 1.0
         # forced: skip the pre-start check, so only the running-task
         # check can terminate it
-        push_immediate(v, solo_entry(forced=True))
+        push_request(v, solo_entry(forced=True))
         v.env.run(until=1.0)
         (start,) = v.tracer.query(category="task-start")
         check_at = start.time + MONITOR_INTERVAL_S
